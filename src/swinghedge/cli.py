@@ -31,7 +31,7 @@ from .market import format_rational, to_rational
 from .oracle import DEFAULT_ENUMERATION_CAP, brute_force_value, certify_saddle
 from .pwl import PwlFn
 from .shortfall import build_risk_stack
-from .swing import optimal_strategies, price_swing, resolve
+from .swing import optimal_strategies, price_swing, resolve_path
 
 
 def _emit(doc):
@@ -65,18 +65,17 @@ def cmd_price(args):
 
 
 def _table_entries(strategy):
-    out = []
-    for i, table in enumerate(strategy.tables, start=1):
-        for (k, m), flag in sorted(table.items()):
-            if flag:
-                out.append({"claim": i, "level": k, "node": m})
-    return out
+    return [{"claim": i, "level": k, "node": m} for i, k, m in strategy.entries()]
 
 
 def cmd_strategies(args):
     contract = load_contract(args.contract)
     stack, price = price_swing(contract)
     seller, buyer = optimal_strategies(stack)
+    # one entry per full-tree node: refuse before a lattice table expands
+    needed = seller.entry_count() + buyer.entry_count()
+    if needed > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(needed, DEFAULT_ENUMERATION_CAP)
     _emit({
         "value": _fmt(price, args.decimal),
         "seller_cancels": _table_entries(seller),
@@ -93,7 +92,7 @@ def cmd_hedge_simulate(args):
     seller, buyer = optimal_strategies(stack)
     capital = price if args.capital is None else to_rational(args.capital)
     portfolio = build_perfect_hedge(stack)
-    events = resolve(seller, buyer).events[path]
+    events = resolve_path(seller, buyer, path)
     pre, post = simulate_portfolio(contract, portfolio, capital, events, path)
     doc = {
         "path": args.path,

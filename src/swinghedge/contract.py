@@ -13,8 +13,10 @@ The per-claim payoff for seller time m and buyer time n is
 
 evaluated at the node reached at level min(m, n).
 
-Contracts are ingested from a small JSON schema; payoffs are materialized as
-per-node tables and validated (0 <= Y <= X everywhere).
+Contracts are ingested from a small JSON schema, validated as a whole, then
+materialized as one value per state of the contract's state space (the
+recombining lattice when every leg is Markov, else the full tree) and checked
+(0 <= Y <= X everywhere).
 """
 
 from __future__ import annotations
@@ -82,36 +84,105 @@ def payoff_at(contract: SwingContract, claim: int, m: int, n: int, node: int) ->
     return contract.Y(claim).at(n, node)
 
 
-def _node_name(tree: ScenarioTree, k: int, m: int) -> str:
+def _node_name(k: int, m: int) -> str:
     if k == 0:
         return "root"
     return f"level {k}, path {format(m, f'0{k}b').replace('1', 'u').replace('0', 'd')}"
 
 
-def _exercise_process(kind: dict, tree: ScenarioTree) -> AdaptedProcess:
-    name = kind.get("kind")
-    if name == "call":
-        strike = to_rational(kind["strike"])
-        return AdaptedProcess.from_function(tree, lambda k, m, s: max(s - strike, Fraction(0)))
-    if name == "put":
-        strike = to_rational(kind["strike"])
-        return AdaptedProcess.from_function(tree, lambda k, m, s: max(strike - s, Fraction(0)))
-    if name == "table":
-        return _table_process(kind["values"], tree)
-    raise ContractError(f"unknown exercise kind {name!r}")
+# The field each leg kind reads; an infinite-proxy "value" is optional.
+LEG_FIELDS = {
+    "exercise": {"call": "strike", "put": "strike", "table": "values"},
+    "penalty": {"constant": "value", "proportional": "factor", "table": "values",
+                "infinite-proxy": "value"},
+}
 
 
-def _table_process(values, tree: ScenarioTree) -> AdaptedProcess:
-    if len(values) != tree.N + 1:
-        raise ContractError(
-            f"table has {len(values)} levels, the tree has {tree.N + 1}"
-        )
-    rows = []
+def _parse_table(values, N: int, where: str) -> list:
+    """Rows of Fractions, one per level, row k holding 2^k entries.
+
+    The whole shape is checked before any entry is parsed.
+    """
+    if not isinstance(values, list) or not all(isinstance(row, list) for row in values):
+        raise ContractError(f"{where}: table values must be a list of lists")
+    if len(values) != N + 1:
+        raise ContractError(f"{where}: table has {len(values)} levels, the tree has {N + 1}")
     for k, row in enumerate(values):
         if len(row) != 2 ** k:
-            raise ContractError(f"table level {k} has {len(row)} entries, wants {2 ** k}")
-        rows.append([to_rational(v) for v in row])
+            raise ContractError(f"{where}: table level {k} has {len(row)} entries, wants {2 ** k}")
+    return [[to_rational(v) for v in row] for row in values]
+
+
+def _parse_leg(spec, part: str, idx: int, N: int) -> tuple:
+    """(kind, argument) of one exercise or penalty spec.
+
+    The argument is a Fraction, table rows, or None for a proxy without an
+    explicit value.
+    """
+    where = f"claim {idx} {part}"
+    if not isinstance(spec, dict):
+        raise ContractError(f"{where} spec must be an object")
+    kind = spec.get("kind")
+    fields = LEG_FIELDS[part]
+    if not isinstance(kind, str) or kind not in fields:
+        raise ContractError(f"claim {idx} has unknown {part} kind {kind!r}")
+    field = fields[kind]
+    if field not in spec:
+        if kind == "infinite-proxy":
+            return kind, None
+        raise ContractError(f"{where} spec is missing {field!r}")
+    if kind == "table":
+        return kind, _parse_table(spec[field], N, where)
+    return kind, to_rational(spec[field])
+
+
+def _parse_claims(raw_claims, N: int) -> list:
+    """Validate every claim of a spec; returns [(exercise leg, penalty leg)]."""
+    if not isinstance(raw_claims, list) or not raw_claims:
+        raise ContractError("contract spec needs a non-empty 'claims' list")
+    legs = []
+    for idx, claim in enumerate(raw_claims, start=1):
+        if not isinstance(claim, dict) or "exercise" not in claim or "penalty" not in claim:
+            raise ContractError(f"claim {idx} needs 'exercise' and 'penalty'")
+        legs.append((_parse_leg(claim["exercise"], "exercise", idx, N),
+                     _parse_leg(claim["penalty"], "penalty", idx, N)))
+    return legs
+
+
+def _up_count_rows(rows):
+    """Lattice rows of a table constant on every up-count class, else None.
+
+    Stops at the first entry that differs from its class.
+    """
+    out = []
+    for k, row in enumerate(rows):
+        states = [row[(1 << s) - 1] for s in range(k + 1)]
+        if any(v != states[m.bit_count()] for m, v in enumerate(row)):
+            return None
+        out.append(states)
+    return out
+
+
+def _is_markov(leg) -> bool:
+    kind, arg = leg
+    return kind != "table" or _up_count_rows(arg) is not None
+
+
+def _table_process(rows, tree: ScenarioTree) -> AdaptedProcess:
+    if tree.recombining:
+        rows = _up_count_rows(rows)
+        if rows is None:
+            raise ContractError("a path-dependent table needs the full tree")
     return AdaptedProcess(tree, rows)
+
+
+def _exercise_process(leg, tree: ScenarioTree) -> AdaptedProcess:
+    kind, arg = leg
+    if kind == "call":
+        return AdaptedProcess.from_function(tree, lambda k, s, price: max(price - arg, Fraction(0)))
+    if kind == "put":
+        return AdaptedProcess.from_function(tree, lambda k, s, price: max(arg - price, Fraction(0)))
+    return _table_process(arg, tree)
 
 
 def _max_node_value(proc: AdaptedProcess) -> Fraction:
@@ -133,6 +204,18 @@ def _proxy_constant(exercise_procs, finite_penalty_caps) -> Fraction:
     return total
 
 
+def _penalty_rows(leg, Y: AdaptedProcess, tree: ScenarioTree, proxy_default) -> list:
+    """Per-state penalty X - Y; only table penalties apply at maturity."""
+    kind, arg = leg
+    N = tree.N
+    if kind == "table":
+        return _table_process(arg, tree).values
+    if kind == "proportional":
+        return [[arg * y if k < N else Fraction(0) for y in row] for k, row in enumerate(Y.values)]
+    c = proxy_default if arg is None else arg
+    return [[c if k < N else Fraction(0)] * tree.width(k) for k in range(N + 1)]
+
+
 def build_contract(spec: dict, tree: ScenarioTree = None) -> SwingContract:
     """Materialize a contract from its JSON-style dict.
 
@@ -143,87 +226,58 @@ def build_contract(spec: dict, tree: ScenarioTree = None) -> SwingContract:
     proportional penalties apply before maturity only (at maturity cancelling
     and exercising are the same event, so X(N) = Y(N)); table penalties are
     explicit at every level.
+
+    The whole spec is validated before any state space is built. Without an
+    explicit tree the contract lives on the recombining lattice when every
+    leg depends on the node only through its up-count (call, put, constant,
+    proportional and proxy legs always do, tables when their rows are
+    constant on every up-count class), and on the full tree otherwise.
     """
     if not isinstance(spec, dict):
         raise ContractError("contract spec must be a JSON object")
     if tree is None:
         if "model" not in spec:
             raise ContractError("contract spec needs a 'model' section")
-        tree = build_tree(MarketParams.from_dict(spec["model"]))
-    raw_claims = spec.get("claims")
-    if not isinstance(raw_claims, list) or not raw_claims:
-        raise ContractError("contract spec needs a non-empty 'claims' list")
+        params = MarketParams.from_dict(spec["model"])
+        legs = _parse_claims(spec.get("claims"), params.N)
+        markov = all(_is_markov(leg) for claim in legs for leg in claim)
+        tree = build_tree(params, recombining=markov)
+    else:
+        legs = _parse_claims(spec.get("claims"), tree.N)
 
-    exercise_procs = []
-    penalties = []
-    for idx, claim in enumerate(raw_claims, start=1):
-        if not isinstance(claim, dict) or "exercise" not in claim or "penalty" not in claim:
-            raise ContractError(f"claim {idx} needs 'exercise' and 'penalty'")
-        try:
-            exercise_procs.append(_exercise_process(claim["exercise"], tree))
-        except KeyError as exc:
-            raise ContractError(f"claim {idx} exercise spec is missing {exc}") from exc
-        penalties.append(claim["penalty"])
+    exercise_procs = [_exercise_process(ex, tree) for ex, _ in legs]
 
     # Proxy penalties need the whole contract's payoff scale, so resolve the
     # finite penalty caps first.
     finite_caps = []
-    for idx, pen in enumerate(penalties, start=1):
-        kind = pen.get("kind") if isinstance(pen, dict) else None
+    for Y, (_, (kind, arg)) in zip(exercise_procs, legs):
         if kind == "constant":
-            finite_caps.append(abs(to_rational(pen["value"])))
+            finite_caps.append(abs(arg))
         elif kind == "proportional":
-            finite_caps.append(abs(to_rational(pen["factor"])) * _max_node_value(exercise_procs[idx - 1]))
+            finite_caps.append(abs(arg) * _max_node_value(Y))
         elif kind == "table":
-            rows = pen.get("values", [])
-            vals = [to_rational(v) for row in rows for v in row]
-            finite_caps.append(max((abs(v) for v in vals), default=Fraction(0)))
+            finite_caps.append(max(abs(v) for row in arg for v in row))
     proxy_default = _proxy_constant(exercise_procs, finite_caps)
 
     claims = []
-    for idx, (Y, pen) in enumerate(zip(exercise_procs, penalties), start=1):
-        if not isinstance(pen, dict):
-            raise ContractError(f"claim {idx} penalty spec must be an object")
-        kind = pen.get("kind")
-        if kind == "constant":
-            c = to_rational(pen["value"])
-            delta = AdaptedProcess.from_function(
-                tree, lambda k, m, s: c if k < tree.N else Fraction(0)
-            )
-        elif kind == "proportional":
-            f = to_rational(pen["factor"])
-            delta = AdaptedProcess.from_function(
-                tree, lambda k, m, s, Y=Y: f * Y.at(k, m) if k < tree.N else Fraction(0)
-            )
-        elif kind == "table":
-            delta = _table_process(pen["values"], tree)
-        elif kind == "infinite-proxy":
-            c = to_rational(pen["value"]) if "value" in pen else proxy_default
-            delta = AdaptedProcess.from_function(
-                tree, lambda k, m, s, c=c: c if k < tree.N else Fraction(0)
-            )
-        else:
-            raise ContractError(f"claim {idx} has unknown penalty kind {kind!r}")
-
-        X = AdaptedProcess(
-            tree,
-            [
-                [Y.at(k, m) + delta.at(k, m) for m in range(2 ** k)]
-                for k in range(tree.N + 1)
-            ],
-        )
+    for idx, (Y, (_, pen)) in enumerate(zip(exercise_procs, legs), start=1):
+        delta = _penalty_rows(pen, Y, tree, proxy_default)
+        X = AdaptedProcess(tree, [
+            [y + d for y, d in zip(y_row, d_row)] for y_row, d_row in zip(Y.values, delta)
+        ])
+        # states in level order: the first failing state names its smallest node
         for k in range(tree.N + 1):
-            for m in range(2 ** k):
-                y, x = Y.at(k, m), X.at(k, m)
+            for s, (y, x) in enumerate(zip(Y.values[k], X.values[k])):
                 if y < 0:
                     raise ContractError(
                         f"claim {idx}: negative exercise payoff {format_rational(y)} "
-                        f"at {_node_name(tree, k, m)}"
+                        f"at {_node_name(k, next(tree.nodes_of(k, s)))}"
                     )
                 if x < y:
                     raise ContractError(
                         f"claim {idx}: cancellation payoff {format_rational(x)} below "
-                        f"exercise payoff {format_rational(y)} at {_node_name(tree, k, m)}"
+                        f"exercise payoff {format_rational(y)} at "
+                        f"{_node_name(k, next(tree.nodes_of(k, s)))}"
                     )
         claims.append(ClaimPayoffs(exercise=Y, cancel=X))
 
@@ -236,6 +290,6 @@ def load_contract(path: str) -> SwingContract:
             spec = json.load(fh)
     except OSError as exc:
         raise ContractError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, bad encoding, oversized integer
         raise ContractError(f"{path} is not valid JSON: {exc}") from exc
     return build_contract(spec)

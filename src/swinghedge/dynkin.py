@@ -19,19 +19,11 @@ guarantee through the same recursion shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError
-from .market import MARKET, MARTINGALE, AdaptedProcess, ScenarioTree
-
-
-def _measure_prob(tree: ScenarioTree, measure: str) -> Fraction:
-    if measure == MARKET:
-        return tree.params.p
-    if measure == MARTINGALE:
-        return tree.ptilde
-    raise ContractError(f"unknown measure {measure!r}")
+from .market import MARTINGALE, AdaptedProcess, ScenarioTree, measure_prob
 
 
 class StoppingTime:
@@ -40,21 +32,28 @@ class StoppingTime:
     decisions maps (level, node index) to True (stop) for levels below N;
     nodes without an entry continue. Every level-N node stops. Only nodes
     actually reachable without stopping need entries, which keeps enumerated
-    stopping times minimal.
+    stopping times minimal. With by_state=True the keys are (level, state)
+    of the tree's state space instead, which stores a Markov stopping time
+    once per lattice state; stops_at still takes node indices.
     """
 
-    def __init__(self, tree: ScenarioTree, start: int = 0, decisions: dict = None):
+    def __init__(self, tree: ScenarioTree, start: int = 0, decisions: dict = None,
+                 by_state: bool = False):
         if not (0 <= start <= tree.N):
             raise ContractError(f"start level {start} out of range 0..{tree.N}")
         self.tree = tree
         self.start = start
         self.decisions = dict(decisions or {})
+        # on the full tree a state is its node
+        self.by_state = by_state and tree.recombining
 
     def stops_at(self, k: int, m: int) -> bool:
         if k >= self.tree.N:
             return True
         if k < self.start:
             return False
+        if self.by_state:
+            m = self.tree.state(k, m)
         return self.decisions.get((k, m), False)
 
     def stop_level(self, path: int) -> int:
@@ -91,36 +90,34 @@ def solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = MARTINGALE
     tree = X.tree
     if Y.tree is not tree:
         raise ContractError("X and Y must live on the same tree")
-    q = _measure_prob(tree, measure)
+    q = measure_prob(tree, measure)
     N = tree.N
 
     values = [None] * (N + 1)
     values[N] = list(Y.values[N])
     for k in range(N - 1, -1, -1):
         row = []
-        nxt = values[k + 1]
-        for m in range(2 ** k):
-            y, x = Y.at(k, m), X.at(k, m)
-            cont = q * nxt[2 * m + 1] + (1 - q) * nxt[2 * m]
+        ups, downs = tree.child_rows(values[k + 1])
+        for y, x, up, down in zip(Y.values[k], X.values[k], ups, downs):
             if y > x:
                 row.append(y)
             else:
-                row.append(min(x, max(y, cont)))
+                row.append(min(x, max(y, q * up + (1 - q) * down)))
         values[k] = row
     V = AdaptedProcess(tree, values)
 
     seller = {}
     buyer = {}
     for k in range(start_level, N):
-        for m in range(2 ** k):
-            if X.at(k, m) <= V.at(k, m):
-                seller[(k, m)] = True
-            if Y.at(k, m) == V.at(k, m):
-                buyer[(k, m)] = True
+        for s, (x, y, v) in enumerate(zip(X.values[k], Y.values[k], values[k])):
+            if x <= v:
+                seller[(k, s)] = True
+            if y == v:
+                buyer[(k, s)] = True
     return DynkinSolution(
         value=V,
-        seller_stop=StoppingTime(tree, start_level, seller),
-        buyer_stop=StoppingTime(tree, start_level, buyer),
+        seller_stop=StoppingTime(tree, start_level, seller, by_state=True),
+        buyer_stop=StoppingTime(tree, start_level, buyer, by_state=True),
         start=start_level,
     )
 
@@ -129,7 +126,7 @@ def evaluate_game(X: AdaptedProcess, Y: AdaptedProcess, sigma: StoppingTime,
                   tau: StoppingTime, measure: str = MARTINGALE) -> Fraction:
     """Exact expected settlement R(sigma, tau) over all paths."""
     tree = X.tree
-    q = _measure_prob(tree, measure)
+    q = measure_prob(tree, measure)
     total = Fraction(0)
     for path in tree.paths():
         m_s = sigma.stop_level(path)
@@ -151,7 +148,7 @@ def certify_stopped_values(X: AdaptedProcess, Y: AdaptedProcess,
     (ok, failures) where failures lists (property, level, node).
     """
     tree = X.tree
-    q = _measure_prob(tree, measure)
+    q = measure_prob(tree, measure)
     sol = solve_dynkin(X, Y, measure, start_level)
     V, sig, tau = sol.value, sol.seller_stop, sol.buyer_stop
     failures = []

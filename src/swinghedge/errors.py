@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: contract problems exit 1, enumeration
 cap overruns exit 2, internal invariant violations exit 3.
 """
 
+# Largest enumeration or state space built without an explicit budget.
+DEFAULT_ENUMERATION_CAP = 500_000
+
 
 class ContractError(ValueError):
     """Malformed or inconsistent contract input (bad scalars, Y > X, ...)."""

@@ -62,8 +62,7 @@ class PerfectHedge(PortfolioStrategy):
         if level >= tree.N:
             return Fraction(0)
         Vk = self.stack.V[L - claim]  # stack level L - claim + 1
-        up, dn = tree.children(level, node)
-        vu, vd = Vk.at(level + 1, up), Vk.at(level + 1, dn)
+        vu, vd = Vk.at(level + 1, 2 * node + 1), Vk.at(level + 1, 2 * node)
         # underfunded wealth cannot reach both targets; stay in cash rather
         # than gamble (only reachable when starting below the exact price)
         if wealth < tree.ptilde * vu + (1 - tree.ptilde) * vd:

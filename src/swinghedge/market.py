@@ -6,10 +6,13 @@ money is its own discounting. The market measure gives probability p to the
 up move. The unique martingale probability is ptilde = a / (a - b), the one
 value that makes the expected one-step return vanish.
 
-States are the nodes of the full (non-recombining) binary tree: a node is a
-pair (level k, index m) with 0 <= m < 2^k, where the bits of m spell the path,
-most significant bit first, 1 meaning up. Payoffs may depend on the whole
-path, which is why the tree is not collapsed to a recombining lattice.
+A node is a pair (level k, index m) with 0 <= m < 2^k, where the bits of m
+spell the path, most significant bit first, 1 meaning up. Node indices are the
+public coordinates everywhere. The recursions instead run over the states of
+a ScenarioTree: the nodes themselves on the full binary tree, or the k + 1
+up-counts of level k on the recombining (Cox-Ross-Rubinstein) lattice. The
+lattice is exact whenever every payoff depends on the node only through its
+up-count; path-dependent payoffs need the full tree.
 
 Everything is a fractions.Fraction. The recursions downstream contain exact
 equality tests (optimal stopping ties, piecewise-linear breakpoints), so
@@ -20,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .errors import ContractError
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
 
 MARKET = "market"
 MARTINGALE = "martingale"
@@ -31,10 +35,13 @@ def to_rational(value) -> Fraction:
     """Parse a scalar into an exact Fraction.
 
     Accepts Fractions, ints, and strings like "-1/2" or "3". Floats are
-    rejected: they carry binary rounding that would poison exact ties.
+    rejected: they carry binary rounding that would poison exact ties. So are
+    booleans, although Python counts them as ints.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ContractError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -86,7 +93,7 @@ class MarketParams:
             raise ContractError(f"need -1 < a < 0 < b, got a={self.a}, b={self.b}")
         if not (0 < self.p < 1):
             raise ContractError(f"need 0 < p < 1, got p={self.p}")
-        if not (isinstance(self.N, int) and self.N >= 1):
+        if not (isinstance(self.N, int) and not isinstance(self.N, bool) and self.N >= 1):
             raise ContractError(f"horizon N must be an integer >= 1, got {self.N!r}")
 
     @classmethod
@@ -96,7 +103,8 @@ class MarketParams:
         except (KeyError, TypeError) as exc:
             raise ContractError("model needs keys S0, a, b, p, N") from exc
         if isinstance(raw_n, str):
-            if not raw_n.lstrip("-").isdigit():
+            digits = raw_n[1:] if raw_n.startswith("-") else raw_n
+            if not digits.isdecimal():
                 raise ContractError(f"N must be an integer, got {raw_n!r}")
             raw_n = int(raw_n)
         if not isinstance(raw_n, int) or isinstance(raw_n, bool):
@@ -116,43 +124,101 @@ class MarketParams:
         }
 
 
-class ScenarioTree:
-    """The full binary tree of market states for N periods.
+class _UpCountRow:
+    """One lattice level read by full-tree node index: node m holds the
+    state of its up-count, popcount(m)."""
 
-    price[k][m] is the stock price at node (k, m). Immutable after build;
-    share freely.
+    __slots__ = ("states",)
+
+    def __init__(self, states):
+        self.states = states
+
+    def __getitem__(self, m):
+        return self.states[m.bit_count()]
+
+
+class ScenarioTree:
+    """The state space of the market over N periods.
+
+    On the full tree (the default) the states of level k are its 2^k nodes.
+    With recombining=True they are the k + 1 up-counts of the Cox-Ross-
+    Rubinstein lattice; state s then stands for every node with s up moves.
+
+    state_price[k][s] is the stock price in state s of level k; price[k][m]
+    reads the same prices by full-tree node index, on either space.
+    Immutable after build; share freely.
     """
 
-    def __init__(self, params: MarketParams):
+    def __init__(self, params: MarketParams, recombining: bool = False):
         self.params = params
         self.N = params.N
         self.ptilde = martingale_prob(params.a, params.b)
+        self.recombining = recombining
+        # refuse an oversized space before anything of its size exists
+        if self.node_count > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationCapError(self.node_count, DEFAULT_ENUMERATION_CAP)
         up, down = 1 + params.b, 1 + params.a
-        self.price = []
-        level = [params.S0]
-        self.price.append(level)
+        rows = [[params.S0]]
         for _ in range(self.N):
-            nxt = []
-            for s in level:
-                # index 2m is the down child, 2m+1 the up child
-                nxt.append(s * down)
-                nxt.append(s * up)
-            level = nxt
-            self.price.append(level)
+            prev = rows[-1]
+            rows.append([s * down for s in prev] + [prev[-1] * up])
+        if recombining:
+            self.state_price = rows
+        else:
+            self.state_price = [
+                [row[m.bit_count()] for m in range(2 ** k)] for k, row in enumerate(rows)
+            ]
+        self.price = self.by_node(self.state_price)
+
+    def width(self, k: int) -> int:
+        """Number of states at level k."""
+        return k + 1 if self.recombining else 2 ** k
 
     @property
     def node_count(self) -> int:
-        return 2 ** (self.N + 1) - 1
+        """Number of states held, over all levels."""
+        N = self.N
+        return (N + 1) * (N + 2) // 2 if self.recombining else 2 ** (N + 1) - 1
 
-    def nodes(self):
-        """Yield every (level, index) pair, root first."""
-        for k in range(self.N + 1):
-            for m in range(2 ** k):
-                yield (k, m)
+    def children(self, k: int, s: int):
+        """(up child, down child) at level k+1 of state s at level k."""
+        return (s + 1, s) if self.recombining else (2 * s + 1, 2 * s)
 
-    def children(self, k: int, m: int):
-        """(up child, down child) of node (k, m) at level k+1."""
-        return (2 * m + 1, 2 * m)
+    def child_rows(self, row):
+        """(up children, down children) of every state of one level, given
+        the row of values of the level below, aligned with the level's states."""
+        if self.recombining:
+            return row[1:], row[:-1]
+        return row[1::2], row[0::2]
+
+    def state(self, k: int, m: int) -> int:
+        """The state holding full-tree node m of level k."""
+        return m.bit_count() if self.recombining else m
+
+    def nodes_of(self, k: int, s: int):
+        """The full-tree nodes of level k held by state s, in ascending order."""
+        if not self.recombining:
+            yield s
+            return
+        m = (1 << s) - 1
+        while m < 1 << k:
+            yield m
+            if m == 0:
+                return
+            # next larger integer with the same number of set bits
+            low = m & -m
+            ripple = m + low
+            m = ripple | (((m ^ ripple) >> 2) // low)
+
+    def node_multiplicity(self, k: int, s: int) -> int:
+        """Number of full-tree nodes of level k held by state s."""
+        return comb(k, s) if self.recombining else 1
+
+    def by_node(self, rows):
+        """Per-state rows made readable by full-tree node index."""
+        if self.recombining:
+            return [_UpCountRow(row) for row in rows]
+        return rows
 
     def node_on_path(self, path: int, k: int) -> int:
         """Index at level k of the node the N-bit path passes through."""
@@ -163,7 +229,7 @@ class ScenarioTree:
 
     def path_prob(self, path: int, q: Fraction) -> Fraction:
         """Probability of an N-step path when each up move has probability q."""
-        ups = bin(path).count("1")
+        ups = path.bit_count()
         return q ** ups * (1 - q) ** (self.N - ups)
 
     def path_bits(self, path: int) -> str:
@@ -171,12 +237,24 @@ class ScenarioTree:
         return format(path, f"0{self.N}b").replace("1", "u").replace("0", "d")
 
 
-def build_tree(params: MarketParams) -> ScenarioTree:
-    return ScenarioTree(params)
+def build_tree(params: MarketParams, recombining: bool = False) -> ScenarioTree:
+    return ScenarioTree(params, recombining)
+
+
+def measure_prob(tree: ScenarioTree, measure: str) -> Fraction:
+    """Up-move probability of the named measure: "market" or "martingale"."""
+    if measure == MARKET:
+        return tree.params.p
+    if measure == MARTINGALE:
+        return tree.ptilde
+    raise ContractError(f"unknown measure {measure!r}")
 
 
 class AdaptedProcess:
-    """One rational per tree node; values[k][m] aligns with tree.price."""
+    """One rational per state: values[k][s] aligns with tree.state_price.
+
+    at(k, m) reads by full-tree node index m on either state space.
+    """
 
     def __init__(self, tree: ScenarioTree, values):
         self.tree = tree
@@ -184,44 +262,39 @@ class AdaptedProcess:
         if len(values) != tree.N + 1:
             raise ContractError("process does not cover every level")
         for k, level in enumerate(values):
-            if len(level) != 2 ** k:
-                raise ContractError(f"level {k} has {len(level)} values, wants {2 ** k}")
+            if len(level) != tree.width(k):
+                raise ContractError(
+                    f"level {k} has {len(level)} values, wants {tree.width(k)}"
+                )
+        self._by_node = tree.by_node(values)
 
     @classmethod
     def from_function(cls, tree: ScenarioTree, fn) -> "AdaptedProcess":
-        """Build from fn(level, index, price) -> rational."""
+        """Build from fn(level, state, price) -> rational."""
         values = [
-            [to_rational(fn(k, m, tree.price[k][m])) for m in range(2 ** k)]
-            for k in range(tree.N + 1)
+            [to_rational(fn(k, s, price)) for s, price in enumerate(row)]
+            for k, row in enumerate(tree.state_price)
         ]
         return cls(tree, values)
 
     @classmethod
     def constant(cls, tree: ScenarioTree, c) -> "AdaptedProcess":
         c = to_rational(c)
-        return cls(tree, [[c] * (2 ** k) for k in range(tree.N + 1)])
+        return cls(tree, [[c] * tree.width(k) for k in range(tree.N + 1)])
 
     def at(self, k: int, m: int) -> Fraction:
-        return self.values[k][m]
-
-    def level(self, k: int):
-        return self.values[k]
+        return self._by_node[k][m]
 
 
 def one_step_expectation(proc: AdaptedProcess, level: int, measure: str) -> list:
-    """Conditional expectation of the level+1 values, seen from each level node.
+    """Conditional expectation of the level+1 values, seen from each level state.
 
-    Returns the list of expectations indexed like the tree's `level` row.
+    Returns the list of expectations indexed like the space's `level` row.
     measure is "market" (probability p) or "martingale" (ptilde).
     """
     tree = proc.tree
     if not (0 <= level < tree.N):
         raise ContractError(f"level {level} out of range for horizon {tree.N}")
-    if measure == MARKET:
-        q = tree.params.p
-    elif measure == MARTINGALE:
-        q = tree.ptilde
-    else:
-        raise ContractError(f"unknown measure {measure!r}")
-    child = proc.values[level + 1]
-    return [q * child[2 * m + 1] + (1 - q) * child[2 * m] for m in range(2 ** level)]
+    q = measure_prob(tree, measure)
+    ups, downs = tree.child_rows(proc.values[level + 1])
+    return [q * u + (1 - q) * d for u, d in zip(ups, downs)]

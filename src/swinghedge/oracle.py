@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dynkin import StoppingTime, _measure_prob, evaluate_game
-from .errors import ContractError, EnumerationCapError, InvariantError
-from .market import MARTINGALE, format_rational, martingale_prob
+from .dynkin import StoppingTime, evaluate_game
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, InvariantError
+from .market import MARTINGALE, format_rational, martingale_prob, measure_prob
 from .swing import StoppingStrategy, window_start
-
-DEFAULT_ENUMERATION_CAP = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +293,7 @@ def play_value(contract, seller, buyer, measure=MARTINGALE):
     """
     tree = contract.tree
     N = tree.params.N
-    q = _measure_prob(tree, measure)
+    q = measure_prob(tree, measure)
     total = Fraction(0)
     for path in tree.paths():
         hist = ()
@@ -341,7 +339,7 @@ def _best_response(contract, opponent, opponent_is_seller, measure):
     tree = contract.tree
     N = tree.params.N
     L = contract.L
-    q = _measure_prob(tree, measure)
+    q = measure_prob(tree, measure)
     memo = {}
     decisions = {}
 

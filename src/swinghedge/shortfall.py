@@ -50,7 +50,9 @@ from .swing import StoppingStrategy, resolve
 class RiskStack:
     """All value functions and controls of the shortfall recursion.
 
-    Keys are (level, node, rights-remaining). J covers every level; phi (the
+    Keys are (level, state, rights-remaining), over the states of the
+    contract's state space; key(k, m, j) gives the key of full-tree node m.
+    J covers every level; phi (the
     pre-decision portfolio transform), the branch functions and the controls
     exist below maturity only. phi at j = 0 is the zero function: with
     nothing left to pay, no cost and no trading.
@@ -64,6 +66,10 @@ class RiskStack:
     cancel: dict
     exercise_ctrl: dict
     cancel_ctrl: dict
+
+    def key(self, k: int, m: int, j: int) -> tuple:
+        """The storage key of node (k, m) with j rights remaining."""
+        return (k, self.contract.tree.state(k, m), j)
 
     def curve(self) -> PwlFn:
         return self.J[(0, 0, self.contract.L)]
@@ -83,31 +89,32 @@ def build_risk_stack(contract) -> RiskStack:
     J, phi, phi_ctrl = {}, {}, {}
     ex_fn, ca_fn, ex_ctrl, ca_ctrl = {}, {}, {}, {}
 
-    for m in range(2 ** N):
-        J[(N, m, 0)] = PwlFn.zero()
+    for s in range(tree.width(N)):
+        J[(N, s, 0)] = PwlFn.zero()
         for j in range(1, L + 1):
-            J[(N, m, j)] = PwlFn.hockey_stick(contract.terminal_bundle(L - j + 1, m))
+            due = sum((contract.Y(i).values[N][s] for i in range(L - j + 1, L + 1)), Fraction(0))
+            J[(N, s, j)] = PwlFn.hockey_stick(due)
 
     for k in range(N - 1, -1, -1):
-        for m in range(2 ** k):
-            up, dn = tree.children(k, m)
-            J[(k, m, 0)] = PwlFn.zero()
-            phi[(k, m, 0)] = PwlFn.zero()
+        for s in range(tree.width(k)):
+            up, dn = tree.children(k, s)
+            J[(k, s, 0)] = PwlFn.zero()
+            phi[(k, s, 0)] = PwlFn.zero()
             for j in range(1, L + 1):
                 i = L - j + 1
                 pj, ctrl = portfolio_transform(
                     J[(k + 1, up, j)], J[(k + 1, dn, j)], p, a, b
                 )
-                phi[(k, m, j)] = pj
-                phi_ctrl[(k, m, j)] = ctrl
-                settled = phi[(k, m, j - 1)]
-                e_fn, e_ctrl = infusion_transform(settled, contract.Y(i).at(k, m))
-                c_fn, c_ctrl = infusion_transform(settled, contract.X(i).at(k, m))
-                ex_fn[(k, m, j)] = e_fn
-                ca_fn[(k, m, j)] = c_fn
-                ex_ctrl[(k, m, j)] = e_ctrl
-                ca_ctrl[(k, m, j)] = c_ctrl
-                J[(k, m, j)] = pointwise_min(c_fn, pointwise_max(e_fn, pj))
+                phi[(k, s, j)] = pj
+                phi_ctrl[(k, s, j)] = ctrl
+                settled = phi[(k, s, j - 1)]
+                e_fn, e_ctrl = infusion_transform(settled, contract.Y(i).values[k][s])
+                c_fn, c_ctrl = infusion_transform(settled, contract.X(i).values[k][s])
+                ex_fn[(k, s, j)] = e_fn
+                ca_fn[(k, s, j)] = c_fn
+                ex_ctrl[(k, s, j)] = e_ctrl
+                ca_ctrl[(k, s, j)] = c_ctrl
+                J[(k, s, j)] = pointwise_min(c_fn, pointwise_max(e_fn, pj))
 
     return RiskStack(
         contract=contract,
@@ -154,7 +161,8 @@ class StackPortfolio(PortfolioStrategy):
         if claim > L or level >= self.tree.N:
             return Fraction(0)
         j = L - claim + 1
-        alpha = self.stack.phi_ctrl[(level, node, j)].eval(max(Fraction(wealth), Fraction(0)))
+        ctrl = self.stack.phi_ctrl[self.stack.key(level, node, j)]
+        alpha = ctrl.eval(max(Fraction(wealth), Fraction(0)))
         return alpha / self.tree.price[level][node]
 
 
@@ -173,7 +181,7 @@ class StackInfusion:
             due = self.contract.terminal_bundle(claim + 1, node)
             return max(due - y, Fraction(0))
         j_left = self.contract.L - claim
-        fn = self.stack.phi[(level, node, j_left)]
+        fn = self.stack.phi[self.stack.key(level, node, j_left)]
         amount, _ = infusion_minimizer(fn, y)
         return amount
 
@@ -203,7 +211,8 @@ class ReplayStrategy(StoppingStrategy):
     def stops_at_state(self, k, m, j, wealth):
         w = max(Fraction(wealth), Fraction(0))
         branch = self.stack.cancel if self.side == "seller" else self.stack.exercise
-        return branch[(k, m, j)].eval(w) == self.stack.J[(k, m, j)].eval(w)
+        key = self.stack.key(k, m, j)
+        return branch[key].eval(w) == self.stack.J[key].eval(w)
 
     def _wealth(self, k, m, history):
         tree = self.tree
@@ -345,7 +354,7 @@ def evaluate_policy_risk(contract, gamma, infusion, x) -> PolicyRisk:
         if key in memo:
             return memo[key][0]
         i = L - j + 1
-        up, dn = tree.children(k, m)
+        up, dn = 2 * m + 1, 2 * m
         s = tree.price[k][m]
 
         def settle(amount):
@@ -424,7 +433,7 @@ def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=
             if key in memo:
                 return memo[key]
             i = L - j + 1
-            up, dn = tree.children(k, m)
+            up, dn = 2 * m + 1, 2 * m
             s = tree.price[k][m]
 
             def settle(amount):

@@ -53,22 +53,48 @@ def window_start(history: tuple, N: int) -> int:
 
 
 class TableStrategy(StoppingStrategy):
-    """History-independent rule: one stop/continue table per claim."""
+    """History-independent rule: one stop/continue table per claim.
 
-    def __init__(self, tree, L, tables):
+    Tables map (level, node index) to True (stop), or (level, state) with
+    by_state=True, which stores a Markov rule once per lattice state.
+    """
+
+    def __init__(self, tree, L, tables, by_state=False):
         super().__init__(tree, L)
         if len(tables) != L:
             raise ContractError(f"need {L} claim tables, got {len(tables)}")
         self.tables = [dict(t) for t in tables]
+        # on the full tree a state is its node
+        self.by_state = by_state and tree.recombining
 
     def stops(self, i, k, m, history):
+        if self.by_state:
+            m = self.tree.state(k, m)
         return self.tables[i - 1].get((k, m), False)
+
+    def entry_count(self) -> int:
+        """Number of (claim, level, node) stop entries over all claims."""
+        tree = self.tree
+        return sum(
+            tree.node_multiplicity(k, s) if self.by_state else 1
+            for table in self.tables for (k, s), flag in table.items() if flag
+        )
+
+    def entries(self):
+        """Every (claim, level, node) stop entry, sorted, one per full-tree node."""
+        tree = self.tree
+        for i, table in enumerate(self.tables, start=1):
+            keys = [key for key, flag in table.items() if flag]
+            if self.by_state:
+                keys = [(k, m) for k, s in keys for m in tree.nodes_of(k, s)]
+            for k, m in sorted(keys):
+                yield i, k, m
 
     @classmethod
     def all_at_start(cls, tree, L):
         """Stop every claim as early as its window allows."""
-        full = {(k, m): True for k in range(tree.N) for m in range(2 ** k)}
-        return cls(tree, L, [dict(full) for _ in range(L)])
+        full = {(k, s): True for k in range(tree.N) for s in range(tree.width(k))}
+        return cls(tree, L, [dict(full) for _ in range(L)], by_state=True)
 
     @classmethod
     def all_wait(cls, tree, L):
@@ -122,30 +148,33 @@ class ResolvedPlay:
         return sum(1 for e in self.events[path] if e.level <= k)
 
 
-def resolve(s: StoppingStrategy, b: StoppingStrategy) -> ResolvedPlay:
-    """Play seller strategy s against buyer strategy b on every path."""
+def resolve_path(s: StoppingStrategy, b: StoppingStrategy, path: int) -> tuple:
+    """The ClaimEvent sequence of seller s against buyer b on one path."""
     tree = s.tree
     if b.tree is not tree or b.L != s.L:
         raise ContractError("strategies disagree on tree or claim count")
     L, N = s.L, tree.N
-    events = {}
-    for path in tree.paths():
-        hist = ()
-        out = []
-        for i in range(1, L + 1):
-            theta = window_start(hist, N)
-            for k in range(theta, N + 1):
-                m = tree.node_on_path(path, k)
-                forced = k == N
-                ss = forced or s.stops(i, k, m, hist)
-                bs = forced or b.stops(i, k, m, hist)
-                if ss or bs:
-                    d = 0 if bs else 1
-                    out.append(ClaimEvent(level=k, d=d, seller_stopped=ss, buyer_stopped=bs))
-                    hist = hist + ((k, d),)
-                    break
-        events[path] = tuple(out)
-    return ResolvedPlay(tree, L, events)
+    hist = ()
+    out = []
+    for i in range(1, L + 1):
+        theta = window_start(hist, N)
+        for k in range(theta, N + 1):
+            m = tree.node_on_path(path, k)
+            forced = k == N
+            ss = forced or s.stops(i, k, m, hist)
+            bs = forced or b.stops(i, k, m, hist)
+            if ss or bs:
+                d = 0 if bs else 1
+                out.append(ClaimEvent(level=k, d=d, seller_stopped=ss, buyer_stopped=bs))
+                hist = hist + ((k, d),)
+                break
+    return tuple(out)
+
+
+def resolve(s: StoppingStrategy, b: StoppingStrategy) -> ResolvedPlay:
+    """Play seller strategy s against buyer strategy b on every path."""
+    events = {path: resolve_path(s, b, path) for path in s.tree.paths()}
+    return ResolvedPlay(s.tree, s.L, events)
 
 
 def game_value(contract: SwingContract, s: StoppingStrategy, b: StoppingStrategy) -> Fraction:
@@ -188,12 +217,12 @@ def price_swing(contract: SwingContract):
         cont_rows = [one_step_expectation(v_prev, n, MARTINGALE) for n in range(N)]
         cont_rows.append(list(v_prev.values[N]))  # no delay left at maturity
         Xk = AdaptedProcess(tree, [
-            [contract.X(i).at(n, m) + cont_rows[n][m] for m in range(2 ** n)]
-            for n in range(N + 1)
+            [x + c for x, c in zip(row, cont)]
+            for row, cont in zip(contract.X(i).values, cont_rows)
         ])
         Yk = AdaptedProcess(tree, [
-            [contract.Y(i).at(n, m) + cont_rows[n][m] for m in range(2 ** n)]
-            for n in range(N + 1)
+            [y + c for y, c in zip(row, cont)]
+            for row, cont in zip(contract.Y(i).values, cont_rows)
         ])
         sol = solve_dynkin(Xk, Yk, MARTINGALE)
         xs.append(Xk)
@@ -210,7 +239,8 @@ def optimal_strategies(stack: ValueStack):
 
     Claim i consults stack level k = L-i+1: the seller stops where Xk = Vk,
     the buyer where Yk = Vk, each at the first such level inside the claim's
-    window (level N is forced by the resolver).
+    window (level N is forced by the resolver). The tables hold one entry
+    per state of the contract's state space.
     """
     contract = stack.contract
     tree = contract.tree
@@ -222,14 +252,15 @@ def optimal_strategies(stack: ValueStack):
         st = {}
         bt = {}
         for lvl in range(N):
-            for m in range(2 ** lvl):
-                if Xk.at(lvl, m) == Vk.at(lvl, m):
-                    st[(lvl, m)] = True
-                if Yk.at(lvl, m) == Vk.at(lvl, m):
-                    bt[(lvl, m)] = True
+            rows = zip(Xk.values[lvl], Yk.values[lvl], Vk.values[lvl])
+            for s, (x, y, v) in enumerate(rows):
+                if x == v:
+                    st[(lvl, s)] = True
+                if y == v:
+                    bt[(lvl, s)] = True
         seller_tables.append(st)
         buyer_tables.append(bt)
     return (
-        TableStrategy(tree, L, seller_tables),
-        TableStrategy(tree, L, buyer_tables),
+        TableStrategy(tree, L, seller_tables, by_state=True),
+        TableStrategy(tree, L, buyer_tables, by_state=True),
     )

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_contract
 from swinghedge.contract import build_contract, load_contract, payoff_at
@@ -144,3 +145,75 @@ def test_random_contracts_always_validate():
             for k in range(c.tree.N + 1):
                 for m in range(2 ** k):
                     assert 0 <= c.Y(i).at(k, m) <= c.X(i).at(k, m)
+
+
+GOOD_CLAIMS = [
+    {"exercise": {"kind": "call", "strike": "1"},
+     "penalty": {"kind": "constant", "value": "1/10"}},
+    {"exercise": {"kind": "table", "values": [["1"], ["0", "2"]]},
+     "penalty": {"kind": "proportional", "factor": "1/2"}},
+    {"exercise": {"kind": "put", "strike": "2"},
+     "penalty": {"kind": "table", "values": [["1/2"], ["0", "0"]]}},
+    {"exercise": {"kind": "call", "strike": "1/2"},
+     "penalty": {"kind": "infinite-proxy", "value": "5"}},
+]
+
+
+@pytest.mark.parametrize("claims, model", [
+    ([{"exercise": {"kind": "call", "strike": "1"}, "penalty": {"kind": "constant"}}], MODEL),
+    ([{"exercise": {"kind": "call", "strike": "1"}, "penalty": {"kind": "table"}}], MODEL),
+    ([{"exercise": "call", "penalty": {"kind": "constant", "value": "0"}}], MODEL),
+    ([{"exercise": {"kind": "call", "strike": True},
+       "penalty": {"kind": "constant", "value": "0"}}], MODEL),
+    (GOOD_CLAIMS, dict(MODEL, S0=True)),
+    ([{"exercise": {"kind": ["call"], "strike": "1"},
+       "penalty": {"kind": "constant", "value": "0"}}], MODEL),
+    ([{"exercise": {"kind": "table", "values": "1"},
+       "penalty": {"kind": "constant", "value": "0"}}], MODEL),
+])
+def test_malformed_specs_exit_1(tmp_path, capsys, claims, model):
+    from swinghedge.cli import main
+
+    spec = {"model": model, "claims": claims}
+    with pytest.raises(ContractError):
+        build_contract(spec)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(spec))
+    assert main(["price", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+# Every field a spec reads, as a path from the spec root. Each claim list
+# keeps a table leg, so any horizon but N = 1 fails the shape check and no
+# replacement can ask for a large state space.
+SPEC_FIELDS = (
+    [("model",), ("claims",)]
+    + [("model", key) for key in ("S0", "a", "b", "p", "N")]
+    + [("claims", i) for i in range(4)]
+    + [("claims", i, part) for i in range(4) for part in ("exercise", "penalty")]
+    + [("claims", i, part, "kind") for i in range(4) for part in ("exercise", "penalty")]
+    + [("claims", 0, "exercise", "strike"), ("claims", 0, "penalty", "value"),
+       ("claims", 1, "exercise", "values"), ("claims", 1, "exercise", "values", 1),
+       ("claims", 1, "exercise", "values", 1, 0), ("claims", 1, "penalty", "factor"),
+       ("claims", 2, "penalty", "values"), ("claims", 2, "penalty", "values", 0, 0),
+       ("claims", 3, "penalty", "value")]
+)
+
+
+@given(st.sampled_from(SPEC_FIELDS), json_values)
+def test_any_field_value_loads_or_is_rejected(field, value):
+    spec = json.loads(json.dumps({"model": MODEL, "claims": GOOD_CLAIMS}))
+    node = spec
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    try:
+        build_contract(spec)
+    except ContractError:
+        pass

@@ -104,7 +104,7 @@ def test_optimal_policy_reproduces_the_curve_statewise():
             pol = evaluate_policy_risk(c, gamma, infusion, x)
             assert pol.value == curve.eval(x)
             for (k, m, j, y), (val, _, _, _) in pol.table.items():
-                assert stack.J[(k, m, j)].eval(max(y, F(0))) == val
+                assert stack.J[stack.key(k, m, j)].eval(max(y, F(0))) == val
 
 
 def test_no_policy_beats_the_curve():
@@ -120,7 +120,7 @@ def test_no_policy_beats_the_curve():
             assert pol.value >= curve.eval(x)
             for (k, m, j, y), (val, _, _, _) in pol.table.items():
                 if y >= 0:
-                    assert stack.J[(k, m, j)].eval(y) <= val
+                    assert stack.J[stack.key(k, m, j)].eval(y) <= val
 
 
 def test_both_risk_evaluators_agree_on_the_optimal_hedge():

@@ -89,19 +89,21 @@ def simulate_portfolio(contract, portfolio: PortfolioStrategy, x, events, path: 
         by_level.setdefault(ev.level, []).append((i, ev))
     pre, post = [], []
     w = Fraction(x)
+    settled = 0  # claims settled before level k
     for k in range(N + 1):
         node = tree.node_on_path(path, k)
         if k > 0:
             prev = tree.node_on_path(path, k - 1)
-            settled = sum(len(v) for lvl, v in by_level.items() if lvl < k)
             units = Fraction(0)
             if settled < contract.L:
                 units = portfolio.units(k - 1, prev, settled + 1, w)
             w = w + units * (tree.price[k][node] - tree.price[k - 1][prev])
         pre.append(w)
-        for i, ev in by_level.get(k, []):
+        here = by_level.get(k, [])
+        for i, ev in here:
             leg = contract.Y(i) if ev.d == 0 else contract.X(i)
             w -= leg.at(k, node)
+        settled += len(here)
         post.append(w)
     return pre, post
 

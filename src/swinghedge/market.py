@@ -21,6 +21,7 @@ floating point is never used.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -29,6 +30,12 @@ from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
 
 MARKET = "market"
 MARTINGALE = "martingale"
+
+# A decimal exponent multiplies by a power of ten, so "1e1000000000" would
+# build a billion-digit integer. Strings whose expansion could pass CPython's
+# default limit on int <-> str conversion are refused before Fraction runs.
+MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
 
 
 def to_rational(value) -> Fraction:
@@ -45,6 +52,12 @@ def to_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exp = _EXPONENT.search(value)
+        if exp:
+            digits = sum(ch.isdigit() for ch in value[: exp.start()])
+            power = exp.group(1).replace("_", "")
+            if len(power) > len(str(MAX_DIGITS)) or int(power) + digits > MAX_DIGITS:
+                raise ContractError(f"not a rational: {value!r} expands past {MAX_DIGITS} digits")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -477,6 +477,47 @@ def infusion_value_at(psi, A, y):
     return (A - y) + best
 
 
+def portfolio_argmin_at(psi1, psi2, p, a, b, y):
+    """The smallest optimal alpha at one point, no envelope assembly.
+
+    Evaluates the candidates of portfolio_value_at in increasing w1 and keeps
+    the first of least value; alpha = (w1 - y) / b grows with w1, so that is
+    the smallest optimal alpha.
+    """
+    y = Fraction(y)
+    pt = martingale_prob(a, b)
+    cands = {Fraction(0)}
+    for x, _ in psi1.points:
+        if pt * x <= y:
+            cands.add(x)
+    for x, _ in psi2.points:
+        if (1 - pt) * x <= y:
+            cands.add((y - (1 - pt) * x) / pt)
+    p = Fraction(p)
+    best, best_w1 = None, None
+    for w1 in sorted(cands):
+        w2 = (y - pt * w1) / (1 - pt)
+        v = p * psi1.eval(w1) + (1 - p) * psi2.eval(w2)
+        if best is None or v < best:
+            best, best_w1 = v, w1
+    return (best_w1 - y) / Fraction(b)
+
+
+def infusion_argmin_at(psi, A, y):
+    """The smallest optimal injection at one point.
+
+    The leftmost minimizer of w + psi(w) over w >= (y - A)^+ sits at the
+    left end or at a breakpoint; the injection is that w minus (y - A).
+    """
+    y, A = Fraction(y), Fraction(A)
+    c = max(y - A, Fraction(0))
+    best, best_w = c + psi.eval(c), c
+    for x, v in psi.points:
+        if x > c and x + v < best:
+            best, best_w = x + v, x
+    return best_w + A - y
+
+
 def grid_portfolio_value(psi1, psi2, p, a, b, y, resolution):
     """Portfolio transform restricted to a uniform control grid (an upper bound)."""
     y, p = Fraction(y), Fraction(p)

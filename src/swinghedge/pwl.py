@@ -24,18 +24,33 @@ minimum, so downstream policy extraction is deterministic.
 
 The portfolio minimization is computed in post-move wealth coordinates:
 writing w1 = y + b*alpha, w2 = y + a*alpha, the constraint set becomes
-{w1, w2 >= 0, ptilde*w1 + (1-ptilde)*w2 = y} with ptilde = a/(a-b), and for
-fixed y the objective is piecewise linear in w1 with kinks exactly where w1
-hits a psi_1 breakpoint or w2 hits a psi_2 breakpoint. The minimum is
-attained at one of those finitely many candidates, the smallest alpha at the
-smallest such w1. On every y-interval between consecutive "event" points
-ptilde*P_i + (1-ptilde)*Q_j all candidate values are affine in y, so the
-exact lower envelope is assembled interval by interval.
+{w1, w2 >= 0, ptilde*w1 + (1-ptilde)*w2 = y} with ptilde = a/(a-b). With
+u1 = ptilde*w1 and u2 = (1-ptilde)*w2 this is the infimal convolution of
+f1(u) = p*psi_1(u/ptilde) and f2(u) = (1-p)*psi_2(u/(1-ptilde)) (Rockafellar,
+Convex Analysis, sec. 5). For fixed y the objective is piecewise linear in
+w1 with kinks where w1 hits a psi_1 breakpoint P_i or w2 hits a psi_2
+breakpoint Q_j, so the smallest minimizer pins one of the two. Pinning
+w1 = P_i leaves a copy of f2 shifted right by ptilde*P_i and raised by
+f1(ptilde*P_i), with w1 constant; pinning w2 = Q_j leaves the mirror copy
+of f1, with w1 affine in y. The transform is the lower envelope of these
+|P| + |Q| copies, each labelled with its w1: the copies are folded in one at
+a time (P_0 and Q_0 first, so the envelope covers every y from the start),
+each fold a two-pointer merge of knot lists that inserts the crossings.
+Ties keep the smaller w1: at a knot by value, along a piece by the lower of
+the two affine w1 lines (two lines cross only at a knot of both copies).
+
+The infusion minimization goes through h(w) = w + psi(w): the value is
+(A - y) + min over w >= (y - A)^+ of h(w), and the smallest injection comes
+from the LEFTMOST minimizer of h on that ray. One right-to-left pass over
+psi's breakpoints gives the suffix minimum of h and its leftmost minimizer
+for every left end at once (leftmost_minimizer).
+
+pointwise_min and pointwise_max use the same two-pointer merge.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .errors import ContractError, InvariantError
@@ -145,22 +160,52 @@ class PwlFn:
             raise ContractError(f"breakpoints do not describe a valid curve: {exc}") from exc
 
 
+def _slopes(xs, vs):
+    """Slope of each piece between knots, then 0 for the flat tail."""
+    out = [(v1 - v0) / (x1 - x0) for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:])]
+    out.append(Fraction(0))
+    return out
+
+
+def _union_walk(xa, xb, i, j):
+    """Two-pointer merge of two sorted knot lists, from xa[i] and xb[j] on.
+
+    Yields (x, ia, ib) for every x of the sorted union, with ia and ib the
+    index of the last knot <= x in each list.
+    """
+    na, nb = len(xa), len(xb)
+    while i < na or j < nb:
+        if j == nb or (i < na and xa[i] < xb[j]):
+            x = xa[i]
+            i += 1
+        elif i == na or xb[j] < xa[i]:
+            x = xb[j]
+            j += 1
+        else:
+            x = xa[i]
+            i += 1
+            j += 1
+        yield x, i - 1, j - 1
+
+
 def _combine(f: PwlFn, g: PwlFn, pick) -> PwlFn:
-    xs = sorted(set(f._xs) | set(g._xs))
+    fx, gx = f._xs, g._xs
+    fv, gv = [v for _, v in f.points], [v for _, v in g.points]
+    fs, gs = _slopes(fx, fv), _slopes(gx, gv)
     pts = []
     prev = None
-    for x in xs:
-        fv, gv = f.eval(x), g.eval(x)
+    for x, i, j in _union_walk(fx, gx, 0, 0):
+        a = fv[i] if fx[i] == x else fv[i] + fs[i] * (x - fx[i])
+        c = gv[j] if gx[j] == x else gv[j] + gs[j] * (x - gx[j])
+        d = a - c
         if prev is not None:
-            px, pfv, pgv = prev
+            px, pa, pd, pi = prev
             # insert the crossing if the order flips strictly inside
-            d0, d1 = pfv - pgv, fv - gv
-            if (d0 > 0 > d1) or (d0 < 0 < d1):
-                t = d0 / (d0 - d1)
-                xc = px + t * (x - px)
-                pts.append((xc, f.eval(xc)))
-        pts.append((x, pick(fv, gv)))
-        prev = (x, fv, gv)
+            if (pd > 0 > d) or (pd < 0 < d):
+                xc = px + pd * (x - px) / (pd - d)
+                pts.append((xc, pa + fs[pi] * (xc - px)))
+        pts.append((x, pick(a, c)))
+        prev = (x, a, d, i)
     return PwlFn(pts)
 
 
@@ -173,44 +218,107 @@ def pointwise_max(f: PwlFn, g: PwlFn) -> PwlFn:
 
 
 class PwlControl:
-    """The optimal control of a transform, as a function of wealth.
+    """The optimal control of a transform, as a function of wealth y >= 0.
 
-    pieces: (y_lo, y_hi, coef, intercept) with control coef*y + intercept on
-    the OPEN interval (y_lo, y_hi); y_hi None means unbounded. At the piece
-    boundaries the control can differ from both neighbouring formulas (a
-    candidate can touch the lower envelope at a single kink with a smaller
-    control), so boundary controls are stored explicitly, and eval() falls
-    back to the exact argmin recomputation, which is authoritative
-    everywhere.
+    xs: knots 0 = x_0 < x_1 < ...; at[t]: the control at x_t; lines[t] =
+    (coef, intercept): the control coef*y + intercept on the OPEN interval
+    (x_t, x_{t+1}), the last line on (x_last, inf). The control can jump at
+    a knot, and its value there can differ from both neighbouring lines (a
+    candidate can touch the envelope at a single point with a smaller
+    control), so knot values are stored. A knot is dropped when the same
+    line runs through it and gives its value, so equal controls have equal
+    fields.
     """
 
-    __slots__ = ("pieces", "boundary", "_argmin")
+    __slots__ = ("xs", "at", "lines")
 
-    def __init__(self, pieces, boundary, argmin):
-        self.pieces = pieces
-        self.boundary = dict(boundary)
-        self._argmin = argmin
+    def __init__(self, xs, at, lines):
+        self.xs, self.at, self.lines = [xs[0]], [at[0]], [lines[0]]
+        for x, v, line in zip(xs[1:], at[1:], lines[1:]):
+            coef, inter = line
+            if line == self.lines[-1] and v == coef * x + inter:
+                continue
+            self.xs.append(x)
+            self.at.append(v)
+            self.lines.append(line)
 
     def eval(self, y) -> Fraction:
         y = Fraction(y)
         if y < 0:
             raise ValueError(f"control is defined on [0, inf), got {y}")
-        return self._argmin(y)
-
-    def piece_eval(self, y) -> Fraction:
-        """Read the stored representation only (used to cross-check eval)."""
-        y = Fraction(y)
-        if y in self.boundary:
-            return self.boundary[y]
-        for lo, hi, coef, inter in self.pieces:
-            if lo < y and (hi is None or y < hi):
-                return coef * y + inter
-        raise InvariantError(f"no control piece covers {y}")
+        i = bisect_right(self.xs, y) - 1
+        if self.xs[i] == y:
+            return self.at[i]
+        coef, inter = self.lines[i]
+        return coef * y + inter
 
 
-def _affine_from_endpoints(x0, v0, x1, v1):
-    coef = (v1 - v0) / (x1 - x0)
-    return coef, v0 - coef * x0
+def _fold(env, copy):
+    """Lower envelope of env and one copy, ordered by (value, w1).
+
+    env = (xs, values, slopes, w1 at each knot, w1 line on each piece) covers
+    [0, end]; copy = (xs, values, slopes, w1 line) covers [start, end]. Before
+    start env is kept as it is. A knot through which the same value slope
+    and w1 line run, and whose w1 the line gives, is dropped.
+    """
+    X, V, S, K, C = env
+    cx, cv, cs, line = copy
+    lc, ld = line
+    i0 = bisect_left(X, cx[0])
+    nX, nV, nS, nK, nC = X[:i0], V[:i0], S[:i0], K[:i0], C[:i0]
+
+    def piece(slope, ctl):
+        t = len(nX) - 1
+        if t and nS[t - 1] == slope and nC[t - 1] == ctl and nK[t] == ctl[0] * nX[t] + ctl[1]:
+            del nX[t], nV[t], nK[t]
+        else:
+            nS.append(slope)
+            nC.append(ctl)
+
+    def env_w1(i, x):
+        if X[i] == x:
+            return K[i]
+        coef, inter = C[i]
+        return coef * x + inter
+
+    prev = None
+    for x, i, j in _union_walk(X, cx, i0, 0):
+        e = V[i] if X[i] == x else V[i] + S[i] * (x - X[i])
+        c = cv[j] if cx[j] == x else cv[j] + cs[j] * (x - cx[j])
+        if prev is not None:
+            px, pe, pc, pi, pj = prev
+            pd, d = pe - pc, e - c
+            if pd == 0 and d == 0:
+                # the same value along the piece: the lower w1 line wins. A
+                # constant line w1 = P_i meets a line w1 = (y - uQ_j)/pt at
+                # y = uP_i + uQ_j, a knot of both copies, and lines of one
+                # kind are parallel, so they never cross inside a piece
+                mid = (px + x) / 2
+                piece(S[pi], min(C[pi], line, key=lambda ctl: ctl[0] * mid + ctl[1]))
+            elif (pd > 0 > d) or (pd < 0 < d):
+                xc = px + pd * (x - px) / (pd - d)
+                mine, theirs = (S[pi], C[pi]), (cs[pj], line)
+                piece(*(mine if pd < 0 else theirs))
+                nX.append(xc)
+                nV.append(pe + S[pi] * (xc - px))
+                nK.append(min(env_w1(pi, xc), lc * xc + ld))
+                piece(*(theirs if pd < 0 else mine))
+            elif pd < 0 or d < 0:
+                piece(S[pi], C[pi])
+            else:
+                piece(cs[pj], line)
+        nX.append(x)
+        if e < c:
+            nV.append(e)
+            nK.append(env_w1(i, x))
+        elif c < e:
+            nV.append(c)
+            nK.append(lc * x + ld)
+        else:
+            nV.append(e)
+            nK.append(min(env_w1(i, x), lc * x + ld))
+        prev = (x, e, c, i, j)
+    return nX, nV, nS, nK, nC
 
 
 def portfolio_transform(psi1: PwlFn, psi2: PwlFn, p, a, b):
@@ -224,154 +332,76 @@ def portfolio_transform(psi1: PwlFn, psi2: PwlFn, p, a, b):
     if not (0 < p < 1):
         raise ContractError(f"need 0 < p < 1, got {p}")
     pt = martingale_prob(a, b)
-    P = psi1._xs
-    Q = psi2._xs
+    P, Q = psi1._xs, psi2._xs
+    # both inputs in u-coordinates: f1 on uP, f2 on uQ
+    uP, uQ = [pt * x for x in P], [(1 - pt) * x for x in Q]
+    fP = [p * v for _, v in psi1.points]
+    fQ = [(1 - p) * v for _, v in psi2.points]
+    sP, sQ = _slopes(uP, fP), _slopes(uQ, fQ)
+    end = uP[-1] + uQ[-1]
 
-    def objective(y, w1):
-        w2 = (y - pt * w1) / (1 - pt)
-        return p * psi1.eval(w1) + (1 - p) * psi2.eval(w2)
+    def copy(shift, us, base, fs, slopes, line):
+        xs = [shift + u for u in us]
+        vs = [base + f for f in fs]
+        if xs[-1] < end:  # flat from the last knot on
+            xs.append(end)
+            vs.append(base)
+        return xs, vs, slopes, line
 
-    def min_w1_at(y):
-        """(value, smallest optimal w1) by direct candidate evaluation."""
-        best_v = None
-        best_w = None
-        for w1 in _portfolio_candidates(y, P, Q, pt):
-            v = objective(y, w1)
-            if best_v is None or v < best_v or (v == best_v and w1 < best_w):
-                best_v, best_w = v, w1
-        return best_v, best_w
-
-    def argmin_alpha(y):
-        _, w1 = min_w1_at(y)
-        return (w1 - y) / b
-
-    grid = sorted({pt * pi + (1 - pt) * qj for pi in P for qj in Q})
-    value_points = []
-    ctrl_pieces = []  # (y_lo, y_hi, w1 coef, w1 intercept), merged later
-    for lo, hi in zip(grid, grid[1:]):
-        cands = []
-        for pi in P:
-            if pt * pi <= lo:
-                vl, vr = objective(lo, pi), objective(hi, pi)
-                cands.append((vl, vr, (Fraction(0), pi)))
-        for qj in Q:
-            if (1 - pt) * qj <= lo:
-                w1l = (lo - (1 - pt) * qj) / pt
-                w1r = (hi - (1 - pt) * qj) / pt
-                vl, vr = objective(lo, w1l), objective(hi, w1r)
-                cands.append((vl, vr, _affine_from_endpoints(lo, w1l, hi, w1r)))
-        _lower_envelope(lo, hi, cands, value_points, ctrl_pieces)
-    if not value_points:  # both inputs are the zero function
-        value_points = [(Fraction(0), Fraction(0))]
-    else:
-        value_points.append((grid[-1], Fraction(0)))
-    fn = PwlFn(value_points)
-
-    # past the last event point everything optimal costs 0; the smallest
-    # optimal w1 is the last psi1 breakpoint (needs psi2's argument clear of
-    # its support too, which holds from the last event point on)
-    tail_lo = grid[-1]
-    w_tail = P[-1]
-    pieces = ctrl_pieces + [(tail_lo, None, Fraction(0), w_tail)]
-    pieces = _merge_control_pieces(pieces)
-    alpha_pieces = []
-    boundary = {}
-    for lo, hi, coef, inter in pieces:
-        # alpha = (w1 - y) / b
-        alpha_pieces.append((lo, hi, (coef - 1) / b, inter / b))
-    ys = {lo for lo, _, _, _ in pieces} | {hi for _, hi, _, _ in pieces if hi is not None}
-    for y in ys:
-        boundary[y] = argmin_alpha(y)
-    return fn, PwlControl(alpha_pieces, boundary, argmin_alpha)
+    zero = Fraction(0)
+    # copy i pins w1 = P_i; copy j pins w2 = Q_j, so w1 = (y - uQ_j) / pt
+    copies = [copy(u, uQ, f, fQ, sQ, (zero, x)) for u, f, x in zip(uP, fP, P)]
+    copies += [copy(u, uP, f, fP, sP, (1 / pt, -u / pt)) for u, f in zip(uQ, fQ)]
+    copies.insert(1, copies.pop(len(P)))  # Q_0 right after P_0
+    xs, vs, slopes, line = copies[0]
+    env = (xs, vs, slopes, [line[1]] * len(xs), [line] * len(xs))
+    for cp in copies[1:]:
+        env = _fold(env, cp)
+    X, V, _, K, C = env
+    fn = PwlFn(zip(X, V))
+    # from the last event point on everything optimal costs 0, and the
+    # smallest optimal w1 is the last psi1 breakpoint; alpha = (w1 - y) / b
+    lines = [((coef - 1) / b, inter / b) for coef, inter in C[: len(X) - 1]]
+    lines.append((-1 / b, P[-1] / b))
+    return fn, PwlControl(X, [(w - y) / b for y, w in zip(X, K)], lines)
 
 
-def _portfolio_candidates(y, P, Q, pt):
-    cands = set()
-    for pi in P:
-        if pt * pi <= y:
-            cands.add(pi)
-    for qj in Q:
-        if (1 - pt) * qj <= y:
-            cands.add((y - (1 - pt) * qj) / pt)
-    if not cands:
-        cands.add(Fraction(0))
-    return cands
+def _suffix_minimum(psi: PwlFn):
+    """One right-to-left pass over h(w) = w + psi(w).
 
-
-def _lower_envelope(lo, hi, cands, value_points, ctrl_pieces):
-    """March the exact lower envelope of affine candidates across [lo, hi].
-
-    Appends (x, v) value points (left-closed; the caller appends the global
-    final point) and control pieces carrying the smallest optimal w1.
+    Returns rows (c, m, w, line) in increasing c: on [c, inf) h has minimum
+    m and leftmost minimizer w, and on the open interval up to the next row
+    the leftmost minimizer is coef*c + intercept for line = (coef,
+    intercept): either c itself or a fixed point to the right. The minimum
+    is linear between rows.
     """
-    affs = []
-    for vl, vr, w1 in cands:
-        coef, inter = _affine_from_endpoints(lo, vl, hi, vr)
-        affs.append((coef, inter, w1))
-
-    def val(idx, y):
-        c, i, _ = affs[idx]
-        return c * y + i
-
-    t = lo
-    cur = min(range(len(affs)), key=lambda i: (val(i, lo), affs[i][0]))
-    while True:
-        # earliest point in (t, hi] where someone dips strictly below cur
-        best_y = None
-        nxt = None
-        for i in range(len(affs)):
-            ci, ii, _ = affs[i]
-            cc, ic, _ = affs[cur]
-            if ci >= cc:
-                continue  # can never dip below cur going right
-            yc = (ic - ii) / (ci - cc)
-            if yc <= t or yc > hi:
-                continue
-            if best_y is None or yc < best_y or (yc == best_y and ci < affs[nxt][0]):
-                best_y, nxt = yc, i
-        stop = hi if best_y is None else best_y
-        _emit_control(t, stop, affs, cur, ctrl_pieces)
-        value_points.append((t, val(cur, t)))
-        if best_y is None:
-            break
-        t, cur = best_y, nxt
+    xs = psi._xs
+    hs = [x + v for x, v in psi.points]
+    one, zero = Fraction(1), Fraction(0)
+    # past the last breakpoint h(w) = w rises: every c is its own minimizer
+    best, arg = hs[-1], xs[-1]
+    rows = [(xs[-1], best, arg, (one, zero))]
+    for t in range(len(xs) - 2, -1, -1):
+        x0, x1, h0, h1 = xs[t], xs[t + 1], hs[t], hs[t + 1]
+        if h0 < best < h1:  # h rises through the suffix minimum inside
+            xc = x0 + (best - h0) * (x1 - x0) / (h1 - h0)
+            rows.append((xc, best, xc, (zero, arg)))
+            right = (one, zero)
+        elif h1 == best and h0 <= best:  # h stays at or below it inside
+            right = (one, zero)
+        else:
+            right = (zero, arg)
+        if h0 <= best:
+            best, arg = h0, x0
+        rows.append((x0, best, arg, right))
+    rows.reverse()
+    return rows
 
 
-def _emit_control(lo, hi, affs, cur, ctrl_pieces):
-    """Control pieces on [lo, hi] where affs[cur] is (one of) the minimum."""
-    cc, ic, _ = affs[cur]
-    tied = [w for c, i, w in affs if c == cc and i == ic]
-    if len(tied) == 1:
-        ctrl_pieces.append((lo, hi, *tied[0]))
-        return
-    # several candidates share the value on the whole piece; the smallest w1
-    # among them can switch where their (affine) w1 functions cross
-    cuts = {lo, hi}
-    for i in range(len(tied)):
-        for j in range(i + 1, len(tied)):
-            (c1, i1), (c2, i2) = tied[i], tied[j]
-            if c1 != c2:
-                yc = (i2 - i1) / (c1 - c2)
-                if lo < yc < hi:
-                    cuts.add(yc)
-    xs = sorted(cuts)
-    for x0, x1 in zip(xs, xs[1:]):
-        mid = (x0 + x1) / 2
-        coef, inter = min(tied, key=lambda wi: wi[0] * mid + wi[1])
-        ctrl_pieces.append((x0, x1, coef, inter))
-
-
-def _merge_control_pieces(pieces):
-    merged = []
-    for piece in pieces:
-        if merged:
-            lo0, hi0, c0, i0 = merged[-1]
-            lo1, hi1, c1, i1 = piece
-            if hi0 == lo1 and c0 == c1 and i0 == i1:
-                merged[-1] = (lo0, hi1, c0, i0)
-                continue
-        merged.append(piece)
-    return merged
+def leftmost_minimizer(psi: PwlFn) -> PwlControl:
+    """c -> the leftmost minimizer of w + psi(w) over w >= c."""
+    rows = _suffix_minimum(psi)
+    return PwlControl([r[0] for r in rows], [r[2] for r in rows], [r[3] for r in rows])
 
 
 def infusion_transform(psi: PwlFn, A):
@@ -385,68 +415,17 @@ def infusion_transform(psi: PwlFn, A):
     A = to_rational(A)
     if A < 0:
         raise ContractError(f"obligation must be nonnegative, got {A}")
-
-    def h_argmin(c):
-        """(min of h on [c, inf), leftmost w attaining it)."""
-        best_v, best_w = None, None
-        for w in [c] + [x for x in psi._xs if x > c]:
-            v = w + psi.eval(w)
-            if best_v is None or v < best_v:
-                best_v, best_w = v, w
-        return best_v, best_w
-
-    def argmin_z(y):
-        c = max(y - A, Fraction(0))
-        _, w = h_argmin(c)
-        return w + A - y
-
-    # knots of c -> min h on [c, inf): psi breakpoints plus the points where
-    # a rising h(c) catches up with the best suffix minimum
-    knots = {Fraction(0)}
-    xs = psi._xs
-    for x in xs:
-        knots.add(x)
-    for t in range(len(xs) - 1):
-        x0, x1 = xs[t], xs[t + 1]
-        h0 = x0 + psi.eval(x0)
-        h1 = x1 + psi.eval(x1)
-        suffix, _ = h_argmin(x1)
-        if h0 < suffix < h1:  # h rises through the suffix minimum inside
-            coef, inter = _affine_from_endpoints(x0, h0, x1, h1)
-            knots.add((suffix - inter) / coef)
-
-    def psiA_eval(y):
-        c = max(y - A, Fraction(0))
-        v, _ = h_argmin(c)
-        return (A - y) + v
-
-    ys = sorted({Fraction(0), A} | {A + c for c in knots})
-    ys = [y for y in ys if y >= 0]
-    end = A + psi.support_end
-    pts = [(y, psiA_eval(y)) for y in ys if y <= end]
-    if not pts or pts[-1][0] < end:
-        pts.append((end, Fraction(0)))
-    fn = PwlFn(pts)
-
-    pieces = []
-    cuts = sorted({y for y, _ in pts})
-    for y0, y1 in zip(cuts, cuts[1:]):
-        mid = (y0 + y1) / 2
-        z_mid = argmin_z(mid)
-        c = max(mid - A, Fraction(0))
-        _, w_mid = h_argmin(c)
-        if w_mid == c and mid > A:
-            # minimizer rides the constraint: z = 0
-            pieces.append((y0, y1, Fraction(0), Fraction(0)))
-        else:
-            # minimizer parked at a fixed w: z = w + A - y
-            pieces.append((y0, y1, Fraction(-1), w_mid + A))
-        if pieces[-1][2] * mid + pieces[-1][3] != z_mid:
-            raise InvariantError("infusion control piece disagrees with argmin")
-    pieces.append((cuts[-1], None, Fraction(0), Fraction(0)))
-    pieces = _merge_control_pieces(pieces)
-    boundary = {}
-    ys_b = {lo for lo, _, _, _ in pieces} | {hi for _, hi, _, _ in pieces if hi is not None}
-    for y in ys_b:
-        boundary[y] = argmin_z(y)
-    return fn, PwlControl(pieces, boundary, argmin_z)
+    rows = _suffix_minimum(psi)
+    # y = A + c for the row at c; z = w - (y - A) and a minimizer
+    # coef*c + intercept becomes z = (coef - 1)*y + intercept + (1 - coef)*A
+    xs = [A + c for c, _, _, _ in rows]
+    pts = [(A + c, m - c) for c, m, _, _ in rows]
+    at = [w - c for c, _, w, _ in rows]
+    lines = [(coef - 1, inter + (1 - coef) * A) for _, _, _, (coef, inter) in rows]
+    if A > 0:  # below A the ray starts at 0: z = w(0) + A - y
+        _, m0, w0, _ = rows[0]
+        xs.insert(0, Fraction(0))
+        pts.insert(0, (Fraction(0), A + m0))
+        at.insert(0, w0 + A)
+        lines.insert(0, (Fraction(-1), w0 + A))
+    return PwlFn(pts), PwlControl(xs, at, lines)

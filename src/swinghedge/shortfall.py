@@ -31,14 +31,16 @@ is what the randomized dominance checks exercise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ContractError, InvariantError
 from .hedge import PortfolioStrategy
 from .pwl import (
+    PwlControl,
     PwlFn,
     infusion_transform,
+    leftmost_minimizer,
     pointwise_max,
     pointwise_min,
     portfolio_transform,
@@ -53,7 +55,7 @@ class RiskStack:
     Keys are (level, state, rights-remaining), over the states of the
     contract's state space; key(k, m, j) gives the key of full-tree node m.
     J covers every level; phi (the
-    pre-decision portfolio transform), the branch functions and the controls
+    pre-decision portfolio transform), its control and the branch functions
     exist below maturity only. phi at j = 0 is the zero function: with
     nothing left to pay, no cost and no trading.
     """
@@ -64,8 +66,7 @@ class RiskStack:
     phi_ctrl: dict
     exercise: dict
     cancel: dict
-    exercise_ctrl: dict
-    cancel_ctrl: dict
+    _minimizers: dict = field(default_factory=dict, repr=False, compare=False)
 
     def key(self, k: int, m: int, j: int) -> tuple:
         """The storage key of node (k, m) with j rights remaining."""
@@ -80,6 +81,13 @@ class RiskStack:
             raise ContractError(f"initial capital must be nonnegative, got {x}")
         return self.curve().eval(x)
 
+    def minimizer(self, key) -> PwlControl:
+        """c -> leftmost minimizer of w + phi[key](w) over w >= c, built once."""
+        table = self._minimizers.get(key)
+        if table is None:
+            table = self._minimizers[key] = leftmost_minimizer(self.phi[key])
+        return table
+
 
 def build_risk_stack(contract) -> RiskStack:
     tree = contract.tree
@@ -87,7 +95,7 @@ def build_risk_stack(contract) -> RiskStack:
     p = tree.params.p
     a, b = tree.params.a, tree.params.b
     J, phi, phi_ctrl = {}, {}, {}
-    ex_fn, ca_fn, ex_ctrl, ca_ctrl = {}, {}, {}, {}
+    ex_fn, ca_fn = {}, {}
 
     for s in range(tree.width(N)):
         J[(N, s, 0)] = PwlFn.zero()
@@ -108,12 +116,10 @@ def build_risk_stack(contract) -> RiskStack:
                 phi[(k, s, j)] = pj
                 phi_ctrl[(k, s, j)] = ctrl
                 settled = phi[(k, s, j - 1)]
-                e_fn, e_ctrl = infusion_transform(settled, contract.Y(i).values[k][s])
-                c_fn, c_ctrl = infusion_transform(settled, contract.X(i).values[k][s])
+                e_fn, _ = infusion_transform(settled, contract.Y(i).values[k][s])
+                c_fn, _ = infusion_transform(settled, contract.X(i).values[k][s])
                 ex_fn[(k, s, j)] = e_fn
                 ca_fn[(k, s, j)] = c_fn
-                ex_ctrl[(k, s, j)] = e_ctrl
-                ca_ctrl[(k, s, j)] = c_ctrl
                 J[(k, s, j)] = pointwise_min(c_fn, pointwise_max(e_fn, pj))
 
     return RiskStack(
@@ -123,8 +129,6 @@ def build_risk_stack(contract) -> RiskStack:
         phi_ctrl=phi_ctrl,
         exercise=ex_fn,
         cancel=ca_fn,
-        exercise_ctrl=ex_ctrl,
-        cancel_ctrl=ca_ctrl,
     )
 
 
@@ -140,13 +144,8 @@ def infusion_minimizer(fn: PwlFn, y):
     w - y is then at least the debt.
     """
     y = Fraction(y)
-    c = max(y, Fraction(0))
-    best_v, best_w = None, None
-    for w in [c] + [bp for bp, _ in fn.points if bp > c]:
-        v = w + fn.eval(w)
-        if best_v is None or v < best_v:
-            best_v, best_w = v, w
-    return best_w - y, best_w
+    w = leftmost_minimizer(fn).eval(max(y, Fraction(0)))
+    return w - y, w
 
 
 class StackPortfolio(PortfolioStrategy):
@@ -181,9 +180,8 @@ class StackInfusion:
             due = self.contract.terminal_bundle(claim + 1, node)
             return max(due - y, Fraction(0))
         j_left = self.contract.L - claim
-        fn = self.stack.phi[self.stack.key(level, node, j_left)]
-        amount, _ = infusion_minimizer(fn, y)
-        return amount
+        table = self.stack.minimizer(self.stack.key(level, node, j_left))
+        return table.eval(max(y, Fraction(0))) - y
 
 
 class ReplayStrategy(StoppingStrategy):
@@ -284,22 +282,24 @@ def simulate_with_infusion(contract, gamma, infusion, events, path: int, x):
     w = Fraction(x)
     pre, post, paid_in = [], [], []
     cost = Fraction(0)
+    settled = 0  # claims settled before level k
     for k in range(N + 1):
         node = tree.node_on_path(path, k)
         if k > 0:
             prev = tree.node_on_path(path, k - 1)
-            settled = sum(len(v) for lvl, v in by_level.items() if lvl < k)
             if settled < contract.L:
                 shares = gamma.units(k - 1, prev, settled + 1, w)
                 w = w + shares * (tree.price[k][node] - tree.price[k - 1][prev])
         pre.append(w)
-        for i, ev in by_level.get(k, []):
+        here = by_level.get(k, [])
+        for i, ev in here:
             leg = contract.Y(i) if ev.d == 0 else contract.X(i)
             rest = w - leg.at(k, node)
             z = _checked_infusion(infusion, k, node, i, rest)
             w = rest + z
             cost += z
             paid_in.append((k, i, z))
+        settled += len(here)
         post.append(w)
     return SimulationOutcome(pre=pre, post=post, infusions=paid_in, cost=cost)
 

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from swinghedge.cli import main
+from swinghedge.market import format_rational
 from swinghedge.pwl import PwlFn
 from swinghedge.shortfall import build_risk_stack
 from swinghedge.contract import load_contract
@@ -102,3 +105,34 @@ def test_verify_passes_on_bundled_contracts(capsys):
     }
     for entry in doc["contracts"].values():
         assert all(entry["checks"].values())
+
+
+@pytest.mark.parametrize("capital, code", [
+    ("1e5000", 1),
+    ("1e1000000000", 1),
+    ("1e4300", 1),  # 10^4300 has 4301 digits
+    ("1e4299", 0),  # 10^4299 has 4300, the limit
+    ("1e-4300", 1),
+    ("1e-4299", 0),
+])
+def test_capital_exponent_past_the_digit_limit_is_refused(capital, code, capsys):
+    contract = resources.files("swinghedge") / "contracts" / "one_right_small_penalty.json"
+    with resources.as_file(contract) as path:
+        assert main(["risk", str(path), "--capital", capital]) == code
+    out = capsys.readouterr()
+    if code:
+        assert out.err.startswith("error: not a rational")
+    else:
+        assert out.err == ""
+        assert json.loads(out.out)["capital"] == format_rational(Fraction(capital))
+
+
+@pytest.mark.parametrize("s0, code", [("1e5000", 1), ("1e4300", 1), ("1e4299", 0)])
+def test_contract_exponent_past_the_digit_limit_is_refused(s0, code, tmp_path, capsys):
+    spec = json.loads(json.dumps(SPEC))
+    spec["model"]["S0"] = s0
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    assert main(["price", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a rational") == bool(code)

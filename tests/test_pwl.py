@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swinghedge.errors import ContractError, InvariantError
+from swinghedge.market import martingale_prob
 from swinghedge.oracle import (
     grid_infusion_value,
     grid_portfolio_value,
+    infusion_argmin_at,
     infusion_value_at,
+    portfolio_argmin_at,
     portfolio_value_at,
 )
 from swinghedge.pwl import (
@@ -18,17 +21,21 @@ from swinghedge.pwl import (
     pointwise_min,
     portfolio_transform,
 )
+from swinghedge.shortfall import infusion_minimizer
 
 F = Fraction
 
 
-def random_pwl(rng, max_pts=5):
-    """Breakpoints 0 = x0 < x1 < ... with values stepping down to 0."""
+def random_pwl(rng, max_pts=5, den=4):
+    """Breakpoints 0 = x0 < x1 < ... with values stepping down to 0.
+
+    den = 1 puts every breakpoint and value on the integers.
+    """
     n = rng.randint(1, max_pts)
-    drops = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)]
+    drops = [F(rng.randint(0, 6), rng.randint(1, den)) for _ in range(n)]
     xs, x = [F(0)], F(0)
     for _ in range(n):
-        x += F(rng.randint(1, 6), rng.randint(1, 4))
+        x += F(rng.randint(1, 6), rng.randint(1, den))
         xs.append(x)
     vals = []
     for j in range(n + 1):
@@ -135,14 +142,14 @@ def test_portfolio_transform_matches_direct_minimum(seed):
     psi1, psi2 = random_pwl(rng), random_pwl(rng)
     p, a, b = random_market_bits(rng)
     fn, ctrl = portfolio_transform(psi1, psi2, p, a, b)
-    for y in probes(psi1, psi2, fn):
+    for y in probes(psi1, psi2, fn, extra=ctrl.xs):
         want = portfolio_value_at(psi1, psi2, p, a, b, y)
         assert fn.eval(y) == want
         alpha = ctrl.eval(y)
         w1, w2 = y + alpha * b, y + alpha * a
         assert w1 >= 0 and w2 >= 0
         assert p * psi1.eval(w1) + (1 - p) * psi2.eval(w2) == want
-        assert ctrl.piece_eval(y) == alpha
+        assert alpha == portfolio_argmin_at(psi1, psi2, p, a, b, y)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -187,14 +194,14 @@ def test_infusion_transform_matches_direct_minimum(seed):
     psi = random_pwl(rng)
     A = F(rng.randint(0, 8), rng.randint(1, 4))
     fn, ctrl = infusion_transform(psi, A)
-    for y in probes(psi, fn, extra=[A]):
+    for y in probes(psi, fn, extra=ctrl.xs + [A]):
         want = infusion_value_at(psi, A, y)
         assert fn.eval(y) == want
         z = ctrl.eval(y)
         w = y - A + z
         assert z >= 0 and w >= 0
         assert z + psi.eval(w) == want
-        assert ctrl.piece_eval(y) == z
+        assert z == infusion_argmin_at(psi, A, y)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -209,9 +216,65 @@ def test_infusion_grid_oracle_upper_bounds(seed):
     assert fn.eval(y) <= fine <= coarse
 
 
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_infusion_minimizer_matches_the_oracle(seed):
+    # after an unpaid obligation the wealth y is negative: the debt -y is
+    # the obligation A, due at wealth 0
+    rng = random.Random(seed)
+    psi = random_pwl(rng)
+    ys = [-y for y in probes(psi)] + probes(psi)
+    for y in ys:
+        A = max(-y, F(0))
+        amount, target = infusion_minimizer(psi, y)
+        assert amount == infusion_argmin_at(psi, A, y + A)
+        assert target == y + amount
+
+
 def test_infusion_rejects_negative_obligation():
     with pytest.raises(ContractError):
         infusion_transform(PwlFn.zero(), F(-1))
+
+
+# ---- ties: the smallest minimizer -----------------------------------------
+
+TIE_KINDS = ("p == ptilde", "psi1 == psi2", "integer grid", "zero or hockey stick")
+
+
+def tie_heavy(rng, kind):
+    """Transform inputs on which many candidates share the minimum."""
+    p, a, b = random_market_bits(rng)
+    if kind == "p == ptilde":
+        psi1, psi2 = random_pwl(rng), random_pwl(rng)
+        p = martingale_prob(a, b)
+    elif kind == "psi1 == psi2":
+        psi1 = psi2 = random_pwl(rng)
+    elif kind == "integer grid":
+        psi1, psi2 = random_pwl(rng, den=1), random_pwl(rng, den=1)
+        a, b = F(-1, 2), F(1)
+        p = rng.choice([F(1, 3), F(1, 2)])  # 1/3 is ptilde here
+    else:
+        psi1, psi2 = (
+            rng.choice([PwlFn.zero(), PwlFn.hockey_stick(F(rng.randint(1, 6), rng.randint(1, 2)))])
+            for _ in range(2)
+        )
+    return psi1, psi2, p, a, b
+
+
+@pytest.mark.parametrize("kind", TIE_KINDS)
+def test_controls_are_the_smallest_minimizers_on_ties(kind):
+    rng = random.Random(kind)
+    for _ in range(40):
+        psi1, psi2, p, a, b = tie_heavy(rng, kind)
+        fn, ctrl = portfolio_transform(psi1, psi2, p, a, b)
+        for y in probes(psi1, psi2, fn, extra=ctrl.xs):
+            assert fn.eval(y) == portfolio_value_at(psi1, psi2, p, a, b, y)
+            assert ctrl.eval(y) == portfolio_argmin_at(psi1, psi2, p, a, b, y)
+        A = F(rng.randint(0, 6), rng.choice([1, 2]))
+        for psi in (psi1, fn):
+            gn, gctrl = infusion_transform(psi, A)
+            for y in probes(psi, gn, extra=gctrl.xs + [A]):
+                assert gn.eval(y) == infusion_value_at(psi, A, y)
+                assert gctrl.eval(y) == infusion_argmin_at(psi, A, y)
 
 
 # ---- transform outputs stay in the class ----------------------------------

@@ -10,8 +10,10 @@ values of the relevant stack level:
 
 which moves the wealth exactly onto v_up / v_down whenever current wealth is
 at least the one-step expectation of those targets. The verifier checks the
-covering property the hard way, by enumerating every play the buyer can
-force against the seller's committed cancellation behaviour, path by path.
+covering property exhaustively, over every play the buyer can force against
+the seller's committed cancellation behaviour on every path, in one
+depth-first walk of the tree: plays that share a path prefix and a
+settlement history share one wealth, computed once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ContractError
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, InvariantError
 from .swing import (
     ClaimEvent,
     StoppingStrategy,
@@ -75,6 +77,24 @@ def build_perfect_hedge(stack: ValueStack) -> PerfectHedge:
     return PerfectHedge(stack)
 
 
+def _level_wealth(contract, k, node, w, units, paid):
+    """One level of the wealth recursion at node (k, node).
+
+    w is the wealth at the parent after its payments (the capital at the
+    root), held as `units` shares over the period into level k; paid lists
+    the (claim, d) settlements at level k, d = 1 paying the cancellation leg.
+    Returns (pre, post): wealth before and after those payments.
+    """
+    tree = contract.tree
+    if k > 0:
+        w = w + units * (tree.price[k][node] - tree.price[k - 1][node >> 1])
+    pre = w
+    for i, d in paid:
+        leg = contract.Y(i) if d == 0 else contract.X(i)
+        w -= leg.at(k, node)
+    return pre, w
+
+
 def simulate_portfolio(contract, portfolio: PortfolioStrategy, x, events, path: int):
     """Wealth along one path, given the settled claims on that path.
 
@@ -86,23 +106,18 @@ def simulate_portfolio(contract, portfolio: PortfolioStrategy, x, events, path: 
     N = tree.N
     by_level = {}
     for i, ev in enumerate(events, start=1):
-        by_level.setdefault(ev.level, []).append((i, ev))
+        by_level.setdefault(ev.level, []).append((i, ev.d))
     pre, post = [], []
     w = Fraction(x)
     settled = 0  # claims settled before level k
     for k in range(N + 1):
         node = tree.node_on_path(path, k)
-        if k > 0:
-            prev = tree.node_on_path(path, k - 1)
-            units = Fraction(0)
-            if settled < contract.L:
-                units = portfolio.units(k - 1, prev, settled + 1, w)
-            w = w + units * (tree.price[k][node] - tree.price[k - 1][prev])
-        pre.append(w)
-        here = by_level.get(k, [])
-        for i, ev in here:
-            leg = contract.Y(i) if ev.d == 0 else contract.X(i)
-            w -= leg.at(k, node)
+        units = Fraction(0)
+        if k > 0 and settled < contract.L:
+            units = portfolio.units(k - 1, node >> 1, settled + 1, w)
+        here = by_level.get(k, ())
+        w_pre, w = _level_wealth(contract, k, node, w, units, here)
+        pre.append(w_pre)
         settled += len(here)
         post.append(w)
     return pre, post
@@ -163,38 +178,91 @@ class HedgeCheck:
     witness: Optional[HedgeWitness] = None
 
 
-def verify_perfect_hedge(contract, portfolio: PortfolioStrategy, x, seller=None) -> HedgeCheck:
+def verify_perfect_hedge(
+    contract, portfolio: PortfolioStrategy, x, seller=None, cap=DEFAULT_ENUMERATION_CAP
+) -> HedgeCheck:
     """Does capital x with this portfolio cover every possible play?
 
     Wealth must stay nonnegative after every payment on every path under
     every buyer behaviour, with the seller cancelling per `seller` (the
-    stack's optimal one when omitted). Returns the first failure as a
-    witness; soundness is per-play arithmetic, completeness holds because
-    every buyer strategy induces one of the enumerated plays on each path.
+    stack's optimal one when omitted). Soundness is per-play arithmetic,
+    completeness holds because every buyer strategy induces one of the
+    plays on each path (see enumerate_plays).
+
+    The plays are walked depth first over the tree, down child before up
+    child. A node carries one state per settlement history that reaches it
+    with a right still open, and each state branches once on its level's
+    outcomes: a buyer exercise, and a seller cancellation where the seller
+    stops, or waiting otherwise; at maturity everything left settles. A
+    state whose rights are all settled keeps its wealth to maturity, so it
+    stands for one play on each path through its node. Failure on a branch
+    at (k, m) fails every path through m, and the walk meets those nodes in
+    path order, so the first failing node gives the smallest failing path
+    and ends the walk. `plays` then counts the plays of the smaller paths
+    plus the plays of the failing path, in enumerate_plays order, up to its
+    first failing one, which is the witness. A tree of more than `cap`
+    nodes is refused before anything is walked.
     """
-    if seller is None:
-        stack, _ = price_swing(contract)
-        seller, _ = optimal_strategies(stack)
     x = Fraction(x)
     if x < 0:
         raise ContractError(f"initial capital must be nonnegative, got {x}")
     tree = contract.tree
-    count = 0
-    for path in tree.paths():
-        for events in enumerate_plays(contract, seller, path):
-            count += 1
-            _, post = simulate_portfolio(contract, portfolio, x, events, path)
-            for k, w in enumerate(post):
-                if w < 0:
-                    return HedgeCheck(
-                        ok=False,
-                        plays=count,
-                        witness=HedgeWitness(
-                            path=path,
-                            bits=tree.path_bits(path),
-                            level=k,
-                            wealth=w,
-                            events=events,
-                        ),
-                    )
-    return HedgeCheck(ok=True, plays=count)
+    N, L = tree.N, contract.L
+    nodes = 2 ** (N + 1) - 1
+    if nodes > cap:
+        raise EnumerationCapError(nodes, cap)
+    if seller is None:
+        stack, _ = price_swing(contract)
+        seller, _ = optimal_strategies(stack)
+
+    def walk(k, m, states):
+        """(plays on paths below the first failure, the failing path or
+        None) in the subtree of (k, m); states are (claim, history, parent
+        wealth, units) entering the node."""
+        lo, width = m << (N - k), 1 << (N - k)
+        done = 0  # plays that end here: one on each path through m
+        onward = []
+        for i, hist, w, units in states:
+            if k == N:
+                outcomes = (tuple((q, 0) for q in range(i, L + 1)),)
+            elif seller.stops(i, k, m, hist):
+                outcomes = (((i, 0),), ((i, 1),))
+            else:
+                outcomes = (((i, 0),), ())
+            for paid in outcomes:
+                _, post = _level_wealth(contract, k, m, w, units, paid)
+                if post < 0:
+                    return 0, lo
+                if i + len(paid) > L:
+                    done += 1
+                else:
+                    onward.append((i + len(paid), hist + tuple((k, d) for _, d in paid), post))
+        count = 0
+        if onward:
+            states = [(i, hist, w, portfolio.units(k, m, i, w)) for i, hist, w in onward]
+            for child in (2 * m, 2 * m + 1):
+                plays, failed = walk(k + 1, child, states)
+                count += plays
+                if failed is not None:
+                    return count + done * (failed - lo), failed
+        return count + done * width, None
+
+    count, failed = walk(0, 0, [(1, (), x, Fraction(0))])
+    if failed is None:
+        return HedgeCheck(ok=True, plays=count)
+    for index, events in enumerate(enumerate_plays(contract, seller, failed), start=1):
+        _, post = simulate_portfolio(contract, portfolio, x, events, failed)
+        for k, w in enumerate(post):
+            if w < 0:
+                return HedgeCheck(
+                    ok=False,
+                    plays=count + index,
+                    witness=HedgeWitness(
+                        path=failed,
+                        bits=tree.path_bits(failed),
+                        level=k,
+                        wealth=w,
+                        events=events,
+                    ),
+                )
+    raise InvariantError(f"path {tree.path_bits(failed)} failed in the walk but in no play")

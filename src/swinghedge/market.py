@@ -66,11 +66,19 @@ def to_rational(value) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "num/den", or just "num" for integers."""
+    """Render a Fraction as "num/den", or just "num" for integers.
+
+    A result may outgrow inputs that were within MAX_DIGITS (S0 * (1 + b)
+    has one digit more than S0); such a value is refused as a ContractError
+    rather than escaping as the interpreter's ValueError.
+    """
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        raise ContractError(f"a result has more than {MAX_DIGITS} digits to print") from exc
 
 
 def martingale_prob(a, b) -> Fraction:

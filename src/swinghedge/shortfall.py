@@ -188,9 +188,10 @@ class ReplayStrategy(StoppingStrategy):
     """Stopping behaviour of the optimal partial hedge.
 
     The stop test compares branch values at the wealth the policy actually
-    holds, so the strategy replays its own wealth from the start of the tree
-    to the queried node; the node index encodes the whole path prefix, and
-    the history carries the settlements, so the replay is exact. Exposes the
+    holds. The node index encodes the whole path prefix and the history
+    carries the settlements, so that wealth is exact: each (node, history)
+    entry is built from its parent's entry by one period of the policy and
+    kept, as is each stop answer, for the life of the instance. Exposes the
     same test wealth-directly for recursive evaluators.
     """
 
@@ -205,6 +206,9 @@ class ReplayStrategy(StoppingStrategy):
         self.gamma = gamma
         self.infusion = infusion
         self.side = side
+        # (level, node, settlements below that level) -> wealth on arrival
+        self._wealth_at = {(0, 0, ()): self.x}
+        self._stops = {}
 
     def stops_at_state(self, k, m, j, wealth):
         w = max(Fraction(wealth), Fraction(0))
@@ -213,27 +217,37 @@ class ReplayStrategy(StoppingStrategy):
         return branch[key].eval(w) == self.stack.J[key].eval(w)
 
     def _wealth(self, k, m, history):
-        tree = self.tree
-        events = {lvl: (q, d) for q, (lvl, d) in enumerate(history, start=1)}
-        w = self.x
-        for lvl in range(k):
-            node = m >> (k - lvl)
-            if lvl in events:
-                q, d = events[lvl]
+        """Wealth on arrival at node (k, m), before level k's settlements."""
+        memo = self._wealth_at
+        key = (k, m, tuple(e for e in history if e[0] < k))
+        missing = []
+        while key not in memo:
+            missing.append(key)
+            k, m, hist = key
+            key = (k - 1, m >> 1, tuple(e for e in hist if e[0] < k - 1))
+        w = memo[key]
+        for k, m, hist in reversed(missing):
+            lvl, node = k - 1, m >> 1
+            if hist and hist[-1][0] == lvl:
+                q, d = len(hist), hist[-1][1]
                 leg = self.contract.Y(q) if d == 0 else self.contract.X(q)
                 rest = w - leg.at(lvl, node)
                 w = rest + self.infusion.amount(lvl, node, q, rest)
-            settled = sum(1 for e in history if e[0] <= lvl)
-            if settled < self.L:
-                shares = self.gamma.units(lvl, node, settled + 1, w)
-                nxt = m >> (k - lvl - 1)
-                w = w + shares * (tree.price[lvl + 1][nxt] - tree.price[lvl][node])
+            if len(hist) < self.L:
+                shares = self.gamma.units(lvl, node, len(hist) + 1, w)
+                w = w + shares * (self.tree.price[k][m] - self.tree.price[lvl][node])
+            memo[(k, m, hist)] = w
         return w
 
     def stops(self, i, k, m, history):
         if k >= self.tree.N:
             return True
-        return self.stops_at_state(k, m, self.L - i + 1, self._wealth(k, m, history))
+        key = (i, k, m, tuple(history))
+        answer = self._stops.get(key)
+        if answer is None:
+            wealth = self._wealth(k, m, history)
+            answer = self._stops[key] = self.stops_at_state(k, m, self.L - i + 1, wealth)
+        return answer
 
 
 def optimal_hedge(stack: RiskStack, x):

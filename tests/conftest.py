@@ -42,12 +42,13 @@ def random_claim(rng: random.Random, params: MarketParams) -> dict:
     return {"exercise": {"kind": kind, "strike": strike}, "penalty": penalty}
 
 
-def random_contract(rng: random.Random, max_n=3, max_l=2, n=None, l=None):
+def random_contract(rng: random.Random, max_n=3, max_l=2, n=None, l=None, recombining=False):
+    """A random contract; its legs are all Markov, so it may live on the lattice."""
     params = random_params(rng, max_n=max_n, n=n)
     L = l if l is not None else rng.randint(1, max_l)
     return build_contract(
         {"claims": [random_claim(rng, params) for _ in range(L)]},
-        tree=build_tree(params),
+        tree=build_tree(params, recombining),
     )
 
 

@@ -136,3 +136,23 @@ def test_contract_exponent_past_the_digit_limit_is_refused(s0, code, tmp_path, c
     assert main(["price", str(path)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: not a rational") == bool(code)
+
+
+@pytest.mark.parametrize("argv", [
+    ["risk", "--capital", "1"],
+    ["risk-curve"],
+    ["hedge-simulate", "--path", "u"],
+])
+def test_results_past_the_digit_limit_are_refused(argv, tmp_path, capsys):
+    # S0 = 9e4299 has 4300 digits and loads; S0 * (1 + b) has 4301
+    contract = resources.files("swinghedge") / "contracts" / "one_right_small_penalty.json"
+    spec = json.loads(contract.read_text())
+    spec["model"]["S0"] = "9e4299"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    assert main(["price", str(path)]) == 0
+    capsys.readouterr()
+    assert main([argv[0], str(path)] + argv[1:]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: a result has more than 4300 digits")

@@ -3,17 +3,28 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_contract
+from conftest import MixPortfolio, random_contract
 from swinghedge.contract import build_contract
-from swinghedge.errors import ContractError
+from swinghedge.errors import ContractError, EnumerationCapError
 from swinghedge.hedge import (
+    HedgeCheck,
+    HedgeWitness,
     build_perfect_hedge,
     enumerate_plays,
     hedge_ratio,
     simulate_portfolio,
     verify_perfect_hedge,
 )
-from swinghedge.swing import TableStrategy, optimal_strategies, price_swing, resolve
+from swinghedge.oracle import DictStrategy
+from swinghedge.swing import (
+    ClaimEvent,
+    StoppingStrategy,
+    TableStrategy,
+    optimal_strategies,
+    price_swing,
+    resolve,
+    window_start,
+)
 
 EPS = Fraction(1, 10 ** 6)
 
@@ -113,3 +124,143 @@ def test_negative_capital_rejected():
     hedge = build_perfect_hedge(stack)
     with pytest.raises(ContractError):
         verify_perfect_hedge(c, hedge, Fraction(-1))
+
+
+def reachable_histories(N, L):
+    """Every settlement history some claim 1..L can see, by claim."""
+    out = {1: [()]}
+    for i in range(2, L + 1):
+        out[i] = [
+            hist + ((k, d),)
+            for hist in out[i - 1]
+            for k in range(window_start(hist, N), N + 1)
+            for d in ((0, 1) if k < N else (0,))
+        ]
+    return out
+
+
+def history_dependent_seller(rng, tree, L):
+    """Random cancellations that depend on the settlement history."""
+    decisions = {
+        (i, k, m, hist): rng.random() < 0.3
+        for i, hists in reachable_histories(tree.N, L).items()
+        for hist in hists
+        for k in range(window_start(hist, tree.N), tree.N)
+        for m in range(2 ** k)
+    }
+    return DictStrategy(tree, L, decisions)
+
+
+def forced_plays(contract, seller, path):
+    """Every ClaimEvent sequence a buyer can force on one path, in order.
+
+    Grows all plays one right at a time: each partial play extends by a
+    buyer exercise at every level from the right's window up to the
+    seller's first stop (maturity if none), then by the seller's own
+    cancellation at that stop. Plays come out ordered by the first right's
+    outcome, then the second's, and so on.
+    """
+    N = contract.tree.params.N
+    plays = [()]
+    for i in range(1, contract.L + 1):
+        grown = []
+        for play in plays:
+            hist = tuple((ev.level, ev.d) for ev in play)
+            start = window_start(hist, N)
+            fire = start
+            while fire < N and not seller.stops(i, fire, path >> (N - fire), hist):
+                fire += 1
+            for level in range(start, fire + 1):
+                grown.append(play + (ClaimEvent(level, 0, level == fire, True),))
+            if fire < N:
+                grown.append(play + (ClaimEvent(fire, 1, True, False),))
+        plays = grown
+    return plays
+
+
+def reference_check(contract, portfolio, x, seller):
+    """The HedgeCheck of brute force: shares no code with hedge.py.
+
+    Replays the wealth of every play on every path from the root, paths in
+    increasing order, and stops at the first play whose wealth after some
+    level's payments is negative. Prices are rebuilt from the market
+    parameters, not read off the tree.
+    """
+    params = contract.tree.params
+    N, L = params.N, contract.L
+    count = 0
+    for path in range(2 ** N):
+        ups = [(path >> (N - k)).bit_count() for k in range(N + 1)]
+        price = [params.S0 * (1 + params.b) ** u * (1 + params.a) ** (k - u)
+                 for k, u in enumerate(ups)]
+        for play in forced_plays(contract, seller, path):
+            count += 1
+            wealth = Fraction(x)
+            paid = 0
+            for k in range(N + 1):
+                node = path >> (N - k)
+                if k > 0 and paid < L:
+                    shares = portfolio.units(k - 1, node >> 1, paid + 1, wealth)
+                    wealth += shares * (price[k] - price[k - 1])
+                for i, ev in enumerate(play, start=1):
+                    if ev.level == k:
+                        wealth -= (contract.X(i) if ev.d else contract.Y(i)).at(k, node)
+                        paid += 1
+                if wealth < 0:
+                    bits = "".join("u" if path >> (N - 1 - j) & 1 else "d" for j in range(N))
+                    return HedgeCheck(ok=False, plays=count, witness=HedgeWitness(
+                        path=path, bits=bits, level=k, wealth=wealth, events=play))
+    return HedgeCheck(ok=True, plays=count)
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_walk_matches_play_by_play_replay(recombining):
+    rng = random.Random(61 + recombining)
+    failures = 0
+    for _ in range(10):
+        c = random_contract(rng, max_n=5, max_l=3, recombining=recombining)
+        tree, L = c.tree, c.L
+        stack, price = price_swing(c)
+        optimal, _ = optimal_strategies(stack)
+        sellers = [
+            optimal,
+            TableStrategy.all_wait(tree, L),
+            TableStrategy.all_at_start(tree, L),
+            history_dependent_seller(rng, tree, L),
+        ]
+        portfolios = [build_perfect_hedge(stack), MixPortfolio(tree, rng.randrange(2 ** 30))]
+        capitals = [x for x in (price, price - EPS, price / 2, Fraction(0)) if x >= 0]
+        for seller in sellers:
+            for portfolio in portfolios:
+                for x in capitals:
+                    check = verify_perfect_hedge(c, portfolio, x, seller)
+                    assert check == reference_check(c, portfolio, x, seller)
+                    failures += not check.ok
+    assert failures >= 20
+
+
+def test_verify_refuses_a_tree_past_the_cap_before_any_stop_query():
+    c = build_contract({"model": {"S0": "1", "a": "-1/2", "b": "1", "p": "1/2", "N": 60},
+                        "claims": [{"exercise": {"kind": "call", "strike": "1"},
+                                    "penalty": {"kind": "constant", "value": "1/10"}}]})
+    assert c.tree.recombining
+
+    calls = []
+
+    class Recording(StoppingStrategy):
+        def stops(self, i, k, m, history):
+            calls.append((i, k, m, history))
+            return False
+
+    with pytest.raises(EnumerationCapError):
+        verify_perfect_hedge(c, MixPortfolio(c.tree, 1), Fraction(1), Recording(c.tree, c.L))
+    assert calls == []
+
+
+def test_verify_cap_counts_full_tree_nodes():
+    c = random_contract(random.Random(67), n=2, l=1)
+    stack, price = price_swing(c)
+    hedge = build_perfect_hedge(stack)
+    assert verify_perfect_hedge(c, hedge, price, cap=7).ok  # 2^3 - 1 nodes
+    with pytest.raises(EnumerationCapError):
+        verify_perfect_hedge(c, hedge, price, cap=6)

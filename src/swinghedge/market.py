@@ -22,6 +22,7 @@ floating point is never used.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -78,7 +79,8 @@ def format_rational(q: Fraction) -> str:
             return str(q.numerator)
         return f"{q.numerator}/{q.denominator}"
     except ValueError as exc:
-        raise ContractError(f"a result has more than {MAX_DIGITS} digits to print") from exc
+        limit = sys.get_int_max_str_digits()
+        raise ContractError(f"a result has more than {limit} digits to print") from exc
 
 
 def martingale_prob(a, b) -> Fraction:

@@ -208,6 +208,9 @@ class ReplayStrategy(StoppingStrategy):
         self.side = side
         # (level, node, settlements below that level) -> wealth on arrival
         self._wealth_at = {(0, 0, ()): self.x}
+        # (claim, level, node, history) -> stop answer; resolve asks the same
+        # state again and again (3,112 queries, 346 distinct states over a
+        # partial-hedge-query cycle)
         self._stops = {}
 
     def stops_at_state(self, k, m, j, wealth):

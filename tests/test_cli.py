@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from swinghedge import cli
 from swinghedge.cli import main
 from swinghedge.market import format_rational
 from swinghedge.pwl import PwlFn
@@ -105,6 +106,20 @@ def test_verify_passes_on_bundled_contracts(capsys):
     }
     for entry in doc["contracts"].values():
         assert all(entry["checks"].values())
+
+
+def test_verify_cap_reaches_the_hedge_walk(monkeypatch, capsys):
+    caps = []
+
+    def recording(*args, **kwargs):
+        caps.append(kwargs.get("cap"))
+        return verify(*args, **kwargs)
+
+    verify = cli.verify_perfect_hedge
+    monkeypatch.setattr(cli, "verify_perfect_hedge", recording)
+    assert main(["verify", "--cap", "1000"]) == 0
+    capsys.readouterr()
+    assert caps == [1000] * 6  # at and below the price on three contracts
 
 
 @pytest.mark.parametrize("capital, code", [

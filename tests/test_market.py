@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -116,3 +117,14 @@ def test_from_function_sees_prices():
                                    p=Fraction(1, 2), N=2))
     proc = AdaptedProcess.from_function(tree, lambda k, m, s: 2 * s)
     assert proc.at(2, 3) == 2 * tree.price[2][3]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_format_rational_names_the_interpreters_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the smallest limit CPython accepts
+    try:
+        with pytest.raises(ContractError, match="more than 640 digits"):
+            format_rational(Fraction(10 ** 700))
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -38,9 +38,16 @@ def _emit(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _float(x):
+    try:
+        return float(x)
+    except OverflowError:
+        raise ContractError("a result is too large for a float") from None
+
+
 def _fmt(x, decimal=False):
     if decimal:
-        return {"exact": format_rational(x), "decimal": float(x)}
+        return {"exact": format_rational(x), "decimal": _float(x)}
     return format_rational(x)
 
 
@@ -136,13 +143,13 @@ def cmd_risk(args):
 def cmd_risk_curve(args):
     contract = load_contract(args.contract)
     curve = build_risk_stack(contract).curve()
-    _emit({
+    doc = {
         "breakpoints": [
             {"capital": _fmt(x, args.decimal), "risk": _fmt(v, args.decimal)}
             for x, v in curve.points
         ],
         "wire": curve.to_wire(),
-    })
+    }
     if args.csv:
         xs = [x for x, _ in curve.points]
         grid = []
@@ -150,10 +157,11 @@ def cmd_risk_curve(args):
             grid.append(lo)
             grid.append((lo + hi) / 2)
         grid.append(xs[-1])
+        rows = [f"{_float(x)},{_float(curve.eval(x))}\n" for x in grid]
         with open(args.csv, "w") as fh:
             fh.write("capital,risk\n")
-            for x in grid:
-                fh.write(f"{float(x)},{float(curve.eval(x))}\n")
+            fh.writelines(rows)
+    _emit(doc)
     return 0
 
 
@@ -178,7 +186,7 @@ def cmd_verify(args):
             contract, cap=args.cap
         )
         seller, buyer = optimal_strategies(stack)
-        checks["saddle_certified"] = certify_saddle(contract, seller, buyer).ok
+        checks["saddle_certified"] = certify_saddle(contract, seller, buyer, cap=args.cap).ok
         portfolio = build_perfect_hedge(stack)
         checks["hedge_covers_at_price"] = verify_perfect_hedge(
             contract, portfolio, price, cap=args.cap

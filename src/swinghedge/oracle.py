@@ -8,9 +8,15 @@ transforms, and a bracketing grid scheme for the shortfall value. None of it
 shares algorithmic machinery with the production recursions, so agreement is
 evidence, not tautology.
 
+The saddle certificate's best responses visit every (node, right, history)
+state but do the arithmetic once per distinct subgame: a subgame is interned
+by its content (node, right, the opponent's answer and the child subgames'
+ids), so histories the opponent treats alike share one value.
+
 Enumeration sizes explode quickly with depth. Every enumerating entry point
 takes a cap and raises EnumerationCapError before materializing anything too
-large; the caller decides whether to retry with a bigger budget.
+large, counting level by level so that a deep tree is refused at once; the
+caller decides whether to retry with a bigger budget.
 """
 
 from __future__ import annotations
@@ -29,19 +35,31 @@ from .swing import StoppingStrategy, window_start
 # ---------------------------------------------------------------------------
 # stopping-time enumeration
 
-def count_stopping_times(tree, start_level=0):
-    """Number of stopping times with values in [start_level, N]."""
-    N = tree.params.N
-    counts = {}
-    for k in range(N, -1, -1):
-        for m in range(2 ** k):
-            if k == N:
-                counts[(k, m)] = 1
-            else:
-                counts[(k, m)] = 1 + counts[(k + 1, 2 * m + 1)] * counts[(k + 1, 2 * m)]
+def _check_cap(count, cap):
+    if cap is not None and count > cap:
+        raise EnumerationCapError(count, cap)
+
+
+def count_stopping_times(tree, start_level=0, cap=None):
+    """Number of stopping times with values in [start_level, N].
+
+    The count below a node depends only on its level: 1 at maturity, and
+    1 + (count below up child) * (count below down child) above it. With a
+    cap, a count past it raises EnumerationCapError as soon as it appears,
+    before the doubly exponential numbers of a deep tree are built; the
+    error then carries that partial count.
+    """
+    below = 1
+    _check_cap(below, cap)
+    for _ in range(start_level, tree.params.N):
+        below = 1 + below * below
+        _check_cap(below, cap)
+    if below == 1:
+        return 1
     total = 1
-    for m in range(2 ** start_level):
-        total *= counts[(start_level, m)]
+    for _ in range(2 ** start_level):
+        total *= below
+        _check_cap(total, cap)
     return total
 
 
@@ -52,9 +70,7 @@ def enumerate_stopping_times(tree, start_level=0, cap=DEFAULT_ENUMERATION_CAP):
     level-start node; decisions after a stop are unreachable and not stored,
     so distinct returned objects are genuinely distinct stopping times.
     """
-    total = count_stopping_times(tree, start_level)
-    if total > cap:
-        raise EnumerationCapError(total, cap)
+    count_stopping_times(tree, start_level, cap)
     N = tree.params.N
 
     def subtree(k, m):
@@ -110,36 +126,30 @@ def count_strategy_profiles(contract):
     reach, so the counts are exact, not an overcount of formal decision
     tables.
     """
-    s, b = _profile_counts(contract)
-    root = (0, 0, 1)
-    return s[root], b[root]
+    *_, (_, nS, nB) = _profile_counts(contract)
+    return nS[1], nB[1]
 
 
 def _profile_counts(contract):
-    tree = contract.tree
-    N = tree.params.N
-    L = contract.L
-    nS, nB = {}, {}
-    for k in range(N, -1, -1):
-        for m in range(2 ** k):
-            for i in range(L, 0, -1):
-                if k == N:
-                    nS[(k, m, i)] = nB[(k, m, i)] = 1
-                    continue
-                u, d = (k + 1, 2 * m + 1), (k + 1, 2 * m)
-                cu, cd = nS[u + (i,)], nS[d + (i,)]
-                if i < L:
-                    xu, xd = nS[u + (i + 1,)], nS[d + (i + 1,)]
-                    nS[(k, m, i)] = (xu * xd) ** 2 + xu * xd * cu * cd
-                else:
-                    nS[(k, m, i)] = 1 + cu * cd
-                cu, cd = nB[u + (i,)], nB[d + (i,)]
-                if i < L:
-                    xu, xd = nB[u + (i + 1,)], nB[d + (i + 1,)]
-                    nB[(k, m, i)] = xu * xd * (1 + cu * cd)
-                else:
-                    nB[(k, m, i)] = 1 + cu * cd
-    return nS, nB
+    """Reduced strategy counts per level, maturity first: (k, nS, nB).
+
+    nS[i] and nB[i] count the seller's and the buyer's substrategies below
+    one node of level k with right i open; they do not depend on the node.
+    Each count grows up the tree and with fewer rights left, so nB[1] is
+    the largest buyer count of its level.
+    """
+    N, L = contract.tree.params.N, contract.L
+    nS = nB = [1] * (L + 2)
+    yield N, nS, nB
+    for k in range(N - 1, -1, -1):
+        S, B = [1] * (L + 2), [1] * (L + 2)
+        for i in range(L, 0, -1):
+            c, x = nS[i], nS[i + 1]
+            S[i] = (x * x) ** 2 + x * x * c * c if i < L else 1 + c * c
+            c, x = nB[i], nB[i + 1]
+            B[i] = x * x * (1 + c * c) if i < L else 1 + c * c
+        nS, nB = S, B
+        yield k, nS, nB
 
 
 def enumerate_buyer_strategies(contract, cap=DEFAULT_ENUMERATION_CAP):
@@ -152,10 +162,9 @@ def enumerate_buyer_strategies(contract, cap=DEFAULT_ENUMERATION_CAP):
     continuation (same right). Counts are checked against the closed-form
     recurrence before any tuples are built.
     """
-    _, nB = _profile_counts(contract)
-    total = nB[(0, 0, 1)]
-    if total > cap:
-        raise EnumerationCapError(total, cap)
+    for _, _, nB in _profile_counts(contract):
+        _check_cap(nB[1], cap)
+    total = nB[1]
     tree = contract.tree
     N, L = tree.N, contract.L
 
@@ -211,10 +220,10 @@ def brute_force_value(contract, cap=DEFAULT_ENUMERATION_CAP):
     action plus indices of child substrategies, so table entries line up with
     the reduced-strategy count and no tuple structures are materialized.
     """
-    nS, nB = _profile_counts(contract)
-    need = sum(nS.values()) + sum(nB.values())
-    if need > cap:
-        raise EnumerationCapError(need, cap)
+    need = 0
+    for k, nS, nB in _profile_counts(contract):
+        need += 2 ** k * sum(nS[1:-1] + nB[1:-1])
+        _check_cap(need, cap)
 
     tree = contract.tree
     N = tree.params.N
@@ -336,51 +345,84 @@ class DictStrategy(StoppingStrategy):
 
 
 def _best_response(contract, opponent, opponent_is_seller, measure):
+    """The exact best reply to a committed opponent, with its decisions.
+
+    The recursion visits every (node, right, history) state the reply can
+    reach once, in the lazy order of a plain recursion over histories: where
+    the opponent is the buyer, the exercise branch is visited only where the
+    buyer stops. The arithmetic is done once per distinct subgame instead of
+    once per state. A subgame gets an interned id from its content: the
+    node, the right, the opponent's answer there and the ids of the child
+    subgames visited, a leaf being its terminal payment. Two histories share
+    an id only when the opponent answers alike in every reachable
+    continuation, so this is exact for any opponent. Each state's decision
+    is read from its id.
+    """
     tree = contract.tree
     N = tree.params.N
     L = contract.L
     q = measure_prob(tree, measure)
-    memo = {}
+    r = 1 - q
+    ids = {}        # content -> subgame id
+    vals = []       # id -> value
+    picks = []      # id -> the reply's decision, None where it has none
     decisions = {}
 
-    def value(k, m, i, hist):
-        if i > L:
-            return Fraction(0)
+    def new(key, value, pick=None):
+        ids[key] = sid = len(vals)
+        vals.append(value)
+        picks.append(pick)
+        return sid
+
+    def payment(v):
+        key = v.as_integer_ratio()
+        return ids[key] if key in ids else new(key, v)
+
+    # leaf[i][m]: id of the payment of rights i..L at maturity, interned by
+    # value; the payments are suffix sums over i
+    leaf = [None] * (L + 1)
+    bundle = [Fraction(0)] * 2 ** N
+    for i in range(L, 0, -1):
+        Y = contract.Y(i)
+        bundle = [Y.at(N, m) + rest for m, rest in enumerate(bundle)]
+        leaf[i] = [payment(v) for v in bundle]
+
+    def mix(pair):
+        return Fraction(0) if pair is None else q * vals[pair[0]] + r * vals[pair[1]]
+
+    def kids(k, m, j, hist):
+        if j > L:
+            return None
+        return visit(k + 1, 2 * m + 1, j, hist), visit(k + 1, 2 * m, j, hist)
+
+    def visit(k, m, i, hist):
         if k == N:
-            return _bundle(contract, i, m)
-        key = (k, m, i, hist)
-        if key in memo:
-            return memo[key]
-        up, dn = 2 * m + 1, 2 * m
-
-        def nxt(j, h):
-            if j > L:
-                return Fraction(0)
-            return q * value(k + 1, up, j, h) + (1 - q) * value(k + 1, dn, j, h)
-
-        y = contract.Y(i).at(k, m)
-        x = contract.X(i).at(k, m)
+            return leaf[i][m]
         if opponent_is_seller:
-            stop_val = y + nxt(i + 1, hist + ((k, 0),))
-            if opponent.stops(i, k, m, hist):
-                alt = x + nxt(i + 1, hist + ((k, 1),))
-            else:
-                alt = nxt(i, hist)
-            best = max(stop_val, alt)
-            decisions[(i, k, m, hist)] = stop_val >= alt
+            a = kids(k, m, i + 1, hist + ((k, 0),))
+            s = opponent.stops(i, k, m, hist)
+            b = kids(k, m, i + 1, hist + ((k, 1),)) if s else kids(k, m, i, hist)
         else:
-            if opponent.stops(i, k, m, hist):
-                best = y + nxt(i + 1, hist + ((k, 0),))
+            s = opponent.stops(i, k, m, hist)
+            a = kids(k, m, i + 1, hist + ((k, 0) if s else (k, 1),))
+            b = None if s else kids(k, m, i, hist)
+        key = (k, m, i, s, a, b)
+        sid = ids.get(key)
+        if sid is None:
+            y, x = contract.Y(i).at(k, m), contract.X(i).at(k, m)
+            if opponent_is_seller:
+                stop, alt = y + mix(a), (x + mix(b) if s else mix(b))
+                sid = new(key, max(stop, alt), stop >= alt)
+            elif s:
+                sid = new(key, y + mix(a))
             else:
-                canc = x + nxt(i + 1, hist + ((k, 1),))
-                cont = nxt(i, hist)
-                best = min(canc, cont)
-                decisions[(i, k, m, hist)] = canc <= cont
-        memo[key] = best
-        return best
+                canc, cont = x + mix(a), mix(b)
+                sid = new(key, min(canc, cont), canc <= cont)
+        if picks[sid] is not None:
+            decisions[(i, k, m, hist)] = picks[sid]
+        return sid
 
-    v = value(0, 0, 1, ())
-    return v, DictStrategy(tree, L, decisions)
+    return vals[visit(0, 0, 1, ())], DictStrategy(tree, L, decisions)
 
 
 @dataclass
@@ -412,15 +454,19 @@ class SaddleCertificate:
         return out
 
 
-def certify_saddle(contract, seller, buyer, measure=MARTINGALE):
+def certify_saddle(contract, seller, buyer, measure=MARTINGALE, cap=DEFAULT_ENUMERATION_CAP):
     """Check that (seller, buyer) is a saddle point of the expected payment.
 
     Plays the pair to get its value v, then computes each player's exact best
     response against the other held fixed. The pair certifies when no buyer
     strategy beats v against this seller and no seller strategy pushes below
     v against this buyer. On failure the certificate carries the profitable
-    deviation as an explicit strategy.
+    deviation as an explicit strategy. A tree of more than `cap` nodes is
+    refused before any strategy is asked anything.
     """
+    nodes = 2 ** (contract.tree.params.N + 1) - 1
+    if nodes > cap:
+        raise EnumerationCapError(nodes, cap)
     v = play_value(contract, seller, buyer, measure)
     b_val, b_strat = _best_response(contract, seller, True, measure)
     s_val, s_strat = _best_response(contract, buyer, False, measure)

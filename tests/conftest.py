@@ -13,6 +13,8 @@ from hypothesis import settings
 
 from swinghedge.contract import build_contract
 from swinghedge.market import MarketParams, build_tree
+from swinghedge.oracle import DictStrategy
+from swinghedge.swing import window_start
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -50,6 +52,40 @@ def random_contract(rng: random.Random, max_n=3, max_l=2, n=None, l=None, recomb
         {"claims": [random_claim(rng, params) for _ in range(L)]},
         tree=build_tree(params, recombining),
     )
+
+
+def reachable_histories(N, L):
+    """Every settlement history some claim 1..L can see, by claim."""
+    out = {1: [()]}
+    for i in range(2, L + 1):
+        out[i] = [
+            hist + ((k, d),)
+            for hist in out[i - 1]
+            for k in range(window_start(hist, N), N + 1)
+            for d in ((0, 1) if k < N else (0,))
+        ]
+    return out
+
+
+def _history_dependent(rng, tree, L, rate):
+    decisions = {
+        (i, k, m, hist): rng.random() < rate
+        for i, hists in reachable_histories(tree.N, L).items()
+        for hist in hists
+        for k in range(window_start(hist, tree.N), tree.N)
+        for m in range(2 ** k)
+    }
+    return DictStrategy(tree, L, decisions)
+
+
+def history_dependent_seller(rng, tree, L):
+    """Random cancellations that depend on the settlement history."""
+    return _history_dependent(rng, tree, L, 0.3)
+
+
+def history_dependent_buyer(rng, tree, L):
+    """Random early exercises that depend on the settlement history."""
+    return _history_dependent(rng, tree, L, 0.2)
 
 
 def random_point(rng: random.Random, lo, hi) -> Fraction:

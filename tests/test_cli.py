@@ -153,6 +153,15 @@ def test_contract_exponent_past_the_digit_limit_is_refused(s0, code, tmp_path, c
     assert err.startswith("error: not a rational") == bool(code)
 
 
+def big_s0_contract(tmp_path, s0):
+    contract = resources.files("swinghedge") / "contracts" / "one_right_small_penalty.json"
+    spec = json.loads(contract.read_text())
+    spec["model"]["S0"] = s0
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
     ["risk", "--capital", "1"],
     ["risk-curve"],
@@ -160,14 +169,42 @@ def test_contract_exponent_past_the_digit_limit_is_refused(s0, code, tmp_path, c
 ])
 def test_results_past_the_digit_limit_are_refused(argv, tmp_path, capsys):
     # S0 = 9e4299 has 4300 digits and loads; S0 * (1 + b) has 4301
-    contract = resources.files("swinghedge") / "contracts" / "one_right_small_penalty.json"
-    spec = json.loads(contract.read_text())
-    spec["model"]["S0"] = "9e4299"
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(spec))
-    assert main(["price", str(path)]) == 0
+    path = big_s0_contract(tmp_path, "9e4299")
+    assert main(["price", path]) == 0
     capsys.readouterr()
-    assert main([argv[0], str(path)] + argv[1:]) == 1
+    assert main([argv[0], path] + argv[1:]) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: a result has more than 4300 digits")
+
+
+def test_verify_cap_reaches_the_saddle_certificate(monkeypatch, capsys):
+    caps = []
+
+    def recording(*args, **kwargs):
+        caps.append(kwargs.get("cap"))
+        return certify(*args, **kwargs)
+
+    certify = cli.certify_saddle
+    monkeypatch.setattr(cli, "certify_saddle", recording)
+    assert main(["verify", "--cap", "1000"]) == 0
+    capsys.readouterr()
+    assert caps == [1000] * 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--decimal"],
+    ["hedge-simulate", "--path", "u", "--capital", "1/3", "--decimal"],
+    ["risk-curve", "--csv"],
+])
+def test_values_past_the_float_range_are_refused(argv, tmp_path, capsys):
+    path = big_s0_contract(tmp_path, "1e400")
+    csv = tmp_path / "curve.csv"
+    argv = argv + [str(csv)] if argv[-1] == "--csv" else argv
+    assert main(["price", path]) == 0
+    capsys.readouterr()
+    assert main([argv[0], path] + argv[1:]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: a result is too large for a float\n"
+    assert not csv.exists()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MixPortfolio, random_contract
+from conftest import MixPortfolio, history_dependent_seller, random_contract
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, EnumerationCapError
 from swinghedge.hedge import (
@@ -15,7 +15,6 @@ from swinghedge.hedge import (
     simulate_portfolio,
     verify_perfect_hedge,
 )
-from swinghedge.oracle import DictStrategy
 from swinghedge.swing import (
     ClaimEvent,
     StoppingStrategy,
@@ -124,31 +123,6 @@ def test_negative_capital_rejected():
     hedge = build_perfect_hedge(stack)
     with pytest.raises(ContractError):
         verify_perfect_hedge(c, hedge, Fraction(-1))
-
-
-def reachable_histories(N, L):
-    """Every settlement history some claim 1..L can see, by claim."""
-    out = {1: [()]}
-    for i in range(2, L + 1):
-        out[i] = [
-            hist + ((k, d),)
-            for hist in out[i - 1]
-            for k in range(window_start(hist, N), N + 1)
-            for d in ((0, 1) if k < N else (0,))
-        ]
-    return out
-
-
-def history_dependent_seller(rng, tree, L):
-    """Random cancellations that depend on the settlement history."""
-    decisions = {
-        (i, k, m, hist): rng.random() < 0.3
-        for i, hists in reachable_histories(tree.N, L).items()
-        for hist in hists
-        for k in range(window_start(hist, tree.N), tree.N)
-        for m in range(2 ** k)
-    }
-    return DictStrategy(tree, L, decisions)
 
 
 def forced_plays(contract, seller, path):

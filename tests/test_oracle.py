@@ -1,15 +1,17 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_contract
+from conftest import history_dependent_buyer, history_dependent_seller, random_contract
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, EnumerationCapError
-from swinghedge.market import MarketParams, build_tree
+from swinghedge.market import MARKET, MARTINGALE, MarketParams, build_tree, measure_prob
 from swinghedge.oracle import (
     DictStrategy,
+    _best_response,
     brute_force_value,
     certify_saddle,
     count_stopping_times,
@@ -20,7 +22,13 @@ from swinghedge.oracle import (
     play_value,
 )
 from swinghedge.shortfall import build_risk_stack
-from swinghedge.swing import price_swing, resolve
+from swinghedge.swing import (
+    StoppingStrategy,
+    TableStrategy,
+    optimal_strategies,
+    price_swing,
+    resolve,
+)
 
 MODEL1 = {"S0": "1", "a": "-1/2", "b": "1", "p": "1/2", "N": 1}
 
@@ -124,8 +132,6 @@ def test_certify_saddle_rejects_and_blames_the_right_side():
 
 def test_certify_saddle_accepts_the_solved_pair():
     rng = random.Random(61)
-    from swinghedge.swing import optimal_strategies
-
     for _ in range(20):
         c = random_contract(rng, max_n=2)
         stack, price = price_swing(c)
@@ -159,3 +165,154 @@ def test_grid_risk_oracle_input_guards():
         grid_risk_oracle(c, Fraction(-1))
     with pytest.raises(ContractError):
         grid_risk_oracle(c, Fraction(0), resolution=0)
+
+
+def reference_best_response(contract, opponent, opponent_is_seller, measure):
+    """The best reply by a plain recursion with one value per history.
+
+    Every (node, right, history) state pays its own arithmetic; nothing is
+    shared between histories. Returns the value and the reply's decisions.
+    """
+    tree = contract.tree
+    N, L = tree.params.N, contract.L
+    q = measure_prob(tree, measure)
+    memo = {}
+    decisions = {}
+
+    def value(k, m, i, hist):
+        if k == N:
+            return contract.terminal_bundle(i, m)
+        key = (k, m, i, hist)
+        if key in memo:
+            return memo[key]
+        up, dn = 2 * m + 1, 2 * m
+
+        def nxt(j, h):
+            if j > L:
+                return Fraction(0)
+            return q * value(k + 1, up, j, h) + (1 - q) * value(k + 1, dn, j, h)
+
+        y = contract.Y(i).at(k, m)
+        x = contract.X(i).at(k, m)
+        if opponent_is_seller:
+            stop_val = y + nxt(i + 1, hist + ((k, 0),))
+            if opponent.stops(i, k, m, hist):
+                alt = x + nxt(i + 1, hist + ((k, 1),))
+            else:
+                alt = nxt(i, hist)
+            best = max(stop_val, alt)
+            decisions[(i, k, m, hist)] = stop_val >= alt
+        else:
+            if opponent.stops(i, k, m, hist):
+                best = y + nxt(i + 1, hist + ((k, 0),))
+            else:
+                canc = x + nxt(i + 1, hist + ((k, 1),))
+                cont = nxt(i, hist)
+                best = min(canc, cont)
+                decisions[(i, k, m, hist)] = canc <= cont
+        memo[key] = best
+        return best
+
+    return value(0, 0, 1, ()), decisions
+
+
+class Recording(StoppingStrategy):
+    """Answers as `inner` does and logs every question."""
+
+    def __init__(self, inner):
+        super().__init__(inner.tree, inner.L)
+        self.inner = inner
+        self.log = []
+
+    def stops(self, i, k, m, history):
+        self.log.append((i, k, m, history))
+        return self.inner.stops(i, k, m, history)
+
+
+def strategy_zoo(rng, contract):
+    """(sellers, buyers): optimal, never early, always early, history-dependent."""
+    tree, L = contract.tree, contract.L
+    seller, buyer = optimal_strategies(price_swing(contract)[0])
+    simple = [TableStrategy.all_wait(tree, L), TableStrategy.all_at_start(tree, L)]
+    return ([seller] + simple + [history_dependent_seller(rng, tree, L)],
+            [buyer] + simple + [history_dependent_buyer(rng, tree, L)])
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_interned_best_response_matches_the_history_recursion(recombining):
+    rng = random.Random(71 + recombining)
+    for _ in range(12):
+        c = random_contract(rng, max_n=5, max_l=3, recombining=recombining)
+        sellers, buyers = strategy_zoo(rng, c)
+        for opponent in sellers + [buyers[0], buyers[3]]:
+            for opponent_is_seller in (True, False):
+                for measure in (MARTINGALE, MARKET):
+                    asked, asked_ref = Recording(opponent), Recording(opponent)
+                    value, witness = _best_response(c, asked, opponent_is_seller, measure)
+                    ref_value, ref_decisions = reference_best_response(
+                        c, asked_ref, opponent_is_seller, measure)
+                    assert value == ref_value
+                    assert witness.decisions == ref_decisions
+                    assert asked.log == asked_ref.log
+
+
+def certificate_fields(cert):
+    return (cert.ok, cert.value, cert.buyer_best_response, cert.seller_best_response,
+            cert.buyer_witness and cert.buyer_witness.decisions,
+            cert.seller_witness and cert.seller_witness.decisions)
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_certificates_of_failing_pairs_match_the_history_recursion(recombining):
+    rng = random.Random(73 + recombining)
+    witnesses = 0
+    for _ in range(8):
+        c = random_contract(rng, max_n=4, max_l=3, recombining=recombining)
+        sellers, buyers = strategy_zoo(rng, c)
+        for seller in sellers:
+            for buyer in buyers:
+                for measure in (MARTINGALE, MARKET):
+                    v = play_value(c, seller, buyer, measure)
+                    b_val, b_dec = reference_best_response(c, seller, True, measure)
+                    s_val, s_dec = reference_best_response(c, buyer, False, measure)
+                    expected = (b_val <= v <= s_val, v, b_val, s_val,
+                                b_dec if b_val > v else None, s_dec if s_val < v else None)
+                    cert = certify_saddle(c, seller, buyer, measure)
+                    assert certificate_fields(cert) == expected
+                    witnesses += (cert.buyer_witness is not None) + (cert.seller_witness is not None)
+    assert witnesses >= 100
+
+
+def n60_contract():
+    c = build_contract({"model": dict(MODEL1, N=60), "claims": [
+        {"exercise": {"kind": "call", "strike": "1"},
+         "penalty": {"kind": "constant", "value": "1/10"}}] * 2})
+    assert c.tree.recombining
+    return c
+
+
+def test_certify_refuses_a_tree_past_the_cap_before_any_stop_query():
+    c = n60_contract()
+    seller, buyer = Recording(DictStrategy(c.tree, c.L, {})), Recording(DictStrategy(c.tree, c.L, {}))
+    with pytest.raises(EnumerationCapError) as err:
+        certify_saddle(c, seller, buyer)
+    assert err.value.needed == 2 ** 61 - 1
+    assert seller.log == buyer.log == []
+
+
+def test_certify_cap_counts_full_tree_nodes():
+    c = random_contract(random.Random(79), n=2, l=1)
+    seller, buyer = optimal_strategies(price_swing(c)[0])
+    assert certify_saddle(c, seller, buyer, cap=7).ok  # 2^3 - 1 nodes
+    with pytest.raises(EnumerationCapError):
+        certify_saddle(c, seller, buyer, cap=6)
+
+
+def test_enumerations_refuse_a_deep_tree_before_counting_every_node():
+    c = n60_contract()
+    start = time.perf_counter()
+    for enumerate_ in (brute_force_value, enumerate_buyer_strategies,
+                       lambda c: enumerate_stopping_times(c.tree)):
+        with pytest.raises(EnumerationCapError):
+            enumerate_(c)
+    assert time.perf_counter() - start < 5

@@ -158,9 +158,12 @@ def cmd_risk_curve(args):
             grid.append((lo + hi) / 2)
         grid.append(xs[-1])
         rows = [f"{_float(x)},{_float(curve.eval(x))}\n" for x in grid]
-        with open(args.csv, "w") as fh:
-            fh.write("capital,risk\n")
-            fh.writelines(rows)
+        try:
+            with open(args.csv, "w") as fh:
+                fh.write("capital,risk\n")
+                fh.writelines(rows)
+        except OSError as exc:
+            raise ContractError(f"cannot write {args.csv}: {exc}") from exc
     _emit(doc)
     return 0
 

@@ -46,53 +46,117 @@ psi's breakpoints gives the suffix minimum of h and its leftmost minimizer
 for every left end at once (leftmost_minimizer).
 
 pointwise_min and pointwise_max use the same two-pointer merge.
+
+Representation: int pairs inside, Fractions at the boundary. Every rational
+the algebra keeps (a knot, a value, a w1) is a pair (numerator, denominator)
+in lowest terms with a positive denominator, and every affine function of y
+it keeps (a value piece, a w1 line, a control line) is a triple (A, B, D),
+meaning (A*y + B)/D, with D > 0 and gcd(A, B, D) = 1. Each has exactly one
+representation, so tuple equality is rational equality: duplicate knots,
+repeated lines and the dropped-knot rules compare tuples. Order is decided
+by cross-multiplication (a/b < c/d iff a*d < c*b, for b, d > 0), which is
+exact, so the tie rules (smaller w1 at a knot, lower w1 line along a piece)
+see the same ties as rational arithmetic would. A piece evaluated at a knot
+of the other list stays an unnormalized pair, since it is only compared;
+one math.gcd normalizes each knot, value, line and w1 when it is emitted
+(_q, _line). The one division whose divisor can be negative is the crossing
+of two lines (_cross), which flips both signs first. The transforms hand
+pairs from one to the next, and a Fraction is made only when a caller reads
+one: PwlFn.points and the control's xs, at and lines are built on first read
+(eval reads them) and kept.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 
 from .errors import ContractError, InvariantError
 from .market import format_rational, martingale_prob, to_rational
 
 
+def _q(n, d):
+    """n/d as a normalized pair, for d > 0."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _line(A, B, D):
+    """The normalized triple of y -> (A*y + B)/D, for D > 0."""
+    g = gcd(A, B, D)
+    return A // g, B // g, D // g
+
+
+def _ev(line, x):
+    """A line at x, as an unnormalized pair."""
+    A, B, D = line
+    return A * x[0] + B * x[1], D * x[1]
+
+
+def _lt(a, b):
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def _eq(a, b):
+    return a[0] * b[1] == b[0] * a[1]
+
+
+def _cross(l1, l2):
+    """The y where two lines of different slopes meet."""
+    A1, B1, D1 = l1
+    A2, B2, D2 = l2
+    n, d = B2 * D1 - B1 * D2, A1 * D2 - A2 * D1
+    return _q(-n, -d) if d < 0 else _q(n, d)
+
+
+def _show(q) -> str:
+    return str(Fraction(*q))
+
+
 def _canonical(points):
-    """Sort out duplicates, enforce class shape, merge collinear runs."""
-    pts = sorted((Fraction(x), Fraction(v)) for x, v in points)
+    """Drop duplicates, enforce class shape, merge collinear runs.
+
+    points: (x, v) pairs in increasing x.
+    """
     cleaned = []
-    for x, v in pts:
-        if cleaned and cleaned[-1][0] == x:
-            if cleaned[-1][1] != v:
-                raise InvariantError(f"two values at breakpoint {x}: {cleaned[-1][1]}, {v}")
-            continue
+    for x, v in points:
+        if cleaned:
+            lx, lv = cleaned[-1]
+            if lx == x:
+                if lv != v:
+                    raise InvariantError(f"two values at breakpoint {_show(x)}: {_show(lv)}, {_show(v)}")
+                continue
         cleaned.append((x, v))
     if not cleaned:
         raise InvariantError("a function needs at least one breakpoint")
-    if cleaned[0][0] != 0:
-        raise InvariantError(f"first breakpoint must sit at 0, got {cleaned[0][0]}")
+    if cleaned[0][0][0] != 0:
+        raise InvariantError(f"first breakpoint must sit at 0, got {_show(cleaned[0][0])}")
     # cut everything after the function first reaches 0 for good
     for idx, (x, v) in enumerate(cleaned):
-        if v == 0:
+        if v[0] == 0:
             cleaned = cleaned[: idx + 1]
             break
-    if cleaned[-1][1] != 0:
-        raise InvariantError(f"function must vanish, ends at value {cleaned[-1][1]}")
-    out = []
+    if cleaned[-1][1][0] != 0:
+        raise InvariantError(f"function must vanish, ends at value {_show(cleaned[-1][1])}")
+    out, slope = [], None
     for x, v in cleaned:
-        while len(out) >= 2:
-            (x0, v0), (x1, v1) = out[-2], out[-1]
-            if (v1 - v0) * (x - x1) == (v - v1) * (x1 - x0):
-                out.pop()
+        if out:
+            (x0n, x0d), (v0n, v0d) = out[-1]
+            # the slope from the last kept knot, sn/sd with sd > 0
+            sn = (v[0] * v0d - v0n * v[1]) * x0d * x[1]
+            sd = (x[0] * x0d - x0n * x[1]) * v0d * v[1]
+            if slope is not None and sn * slope[1] == slope[0] * sd:
+                out.pop()  # the merged piece keeps the slope
             else:
-                break
+                slope = sn, sd
         out.append((x, v))
     last_v = None
     for x, v in out:
-        if v < 0:
-            raise InvariantError(f"negative value {v} at breakpoint {x}")
-        if last_v is not None and v > last_v:
-            raise InvariantError(f"value rises to {v} at breakpoint {x}")
+        if v[0] < 0:
+            raise InvariantError(f"negative value {_show(v)} at breakpoint {_show(x)}")
+        if last_v is not None and _lt(last_v, v):
+            raise InvariantError(f"value rises to {_show(v)} at breakpoint {_show(x)}")
         last_v = v
     return tuple(out)
 
@@ -100,15 +164,26 @@ def _canonical(points):
 class PwlFn:
     """Canonical decreasing piecewise-linear function vanishing at infinity."""
 
-    __slots__ = ("points", "_xs")
+    __slots__ = ("_pairs", "_points", "_xs")
 
     def __init__(self, points):
-        self.points = _canonical(points)
-        self._xs = [x for x, _ in self.points]
+        pts = sorted((Fraction(x), Fraction(v)) for x, v in points)
+        self._pairs = _canonical(
+            ((x.numerator, x.denominator), (v.numerator, v.denominator)) for x, v in pts
+        )
+        self._points = self._xs = None
+
+    @classmethod
+    def _of(cls, xs, vs) -> "PwlFn":
+        """From knot and value pairs in increasing x (the transforms' output)."""
+        fn = cls.__new__(cls)
+        fn._pairs = _canonical(zip(xs, vs))
+        fn._points = fn._xs = None
+        return fn
 
     @classmethod
     def zero(cls) -> "PwlFn":
-        return cls(((0, 0),))
+        return cls._of([(0, 1)], [(0, 1)])
 
     @classmethod
     def hockey_stick(cls, c) -> "PwlFn":
@@ -119,27 +194,36 @@ class PwlFn:
         return cls(((0, c), (c, 0)))
 
     @property
+    def points(self) -> tuple:
+        """The breakpoints as (Fraction, Fraction), built on first read."""
+        if self._points is None:
+            self._points = tuple((Fraction(*x), Fraction(*v)) for x, v in self._pairs)
+            self._xs = [x for x, _ in self._points]
+        return self._points
+
+    @property
     def support_end(self) -> Fraction:
-        return self.points[-1][0]
+        return Fraction(*self._pairs[-1][0])
 
     def is_zero(self) -> bool:
-        return len(self.points) == 1
+        return len(self._pairs) == 1
 
     def eval(self, y) -> Fraction:
         y = Fraction(y)
         if y < 0:
             raise ValueError(f"function is defined on [0, inf), got {y}")
-        if y >= self.support_end:
+        points = self.points
+        if y >= points[-1][0]:
             return Fraction(0)
         i = bisect_right(self._xs, y) - 1
-        (x0, v0), (x1, v1) = self.points[i], self.points[i + 1]
+        (x0, v0), (x1, v1) = points[i], points[i + 1]
         return v0 + (v1 - v0) * (y - x0) / (x1 - x0)
 
     def __eq__(self, other):
-        return isinstance(other, PwlFn) and self.points == other.points
+        return isinstance(other, PwlFn) and self._pairs == other._pairs
 
     def __hash__(self):
-        return hash(self.points)
+        return hash(self._pairs)
 
     def __repr__(self):
         inner = ", ".join(f"({format_rational(x)}, {format_rational(v)})" for x, v in self.points)
@@ -160,10 +244,15 @@ class PwlFn:
             raise ContractError(f"breakpoints do not describe a valid curve: {exc}") from exc
 
 
-def _slopes(xs, vs):
-    """Slope of each piece between knots, then 0 for the flat tail."""
-    out = [(v1 - v0) / (x1 - x0) for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:])]
-    out.append(Fraction(0))
+def _lines(xs, vs):
+    """The line of each piece between knots, then the zero line of the tail."""
+    out = []
+    for (x0n, x0d), (v0n, v0d), (x1n, x1d), (v1n, v1d) in zip(xs, vs, xs[1:], vs[1:]):
+        sn = (v1n * v0d - v0n * v1d) * x0d * x1d  # slope sn/sd, sd > 0
+        sd = (x1n * x0d - x0n * x1d) * v0d * v1d
+        # v0 + (sn/sd)*(y - x0) over the denominator v0d*sd*x0d
+        out.append(_line(sn * v0d * x0d, v0n * sd * x0d - sn * x0n * v0d, v0d * sd * x0d))
+    out.append((0, 0, 1))
     return out
 
 
@@ -175,46 +264,54 @@ def _union_walk(xa, xb, i, j):
     """
     na, nb = len(xa), len(xb)
     while i < na or j < nb:
-        if j == nb or (i < na and xa[i] < xb[j]):
+        if j == nb:
             x = xa[i]
             i += 1
-        elif i == na or xb[j] < xa[i]:
+        elif i == na:
             x = xb[j]
             j += 1
         else:
-            x = xa[i]
-            i += 1
-            j += 1
+            x, y = xa[i], xb[j]
+            left, right = x[0] * y[1], y[0] * x[1]
+            if left < right:
+                i += 1
+            elif right < left:
+                x = y
+                j += 1
+            else:
+                i += 1
+                j += 1
         yield x, i - 1, j - 1
 
 
-def _combine(f: PwlFn, g: PwlFn, pick) -> PwlFn:
-    fx, gx = f._xs, g._xs
-    fv, gv = [v for _, v in f.points], [v for _, v in g.points]
-    fs, gs = _slopes(fx, fv), _slopes(gx, gv)
-    pts = []
+def _combine(f: PwlFn, g: PwlFn, lower: bool) -> PwlFn:
+    fx, fv = [x for x, _ in f._pairs], [v for _, v in f._pairs]
+    gx, gv = [x for x, _ in g._pairs], [v for _, v in g._pairs]
+    fl, gl = _lines(fx, fv), _lines(gx, gv)
+    xs, vs = [], []
     prev = None
     for x, i, j in _union_walk(fx, gx, 0, 0):
-        a = fv[i] if fx[i] == x else fv[i] + fs[i] * (x - fx[i])
-        c = gv[j] if gx[j] == x else gv[j] + gs[j] * (x - gx[j])
-        d = a - c
-        if prev is not None:
-            px, pa, pd, pi = prev
-            # insert the crossing if the order flips strictly inside
-            if (pd > 0 > d) or (pd < 0 < d):
-                xc = px + pd * (x - px) / (pd - d)
-                pts.append((xc, pa + fs[pi] * (xc - px)))
-        pts.append((x, pick(a, c)))
-        prev = (x, a, d, i)
-    return PwlFn(pts)
+        a = fv[i] if fx[i] == x else _ev(fl[i], x)
+        c = gv[j] if gx[j] == x else _ev(gl[j], x)
+        left, right = a[0] * c[1], c[0] * a[1]
+        d = (left > right) - (left < right)  # the sign of f - g
+        # insert the crossing if the order flips strictly inside
+        if prev is not None and prev[0] * d < 0:
+            xc = _cross(fl[prev[1]], gl[prev[2]])
+            xs.append(xc)
+            vs.append(_q(*_ev(fl[prev[1]], xc)))
+        xs.append(x)
+        vs.append(_q(*(a if (d <= 0 if lower else d >= 0) else c)))
+        prev = (d, i, j)
+    return PwlFn._of(xs, vs)
 
 
 def pointwise_min(f: PwlFn, g: PwlFn) -> PwlFn:
-    return _combine(f, g, min)
+    return _combine(f, g, True)
 
 
 def pointwise_max(f: PwlFn, g: PwlFn) -> PwlFn:
-    return _combine(f, g, max)
+    return _combine(f, g, False)
 
 
 class PwlControl:
@@ -228,97 +325,123 @@ class PwlControl:
     control), so knot values are stored. A knot is dropped when the same
     line runs through it and gives its value, so equal controls have equal
     fields.
+
+    Built from knot and value pairs and line triples (see the module
+    docstring); xs, at and lines are their Fractions, made on the first
+    read or eval and kept, so a control nobody reads costs no Fraction.
     """
 
-    __slots__ = ("xs", "at", "lines")
+    __slots__ = ("_xs", "_at", "_lines", "_fractions")
 
     def __init__(self, xs, at, lines):
-        self.xs, self.at, self.lines = [xs[0]], [at[0]], [lines[0]]
+        self._xs, self._at, self._lines = [xs[0]], [at[0]], [lines[0]]
         for x, v, line in zip(xs[1:], at[1:], lines[1:]):
-            coef, inter = line
-            if line == self.lines[-1] and v == coef * x + inter:
+            if line == self._lines[-1] and _eq(v, _ev(line, x)):
                 continue
-            self.xs.append(x)
-            self.at.append(v)
-            self.lines.append(line)
+            self._xs.append(x)
+            self._at.append(v)
+            self._lines.append(line)
+        self._fractions = None
+
+    def _fracs(self):
+        if self._fractions is None:
+            self._fractions = (
+                [Fraction(*x) for x in self._xs],
+                [Fraction(*v) for v in self._at],
+                [(Fraction(A, D), Fraction(B, D)) for A, B, D in self._lines],
+            )
+        return self._fractions
+
+    xs = property(lambda self: self._fracs()[0])
+    at = property(lambda self: self._fracs()[1])
+    lines = property(lambda self: self._fracs()[2])
 
     def eval(self, y) -> Fraction:
         y = Fraction(y)
         if y < 0:
             raise ValueError(f"control is defined on [0, inf), got {y}")
-        i = bisect_right(self.xs, y) - 1
-        if self.xs[i] == y:
-            return self.at[i]
-        coef, inter = self.lines[i]
+        xs, at, lines = self._fractions or self._fracs()
+        i = bisect_right(xs, y) - 1
+        if xs[i] == y:
+            return at[i]
+        coef, inter = lines[i]
         return coef * y + inter
 
 
 def _fold(env, copy):
     """Lower envelope of env and one copy, ordered by (value, w1).
 
-    env = (xs, values, slopes, w1 at each knot, w1 line on each piece) covers
-    [0, end]; copy = (xs, values, slopes, w1 line) covers [start, end]. Before
-    start env is kept as it is. A knot through which the same value slope
-    and w1 line run, and whose w1 the line gives, is dropped.
+    env = (knots, values at the knots, value line on each piece, w1 at each
+    knot, w1 line on each piece) covers [0, end]; copy = (knots, value line
+    from each knot on, w1 line) covers [start, end]. Knots and values are
+    pairs and lines triples, as in the module docstring: a piece evaluated
+    at a knot of the other list is compared unnormalized, and only what is
+    emitted is normalized. Before start env is kept as it is. A knot through
+    which the same value line and w1 line run, and whose w1 the line gives,
+    is dropped.
     """
-    X, V, S, K, C = env
-    cx, cv, cs, line = copy
-    lc, ld = line
-    i0 = bisect_left(X, cx[0])
-    nX, nV, nS, nK, nC = X[:i0], V[:i0], S[:i0], K[:i0], C[:i0]
+    X, V, L, K, C = env
+    cx, cl, line = copy
+    # the first env knot at or after the copy's start
+    (sn, sd), lo, hi = cx[0], 0, len(X)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if X[mid][0] * sd < sn * X[mid][1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    nX, nV, nL, nK, nC = X[:lo], V[:lo], L[:lo], K[:lo], C[:lo]
 
-    def piece(slope, ctl):
+    def piece(vline, ctl):
         t = len(nX) - 1
-        if t and nS[t - 1] == slope and nC[t - 1] == ctl and nK[t] == ctl[0] * nX[t] + ctl[1]:
+        if t and nL[t - 1] == vline and nC[t - 1] == ctl and _eq(nK[t], _ev(ctl, nX[t])):
             del nX[t], nV[t], nK[t]
         else:
-            nS.append(slope)
+            nL.append(vline)
             nC.append(ctl)
 
-    def env_w1(i, x):
-        if X[i] == x:
-            return K[i]
-        coef, inter = C[i]
-        return coef * x + inter
-
     prev = None
-    for x, i, j in _union_walk(X, cx, i0, 0):
-        e = V[i] if X[i] == x else V[i] + S[i] * (x - X[i])
-        c = cv[j] if cx[j] == x else cv[j] + cs[j] * (x - cx[j])
+    for x, i, j in _union_walk(X, cx, lo, 0):
+        on_env = X[i] == x
+        e = V[i] if on_env else _ev(L[i], x)
+        c = _ev(cl[j], x)
+        left, right = e[0] * c[1], c[0] * e[1]
+        d = (left > right) - (left < right)  # the sign of env - copy
         if prev is not None:
-            px, pe, pc, pi, pj = prev
-            pd, d = pe - pc, e - c
+            px, pd, pi, pj = prev
             if pd == 0 and d == 0:
                 # the same value along the piece: the lower w1 line wins. A
                 # constant line w1 = P_i meets a line w1 = (y - uQ_j)/pt at
                 # y = uP_i + uQ_j, a knot of both copies, and lines of one
                 # kind are parallel, so they never cross inside a piece
-                mid = (px + x) / 2
-                piece(S[pi], min(C[pi], line, key=lambda ctl: ctl[0] * mid + ctl[1]))
-            elif (pd > 0 > d) or (pd < 0 < d):
-                xc = px + pd * (x - px) / (pd - d)
-                mine, theirs = (S[pi], C[pi]), (cs[pj], line)
+                mid = (px[0] * x[1] + x[0] * px[1], 2 * px[1] * x[1])
+                piece(L[pi], line if _lt(_ev(line, mid), _ev(C[pi], mid)) else C[pi])
+            elif pd * d < 0:
+                xc = _cross(L[pi], cl[pj])
+                mine, theirs = (L[pi], C[pi]), (cl[pj], line)
                 piece(*(mine if pd < 0 else theirs))
                 nX.append(xc)
-                nV.append(pe + S[pi] * (xc - px))
-                nK.append(min(env_w1(pi, xc), lc * xc + ld))
+                nV.append(_q(*_ev(L[pi], xc)))
+                we, wc = _ev(C[pi], xc), _ev(line, xc)
+                nK.append(_q(*(wc if _lt(wc, we) else we)))
                 piece(*(theirs if pd < 0 else mine))
             elif pd < 0 or d < 0:
-                piece(S[pi], C[pi])
+                piece(L[pi], C[pi])
             else:
-                piece(cs[pj], line)
+                piece(cl[pj], line)
         nX.append(x)
-        if e < c:
-            nV.append(e)
-            nK.append(env_w1(i, x))
-        elif c < e:
-            nV.append(c)
-            nK.append(lc * x + ld)
+        if d > 0:
+            nV.append(_q(*c))
+            nK.append(_q(*_ev(line, x)))
         else:
-            nV.append(e)
-            nK.append(min(env_w1(i, x), lc * x + ld))
-        prev = (x, e, c, i, j)
-    return nX, nV, nS, nK, nC
+            nV.append(e if on_env else _q(*e))
+            we = K[i] if on_env else _ev(C[i], x)
+            if d == 0:
+                wc = _ev(line, x)
+                we = wc if _lt(wc, we) else we
+            nK.append(_q(*we))
+        prev = (x, d, i, j)
+    return nX, nV, nL, nK, nC
 
 
 def portfolio_transform(psi1: PwlFn, psi2: PwlFn, p, a, b):
@@ -332,38 +455,42 @@ def portfolio_transform(psi1: PwlFn, psi2: PwlFn, p, a, b):
     if not (0 < p < 1):
         raise ContractError(f"need 0 < p < 1, got {p}")
     pt = martingale_prob(a, b)
-    P, Q = psi1._xs, psi2._xs
+    tn, td, pn, pd = pt.numerator, pt.denominator, p.numerator, p.denominator
+    P, Q = [x for x, _ in psi1._pairs], [x for x, _ in psi2._pairs]
     # both inputs in u-coordinates: f1 on uP, f2 on uQ
-    uP, uQ = [pt * x for x in P], [(1 - pt) * x for x in Q]
-    fP = [p * v for _, v in psi1.points]
-    fQ = [(1 - p) * v for _, v in psi2.points]
-    sP, sQ = _slopes(uP, fP), _slopes(uQ, fQ)
-    end = uP[-1] + uQ[-1]
+    uP = [_q(tn * n, td * d) for n, d in P]
+    uQ = [_q((td - tn) * n, td * d) for n, d in Q]
+    fP = [_q(pn * n, pd * d) for _, (n, d) in psi1._pairs]
+    fQ = [_q((pd - pn) * n, pd * d) for _, (n, d) in psi2._pairs]
+    lP, lQ = _lines(uP, fP), _lines(uQ, fQ)
+    end = _q(uP[-1][0] * uQ[-1][1] + uQ[-1][0] * uP[-1][1], uP[-1][1] * uQ[-1][1])
 
-    def copy(shift, us, base, fs, slopes, line):
-        xs = [shift + u for u in us]
-        vs = [base + f for f in fs]
-        if xs[-1] < end:  # flat from the last knot on
+    def copy(shift, base, us, lines, w1):
+        (sn, sd), (bn, bd) = shift, base
+        xs = [_q(sn * d + n * sd, sd * d) for n, d in us]
+        # f(y - shift) + base on each piece
+        ls = [_line(A * sd * bd, (B * sd - A * sn) * bd + bn * D * sd, D * sd * bd) for A, B, D in lines]
+        if xs[-1] != end:  # flat from the last knot on
             xs.append(end)
-            vs.append(base)
-        return xs, vs, slopes, line
+            ls.append(ls[-1])
+        return xs, ls, w1
 
-    zero = Fraction(0)
     # copy i pins w1 = P_i; copy j pins w2 = Q_j, so w1 = (y - uQ_j) / pt
-    copies = [copy(u, uQ, f, fQ, sQ, (zero, x)) for u, f, x in zip(uP, fP, P)]
-    copies += [copy(u, uP, f, fP, sP, (1 / pt, -u / pt)) for u, f in zip(uQ, fQ)]
+    copies = [copy(u, f, uQ, lQ, (0, n, d)) for u, f, (n, d) in zip(uP, fP, P)]
+    copies += [copy(u, f, uP, lP, _line(td * d, -td * n, tn * d)) for u, f, (n, d) in zip(uQ, fQ, uQ)]
     copies.insert(1, copies.pop(len(P)))  # Q_0 right after P_0
-    xs, vs, slopes, line = copies[0]
-    env = (xs, vs, slopes, [line[1]] * len(xs), [line] * len(xs))
+    xs, ls, line = copies[0]
+    env = (xs, [_q(*_ev(l, x)) for l, x in zip(ls, xs)], ls, [P[0]] * len(xs), [line] * len(xs))
     for cp in copies[1:]:
         env = _fold(env, cp)
     X, V, _, K, C = env
-    fn = PwlFn(zip(X, V))
     # from the last event point on everything optimal costs 0, and the
     # smallest optimal w1 is the last psi1 breakpoint; alpha = (w1 - y) / b
-    lines = [((coef - 1) / b, inter / b) for coef, inter in C[: len(X) - 1]]
-    lines.append((-1 / b, P[-1] / b))
-    return fn, PwlControl(X, [(w - y) / b for y, w in zip(X, K)], lines)
+    bn, bd = b.numerator, b.denominator
+    lines = [_line((A - D) * bd, B * bd, D * bn) for A, B, D in C[: len(X) - 1]]
+    lines.append(_line(-P[-1][1] * bd, P[-1][0] * bd, P[-1][1] * bn))
+    at = [_q((wn * yd - yn * wd) * bd, wd * yd * bn) for (yn, yd), (wn, wd) in zip(X, K)]
+    return PwlFn._of(X, V), PwlControl(X, at, lines)
 
 
 def _suffix_minimum(psi: PwlFn):
@@ -371,27 +498,29 @@ def _suffix_minimum(psi: PwlFn):
 
     Returns rows (c, m, w, line) in increasing c: on [c, inf) h has minimum
     m and leftmost minimizer w, and on the open interval up to the next row
-    the leftmost minimizer is coef*c + intercept for line = (coef,
-    intercept): either c itself or a fixed point to the right. The minimum
-    is linear between rows.
+    the leftmost minimizer is line(c), either c itself (SELF) or a fixed
+    point to the right. The minimum is linear between rows.
     """
-    xs = psi._xs
-    hs = [x + v for x, v in psi.points]
-    one, zero = Fraction(1), Fraction(0)
+    xs = [x for x, _ in psi._pairs]
+    hs = [_q(xn * vd + vn * xd, xd * vd) for (xn, xd), (vn, vd) in psi._pairs]
+    SELF = (1, 0, 1)
     # past the last breakpoint h(w) = w rises: every c is its own minimizer
     best, arg = hs[-1], xs[-1]
-    rows = [(xs[-1], best, arg, (one, zero))]
+    rows = [(xs[-1], best, arg, SELF)]
     for t in range(len(xs) - 2, -1, -1):
         x0, x1, h0, h1 = xs[t], xs[t + 1], hs[t], hs[t + 1]
-        if h0 < best < h1:  # h rises through the suffix minimum inside
-            xc = x0 + (best - h0) * (x1 - x0) / (h1 - h0)
-            rows.append((xc, best, xc, (zero, arg)))
-            right = (one, zero)
-        elif h1 == best and h0 <= best:  # h stays at or below it inside
-            right = (one, zero)
+        if _lt(h0, best) and _lt(best, h1):  # h rises through the suffix minimum inside
+            # xc = x0 + (best - h0) * (x1 - x0) / (h1 - h0)
+            num = (best[0] * h0[1] - h0[0] * best[1]) * (x1[0] * x0[1] - x0[0] * x1[1]) * h1[1]
+            den = best[1] * x0[1] * x1[1] * (h1[0] * h0[1] - h0[0] * h1[1])
+            xc = _q(x0[0] * den + num * x0[1], x0[1] * den)
+            rows.append((xc, best, xc, (0, *arg)))
+            right = SELF
+        elif h1 == best and not _lt(best, h0):  # h stays at or below it inside
+            right = SELF
         else:
-            right = (zero, arg)
-        if h0 <= best:
+            right = (0, *arg)
+        if not _lt(best, h0):
             best, arg = h0, x0
         rows.append((x0, best, arg, right))
     rows.reverse()
@@ -415,17 +544,23 @@ def infusion_transform(psi: PwlFn, A):
     A = to_rational(A)
     if A < 0:
         raise ContractError(f"obligation must be nonnegative, got {A}")
+    an, ad = A.numerator, A.denominator
     rows = _suffix_minimum(psi)
+
+    def minus(q, c):
+        return _q(q[0] * c[1] - c[0] * q[1], q[1] * c[1])
+
     # y = A + c for the row at c; z = w - (y - A) and a minimizer
-    # coef*c + intercept becomes z = (coef - 1)*y + intercept + (1 - coef)*A
-    xs = [A + c for c, _, _, _ in rows]
-    pts = [(A + c, m - c) for c, m, _, _ in rows]
-    at = [w - c for c, _, w, _ in rows]
-    lines = [(coef - 1, inter + (1 - coef) * A) for _, _, _, (coef, inter) in rows]
+    # (P*c + R)/D becomes z = ((P - D)*y + R - (P - D)*A)/D
+    xs = [_q(c[0] * ad + an * c[1], c[1] * ad) for c, _, _, _ in rows]
+    vs = [minus(m, c) for c, m, _, _ in rows]
+    at = [minus(w, c) for c, _, w, _ in rows]
+    lines = [_line((P - D) * ad, R * ad - (P - D) * an, D * ad) for _, _, _, (P, R, D) in rows]
     if A > 0:  # below A the ray starts at 0: z = w(0) + A - y
         _, m0, w0, _ = rows[0]
-        xs.insert(0, Fraction(0))
-        pts.insert(0, (Fraction(0), A + m0))
-        at.insert(0, w0 + A)
-        lines.insert(0, (Fraction(-1), w0 + A))
-    return PwlFn(pts), PwlControl(xs, at, lines)
+        s0 = _q(w0[0] * ad + an * w0[1], w0[1] * ad)
+        xs.insert(0, (0, 1))
+        vs.insert(0, _q(m0[0] * ad + an * m0[1], m0[1] * ad))
+        at.insert(0, s0)
+        lines.insert(0, (-s0[1], s0[0], s0[1]))
+    return PwlFn._of(xs, vs), PwlControl(xs, at, lines)

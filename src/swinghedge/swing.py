@@ -140,13 +140,6 @@ class ResolvedPlay:
         self.L = L
         self.events = events  # path -> tuple of ClaimEvent, length L
 
-    def payoff_levels(self, path: int):
-        return tuple(e.level for e in self.events[path])
-
-    def counter(self, path: int, k: int) -> int:
-        """Number of claims settled by level k along the path."""
-        return sum(1 for e in self.events[path] if e.level <= k)
-
 
 def resolve_path(s: StoppingStrategy, b: StoppingStrategy, path: int) -> tuple:
     """The ClaimEvent sequence of seller s against buyer b on one path."""

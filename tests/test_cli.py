@@ -78,6 +78,16 @@ def test_curve_csv_written(spec_file, tmp_path, capsys):
     assert len(lines) > 2
 
 
+def test_curve_csv_unwritable_path_is_refused(spec_file, tmp_path, capsys):
+    csv = tmp_path / "missing" / "curve.csv"
+    assert main(["risk-curve", spec_file, "--csv", str(csv)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: cannot write {csv}: ")
+    assert "Traceback" not in out.err
+    assert not csv.parent.exists()
+
+
 def test_hedge_simulate(spec_file, capsys):
     assert main(["hedge-simulate", spec_file, "--path", "ud"]) == 0
     doc = json.loads(capsys.readouterr().out)

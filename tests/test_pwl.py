@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, InvariantError
 from swinghedge.market import martingale_prob
 from swinghedge.oracle import (
@@ -21,9 +22,13 @@ from swinghedge.pwl import (
     pointwise_min,
     portfolio_transform,
 )
-from swinghedge.shortfall import infusion_minimizer
+from swinghedge.shortfall import build_risk_stack, infusion_minimizer
 
 F = Fraction
+
+# (max breakpoints, max denominator) of random_pwl: the class-sized default,
+# and long lists with large cross-products of numerators and denominators
+SIZES = ((5, 4), (30, 97))
 
 
 def random_pwl(rng, max_pts=5, den=4):
@@ -103,10 +108,10 @@ def test_wire_round_trip():
         PwlFn.from_wire([["1", "1"], ["2", "0"]])
 
 
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_min_max_agree_pointwise(seed):
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(SIZES))
+def test_min_max_agree_pointwise(seed, size):
     rng = random.Random(seed)
-    f, g = random_pwl(rng), random_pwl(rng)
+    f, g = random_pwl(rng, *size), random_pwl(rng, *size)
     lo, hi = pointwise_min(f, g), pointwise_max(f, g)
     for y in probes(f, g, lo, hi):
         assert lo.eval(y) == min(f.eval(y), g.eval(y))
@@ -136,10 +141,10 @@ def test_portfolio_transform_known_case():
     assert F(1, 2) * PwlFn.hockey_stick(F(1)).eval(w1) == fn.eval(F(1, 6))
 
 
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_portfolio_transform_matches_direct_minimum(seed):
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(SIZES))
+def test_portfolio_transform_matches_direct_minimum(seed, size):
     rng = random.Random(seed)
-    psi1, psi2 = random_pwl(rng), random_pwl(rng)
+    psi1, psi2 = random_pwl(rng, *size), random_pwl(rng, *size)
     p, a, b = random_market_bits(rng)
     fn, ctrl = portfolio_transform(psi1, psi2, p, a, b)
     for y in probes(psi1, psi2, fn, extra=ctrl.xs):
@@ -188,10 +193,10 @@ def test_infusion_transform_known_cases():
     assert ctrl.eval(2) == 0
 
 
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_infusion_transform_matches_direct_minimum(seed):
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(SIZES))
+def test_infusion_transform_matches_direct_minimum(seed, size):
     rng = random.Random(seed)
-    psi = random_pwl(rng)
+    psi = random_pwl(rng, *size)
     A = F(rng.randint(0, 8), rng.randint(1, 4))
     fn, ctrl = infusion_transform(psi, A)
     for y in probes(psi, fn, extra=ctrl.xs + [A]):
@@ -216,12 +221,12 @@ def test_infusion_grid_oracle_upper_bounds(seed):
     assert fn.eval(y) <= fine <= coarse
 
 
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_infusion_minimizer_matches_the_oracle(seed):
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(SIZES))
+def test_infusion_minimizer_matches_the_oracle(seed, size):
     # after an unpaid obligation the wealth y is negative: the debt -y is
     # the obligation A, due at wealth 0
     rng = random.Random(seed)
-    psi = random_pwl(rng)
+    psi = random_pwl(rng, *size)
     ys = [-y for y in probes(psi)] + probes(psi)
     for y in ys:
         A = max(-y, F(0))
@@ -275,6 +280,32 @@ def test_controls_are_the_smallest_minimizers_on_ties(kind):
             for y in probes(psi, gn, extra=gctrl.xs + [A]):
                 assert gn.eval(y) == infusion_value_at(psi, A, y)
                 assert gctrl.eval(y) == infusion_argmin_at(psi, A, y)
+
+
+# ---- the transforms inside the risk stack ----------------------------------
+
+def test_stack_portfolio_functions_and_controls_match_the_oracle():
+    # riskcurve-markov's market on an N=6 lattice with three rights: every
+    # phi and its control against the oracle on the children's J
+    p, a, b = F(3, 5), F(-1, 3), F(1, 2)
+    contract = build_contract({
+        "model": {"S0": "1", "a": "-1/3", "b": "1/2", "p": "3/5", "N": 6},
+        "claims": [
+            {"exercise": {"kind": kind, "strike": "1"},
+             "penalty": {"kind": "constant", "value": "1/10"}}
+            for kind in ("call", "put", "call")
+        ],
+    })
+    stack = build_risk_stack(contract)
+    tree = contract.tree
+    assert tree.recombining
+    for (k, s, j), ctrl in stack.phi_ctrl.items():
+        up, dn = tree.children(k, s)
+        psi1, psi2 = stack.J[(k + 1, up, j)], stack.J[(k + 1, dn, j)]
+        fn = stack.phi[(k, s, j)]
+        for y in probes(fn):
+            assert fn.eval(y) == portfolio_value_at(psi1, psi2, p, a, b, y)
+            assert ctrl.eval(y) == portfolio_argmin_at(psi1, psi2, p, a, b, y)
 
 
 # ---- transform outputs stay in the class ----------------------------------

@@ -303,7 +303,7 @@ def test_stack_portfolio_functions_and_controls_match_the_oracle():
         up, dn = tree.children(k, s)
         psi1, psi2 = stack.J[(k + 1, up, j)], stack.J[(k + 1, dn, j)]
         fn = stack.phi[(k, s, j)]
-        for y in probes(fn):
+        for y in probes(fn, extra=ctrl.xs):
             assert fn.eval(y) == portfolio_value_at(psi1, psi2, p, a, b, y)
             assert ctrl.eval(y) == portfolio_argmin_at(psi1, psi2, p, a, b, y)
 

@@ -13,4 +13,4 @@ from .shortfall import (
     optimal_hedge,
     shortfall_risk,
 )
-from .swing import game_value, optimal_strategies, price_swing
+from .swing import optimal_strategies, price_swing

@@ -22,6 +22,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 from .contract import build_contract, load_contract
@@ -252,8 +253,14 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The parser, built on the first call and shared by later ones."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ContractError as exc:

@@ -16,7 +16,10 @@ evaluated at the node reached at level min(m, n).
 Contracts are ingested from a small JSON schema, validated as a whole, then
 materialized as one value per state of the contract's state space (the
 recombining lattice when every leg is Markov, else the full tree) and checked
-(0 <= Y <= X everywhere).
+(0 <= Y <= X everywhere). Materialization works on the integer rows of
+AdaptedProcess: each leg level is a list of numerators over the smallest
+common denominator of the level, computed from the stock prices and the
+scalars with integer arithmetic.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ContractError
 from .market import (
@@ -32,6 +36,7 @@ from .market import (
     ScenarioTree,
     build_tree,
     format_rational,
+    normalized,
     to_rational,
 )
 
@@ -178,15 +183,18 @@ def _table_process(rows, tree: ScenarioTree) -> AdaptedProcess:
 
 def _exercise_process(leg, tree: ScenarioTree) -> AdaptedProcess:
     kind, arg = leg
-    if kind == "call":
-        return AdaptedProcess.from_function(tree, lambda k, s, price: max(price - arg, Fraction(0)))
-    if kind == "put":
-        return AdaptedProcess.from_function(tree, lambda k, s, price: max(arg - price, Fraction(0)))
-    return _table_process(arg, tree)
-
-
-def _max_node_value(proc: AdaptedProcess) -> Fraction:
-    return max(v for level in proc.values for v in level)
+    if kind == "table":
+        return _table_process(arg, tree)
+    kn, kd = arg.numerator, arg.denominator
+    sign = 1 if kind == "call" else -1
+    nums, dens = [], []
+    for row, pd in zip(tree.stock.nums, tree.stock.dens):
+        den = lcm(pd, kd)
+        a, b = sign * (den // pd), sign * kn * (den // kd)
+        row, den = normalized([max(p * a - b, 0) for p in row], den)
+        nums.append(row)
+        dens.append(den)
+    return AdaptedProcess._of(tree, nums, dens)
 
 
 def _proxy_constant(exercise_procs, finite_penalty_caps) -> Fraction:
@@ -198,22 +206,29 @@ def _proxy_constant(exercise_procs, finite_penalty_caps) -> Fraction:
     """
     total = Fraction(1)
     for proc in exercise_procs:
-        total += _max_node_value(proc)
+        total += proc.max_value()
     for cap in finite_penalty_caps:
         total += cap
     return total
 
 
-def _penalty_rows(leg, Y: AdaptedProcess, tree: ScenarioTree, proxy_default) -> list:
-    """Per-state penalty X - Y; only table penalties apply at maturity."""
+def _penalty_rows(leg, Y: AdaptedProcess, tree: ScenarioTree, proxy_default) -> tuple:
+    """Per-state penalty X - Y as (numerator rows, level denominators); only
+    table penalties apply at maturity."""
     kind, arg = leg
     N = tree.N
     if kind == "table":
-        return _table_process(arg, tree).values
+        delta = _table_process(arg, tree)
+        return delta.nums, delta.dens
     if kind == "proportional":
-        return [[arg * y if k < N else Fraction(0) for y in row] for k, row in enumerate(Y.values)]
-    c = proxy_default if arg is None else arg
-    return [[c if k < N else Fraction(0)] * tree.width(k) for k in range(N + 1)]
+        fn, fd = arg.numerator, arg.denominator
+        rows = [normalized([fn * y for y in row], fd * den)
+                for row, den in zip(Y.nums[:N], Y.dens)]
+    else:
+        c = proxy_default if arg is None else arg
+        rows = [([c.numerator] * tree.width(k), c.denominator) for k in range(N)]
+    rows.append(([0] * tree.width(N), 1))
+    return [row for row, _ in rows], [den for _, den in rows]
 
 
 def build_contract(spec: dict, tree: ScenarioTree = None) -> SwingContract:
@@ -254,29 +269,37 @@ def build_contract(spec: dict, tree: ScenarioTree = None) -> SwingContract:
         if kind == "constant":
             finite_caps.append(abs(arg))
         elif kind == "proportional":
-            finite_caps.append(abs(arg) * _max_node_value(Y))
+            finite_caps.append(abs(arg) * Y.max_value())
         elif kind == "table":
             finite_caps.append(max(abs(v) for row in arg for v in row))
     proxy_default = _proxy_constant(exercise_procs, finite_caps)
 
     claims = []
     for idx, (Y, (_, pen)) in enumerate(zip(exercise_procs, legs), start=1):
-        delta = _penalty_rows(pen, Y, tree, proxy_default)
-        X = AdaptedProcess(tree, [
-            [y + d for y, d in zip(y_row, d_row)] for y_row, d_row in zip(Y.values, delta)
-        ])
-        # states in level order: the first failing state names its smallest node
+        delta_nums, delta_dens = _penalty_rows(pen, Y, tree, proxy_default)
+        x_nums, x_dens = [], []
+        for y_row, dy, d_row, dd in zip(Y.nums, Y.dens, delta_nums, delta_dens):
+            den = lcm(dy, dd)
+            fy, fd = den // dy, den // dd
+            row, den = normalized([y * fy + d * fd for y, d in zip(y_row, d_row)], den)
+            x_nums.append(row)
+            x_dens.append(den)
+        X = AdaptedProcess._of(tree, x_nums, x_dens)
+        # states in level order: the first failing state names its smallest
+        # node; X < Y exactly where the penalty is negative
         for k in range(tree.N + 1):
-            for s, (y, x) in enumerate(zip(Y.values[k], X.values[k])):
+            if min(Y.nums[k]) >= 0 and min(delta_nums[k]) >= 0:
+                continue
+            for s, (y, d) in enumerate(zip(Y.nums[k], delta_nums[k])):
                 if y < 0:
                     raise ContractError(
-                        f"claim {idx}: negative exercise payoff {format_rational(y)} "
+                        f"claim {idx}: negative exercise payoff {format_rational(Y.row(k)[s])} "
                         f"at {_node_name(k, next(tree.nodes_of(k, s)))}"
                     )
-                if x < y:
+                if d < 0:
                     raise ContractError(
-                        f"claim {idx}: cancellation payoff {format_rational(x)} below "
-                        f"exercise payoff {format_rational(y)} at "
+                        f"claim {idx}: cancellation payoff {format_rational(X.row(k)[s])} below "
+                        f"exercise payoff {format_rational(Y.row(k)[s])} at "
                         f"{_node_name(k, next(tree.nodes_of(k, s)))}"
                     )
         claims.append(ClaimPayoffs(exercise=Y, cancel=X))

@@ -15,6 +15,13 @@ optimal. When the order Y <= X fails at a node the value is simply Y there
 (the maximizer stops; waiting is dominated). That branch never fires in the
 pricing pipeline, but the shortfall engine feeds cost processes with no order
 guarantee through the same recursion shape.
+
+The recursion runs on integers. For q = u / v, solve_dynkin lifts X and Y to
+per-level denominators C_k (see market.level_scales) with C_k a multiple of
+v * C_{k+1}. Then E[V(k+1) | node] is the integer u * up + (v - u) * down
+times C_k / (v * C_{k+1}), and every min, max and tie is an integer
+comparison. V shares the C_k; a Fraction is built only where a caller reads
+one through V.at or V.values.
 """
 
 from __future__ import annotations
@@ -22,8 +29,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractError
-from .market import MARTINGALE, AdaptedProcess, ScenarioTree, measure_prob
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
+from .market import (
+    MARTINGALE,
+    AdaptedProcess,
+    ScenarioTree,
+    expectation_row,
+    level_scales,
+    lift,
+    measure_prob,
+)
 
 
 class StoppingTime:
@@ -86,30 +101,39 @@ class DynkinSolution:
 
 def solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = MARTINGALE,
                  start_level: int = 0) -> DynkinSolution:
-    """Backward induction for the game value and both optimal stopping times."""
+    """Backward induction for the game value and both optimal stopping times.
+
+    The value process has the level denominators C_k of level_scales for X
+    and Y; when X and Y already share such denominators (as the swing stack
+    builds them), V shares them too.
+    """
     tree = X.tree
     if Y.tree is not tree:
         raise ContractError("X and Y must live on the same tree")
     q = measure_prob(tree, measure)
     N = tree.N
+    scales = level_scales(tree, q.denominator, X.dens, Y.dens)
+    xs = [lift(row, c // d) for row, c, d in zip(X.nums, scales, X.dens)]
+    ys = [lift(row, c // d) for row, c, d in zip(Y.nums, scales, Y.dens)]
 
     values = [None] * (N + 1)
-    values[N] = list(Y.values[N])
+    values[N] = list(ys[N])
     for k in range(N - 1, -1, -1):
         row = []
-        ups, downs = tree.child_rows(values[k + 1])
-        for y, x, up, down in zip(Y.values[k], X.values[k], ups, downs):
+        conts = expectation_row(tree, values[k + 1], q,
+                                scales[k] // (q.denominator * scales[k + 1]))
+        for y, x, cont in zip(ys[k], xs[k], conts):
             if y > x:
                 row.append(y)
             else:
-                row.append(min(x, max(y, q * up + (1 - q) * down)))
+                row.append(min(x, max(y, cont)))
         values[k] = row
-    V = AdaptedProcess(tree, values)
+    V = AdaptedProcess._of(tree, values, scales)
 
     seller = {}
     buyer = {}
     for k in range(start_level, N):
-        for s, (x, y, v) in enumerate(zip(X.values[k], Y.values[k], values[k])):
+        for s, (x, y, v) in enumerate(zip(xs[k], ys[k], values[k])):
             if x <= v:
                 seller[(k, s)] = True
             if y == v:
@@ -139,15 +163,21 @@ def evaluate_game(X: AdaptedProcess, Y: AdaptedProcess, sigma: StoppingTime,
 
 
 def certify_stopped_values(X: AdaptedProcess, Y: AdaptedProcess,
-                           measure: str = MARTINGALE, start_level: int = 0):
+                           measure: str = MARTINGALE, start_level: int = 0,
+                           cap=DEFAULT_ENUMERATION_CAP):
     """Check the three stopped-value properties of the solved game.
 
     The value process stopped at the seller's optimal time must be a
     supermartingale, stopped at the buyer's a submartingale, and stopped at
     the earlier of the two a martingale, from start_level on. Returns
-    (ok, failures) where failures lists (property, level, node).
+    (ok, failures) where failures lists (property, level, node). The check
+    visits every full-tree node, so a tree of more than `cap` of them is
+    refused before the game is solved.
     """
     tree = X.tree
+    nodes = 2 ** (tree.N + 1) - 1
+    if nodes > cap:
+        raise EnumerationCapError(nodes, cap)
     q = measure_prob(tree, measure)
     sol = solve_dynkin(X, Y, measure, start_level)
     V, sig, tau = sol.value, sol.seller_stop, sol.buyer_stop

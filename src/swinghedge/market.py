@@ -14,9 +14,14 @@ up-counts of level k on the recombining (Cox-Ross-Rubinstein) lattice. The
 lattice is exact whenever every payoff depends on the node only through its
 up-count; path-dependent payoffs need the full tree.
 
-Everything is a fractions.Fraction. The recursions downstream contain exact
-equality tests (optimal stopping ties, piecewise-linear breakpoints), so
-floating point is never used.
+Every scalar is exact. Model parameters are fractions.Fraction. An
+AdaptedProcess, the stock price process among them, holds integers: per
+level, a list of numerators over one positive denominator, so sums,
+expectations and comparisons within a level are integer operations. Its
+Fraction view (`values`, `at`, and the tree's `state_price` and `price`) is
+built per level on first read and then kept. The recursions downstream
+contain exact equality tests (optimal stopping ties, piecewise-linear
+breakpoints), so floating point is never used.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, gcd, lcm
 
 from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
 
@@ -167,9 +173,10 @@ class ScenarioTree:
     With recombining=True they are the k + 1 up-counts of the Cox-Ross-
     Rubinstein lattice; state s then stands for every node with s up moves.
 
-    state_price[k][s] is the stock price in state s of level k; price[k][m]
-    reads the same prices by full-tree node index, on either space.
-    Immutable after build; share freely.
+    stock is the stock price process, as integers. state_price[k][s] is the
+    stock price in state s of level k as a Fraction; price[k][m] reads the
+    same prices by full-tree node index, on either space. Both are built on
+    first read. Immutable after build; share freely.
     """
 
     def __init__(self, params: MarketParams, recombining: bool = False):
@@ -181,17 +188,29 @@ class ScenarioTree:
         if self.node_count > DEFAULT_ENUMERATION_CAP:
             raise EnumerationCapError(self.node_count, DEFAULT_ENUMERATION_CAP)
         up, down = 1 + params.b, 1 + params.a
-        rows = [[params.S0]]
+        to_up = up.numerator * down.denominator
+        to_down = down.numerator * up.denominator
+        step = up.denominator * down.denominator
+        rows, dens = [[params.S0.numerator]], [params.S0.denominator]
         for _ in range(self.N):
             prev = rows[-1]
-            rows.append([s * down for s in prev] + [prev[-1] * up])
-        if recombining:
-            self.state_price = rows
-        else:
-            self.state_price = [
-                [row[m.bit_count()] for m in range(2 ** k)] for k, row in enumerate(rows)
-            ]
-        self.price = self.by_node(self.state_price)
+            row, den = normalized([s * to_down for s in prev] + [prev[-1] * to_up],
+                                  dens[-1] * step)
+            rows.append(row)
+            dens.append(den)
+        if not recombining:
+            rows = [[row[m.bit_count()] for m in range(2 ** k)] for k, row in enumerate(rows)]
+        self.stock = AdaptedProcess._of(self, rows, dens)
+
+    @cached_property
+    def state_price(self) -> list:
+        """Stock price rows, Fractions, aligned with the states."""
+        return self.stock.values
+
+    @cached_property
+    def price(self) -> list:
+        """Stock price rows read by full-tree node index."""
+        return self.by_node(self.state_price)
 
     def width(self, k: int) -> int:
         """Number of states at level k."""
@@ -274,22 +293,46 @@ def measure_prob(tree: ScenarioTree, measure: str) -> Fraction:
 
 
 class AdaptedProcess:
-    """One rational per state: values[k][s] aligns with tree.state_price.
+    """One rational per state, held as integers over one denominator per level.
 
-    at(k, m) reads by full-tree node index m on either state space.
+    Level k is nums[k], a list of int numerators aligned with
+    tree.state_price[k], over dens[k], a positive int: the value of state s
+    is nums[k][s] / dens[k]. The denominator need not be the smallest one, so
+    processes that are compared or added level by level can share it.
+    values[k][s] and at(k, m) (by full-tree node index m on either state
+    space) read Fractions, built per level on first read and then kept.
     """
 
     def __init__(self, tree: ScenarioTree, values):
-        self.tree = tree
-        self.values = values
         if len(values) != tree.N + 1:
             raise ContractError("process does not cover every level")
+        nums, dens = [], []
         for k, level in enumerate(values):
             if len(level) != tree.width(k):
                 raise ContractError(
                     f"level {k} has {len(level)} values, wants {tree.width(k)}"
                 )
-        self._by_node = tree.by_node(values)
+            row = [to_rational(v) for v in level]
+            den = lcm(*(q.denominator for q in row))
+            nums.append([q.numerator * (den // q.denominator) for q in row])
+            dens.append(den)
+        self._set(tree, nums, dens)
+
+    @classmethod
+    def _of(cls, tree: ScenarioTree, nums: list, dens: list) -> "AdaptedProcess":
+        """The process with numerator rows nums over level denominators dens,
+        taken as they are: no copy, no check."""
+        proc = cls.__new__(cls)
+        proc._set(tree, nums, dens)
+        return proc
+
+    def _set(self, tree, nums, dens):
+        self.tree = tree
+        self.nums = nums
+        self.dens = dens
+        self._rows = [None] * len(nums)
+        self._by_node = [None] * len(nums)
+        self._values = None
 
     @classmethod
     def from_function(cls, tree: ScenarioTree, fn) -> "AdaptedProcess":
@@ -303,21 +346,100 @@ class AdaptedProcess:
     @classmethod
     def constant(cls, tree: ScenarioTree, c) -> "AdaptedProcess":
         c = to_rational(c)
-        return cls(tree, [[c] * tree.width(k) for k in range(tree.N + 1)])
+        return cls._of(
+            tree,
+            [[c.numerator] * tree.width(k) for k in range(tree.N + 1)],
+            [c.denominator] * (tree.N + 1),
+        )
+
+    def row(self, k: int) -> list:
+        """The Fractions of level k, one per state."""
+        row = self._rows[k]
+        if row is None:
+            den = self.dens[k]
+            row = self._rows[k] = [Fraction(n, den) for n in self.nums[k]]
+        return row
+
+    @property
+    def values(self) -> list:
+        """The Fractions of every level: values[k][s]."""
+        if self._values is None:
+            self._values = [self.row(k) for k in range(len(self.nums))]
+        return self._values
 
     def at(self, k: int, m: int) -> Fraction:
-        return self._by_node[k][m]
+        row = self._by_node[k]
+        if row is None:
+            row = self.row(k)
+            if self.tree.recombining:
+                row = _UpCountRow(row)
+            self._by_node[k] = row
+        return row[m]
+
+    def max_value(self) -> Fraction:
+        """The largest value over all states."""
+        best, best_den = max(self.nums[0]), self.dens[0]
+        for row, den in zip(self.nums, self.dens):
+            top = max(row)
+            if top * best_den > best * den:
+                best, best_den = top, den
+        return Fraction(best, best_den)
+
+
+def lift(nums: list, factor: int) -> list:
+    """A numerator row moved to a denominator `factor` times its own."""
+    return nums if factor == 1 else [n * factor for n in nums]
+
+
+def normalized(nums: list, den: int):
+    """(nums, den) divided by their common factor: den is then the smallest
+    denominator of the row."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [n // g for n in nums], den // g
+
+
+def level_scales(tree: ScenarioTree, v: int, *den_rows) -> list:
+    """Per-level common denominators for a backward recursion with up
+    probability u/v.
+
+    C_N is the lcm of the given level-N denominators, and C_k the lcm of the
+    level-k ones and v * C_{k+1}. Each den_rows entry lists one process's
+    level denominators. Every given process then lifts to C_k by an integer
+    factor, and so does the expectation of a C_{k+1} row, whose numerators
+    u*up + (v-u)*down are over v * C_{k+1}.
+    """
+    N = tree.N
+    scales = [0] * (N + 1)
+    scales[N] = lcm(*(dens[N] for dens in den_rows))
+    for k in range(N - 1, -1, -1):
+        scales[k] = lcm(v * scales[k + 1], *(dens[k] for dens in den_rows))
+    return scales
+
+
+def expectation_row(tree: ScenarioTree, row: list, q: Fraction, factor: int = 1) -> list:
+    """Numerators of the one-step expectation from each state of a level.
+
+    row holds the numerators of the level below over one denominator d. For
+    q = u / v the result is factor * (u * up + (v - u) * down) over
+    factor * v * d, one entry per state of the level above.
+    """
+    up_rows, down_rows = tree.child_rows(row)
+    fu = factor * q.numerator
+    fw = factor * (q.denominator - q.numerator)
+    return [fu * up + fw * down for up, down in zip(up_rows, down_rows)]
 
 
 def one_step_expectation(proc: AdaptedProcess, level: int, measure: str) -> list:
     """Conditional expectation of the level+1 values, seen from each level state.
 
-    Returns the list of expectations indexed like the space's `level` row.
-    measure is "market" (probability p) or "martingale" (ptilde).
+    Returns the list of expectations, as Fractions, indexed like the space's
+    `level` row. measure is "market" (probability p) or "martingale" (ptilde).
     """
     tree = proc.tree
     if not (0 <= level < tree.N):
         raise ContractError(f"level {level} out of range for horizon {tree.N}")
     q = measure_prob(tree, measure)
-    ups, downs = tree.child_rows(proc.values[level + 1])
-    return [q * u + (1 - q) * d for u, d in zip(ups, downs)]
+    den = q.denominator * proc.dens[level + 1]
+    return [Fraction(n, den) for n in expectation_row(tree, proc.nums[level + 1], q)]

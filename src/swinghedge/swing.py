@@ -11,11 +11,19 @@ price is V_L at the root. The added term is the value of everything still to
 come, delayed one period (no delay at maturity, where all remaining claims
 settle together).
 
+The stack runs on integers. Every Xk, Yk and Vk holds, per level n, its
+numerators over one shared denominator C_n: the market.level_scales of the
+contract's legs under ptilde = u / v, so C_n is a multiple of v * C_{n+1}.
+The delayed continuation E~[V_{k-1}(n+1) | node] is then the integer
+u * up + (v - u) * down lifted to C_n by one integer factor, and every min,
+max and tie of the recursion and of both strategy tables compares
+numerators. Fractions are built only where a caller reads one: the price,
+the root values and the V entries a hedge reads, through AdaptedProcess.at.
+
 Strategies here are per-claim stopping rules fed with the realized payoff
 history ((a_1, d_1), ..), a_j the j-th payoff level and d_j = 1 when the
 seller cancelled strictly first. resolve() plays two strategies against each
-other pathwise; game_value() takes the expectation of the resulting payoff
-stream under the martingale measure.
+other pathwise.
 """
 
 from __future__ import annotations
@@ -26,7 +34,14 @@ from fractions import Fraction
 from .contract import SwingContract
 from .dynkin import DynkinSolution, StoppingTime, solve_dynkin
 from .errors import ContractError
-from .market import MARTINGALE, AdaptedProcess, ScenarioTree, one_step_expectation
+from .market import (
+    MARTINGALE,
+    AdaptedProcess,
+    ScenarioTree,
+    expectation_row,
+    level_scales,
+    lift,
+)
 
 
 class StoppingStrategy:
@@ -170,24 +185,13 @@ def resolve(s: StoppingStrategy, b: StoppingStrategy) -> ResolvedPlay:
     return ResolvedPlay(s.tree, s.L, events)
 
 
-def game_value(contract: SwingContract, s: StoppingStrategy, b: StoppingStrategy) -> Fraction:
-    """Expected total settlement under the martingale measure."""
-    tree = contract.tree
-    play = resolve(s, b)
-    total = Fraction(0)
-    for path in tree.paths():
-        amount = Fraction(0)
-        for i, ev in enumerate(play.events[path], start=1):
-            node = tree.node_on_path(path, ev.level)
-            proc = contract.Y(i) if ev.d == 0 else contract.X(i)
-            amount += proc.at(ev.level, node)
-        total += tree.path_prob(path, tree.ptilde) * amount
-    return total
-
-
 @dataclass
 class ValueStack:
-    """Aggregated processes Xk, Yk, Vk for k = 1..L remaining claims."""
+    """Aggregated processes Xk, Yk, Vk for k = 1..L remaining claims.
+
+    All three processes of every stack level share one denominator per
+    tree level.
+    """
 
     contract: SwingContract
     X: list  # X[k-1] is the k-remaining aggregate cancellation process
@@ -203,26 +207,34 @@ def price_swing(contract: SwingContract):
     """Build the value stack; returns (stack, price at the root)."""
     tree = contract.tree
     L, N = contract.L, tree.N
+    q = tree.ptilde
+    legs = [leg for claim in contract.claims for leg in (claim.cancel, claim.exercise)]
+    scales = level_scales(tree, q.denominator, *(leg.dens for leg in legs))
+    steps = [scales[n] // (q.denominator * scales[n + 1]) for n in range(N)]
+
+    def lifted(leg):
+        return [lift(row, c // d) for row, c, d in zip(leg.nums, scales, leg.dens)]
+
     xs, ys, vs, sols = [], [], [], []
-    v_prev = AdaptedProcess.constant(tree, 0)
+    v_prev = [[0] * tree.width(n) for n in range(N + 1)]
     for k in range(1, L + 1):
         i = L - k + 1
-        cont_rows = [one_step_expectation(v_prev, n, MARTINGALE) for n in range(N)]
-        cont_rows.append(list(v_prev.values[N]))  # no delay left at maturity
-        Xk = AdaptedProcess(tree, [
+        cont_rows = [expectation_row(tree, v_prev[n + 1], q, steps[n]) for n in range(N)]
+        cont_rows.append(v_prev[N])  # no delay left at maturity
+        Xk = AdaptedProcess._of(tree, [
             [x + c for x, c in zip(row, cont)]
-            for row, cont in zip(contract.X(i).values, cont_rows)
-        ])
-        Yk = AdaptedProcess(tree, [
+            for row, cont in zip(lifted(contract.X(i)), cont_rows)
+        ], scales)
+        Yk = AdaptedProcess._of(tree, [
             [y + c for y, c in zip(row, cont)]
-            for row, cont in zip(contract.Y(i).values, cont_rows)
-        ])
+            for row, cont in zip(lifted(contract.Y(i)), cont_rows)
+        ], scales)
         sol = solve_dynkin(Xk, Yk, MARTINGALE)
         xs.append(Xk)
         ys.append(Yk)
         vs.append(sol.value)
         sols.append(sol)
-        v_prev = sol.value
+        v_prev = sol.value.nums
     stack = ValueStack(contract=contract, X=xs, Y=ys, V=vs, solutions=sols)
     return stack, stack.price()
 
@@ -233,7 +245,9 @@ def optimal_strategies(stack: ValueStack):
     Claim i consults stack level k = L-i+1: the seller stops where Xk = Vk,
     the buyer where Yk = Vk, each at the first such level inside the claim's
     window (level N is forced by the resolver). The tables hold one entry
-    per state of the contract's state space.
+    per state of the contract's state space. The three processes of a
+    stack level share their level denominators, so the ties are numerator
+    equalities.
     """
     contract = stack.contract
     tree = contract.tree
@@ -245,7 +259,7 @@ def optimal_strategies(stack: ValueStack):
         st = {}
         bt = {}
         for lvl in range(N):
-            rows = zip(Xk.values[lvl], Yk.values[lvl], Vk.values[lvl])
+            rows = zip(Xk.nums[lvl], Yk.nums[lvl], Vk.nums[lvl])
             for s, (x, y, v) in enumerate(rows):
                 if x == v:
                     st[(lvl, s)] = True

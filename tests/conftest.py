@@ -9,15 +9,29 @@ awkward to express as composite strategies.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import settings
 
 from swinghedge.contract import build_contract
-from swinghedge.market import MarketParams, build_tree
+from swinghedge.market import MarketParams, ScenarioTree, build_tree
 from swinghedge.oracle import DictStrategy
 from swinghedge.swing import window_start
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def no_full_tree(monkeypatch):
+    """Fail any test that builds a full binary tree."""
+    init = ScenarioTree.__init__
+
+    def lattice_only(self, params, recombining=False):
+        if not recombining:
+            raise AssertionError("a full tree was built")
+        init(self, params, recombining)
+
+    monkeypatch.setattr(ScenarioTree, "__init__", lattice_only)
 
 
 def random_params(rng: random.Random, max_n=3, n=None) -> MarketParams:

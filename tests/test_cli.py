@@ -50,6 +50,40 @@ def test_runs_are_byte_identical(spec_file, capsys):
     assert len(runs) == 1
 
 
+def _call(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on bad usage
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_shared_parser_answers_like_a_fresh_one(spec_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    calls = [
+        ["price", spec_file],
+        ["price", spec_file, "--decimal"],
+        ["strategies", spec_file],
+        ["hedge-simulate", spec_file, "--path", "ud", "--decimal"],
+        ["risk", spec_file, "--capital", "1/20"],
+        ["risk-curve", spec_file],
+        ["price", str(bad)],
+        ["price", spec_file],
+        ["risk", spec_file],  # usage error: --capital is required
+        ["hedge-simulate", spec_file, "--path", "ud"],
+    ]
+    shared = [_call(argv, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_call(argv, capsys))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 1, 0, 2, 0]
+    assert "--capital" in shared[8][2]
+
+
 def test_decimal_adds_float_rendering(spec_file, capsys):
     from fractions import Fraction
 

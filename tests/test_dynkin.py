@@ -108,3 +108,29 @@ def test_mismatched_trees_rejected():
     _, Y = random_game(rng, n=2)
     with pytest.raises(ContractError):
         solve_dynkin(X, Y)
+
+
+def test_stopped_value_check_refuses_a_deep_tree_before_solving(monkeypatch):
+    import time
+
+    from swinghedge import dynkin
+    from swinghedge.errors import EnumerationCapError
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the game was solved before the cap check")
+
+    monkeypatch.setattr(dynkin, "solve_dynkin", unexpected)
+    tree = build_tree(MarketParams(S0=1, a=Fraction(-1, 3), b=Fraction(1, 2),
+                                   p=Fraction(3, 5), N=60), recombining=True)
+    X, Y = AdaptedProcess.constant(tree, 1), AdaptedProcess.constant(tree, 0)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapError) as err:
+        certify_stopped_values(X, Y)
+    assert time.perf_counter() - start < 1
+    assert err.value.needed == 2 ** 61 - 1
+    # the cap counts full-tree nodes: 15 at N = 3
+    X, Y = random_game(random.Random(29), n=3)
+    with pytest.raises(EnumerationCapError):
+        certify_stopped_values(X, Y, cap=14)
+    monkeypatch.undo()
+    assert certify_stopped_values(X, Y, cap=15)[0]

@@ -24,18 +24,6 @@ from swinghedge.swing import optimal_strategies, price_swing, resolve
 F = Fraction
 
 
-@pytest.fixture
-def no_full_tree(monkeypatch):
-    init = ScenarioTree.__init__
-
-    def lattice_only(self, params, recombining=False):
-        if not recombining:
-            raise AssertionError("a full tree was built")
-        init(self, params, recombining)
-
-    monkeypatch.setattr(ScenarioTree, "__init__", lattice_only)
-
-
 def markov_table(rng, N, scale):
     """Per-node rows constant on every up-count class."""
     rows = []

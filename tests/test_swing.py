@@ -7,11 +7,10 @@ from conftest import random_contract
 from swinghedge.contract import build_contract
 from swinghedge.dynkin import solve_dynkin
 from swinghedge.errors import ContractError, EnumerationCapError
-from swinghedge.oracle import brute_force_value, certify_saddle, play_value
+from swinghedge.oracle import brute_force_value, certify_saddle
 from swinghedge.swing import (
     RuleStrategy,
     TableStrategy,
-    game_value,
     optimal_strategies,
     price_swing,
     resolve,
@@ -76,15 +75,6 @@ def test_tie_settles_as_exercise():
     b2 = TableStrategy.all_wait(c.tree, c.L)
     play2 = resolve(s, b2)
     assert all(play2.events[p][0].d == 1 for p in c.tree.paths())
-
-
-def test_game_value_matches_pathwise_oracle():
-    rng = random.Random(5)
-    for _ in range(50):
-        c = random_contract(rng)
-        s = random_table_strategy(rng, c.tree, c.L)
-        b = random_table_strategy(rng, c.tree, c.L)
-        assert game_value(c, s, b) == play_value(c, s, b)
 
 
 def test_single_right_price_is_the_dynkin_value():

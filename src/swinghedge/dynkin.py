@@ -36,7 +36,6 @@ from .market import (
     ScenarioTree,
     expectation_row,
     level_scales,
-    lift,
     measure_prob,
 )
 
@@ -113,8 +112,7 @@ def solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = MARTINGALE
     q = measure_prob(tree, measure)
     N = tree.N
     scales = level_scales(tree, q.denominator, X.dens, Y.dens)
-    xs = [lift(row, c // d) for row, c, d in zip(X.nums, scales, X.dens)]
-    ys = [lift(row, c // d) for row, c, d in zip(Y.nums, scales, Y.dens)]
+    xs, ys = X.over(scales), Y.over(scales)
 
     values = [None] * (N + 1)
     values[N] = list(ys[N])

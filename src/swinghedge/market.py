@@ -210,7 +210,7 @@ class ScenarioTree:
     @cached_property
     def price(self) -> list:
         """Stock price rows read by full-tree node index."""
-        return self.by_node(self.state_price)
+        return [self.by_node(row) for row in self.state_price]
 
     def width(self, k: int) -> int:
         """Number of states at level k."""
@@ -256,11 +256,9 @@ class ScenarioTree:
         """Number of full-tree nodes of level k held by state s."""
         return comb(k, s) if self.recombining else 1
 
-    def by_node(self, rows):
-        """Per-state rows made readable by full-tree node index."""
-        if self.recombining:
-            return [_UpCountRow(row) for row in rows]
-        return rows
+    def by_node(self, row):
+        """One per-state row made readable by full-tree node index."""
+        return _UpCountRow(row) if self.recombining else row
 
     def node_on_path(self, path: int, k: int) -> int:
         """Index at level k of the node the N-bit path passes through."""
@@ -337,11 +335,10 @@ class AdaptedProcess:
     @classmethod
     def from_function(cls, tree: ScenarioTree, fn) -> "AdaptedProcess":
         """Build from fn(level, state, price) -> rational."""
-        values = [
-            [to_rational(fn(k, s, price)) for s, price in enumerate(row)]
+        return cls(tree, [
+            [fn(k, s, price) for s, price in enumerate(row)]
             for k, row in enumerate(tree.state_price)
-        ]
-        return cls(tree, values)
+        ])
 
     @classmethod
     def constant(cls, tree: ScenarioTree, c) -> "AdaptedProcess":
@@ -370,11 +367,19 @@ class AdaptedProcess:
     def at(self, k: int, m: int) -> Fraction:
         row = self._by_node[k]
         if row is None:
-            row = self.row(k)
-            if self.tree.recombining:
-                row = _UpCountRow(row)
-            self._by_node[k] = row
+            row = self._by_node[k] = self.tree.by_node(self.row(k))
         return row[m]
+
+    def over(self, scales: list) -> list:
+        """The numerator rows over the level denominators `scales`, each a
+        multiple of this process's own."""
+        rows = []
+        for row, c, d in zip(self.nums, scales, self.dens):
+            if c != d:
+                factor = c // d
+                row = [n * factor for n in row]
+            rows.append(row)
+        return rows
 
     def max_value(self) -> Fraction:
         """The largest value over all states."""
@@ -384,11 +389,6 @@ class AdaptedProcess:
             if top * best_den > best * den:
                 best, best_den = top, den
         return Fraction(best, best_den)
-
-
-def lift(nums: list, factor: int) -> list:
-    """A numerator row moved to a denominator `factor` times its own."""
-    return nums if factor == 1 else [n * factor for n in nums]
 
 
 def normalized(nums: list, den: int):

@@ -40,7 +40,6 @@ from .market import (
     ScenarioTree,
     expectation_row,
     level_scales,
-    lift,
 )
 
 
@@ -212,9 +211,6 @@ def price_swing(contract: SwingContract):
     scales = level_scales(tree, q.denominator, *(leg.dens for leg in legs))
     steps = [scales[n] // (q.denominator * scales[n + 1]) for n in range(N)]
 
-    def lifted(leg):
-        return [lift(row, c // d) for row, c, d in zip(leg.nums, scales, leg.dens)]
-
     xs, ys, vs, sols = [], [], [], []
     v_prev = [[0] * tree.width(n) for n in range(N + 1)]
     for k in range(1, L + 1):
@@ -223,11 +219,11 @@ def price_swing(contract: SwingContract):
         cont_rows.append(v_prev[N])  # no delay left at maturity
         Xk = AdaptedProcess._of(tree, [
             [x + c for x, c in zip(row, cont)]
-            for row, cont in zip(lifted(contract.X(i)), cont_rows)
+            for row, cont in zip(contract.X(i).over(scales), cont_rows)
         ], scales)
         Yk = AdaptedProcess._of(tree, [
             [y + c for y, c in zip(row, cont)]
-            for row, cont in zip(lifted(contract.Y(i)), cont_rows)
+            for row, cont in zip(contract.Y(i).over(scales), cont_rows)
         ], scales)
         sol = solve_dynkin(Xk, Yk, MARTINGALE)
         xs.append(Xk)

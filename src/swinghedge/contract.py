@@ -182,6 +182,9 @@ def _table_process(rows, tree: ScenarioTree) -> AdaptedProcess:
 
 
 def _exercise_process(leg, tree: ScenarioTree) -> AdaptedProcess:
+    """Y of one exercise leg. A call pays max(price - K, 0) and a put
+    max(K - price, 0), both computed on the integer price rows over the lcm
+    of the price and strike denominators."""
     kind, arg = leg
     if kind == "table":
         return _table_process(arg, tree)

@@ -20,14 +20,21 @@ recombining lattice when every leg is Markov, else the full tree) and checked
 AdaptedProcess: each leg level is a list of numerators over the smallest
 common denominator of the level, computed from the stock prices and the
 scalars with integer arithmetic.
+
+Table entries are parsed into reduced (numerator, denominator) int pairs. A
+plain ASCII string "-?[0-9]+(/[0-9]+)?" of at most 640 characters with a
+nonzero denominator is read directly; every other entry goes through
+market.to_rational, so the accepted entries, their values and the error
+messages are those of to_rational.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ContractError
 from .market import (
@@ -103,8 +110,30 @@ LEG_FIELDS = {
 }
 
 
+# Python refuses int() of a string longer than sys.get_int_max_str_digits(),
+# which is 0 (no limit) or at least 640, so shorter strings parse the same
+# under every setting.
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_PLAIN_MAX = 640
+
+
+def _parse_entry(value) -> tuple:
+    """One table entry as a reduced (numerator, denominator) pair."""
+    if isinstance(value, str) and len(value) <= _PLAIN_MAX:
+        match = _PLAIN.fullmatch(value)
+        if match:
+            n, d = match.groups()
+            n, d = int(n), 1 if d is None else int(d)
+            if d:
+                g = gcd(n, d)
+                return n // g, d // g
+    q = to_rational(value)
+    return q.numerator, q.denominator
+
+
 def _parse_table(values, N: int, where: str) -> list:
-    """Rows of Fractions, one per level, row k holding 2^k entries.
+    """Rows of reduced (numerator, denominator) pairs, one per level, row k
+    holding 2^k entries.
 
     The whole shape is checked before any entry is parsed.
     """
@@ -115,14 +144,14 @@ def _parse_table(values, N: int, where: str) -> list:
     for k, row in enumerate(values):
         if len(row) != 2 ** k:
             raise ContractError(f"{where}: table level {k} has {len(row)} entries, wants {2 ** k}")
-    return [[to_rational(v) for v in row] for row in values]
+    return [[_parse_entry(v) for v in row] for row in values]
 
 
 def _parse_leg(spec, part: str, idx: int, N: int) -> tuple:
     """(kind, argument) of one exercise or penalty spec.
 
-    The argument is a Fraction, table rows, or None for a proxy without an
-    explicit value.
+    The argument is a Fraction, table rows (see _parse_table), or None for
+    a proxy without an explicit value.
     """
     where = f"claim {idx} {part}"
     if not isinstance(spec, dict):
@@ -157,6 +186,8 @@ def _parse_claims(raw_claims, N: int) -> list:
 def _up_count_rows(rows):
     """Lattice rows of a table constant on every up-count class, else None.
 
+    Entries are reduced pairs, so equal values are equal pairs.
+
     Stops at the first entry that differs from its class.
     """
     out = []
@@ -178,7 +209,12 @@ def _table_process(rows, tree: ScenarioTree) -> AdaptedProcess:
         rows = _up_count_rows(rows)
         if rows is None:
             raise ContractError("a path-dependent table needs the full tree")
-    return AdaptedProcess(tree, rows)
+    nums, dens = [], []
+    for row in rows:
+        den = lcm(*(d for _, d in row))
+        nums.append([n * (den // d) for n, d in row])
+        dens.append(den)
+    return AdaptedProcess._of(tree, nums, dens)
 
 
 def _exercise_process(leg, tree: ScenarioTree) -> AdaptedProcess:
@@ -274,7 +310,12 @@ def build_contract(spec: dict, tree: ScenarioTree = None) -> SwingContract:
         elif kind == "proportional":
             finite_caps.append(abs(arg) * Y.max_value())
         elif kind == "table":
-            finite_caps.append(max(abs(v) for row in arg for v in row))
+            top, top_den = 0, 1
+            for row in arg:
+                for n, d in row:
+                    if abs(n) * top_den > top * d:
+                        top, top_den = abs(n), d
+            finite_caps.append(Fraction(top, top_den))
     proxy_default = _proxy_constant(exercise_procs, finite_caps)
 
     claims = []

@@ -14,15 +14,24 @@ covering property exhaustively, over every play the buyer can force against
 the seller's committed cancellation behaviour on every path, in one
 depth-first walk of the tree: plays that share a path prefix and a
 settlement history share one wealth, computed once.
+
+Wealth runs on integers: the one wealth step, _level_wealth, holds it as a
+(numerator, denominator) pair and reads the stock prices and the payments
+off the integer rows of their processes, and PerfectHedge reads V the same
+way. Fractions remain at the edges: the share counts a portfolio returns,
+the wealth it is asked about, and the wealth simulate_portfolio and a
+HedgeWitness report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, InvariantError
+from .market import to_rational
 from .swing import (
     ClaimEvent,
     StoppingStrategy,
@@ -31,11 +40,6 @@ from .swing import (
     price_swing,
     window_start,
 )
-
-
-def hedge_ratio(v_up, v_down, price, a, b) -> Fraction:
-    """Shares that turn wealth w into w + (v_up - v_down)*(move indicator)."""
-    return (Fraction(v_up) - Fraction(v_down)) / (Fraction(price) * (Fraction(b) - Fraction(a)))
 
 
 class PortfolioStrategy:
@@ -51,6 +55,7 @@ class PerfectHedge(PortfolioStrategy):
     def __init__(self, stack: ValueStack):
         self.stack = stack
         self.tree = stack.contract.tree
+        self._spread = self.tree.params.b - self.tree.params.a
 
     @property
     def initial_capital(self) -> Fraction:
@@ -64,13 +69,22 @@ class PerfectHedge(PortfolioStrategy):
         if level >= tree.N:
             return Fraction(0)
         Vk = self.stack.V[L - claim]  # stack level L - claim + 1
-        vu, vd = Vk.at(level + 1, 2 * node + 1), Vk.at(level + 1, 2 * node)
+        row, den = Vk.nums[level + 1], Vk.dens[level + 1]
+        vu = row[tree.state(level + 1, 2 * node + 1)]
+        vd = row[tree.state(level + 1, 2 * node)]
         # underfunded wealth cannot reach both targets; stay in cash rather
-        # than gamble (only reachable when starting below the exact price)
-        if wealth < tree.ptilde * vu + (1 - tree.ptilde) * vd:
+        # than gamble (only reachable when starting below the exact price).
+        # The targets' expectation is (u*vu + (v-u)*vd) / (v*den).
+        u, v = tree.ptilde.numerator, tree.ptilde.denominator
+        if wealth.numerator * v * den < (u * vu + (v - u) * vd) * wealth.denominator:
             return Fraction(0)
-        s = tree.price[level][node]
-        return hedge_ratio(vu, vd, s, tree.params.a, tree.params.b)
+        stock = tree.stock
+        s = stock.nums[level][tree.state(level, node)]
+        spread = self._spread
+        return Fraction(
+            (vu - vd) * stock.dens[level] * spread.denominator,
+            den * s * spread.numerator,
+        )
 
 
 def build_perfect_hedge(stack: ValueStack) -> PerfectHedge:
@@ -81,18 +95,41 @@ def _level_wealth(contract, k, node, w, units, paid):
     """One level of the wealth recursion at node (k, node).
 
     w is the wealth at the parent after its payments (the capital at the
-    root), held as `units` shares over the period into level k; paid lists
-    the (claim, d) settlements at level k, d = 1 paying the cancellation leg.
-    Returns (pre, post): wealth before and after those payments.
+    root) as a (numerator, denominator) pair, held as `units` shares over
+    the period into level k; paid lists the (claim, d) settlements at level
+    k, d = 1 paying the cancellation leg. Returns (pre, post): wealth before
+    and after those payments, as pairs with positive denominators, not
+    reduced.
     """
     tree = contract.tree
-    if k > 0:
-        w = w + units * (tree.price[k][node] - tree.price[k - 1][node >> 1])
-    pre = w
-    for i, d in paid:
-        leg = contract.Y(i) if d == 0 else contract.X(i)
-        w -= leg.at(k, node)
-    return pre, w
+    n, d = w
+    s = tree.state(k, node)
+    if k > 0 and units:
+        stock = tree.stock
+        now, before = stock.dens[k], stock.dens[k - 1]
+        move = stock.nums[k][s] * before - stock.nums[k - 1][tree.state(k - 1, node >> 1)] * now
+        scale = units.denominator * now * before
+        n, d = n * scale + units.numerator * move * d, d * scale
+    pre = n, d
+    for i, cancelled in paid:
+        leg = contract.X(i) if cancelled else contract.Y(i)
+        den = leg.dens[k]
+        n, d = n * den - leg.nums[k][s] * d, d * den
+    return pre, (n, d)
+
+
+def _reduced(w):
+    n, d = w
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def check_capital(x) -> Fraction:
+    """Initial capital x as an exact nonnegative Fraction, else ContractError."""
+    x = to_rational(x)
+    if x < 0:
+        raise ContractError(f"initial capital must be nonnegative, got {x}")
+    return x
 
 
 def simulate_portfolio(contract, portfolio: PortfolioStrategy, x, events, path: int):
@@ -100,27 +137,30 @@ def simulate_portfolio(contract, portfolio: PortfolioStrategy, x, events, path: 
 
     events: the ClaimEvent sequence of the path (claim order). Returns
     (pre, post): pre[k] is wealth at level k before that level's payments,
-    post[k] after them. No injections here; payments just subtract.
+    post[k] after them, as Fractions. No injections here; payments just
+    subtract.
     """
+    x = check_capital(x)
     tree = contract.tree
     N = tree.N
     by_level = {}
     for i, ev in enumerate(events, start=1):
         by_level.setdefault(ev.level, []).append((i, ev.d))
     pre, post = [], []
-    w = Fraction(x)
+    w = (x.numerator, x.denominator)
     settled = 0  # claims settled before level k
     for k in range(N + 1):
         node = tree.node_on_path(path, k)
-        units = Fraction(0)
+        units = 0
         if k > 0 and settled < contract.L:
-            units = portfolio.units(k - 1, node >> 1, settled + 1, w)
+            units = portfolio.units(k - 1, node >> 1, settled + 1, Fraction(*w))
         here = by_level.get(k, ())
         w_pre, w = _level_wealth(contract, k, node, w, units, here)
+        w = _reduced(w)
         pre.append(w_pre)
         settled += len(here)
         post.append(w)
-    return pre, post
+    return [Fraction(*w) for w in pre], [Fraction(*w) for w in post]
 
 
 def enumerate_plays(contract, seller: StoppingStrategy, path: int):
@@ -203,9 +243,7 @@ def verify_perfect_hedge(
     first failing one, which is the witness. A tree of more than `cap`
     nodes is refused before anything is walked.
     """
-    x = Fraction(x)
-    if x < 0:
-        raise ContractError(f"initial capital must be nonnegative, got {x}")
+    x = check_capital(x)
     tree = contract.tree
     N, L = tree.N, contract.L
     nodes = 2 ** (N + 1) - 1
@@ -218,7 +256,7 @@ def verify_perfect_hedge(
     def walk(k, m, states):
         """(plays on paths below the first failure, the failing path or
         None) in the subtree of (k, m); states are (claim, history, parent
-        wealth, units) entering the node."""
+        wealth as a reduced pair, units) entering the node."""
         lo, width = m << (N - k), 1 << (N - k)
         done = 0  # plays that end here: one on each path through m
         onward = []
@@ -231,15 +269,17 @@ def verify_perfect_hedge(
                 outcomes = (((i, 0),), ())
             for paid in outcomes:
                 _, post = _level_wealth(contract, k, m, w, units, paid)
-                if post < 0:
+                if post[0] < 0:
                     return 0, lo
                 if i + len(paid) > L:
                     done += 1
                 else:
+                    post = _reduced(post)
                     onward.append((i + len(paid), hist + tuple((k, d) for _, d in paid), post))
         count = 0
         if onward:
-            states = [(i, hist, w, portfolio.units(k, m, i, w)) for i, hist, w in onward]
+            states = [(i, hist, w, portfolio.units(k, m, i, Fraction(*w)))
+                      for i, hist, w in onward]
             for child in (2 * m, 2 * m + 1):
                 plays, failed = walk(k + 1, child, states)
                 count += plays
@@ -247,7 +287,7 @@ def verify_perfect_hedge(
                     return count + done * (failed - lo), failed
         return count + done * width, None
 
-    count, failed = walk(0, 0, [(1, (), x, Fraction(0))])
+    count, failed = walk(0, 0, [(1, (), (x.numerator, x.denominator), 0)])
     if failed is None:
         return HedgeCheck(ok=True, plays=count)
     for index, events in enumerate(enumerate_plays(contract, seller, failed), start=1):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ContractError, InvariantError
-from .hedge import PortfolioStrategy
+from .hedge import PortfolioStrategy, check_capital
 from .pwl import (
     PwlControl,
     PwlFn,
@@ -76,10 +76,7 @@ class RiskStack:
         return self.J[(0, 0, self.contract.L)]
 
     def risk(self, x) -> Fraction:
-        x = Fraction(x)
-        if x < 0:
-            raise ContractError(f"initial capital must be nonnegative, got {x}")
-        return self.curve().eval(x)
+        return self.curve().eval(check_capital(x))
 
     def minimizer(self, key) -> PwlControl:
         """c -> leftmost minimizer of w + phi[key](w) over w >= c, built once."""

@@ -17,8 +17,8 @@ contract's legs under ptilde = u / v, so C_n is a multiple of v * C_{n+1}.
 The delayed continuation E~[V_{k-1}(n+1) | node] is then the integer
 u * up + (v - u) * down lifted to C_n by one integer factor, and every min,
 max and tie of the recursion and of both strategy tables compares
-numerators. Fractions are built only where a caller reads one: the price,
-the root values and the V entries a hedge reads, through AdaptedProcess.at.
+numerators. Fractions are built only where a caller reads one: the price
+and the root values, through AdaptedProcess.at.
 
 Strategies here are per-claim stopping rules fed with the realized payoff
 history ((a_1, d_1), ..), a_j the j-th payoff level and d_j = 1 when the

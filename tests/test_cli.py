@@ -139,6 +139,17 @@ def test_exit_codes(spec_file, tmp_path, capsys):
         main(["risk", spec_file])  # argparse insists on --capital
 
 
+@pytest.mark.parametrize("command", [["hedge-simulate", "--path", "u"], ["risk"]])
+def test_negative_capital_is_refused(command, capsys):
+    contract = resources.files("swinghedge") / "contracts" / "one_right_small_penalty.json"
+    with resources.as_file(contract) as path:
+        argv = command[:1] + [str(path)] + command[1:] + ["--capital", "-1"]
+        code, out, err = _call(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: initial capital must be nonnegative, got -1\n"
+
+
 def test_verify_passes_on_bundled_contracts(capsys):
     assert main(["verify"]) == 0
     doc = json.loads(capsys.readouterr().out)

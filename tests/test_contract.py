@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_contract
-from swinghedge.contract import build_contract, load_contract, payoff_at
+from swinghedge.contract import _parse_table, build_contract, load_contract, payoff_at
 from swinghedge.errors import ContractError
-from swinghedge.market import MarketParams, build_tree
+from swinghedge.market import AdaptedProcess, MarketParams, build_tree, to_rational
 
 MODEL = {"S0": "1", "a": "-1/2", "b": "1", "p": "1/2", "N": 1}
 
@@ -217,3 +217,48 @@ def test_any_field_value_loads_or_is_rejected(field, value):
         build_contract(spec)
     except ContractError:
         pass
+
+
+PARSE_CASES = [
+    "3", "-0", "+3", " 3 ", "3\n", "1_000", "007", "6/8", "-6/8", "0/5", "3/-4", "1/0",
+    "0/0", "1e3", "1.5", "٣", "", "-", "/", "1/", "1 / 2", "1" * 640, "1" * 641,
+    "1" * 320 + "/" + "7" * 319, "9" * 4300, "1" * 4301, "1/" + "3" * 4301,
+    0, -7, 10 ** 50, True, False, 1.5, None, [1],
+]
+
+
+@pytest.mark.parametrize("value", PARSE_CASES, ids=lambda v: repr(v)[:20])
+def test_table_entries_parse_like_to_rational(value):
+    try:
+        q = to_rational(value)
+    except ContractError as exc:
+        with pytest.raises(ContractError) as got:
+            _parse_table([[value]], 0, "t")
+        assert str(got.value) == str(exc)
+    else:
+        assert _parse_table([[value]], 0, "t") == [[(q.numerator, q.denominator)]]
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_table_legs_match_the_fraction_constructor(recombining):
+    rng = random.Random(73 + recombining)
+    params = MarketParams(S0=3, a=Fraction(-1, 3), b=Fraction(1, 2), p=Fraction(1, 2), N=4)
+    tree = build_tree(params, recombining)
+
+    def entry():
+        d = rng.choice((1, 7, 1000003, 2 ** 61 - 1)) * rng.randint(1, 9)
+        return f"{rng.randint(0, 5 * d)}/{d}"
+
+    for _ in range(5):
+        rows = []
+        for k in range(params.N + 1):
+            by_class = [entry() for _ in range(k + 1)]
+            rows.append([by_class[m.bit_count()] if recombining else entry()
+                         for m in range(2 ** k)])
+        c = build_contract({"claims": [{"exercise": {"kind": "table", "values": rows},
+                                        "penalty": {"kind": "constant", "value": "1"}}]},
+                           tree=tree)
+        states = [[row[next(tree.nodes_of(k, s))] for s in range(tree.width(k))]
+                  for k, row in enumerate(rows)]
+        want = AdaptedProcess(tree, states)
+        assert (c.Y(1).nums, c.Y(1).dens) == (want.nums, want.dens)

@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MixPortfolio, history_dependent_seller, random_contract
+from conftest import MixPortfolio, history_dependent_seller, random_contract, random_params
 from swinghedge.contract import build_contract
+from swinghedge.market import build_tree
 from swinghedge.errors import ContractError, EnumerationCapError
 from swinghedge.hedge import (
     HedgeCheck,
     HedgeWitness,
     build_perfect_hedge,
     enumerate_plays,
-    hedge_ratio,
     simulate_portfolio,
     verify_perfect_hedge,
 )
@@ -28,10 +28,14 @@ from swinghedge.swing import (
 EPS = Fraction(1, 10 ** 6)
 
 
-def test_hedge_ratio_replicates_both_children():
-    # targets 3 up, 1 down from price 2 with b=1, a=-1/2
-    units = hedge_ratio(Fraction(3), Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(1))
+def test_perfect_hedge_units_replicate_both_children():
+    # targets 3 up, 1 down from price 2 with b=1, a=-1/2 (ptilde = 1/3)
+    c = build_contract({"model": {"S0": "2", "a": "-1/2", "b": "1", "p": "1/2", "N": 1},
+                        "claims": [{"exercise": {"kind": "table", "values": [["0"], ["1", "3"]]},
+                                    "penalty": {"kind": "constant", "value": "10"}}]})
+    stack, _ = price_swing(c)
     start = Fraction(1, 3) * 3 + Fraction(2, 3) * 1  # capital = expected target
+    units = build_perfect_hedge(stack).units(0, 0, 1, start)
     assert start + units * Fraction(2) * Fraction(1) == 3
     assert start + units * Fraction(2) * Fraction(-1, 2) == 1
 
@@ -123,6 +127,23 @@ def test_negative_capital_rejected():
     hedge = build_perfect_hedge(stack)
     with pytest.raises(ContractError):
         verify_perfect_hedge(c, hedge, Fraction(-1))
+    seller, buyer = optimal_strategies(stack)
+    events = resolve(seller, buyer).events[0]
+    with pytest.raises(ContractError, match="nonnegative"):
+        simulate_portfolio(c, hedge, Fraction(-1), events, 0)
+
+
+@pytest.mark.parametrize("capital", [0.5, 1.0, True, False])
+def test_float_and_bool_capital_rejected(capital):
+    c = random_contract(random.Random(59))
+    stack, _ = price_swing(c)
+    hedge = build_perfect_hedge(stack)
+    seller, buyer = optimal_strategies(stack)
+    events = resolve(seller, buyer).events[0]
+    with pytest.raises(ContractError, match="not a rational"):
+        verify_perfect_hedge(c, hedge, capital)
+    with pytest.raises(ContractError, match="not a rational"):
+        simulate_portfolio(c, hedge, capital, events, 0)
 
 
 def forced_plays(contract, seller, path):
@@ -211,6 +232,98 @@ def test_walk_matches_play_by_play_replay(recombining):
                     assert check == reference_check(c, portfolio, x, seller)
                     failures += not check.ok
     assert failures >= 20
+
+
+# primes, some past 2^31, that make the table denominators large
+BIG_PRIMES = (1009, 65537, 1000003, 2 ** 31 - 1, 10 ** 9 + 7, 2 ** 61 - 1)
+
+
+def random_table_contract(rng, recombining):
+    """A contract of table legs whose entries have large denominators.
+
+    On the full tree every entry is drawn on its own, so the legs are path
+    dependent; on the lattice one entry is drawn per up-count class. Some
+    entries are written unreduced. Half the contracts pay nothing for an
+    exercise at the root, where the hedge then mostly starts at its funding
+    threshold.
+    """
+    params = random_params(rng, n=rng.randint(2, 4))
+    N = params.N
+    big = int(params.S0 * 2) + 1
+
+    def entry(hi):
+        d = rng.choice(BIG_PRIMES) * rng.randint(1, 40)
+        g = rng.randint(1, 3)
+        return f"{g * rng.randint(0, hi * d)}/{g * d}"
+
+    def table(hi):
+        rows = []
+        for k in range(N + 1):
+            if recombining:
+                per_class = [entry(hi) for _ in range(k + 1)]
+                rows.append([per_class[m.bit_count()] for m in range(2 ** k)])
+            else:
+                rows.append([entry(hi) for _ in range(2 ** k)])
+        return rows
+
+    claims = []
+    idle_root = rng.random() < 0.5
+    for _ in range(rng.randint(1, 3)):
+        exercise = table(big)
+        if idle_root:
+            exercise[0] = ["0"]
+        if rng.random() < 0.5:
+            penalty = {"kind": "table", "values": table(big)}
+        else:
+            penalty = {"kind": "constant", "value": entry(big)}
+        claims.append({"exercise": {"kind": "table", "values": exercise}, "penalty": penalty})
+    return build_contract({"claims": claims}, tree=build_tree(params, recombining))
+
+
+def funding_threshold(stack):
+    """Wealth at which the perfect hedge of the first right starts trading
+    at the root: the martingale expectation of the top stack level's
+    level-1 values."""
+    q = stack.contract.tree.ptilde
+    V = stack.V[-1]
+    return q * V.at(1, 1) + (1 - q) * V.at(1, 0)
+
+
+def coprime_capitals(stack, price):
+    """The capitals next to the price over a prime that divides no level
+    denominator of the stack."""
+    scales = stack.V[-1].dens
+    p = next(p for p in (7919, 7927, 7933, 7937) if all(c % p for c in scales))
+    below = Fraction(int(price * p), p)
+    return [below, below + Fraction(1, p)]
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_walk_matches_replay_on_large_denominator_tables(recombining):
+    rng = random.Random(71 + recombining)
+    failures = at_threshold = 0
+    for _ in range(8):
+        c = random_table_contract(rng, recombining)
+        tree, L = c.tree, c.L
+        assert tree.recombining == recombining
+        stack, price = price_swing(c)
+        optimal, _ = optimal_strategies(stack)
+        sellers = [optimal, history_dependent_seller(rng, tree, L)]
+        hedge = build_perfect_hedge(stack)
+        portfolios = [hedge, MixPortfolio(tree, rng.randrange(2 ** 30))]
+        threshold = funding_threshold(stack)
+        at_threshold += threshold == price
+        capitals = [price, price - EPS, threshold] + coprime_capitals(stack, price)
+        for seller in sellers:
+            for portfolio in portfolios:
+                for x in capitals:
+                    check = verify_perfect_hedge(c, portfolio, x, seller)
+                    assert check == reference_check(c, portfolio, x, seller)
+                    if seller is optimal and portfolio is hedge and x >= price:
+                        assert check.ok
+                    failures += not check.ok
+    assert failures >= 10
+    assert at_threshold >= 1
 
 
 def test_verify_refuses_a_tree_past_the_cap_before_any_stop_query():

@@ -78,6 +78,12 @@ def test_risk_rejects_negative_capital():
     assert shortfall_risk(contract_a(), F(1, 20)) == F(1, 20)
 
 
+@pytest.mark.parametrize("capital", [0.5, 1.0, True, False])
+def test_risk_rejects_float_and_bool_capital(capital):
+    with pytest.raises(ContractError, match="not a rational"):
+        build_risk_stack(contract_a()).risk(capital)
+
+
 def test_infusion_minimizer_prefers_the_leftmost():
     flat = PwlFn([(0, F(2)), (1, F(1)), (2, F(1, 2)), (3, F(0))])
     # h(w) = w + psi(w) is 2, 2, 5/2, 3 at the breakpoints: stay at 0

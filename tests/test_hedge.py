@@ -208,32 +208,6 @@ def reference_check(contract, portfolio, x, seller):
     return HedgeCheck(ok=True, plays=count)
 
 
-@pytest.mark.parametrize("recombining", [False, True])
-def test_walk_matches_play_by_play_replay(recombining):
-    rng = random.Random(61 + recombining)
-    failures = 0
-    for _ in range(10):
-        c = random_contract(rng, max_n=5, max_l=3, recombining=recombining)
-        tree, L = c.tree, c.L
-        stack, price = price_swing(c)
-        optimal, _ = optimal_strategies(stack)
-        sellers = [
-            optimal,
-            TableStrategy.all_wait(tree, L),
-            TableStrategy.all_at_start(tree, L),
-            history_dependent_seller(rng, tree, L),
-        ]
-        portfolios = [build_perfect_hedge(stack), MixPortfolio(tree, rng.randrange(2 ** 30))]
-        capitals = [x for x in (price, price - EPS, price / 2, Fraction(0)) if x >= 0]
-        for seller in sellers:
-            for portfolio in portfolios:
-                for x in capitals:
-                    check = verify_perfect_hedge(c, portfolio, x, seller)
-                    assert check == reference_check(c, portfolio, x, seller)
-                    failures += not check.ok
-    assert failures >= 20
-
-
 # primes, some past 2^31, that make the table denominators large
 BIG_PRIMES = (1009, 65537, 1000003, 2 ** 31 - 1, 10 ** 9 + 7, 2 ** 61 - 1)
 
@@ -298,30 +272,59 @@ def coprime_capitals(stack, price):
     return [below, below + Fraction(1, p)]
 
 
+def matching_failures(c, sellers, portfolios, capitals, optimal):
+    """Compare the walk with the brute force on every combination; returns
+    the number of failing checks. portfolios[0] is the perfect hedge, which
+    must cover every play against the optimal seller from the price on."""
+    hedge = portfolios[0]
+    price = hedge.initial_capital
+    failures = 0
+    for seller in sellers:
+        for portfolio in portfolios:
+            for x in capitals:
+                check = verify_perfect_hedge(c, portfolio, x, seller)
+                assert check == reference_check(c, portfolio, x, seller)
+                if seller is optimal and portfolio is hedge and x >= price:
+                    assert check.ok
+                failures += not check.ok
+    return failures
+
+
 @pytest.mark.parametrize("recombining", [False, True])
-def test_walk_matches_replay_on_large_denominator_tables(recombining):
+def test_walk_matches_play_by_play_replay(recombining):
+    rng = random.Random(61 + recombining)
+    failures = 0
+    for _ in range(10):
+        c = random_contract(rng, max_n=5, max_l=3, recombining=recombining)
+        tree, L = c.tree, c.L
+        stack, price = price_swing(c)
+        optimal, _ = optimal_strategies(stack)
+        sellers = [
+            optimal,
+            TableStrategy.all_wait(tree, L),
+            TableStrategy.all_at_start(tree, L),
+            history_dependent_seller(rng, tree, L),
+        ]
+        portfolios = [build_perfect_hedge(stack), MixPortfolio(tree, rng.randrange(2 ** 30))]
+        capitals = [x for x in (price, price - EPS, price / 2, Fraction(0)) if x >= 0]
+        failures += matching_failures(c, sellers, portfolios, capitals, optimal)
+    assert failures >= 20
+
+    # table legs with large denominators, at capitals over a prime foreign
+    # to the stack and at the hedge's funding threshold
     rng = random.Random(71 + recombining)
     failures = at_threshold = 0
     for _ in range(8):
         c = random_table_contract(rng, recombining)
-        tree, L = c.tree, c.L
-        assert tree.recombining == recombining
+        assert c.tree.recombining == recombining
         stack, price = price_swing(c)
         optimal, _ = optimal_strategies(stack)
-        sellers = [optimal, history_dependent_seller(rng, tree, L)]
-        hedge = build_perfect_hedge(stack)
-        portfolios = [hedge, MixPortfolio(tree, rng.randrange(2 ** 30))]
+        sellers = [optimal, history_dependent_seller(rng, c.tree, c.L)]
+        portfolios = [build_perfect_hedge(stack), MixPortfolio(c.tree, rng.randrange(2 ** 30))]
         threshold = funding_threshold(stack)
         at_threshold += threshold == price
         capitals = [price, price - EPS, threshold] + coprime_capitals(stack, price)
-        for seller in sellers:
-            for portfolio in portfolios:
-                for x in capitals:
-                    check = verify_perfect_hedge(c, portfolio, x, seller)
-                    assert check == reference_check(c, portfolio, x, seller)
-                    if seller is optimal and portfolio is hedge and x >= price:
-                        assert check.ok
-                    failures += not check.ok
+        failures += matching_failures(c, sellers, portfolios, capitals, optimal)
     assert failures >= 10
     assert at_threshold >= 1
 

@@ -20,7 +20,10 @@ Wealth runs on integers: the one wealth step, _level_wealth, holds it as a
 off the integer rows of their processes, and PerfectHedge reads V the same
 way. Fractions remain at the edges: the share counts a portfolio returns,
 the wealth it is asked about, and the wealth simulate_portfolio and a
-HedgeWitness report.
+HedgeWitness report. The step also serves every wealth change of the
+shortfall layer, through shortfall._trade and shortfall._settle: its
+simulate_with_infusion, ReplayStrategy's wealth replay, its policy-risk
+recursion and the maturity payments of that recursion.
 """
 
 from __future__ import annotations

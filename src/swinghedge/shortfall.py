@@ -26,7 +26,12 @@ standing cost", evaluated at the wealth the policy itself produces.
 
 Everything downstream of the recursion (policy evaluation, simulation, the
 two-route risk evaluator) works for arbitrary admissible policies too, which
-is what the randomized dominance checks exercise.
+is what the randomized dominance checks exercise. One state recursion,
+_policy_risk, serves both policy evaluators: evaluate_policy_risk lets the
+seller cancel optimally, evaluate_risk(mode="recursion") reads a committed
+seller's decision per state. Every wealth change, a trade or a payment, is
+one hedge._level_wealth step on an integer pair; wealth is a Fraction
+wherever a policy sees it or a result reports it.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ContractError, InvariantError
-from .hedge import PortfolioStrategy, check_capital
+from .hedge import PortfolioStrategy, _level_wealth, check_capital
 from .pwl import (
     PwlControl,
     PwlFn,
@@ -199,7 +204,7 @@ class ReplayStrategy(StoppingStrategy):
             raise ContractError(f"unknown side {side!r}")
         self.stack = stack
         self.contract = contract
-        self.x = Fraction(x)
+        self.x = check_capital(x)
         self.gamma = gamma
         self.infusion = infusion
         self.side = side
@@ -229,13 +234,10 @@ class ReplayStrategy(StoppingStrategy):
         for k, m, hist in reversed(missing):
             lvl, node = k - 1, m >> 1
             if hist and hist[-1][0] == lvl:
-                q, d = len(hist), hist[-1][1]
-                leg = self.contract.Y(q) if d == 0 else self.contract.X(q)
-                rest = w - leg.at(lvl, node)
-                w = rest + self.infusion.amount(lvl, node, q, rest)
+                _, w = _settle(self.contract, self.infusion, lvl, node, w, len(hist), hist[-1][1])
             if len(hist) < self.L:
-                shares = self.gamma.units(lvl, node, len(hist) + 1, w)
-                w = w + shares * (self.tree.price[k][m] - self.tree.price[lvl][node])
+                units = self.gamma.units(lvl, node, len(hist) + 1, w)
+                w = _trade(self.contract, k, m, w, units)
             memo[(k, m, hist)] = w
         return w
 
@@ -276,6 +278,12 @@ class SimulationOutcome:
     cost: Fraction
 
 
+def _trade(contract, k, node, w, units):
+    """Wealth w at the parent of (k, node), held as `units` shares into level k."""
+    (n, d), _ = _level_wealth(contract, k, node, (w.numerator, w.denominator), units, ())
+    return Fraction(n, d)
+
+
 def _checked_infusion(infusion, level, node, claim, y):
     z = Fraction(infusion.amount(level, node, claim, y))
     if z < 0 or y + z < 0:
@@ -286,31 +294,33 @@ def _checked_infusion(infusion, level, node, claim, y):
     return z
 
 
+def _settle(contract, infusion, k, node, w, claim, d):
+    """(injection, wealth after it) when claim settles at (k, node) from
+    wealth w; d = 1 pays the cancellation leg."""
+    _, (n, den) = _level_wealth(contract, k, node, (w.numerator, w.denominator), 0, ((claim, d),))
+    rest = Fraction(n, den)
+    z = _checked_infusion(infusion, k, node, claim, rest)
+    return z, rest + z
+
+
 def simulate_with_infusion(contract, gamma, infusion, events, path: int, x):
     """Run a partial hedge through one resolved play on one path."""
+    w = check_capital(x)
     tree = contract.tree
-    N = tree.N
     by_level = {}
     for i, ev in enumerate(events, start=1):
-        by_level.setdefault(ev.level, []).append((i, ev))
-    w = Fraction(x)
+        by_level.setdefault(ev.level, []).append((i, ev.d))
     pre, post, paid_in = [], [], []
     cost = Fraction(0)
     settled = 0  # claims settled before level k
-    for k in range(N + 1):
+    for k in range(tree.N + 1):
         node = tree.node_on_path(path, k)
-        if k > 0:
-            prev = tree.node_on_path(path, k - 1)
-            if settled < contract.L:
-                shares = gamma.units(k - 1, prev, settled + 1, w)
-                w = w + shares * (tree.price[k][node] - tree.price[k - 1][prev])
+        if k > 0 and settled < contract.L:
+            w = _trade(contract, k, node, w, gamma.units(k - 1, node >> 1, settled + 1, w))
         pre.append(w)
-        here = by_level.get(k, [])
-        for i, ev in here:
-            leg = contract.Y(i) if ev.d == 0 else contract.X(i)
-            rest = w - leg.at(k, node)
-            z = _checked_infusion(infusion, k, node, i, rest)
-            w = rest + z
+        here = by_level.get(k, ())
+        for i, d in here:
+            z, w = _settle(contract, infusion, k, node, w, i, d)
             cost += z
             paid_in.append((k, i, z))
         settled += len(here)
@@ -322,28 +332,71 @@ def _terminal_cost(contract, infusion, m, first, y):
     """Injection total when claims first..L all settle at maturity node m."""
     cost = Fraction(0)
     for q in range(first, contract.L + 1):
-        y = y - contract.Y(q).at(contract.tree.N, m)
-        z = _checked_infusion(infusion, contract.tree.N, m, q, y)
-        y += z
+        z, y = _settle(contract, infusion, contract.tree.N, m, y, q, 0)
         cost += z
     return cost
-
-
-def _checked_units(gamma, level, node, claim, w, tree):
-    shares = Fraction(gamma.units(level, node, claim, w))
-    a, b = tree.params.a, tree.params.b
-    s = tree.price[level][node]
-    if w + shares * s * b < 0 or w + shares * s * a < 0:
-        raise InvariantError(
-            f"share count {shares} at level {level} can bankrupt wealth {w}"
-        )
-    return shares
 
 
 @dataclass
 class PolicyRisk:
     value: Fraction
     table: dict  # (level, node, rights, wealth) -> (value, exercise, cancel, cont)
+
+
+def _policy_risk(contract, gamma, infusion, x, stops) -> PolicyRisk:
+    """Worst-buyer expected injection cost of fixed trading and injection
+    policies, by recursion on (level, node, rights remaining, wealth).
+
+    stops(k, m, j, wealth) is the seller's committed decision; only the
+    branch it takes is valued. stops=None lets the seller cancel optimally,
+    which values both. Table entries hold None for a branch not valued.
+    """
+    tree = contract.tree
+    N, L = tree.N, contract.L
+    p = tree.params.p
+    memo = {}
+
+    def hold(k, m, claim, w):
+        """Expected cost from wealth w at (k, m) after its settlements, with
+        claim the next right open."""
+        if claim > L:
+            return Fraction(0)
+        shares = Fraction(gamma.units(k, m, claim, w))
+        up = _trade(contract, k + 1, 2 * m + 1, w, shares)
+        dn = _trade(contract, k + 1, 2 * m, w, shares)
+        if up < 0 or dn < 0:
+            raise InvariantError(f"share count {shares} at level {k} can bankrupt wealth {w}")
+        j = L - claim + 1
+        return p * rec(k + 1, 2 * m + 1, j, up) + (1 - p) * rec(k + 1, 2 * m, j, dn)
+
+    def rec(k, m, j, y):
+        if j == 0:
+            return Fraction(0)
+        i = L - j + 1
+        if k == N:
+            return _terminal_cost(contract, infusion, m, i, y)
+        key = (k, m, j, y)
+        if key in memo:
+            return memo[key][0]
+
+        def settle(d):
+            z, w = _settle(contract, infusion, k, m, y, i, d)
+            return z + hold(k, m, i + 1, w)
+
+        ex = settle(0)
+        if stops is None:
+            ca, cont = settle(1), hold(k, m, i, y)
+            val = max(ex, min(ca, cont))
+        elif stops(k, m, j, y):
+            ca, cont = settle(1), None
+            val = max(ex, ca)
+        else:
+            ca, cont = None, hold(k, m, i, y)
+            val = max(ex, cont)
+        memo[key] = (val, ex, ca, cont)
+        return val
+
+    return PolicyRisk(value=rec(0, 0, L, check_capital(x)), table=memo)
 
 
 def evaluate_policy_risk(contract, gamma, infusion, x) -> PolicyRisk:
@@ -353,43 +406,7 @@ def evaluate_policy_risk(contract, gamma, infusion, x) -> PolicyRisk:
     plays the exact best response. For the policies extracted from a risk
     stack this reproduces the stack's value function state by state.
     """
-    tree = contract.tree
-    N, L = tree.N, contract.L
-    p = tree.params.p
-    a, b = tree.params.a, tree.params.b
-    memo = {}
-
-    def rec(k, m, j, y):
-        if j == 0:
-            return Fraction(0)
-        if k == N:
-            return _terminal_cost(contract, infusion, m, L - j + 1, y)
-        key = (k, m, j, y)
-        if key in memo:
-            return memo[key][0]
-        i = L - j + 1
-        up, dn = 2 * m + 1, 2 * m
-        s = tree.price[k][m]
-
-        def settle(amount):
-            rest = y - amount
-            z = _checked_infusion(infusion, k, m, i, rest)
-            w = rest + z
-            shares = _checked_units(gamma, k, m, i + 1, w, tree) if j > 1 else Fraction(0)
-            return z + p * rec(k + 1, up, j - 1, w + shares * s * b) \
-                + (1 - p) * rec(k + 1, dn, j - 1, w + shares * s * a)
-
-        ex = settle(contract.Y(i).at(k, m))
-        ca = settle(contract.X(i).at(k, m))
-        shares = _checked_units(gamma, k, m, i, y, tree)
-        cont = p * rec(k + 1, up, j, y + shares * s * b) \
-            + (1 - p) * rec(k + 1, dn, j, y + shares * s * a)
-        val = ex if ex > ca else min(ca, max(ex, cont))
-        memo[key] = (val, ex, ca, cont)
-        return val
-
-    value = rec(0, 0, L, Fraction(x))
-    return PolicyRisk(value=value, table=memo)
+    return _policy_risk(contract, gamma, infusion, x, None)
 
 
 def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=None):
@@ -407,7 +424,7 @@ def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=
 
     The two must agree exactly; tests hold them against each other.
     """
-    x = Fraction(x)
+    x = check_capital(x)
     if mode == "enumeration":
         from .oracle import DEFAULT_ENUMERATION_CAP, enumerate_buyer_strategies
 
@@ -432,42 +449,5 @@ def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=
             raise ContractError(
                 "recursion mode needs a seller with wealth-addressed decisions"
             )
-        tree = contract.tree
-        N, L = tree.N, contract.L
-        p = tree.params.p
-        a, b = tree.params.a, tree.params.b
-        memo = {}
-
-        def rec(k, m, j, y):
-            if j == 0:
-                return Fraction(0)
-            if k == N:
-                return _terminal_cost(contract, infusion, m, L - j + 1, y)
-            key = (k, m, j, y)
-            if key in memo:
-                return memo[key]
-            i = L - j + 1
-            up, dn = 2 * m + 1, 2 * m
-            s = tree.price[k][m]
-
-            def settle(amount):
-                rest = y - amount
-                z = _checked_infusion(infusion, k, m, i, rest)
-                w = rest + z
-                shares = _checked_units(gamma, k, m, i + 1, w, tree) if j > 1 else Fraction(0)
-                return z + p * rec(k + 1, up, j - 1, w + shares * s * b) \
-                    + (1 - p) * rec(k + 1, dn, j - 1, w + shares * s * a)
-
-            ex = settle(contract.Y(i).at(k, m))
-            if seller.stops_at_state(k, m, j, y):
-                val = max(ex, settle(contract.X(i).at(k, m)))
-            else:
-                shares = _checked_units(gamma, k, m, i, y, tree)
-                cont = p * rec(k + 1, up, j, y + shares * s * b) \
-                    + (1 - p) * rec(k + 1, dn, j, y + shares * s * a)
-                val = max(ex, cont)
-            memo[key] = val
-            return val
-
-        return rec(0, 0, L, x)
+        return _policy_risk(contract, gamma, infusion, x, seller.stops_at_state).value
     raise ContractError(f"unknown evaluation mode {mode!r}")

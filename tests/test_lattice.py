@@ -18,7 +18,16 @@ from swinghedge.cli import main
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError
 from swinghedge.market import MarketParams, ScenarioTree
-from swinghedge.shortfall import StackInfusion, StackPortfolio, build_risk_stack
+from swinghedge.shortfall import (
+    StackInfusion,
+    StackPortfolio,
+    build_risk_stack,
+    evaluate_policy_risk,
+    evaluate_risk,
+    optimal_buyer,
+    optimal_hedge,
+    simulate_with_infusion,
+)
 from swinghedge.swing import optimal_strategies, price_swing, resolve
 
 F = Fraction
@@ -91,6 +100,23 @@ def test_lattice_matches_tree():
                     assert lat_gamma.units(k, m, claim, x) == full_gamma.units(k, m, claim, x)
                     for y in (x, -x):
                         assert lat_inf.amount(k, m, claim, y) == full_inf.amount(k, m, claim, y)
+
+        # the optimal play and its policy runs, at zero capital and the first kinks
+        for x in xs[:3]:
+            runs = []
+            for risk in (lat_risk, full_risk):
+                c = risk.contract
+                gamma, infusion, seller = optimal_hedge(risk, x)
+                play = resolve(seller, optimal_buyer(risk, x))
+                outcomes = [simulate_with_infusion(c, gamma, infusion, play.events[path], path, x)
+                            for path in c.tree.paths()]
+                run = [play.events, outcomes]
+                if N <= 4:
+                    policy = evaluate_policy_risk(c, gamma, infusion, x)
+                    committed = evaluate_risk(c, gamma, infusion, seller, x, mode="recursion")
+                    run += [policy.value, policy.table, committed]
+                runs.append(run)
+            assert runs[0] == runs[1]
 
 
 def test_path_dependent_table_stays_on_the_tree():

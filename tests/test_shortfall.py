@@ -9,6 +9,7 @@ from swinghedge.errors import ContractError, InvariantError
 from swinghedge.oracle import grid_risk_oracle
 from swinghedge.pwl import PwlFn
 from swinghedge.shortfall import (
+    StackInfusion,
     build_risk_stack,
     evaluate_policy_risk,
     evaluate_risk,
@@ -18,7 +19,7 @@ from swinghedge.shortfall import (
     shortfall_risk,
     simulate_with_infusion,
 )
-from swinghedge.swing import price_swing, resolve
+from swinghedge.swing import StoppingStrategy, price_swing, resolve
 
 F = Fraction
 EPS = F(1, 10 ** 6)
@@ -82,6 +83,25 @@ def test_risk_rejects_negative_capital():
 def test_risk_rejects_float_and_bool_capital(capital):
     with pytest.raises(ContractError, match="not a rational"):
         build_risk_stack(contract_a()).risk(capital)
+
+
+@pytest.mark.parametrize("capital", [0.1, 1.0, True, -1])
+def test_policy_entry_points_refuse_inexact_or_negative_capital(capital):
+    c = contract_a()
+    stack = build_risk_stack(c)
+    gamma, infusion, seller = optimal_hedge(stack, F(0))
+    play = resolve(seller, optimal_buyer(stack, F(0)))
+    entries = [
+        lambda: evaluate_policy_risk(c, gamma, infusion, capital),
+        lambda: evaluate_risk(c, gamma, infusion, seller, capital),
+        lambda: evaluate_risk(c, gamma, infusion, seller, capital, mode="recursion"),
+        lambda: optimal_hedge(stack, capital),
+        lambda: optimal_buyer(stack, capital),
+        lambda: simulate_with_infusion(c, gamma, infusion, play.events[0], 0, capital),
+    ]
+    for entry in entries:
+        with pytest.raises(ContractError):
+            entry()
 
 
 def test_infusion_minimizer_prefers_the_leftmost():
@@ -156,6 +176,33 @@ def test_risk_evaluators_agree_on_committed_arbitrary_policies():
         worst = evaluate_risk(c, bad_gamma, bad_infusion, seller, x,
                               mode="enumeration")
         assert worst >= stack.curve().eval(x)
+
+
+def test_committed_recursion_values_only_the_branch_taken():
+    # the seller cancels the first right at the root, so the share count
+    # for holding it past the root is never used; it would bankrupt wealth
+    c = build_contract({"model": MODEL2, "claims": [
+        {"exercise": {"kind": "call", "strike": "1"},
+         "penalty": {"kind": "constant", "value": "1/10"}},
+        {"exercise": {"kind": "put", "strike": "1"},
+         "penalty": {"kind": "constant", "value": "1/4"}}]})
+
+    class CancelAtRoot(StoppingStrategy):
+        def stops(self, i, k, m, history):
+            return k == 0
+
+        def stops_at_state(self, k, m, j, wealth):
+            return k == 0
+
+    class GambleOnFirstClaim:
+        def units(self, level, node, claim, wealth):
+            return F(100) if (level, claim) == (0, 1) else F(0)
+
+    gamma, seller = GambleOnFirstClaim(), CancelAtRoot(c.tree, c.L)
+    infusion = StackInfusion(build_risk_stack(c))
+    x = F(1, 2)
+    assert evaluate_risk(c, gamma, infusion, seller, x, mode="recursion") == \
+        evaluate_risk(c, gamma, infusion, seller, x, mode="enumeration")
 
 
 def test_grid_oracle_brackets_random_curves():

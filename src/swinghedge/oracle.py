@@ -3,15 +3,20 @@
 Everything here recomputes quantities the fast code produces, by slower but
 structurally different means: explicit enumeration of stopping times and of
 full strategy profiles, best-response tables against a committed opponent,
-pathwise play evaluation, direct candidate minimization for the one-period
+forward play evaluation, direct candidate minimization for the one-period
 transforms, and a bracketing grid scheme for the shortfall value. None of it
 shares algorithmic machinery with the production recursions, so agreement is
 evidence, not tautology.
 
-The saddle certificate's best responses visit every (node, right, history)
-state but do the arithmetic once per distinct subgame: a subgame is interned
-by its content (node, right, the opponent's answer and the child subgames'
-ids), so histories the opponent treats alike share one value.
+The saddle certificate plays the pair forward in one walk over the states
+the play reaches, scenarios sharing their path prefixes, and then computes
+both best responses backward from one table of maturity payments. The best
+responses visit every (node, right, history) state but do the arithmetic
+once per distinct subgame: a subgame is interned by its content (node,
+right, the opponent's answer and the child subgames' ids), so histories the
+opponent treats alike share one value. Decisions are recorded only for a
+side that fails, by walking its best response once more to build the
+witness.
 
 Enumeration sizes explode quickly with depth. Every enumerating entry point
 takes a cap and raises EnumerationCapError before materializing anything too
@@ -28,8 +33,9 @@ from typing import Optional
 
 from .dynkin import StoppingTime, evaluate_game
 from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, InvariantError
+from .hedge import check_capital
 from .market import MARTINGALE, format_rational, martingale_prob, measure_prob
-from .swing import StoppingStrategy, window_start
+from .swing import StoppingStrategy
 
 
 # ---------------------------------------------------------------------------
@@ -295,33 +301,40 @@ def brute_force_value(contract, cap=DEFAULT_ENUMERATION_CAP):
 def play_value(contract, seller, buyer, measure=MARTINGALE):
     """Expected total payment when both strategies are played out.
 
-    Walks every scenario separately: rights are used in order, each opens one
-    period after the previous one closed (or immediately at maturity), a
-    cancellation pays the penalty leg, simultaneous moves pay the exercise
-    leg, and everything still open settles on the exercise leg at maturity.
+    A forward simulation: one depth-first walk over the (node, right,
+    history) states the play reaches, from the root down, on an explicit
+    stack. Scenarios that share a path prefix share its states, so each node
+    is visited once, with the probability of reaching it. Rights are used in
+    order, each opens one period after the previous one closed (or
+    immediately at maturity), a cancellation pays the penalty leg,
+    simultaneous moves pay the exercise leg, and everything still open
+    settles on the exercise leg at maturity. A scenario's payment is added,
+    weighted by its reach probability, once its last right has settled.
     """
     tree = contract.tree
-    N = tree.params.N
+    N, L = tree.params.N, contract.L
     q = measure_prob(tree, measure)
+    r = 1 - q
     total = Fraction(0)
-    for path in tree.paths():
-        hist = ()
-        paid = Fraction(0)
-        for i in range(1, contract.L + 1):
-            k = window_start(hist, N)
-            while True:
-                m = tree.node_on_path(path, k)
-                forced = k == N
-                ss = forced or seller.stops(i, k, m, hist)
-                bs = forced or buyer.stops(i, k, m, hist)
-                if ss or bs:
-                    d = 1 if (ss and not bs) else 0
-                    leg = contract.X(i) if d else contract.Y(i)
-                    paid += leg.at(k, m)
-                    hist = hist + ((k, d),)
-                    break
-                k += 1
-        total += tree.path_prob(path, q) * paid
+    stack = [(0, 0, 1, (), Fraction(1), Fraction(0))]
+    while stack:
+        k, m, i, hist, reach, paid = stack.pop()
+        if k == N:
+            for j in range(i, L + 1):
+                paid += contract.Y(j).at(N, m)
+            total += reach * paid
+            continue
+        ss = seller.stops(i, k, m, hist)
+        bs = buyer.stops(i, k, m, hist)
+        if ss or bs:
+            d = 1 if (ss and not bs) else 0
+            paid += (contract.X(i) if d else contract.Y(i)).at(k, m)
+            if i == L:
+                total += reach * paid
+                continue
+            i, hist = i + 1, hist + ((k, d),)
+        stack.append((k + 1, 2 * m, i, hist, reach * r, paid))
+        stack.append((k + 1, 2 * m + 1, i, hist, reach * q, paid))
     return total
 
 
@@ -344,8 +357,32 @@ class DictStrategy(StoppingStrategy):
         ]
 
 
-def _best_response(contract, opponent, opponent_is_seller, measure):
-    """The exact best reply to a committed opponent, with its decisions.
+def _maturity_payments(contract):
+    """Interned maturity payments, built once for both best responses.
+
+    Returns (ids, vals, leaf): ids maps a payment's integer ratio to its
+    id, vals lists the payments by id, and leaf[i][m] is the id of the
+    payment of rights i..L at maturity node m, a suffix sum over i.
+    """
+    N, L = contract.tree.params.N, contract.L
+    ids, vals = {}, []
+    leaf = [None] * (L + 1)
+    bundle = [Fraction(0)] * 2 ** N
+    for i in range(L, 0, -1):
+        Y = contract.Y(i)
+        bundle = [Y.at(N, m) + rest for m, rest in enumerate(bundle)]
+        row = leaf[i] = []
+        for v in bundle:
+            key = v.as_integer_ratio()
+            if key not in ids:
+                ids[key] = len(vals)
+                vals.append(v)
+            row.append(ids[key])
+    return ids, vals, leaf
+
+
+def _best_response(contract, opponent, opponent_is_seller, measure, maturity, witness):
+    """The exact best reply to a committed opponent.
 
     The recursion visits every (node, right, history) state the reply can
     reach once, in the lazy order of a plain recursion over histories: where
@@ -353,20 +390,23 @@ def _best_response(contract, opponent, opponent_is_seller, measure):
     buyer stops. The arithmetic is done once per distinct subgame instead of
     once per state. A subgame gets an interned id from its content: the
     node, the right, the opponent's answer there and the ids of the child
-    subgames visited, a leaf being its terminal payment. Two histories share
-    an id only when the opponent answers alike in every reachable
-    continuation, so this is exact for any opponent. Each state's decision
-    is read from its id.
+    subgames visited, a leaf being its terminal payment (maturity is a
+    _maturity_payments table). Two histories share an id only when the
+    opponent answers alike in every reachable continuation, so this is
+    exact for any opponent. Returns (value, reply): with witness set, reply
+    is the reply's decision at every state, read from its id, as a
+    DictStrategy; else None, and no state is recorded.
     """
     tree = contract.tree
     N = tree.params.N
     L = contract.L
     q = measure_prob(tree, measure)
     r = 1 - q
-    ids = {}        # content -> subgame id
-    vals = []       # id -> value
-    picks = []      # id -> the reply's decision, None where it has none
-    decisions = {}
+    ids, vals, leaf = maturity
+    ids = dict(ids)             # content -> subgame id
+    vals = list(vals)           # id -> value
+    picks = [None] * len(vals)  # id -> the reply's decision, None where it has none
+    decisions = {} if witness else None
 
     def new(key, value, pick=None):
         ids[key] = sid = len(vals)
@@ -374,38 +414,27 @@ def _best_response(contract, opponent, opponent_is_seller, measure):
         picks.append(pick)
         return sid
 
-    def payment(v):
-        key = v.as_integer_ratio()
-        return ids[key] if key in ids else new(key, v)
-
-    # leaf[i][m]: id of the payment of rights i..L at maturity, interned by
-    # value; the payments are suffix sums over i
-    leaf = [None] * (L + 1)
-    bundle = [Fraction(0)] * 2 ** N
-    for i in range(L, 0, -1):
-        Y = contract.Y(i)
-        bundle = [Y.at(N, m) + rest for m, rest in enumerate(bundle)]
-        leaf[i] = [payment(v) for v in bundle]
-
     def mix(pair):
         return Fraction(0) if pair is None else q * vals[pair[0]] + r * vals[pair[1]]
-
-    def kids(k, m, j, hist):
-        if j > L:
-            return None
-        return visit(k + 1, 2 * m + 1, j, hist), visit(k + 1, 2 * m, j, hist)
 
     def visit(k, m, i, hist):
         if k == N:
             return leaf[i][m]
+        up, dn, j = 2 * m + 1, 2 * m, i + 1
         if opponent_is_seller:
-            a = kids(k, m, i + 1, hist + ((k, 0),))
+            h = hist + ((k, 0),)
+            a = None if j > L else (visit(k + 1, up, j, h), visit(k + 1, dn, j, h))
             s = opponent.stops(i, k, m, hist)
-            b = kids(k, m, i + 1, hist + ((k, 1),)) if s else kids(k, m, i, hist)
+            if s:
+                h = hist + ((k, 1),)
+                b = None if j > L else (visit(k + 1, up, j, h), visit(k + 1, dn, j, h))
+            else:
+                b = visit(k + 1, up, i, hist), visit(k + 1, dn, i, hist)
         else:
             s = opponent.stops(i, k, m, hist)
-            a = kids(k, m, i + 1, hist + ((k, 0) if s else (k, 1),))
-            b = None if s else kids(k, m, i, hist)
+            h = hist + ((k, 0) if s else (k, 1),)
+            a = None if j > L else (visit(k + 1, up, j, h), visit(k + 1, dn, j, h))
+            b = None if s else (visit(k + 1, up, i, hist), visit(k + 1, dn, i, hist))
         key = (k, m, i, s, a, b)
         sid = ids.get(key)
         if sid is None:
@@ -418,11 +447,12 @@ def _best_response(contract, opponent, opponent_is_seller, measure):
             else:
                 canc, cont = x + mix(a), mix(b)
                 sid = new(key, min(canc, cont), canc <= cont)
-        if picks[sid] is not None:
+        if decisions is not None and picks[sid] is not None:
             decisions[(i, k, m, hist)] = picks[sid]
         return sid
 
-    return vals[visit(0, 0, 1, ())], DictStrategy(tree, L, decisions)
+    value = vals[visit(0, 0, 1, ())]
+    return value, DictStrategy(tree, L, decisions) if witness else None
 
 
 @dataclass
@@ -457,19 +487,26 @@ class SaddleCertificate:
 def certify_saddle(contract, seller, buyer, measure=MARTINGALE, cap=DEFAULT_ENUMERATION_CAP):
     """Check that (seller, buyer) is a saddle point of the expected payment.
 
-    Plays the pair to get its value v, then computes each player's exact best
-    response against the other held fixed. The pair certifies when no buyer
-    strategy beats v against this seller and no seller strategy pushes below
-    v against this buyer. On failure the certificate carries the profitable
-    deviation as an explicit strategy. A tree of more than `cap` nodes is
-    refused before any strategy is asked anything.
+    Plays the pair forward to get its value v, then computes each player's
+    exact best response against the other held fixed, both from one table
+    of maturity payments. The pair certifies when no buyer strategy beats v
+    against this seller and no seller strategy pushes below v against this
+    buyer. On failure the certificate carries the profitable deviation as
+    an explicit strategy: the failing side's best response is walked once
+    more to record it, so a passing pair records no decisions. A tree of
+    more than `cap` nodes is refused before any strategy is asked anything.
     """
     nodes = 2 ** (contract.tree.params.N + 1) - 1
     if nodes > cap:
         raise EnumerationCapError(nodes, cap)
     v = play_value(contract, seller, buyer, measure)
-    b_val, b_strat = _best_response(contract, seller, True, measure)
-    s_val, s_strat = _best_response(contract, buyer, False, measure)
+    maturity = _maturity_payments(contract)
+
+    def respond(opponent, opponent_is_seller, witness):
+        return _best_response(contract, opponent, opponent_is_seller, measure, maturity, witness)
+
+    b_val, _ = respond(seller, True, False)
+    s_val, _ = respond(buyer, False, False)
     buyer_bad = b_val > v
     seller_bad = s_val < v
     return SaddleCertificate(
@@ -477,8 +514,8 @@ def certify_saddle(contract, seller, buyer, measure=MARTINGALE, cap=DEFAULT_ENUM
         value=v,
         buyer_best_response=b_val,
         seller_best_response=s_val,
-        buyer_witness=b_strat if buyer_bad else None,
-        seller_witness=s_strat if seller_bad else None,
+        buyer_witness=respond(seller, True, True)[1] if buyer_bad else None,
+        seller_witness=respond(buyer, False, True)[1] if seller_bad else None,
     )
 
 
@@ -613,9 +650,7 @@ def grid_risk_oracle(contract, x, resolution=8):
     Doubling the resolution refines both grids in a nested way, so brackets
     shrink monotonically.
     """
-    x = Fraction(x)
-    if x < 0:
-        raise ContractError(f"initial capital must be nonnegative, got {x}")
+    x = check_capital(x)
     if resolution < 1:
         raise ContractError("resolution must be a positive integer")
     tree = contract.tree

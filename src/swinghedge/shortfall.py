@@ -279,8 +279,13 @@ class SimulationOutcome:
 
 
 def _trade(contract, k, node, w, units):
-    """Wealth w at the parent of (k, node), held as `units` shares into level k."""
+    """Wealth w at the parent of (k, node), held as `units` shares into level k.
+
+    Raises InvariantError when the trade leaves that wealth negative.
+    """
     (n, d), _ = _level_wealth(contract, k, node, (w.numerator, w.denominator), units, ())
+    if n < 0:
+        raise InvariantError(f"share count {units} at level {k - 1} can bankrupt wealth {w}")
     return Fraction(n, d)
 
 
@@ -364,8 +369,6 @@ def _policy_risk(contract, gamma, infusion, x, stops) -> PolicyRisk:
         shares = Fraction(gamma.units(k, m, claim, w))
         up = _trade(contract, k + 1, 2 * m + 1, w, shares)
         dn = _trade(contract, k + 1, 2 * m, w, shares)
-        if up < 0 or dn < 0:
-            raise InvariantError(f"share count {shares} at level {k} can bankrupt wealth {w}")
         j = L - claim + 1
         return p * rec(k + 1, 2 * m + 1, j, up) + (1 - p) * rec(k + 1, 2 * m, j, dn)
 

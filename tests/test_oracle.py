@@ -12,6 +12,7 @@ from swinghedge.market import MARKET, MARTINGALE, MarketParams, build_tree, meas
 from swinghedge.oracle import (
     DictStrategy,
     _best_response,
+    _maturity_payments,
     brute_force_value,
     certify_saddle,
     count_stopping_times,
@@ -28,6 +29,7 @@ from swinghedge.swing import (
     optimal_strategies,
     price_swing,
     resolve,
+    window_start,
 )
 
 MODEL1 = {"S0": "1", "a": "-1/2", "b": "1", "p": "1/2", "N": 1}
@@ -161,8 +163,9 @@ def test_grid_risk_oracle_zero_contract():
 
 def test_grid_risk_oracle_input_guards():
     c = contract_a()
-    with pytest.raises(ContractError):
-        grid_risk_oracle(c, Fraction(-1))
+    for x in (Fraction(-1), 0.1, True):
+        with pytest.raises(ContractError):
+            grid_risk_oracle(c, x)
     with pytest.raises(ContractError):
         grid_risk_oracle(c, Fraction(0), resolution=0)
 
@@ -216,6 +219,38 @@ def reference_best_response(contract, opponent, opponent_is_seller, measure):
     return value(0, 0, 1, ()), decisions
 
 
+def reference_play_value(contract, seller, buyer, measure):
+    """The expected total payment by playing every scenario separately.
+
+    Each of the 2^N paths is walked from the root on its own, both players
+    asked at every level the play reaches on it, and its payment weighted
+    by the path's probability; nothing is shared between paths.
+    """
+    tree = contract.tree
+    N = tree.params.N
+    q = measure_prob(tree, measure)
+    total = Fraction(0)
+    for path in tree.paths():
+        hist = ()
+        paid = Fraction(0)
+        for i in range(1, contract.L + 1):
+            k = window_start(hist, N)
+            while True:
+                m = tree.node_on_path(path, k)
+                forced = k == N
+                ss = forced or seller.stops(i, k, m, hist)
+                bs = forced or buyer.stops(i, k, m, hist)
+                if ss or bs:
+                    d = 1 if (ss and not bs) else 0
+                    leg = contract.X(i) if d else contract.Y(i)
+                    paid += leg.at(k, m)
+                    hist = hist + ((k, d),)
+                    break
+                k += 1
+        total += tree.path_prob(path, q) * paid
+    return total
+
+
 class Recording(StoppingStrategy):
     """Answers as `inner` does and logs every question."""
 
@@ -248,12 +283,47 @@ def test_interned_best_response_matches_the_history_recursion(recombining):
             for opponent_is_seller in (True, False):
                 for measure in (MARTINGALE, MARKET):
                     asked, asked_ref = Recording(opponent), Recording(opponent)
-                    value, witness = _best_response(c, asked, opponent_is_seller, measure)
+                    value, witness = _best_response(c, asked, opponent_is_seller, measure,
+                                                    _maturity_payments(c), True)
                     ref_value, ref_decisions = reference_best_response(
                         c, asked_ref, opponent_is_seller, measure)
                     assert value == ref_value
                     assert witness.decisions == ref_decisions
                     assert asked.log == asked_ref.log
+                    asked = Recording(opponent)
+                    assert _best_response(c, asked, opponent_is_seller, measure,
+                                          _maturity_payments(c), False) == (ref_value, None)
+                    assert asked.log == asked_ref.log
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_forward_play_value_matches_the_per_path_play(recombining):
+    rng = random.Random(83 + recombining)
+    for _ in range(8):
+        c = random_contract(rng, max_n=5, max_l=3, recombining=recombining)
+        sellers, buyers = strategy_zoo(rng, c)
+        for seller in sellers:
+            for buyer in buyers:
+                for measure in (MARTINGALE, MARKET):
+                    assert play_value(c, seller, buyer, measure) == \
+                        reference_play_value(c, seller, buyer, measure)
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_a_passing_certificate_walks_each_side_once(recombining):
+    rng = random.Random(89 + recombining)
+    for _ in range(6):
+        c = random_contract(rng, max_n=4, max_l=3, recombining=recombining)
+        seller, buyer = optimal_strategies(price_swing(c)[0])
+        asked_seller, asked_buyer = Recording(seller), Recording(buyer)
+        assert certify_saddle(c, asked_seller, asked_buyer).ok
+        once_seller, once_buyer = Recording(seller), Recording(buyer)
+        play_value(c, once_seller, once_buyer)
+        maturity = _maturity_payments(c)
+        _best_response(c, once_seller, True, MARTINGALE, maturity, False)
+        _best_response(c, once_buyer, False, MARTINGALE, maturity, False)
+        assert sorted(asked_seller.log) == sorted(once_seller.log)
+        assert sorted(asked_buyer.log) == sorted(once_buyer.log)
 
 
 def certificate_fields(cert):

@@ -205,6 +205,29 @@ def test_committed_recursion_values_only_the_branch_taken():
         evaluate_risk(c, gamma, infusion, seller, x, mode="enumeration")
 
 
+def test_both_evaluation_modes_refuse_a_bankrupting_share_count():
+    c = build_contract({"model": MODEL2, "claims": [
+        {"exercise": {"kind": "call", "strike": "1"},
+         "penalty": {"kind": "constant", "value": "1/10"}}]})
+
+    class NeverCancel(StoppingStrategy):
+        def stops(self, i, k, m, history):
+            return False
+
+        def stops_at_state(self, k, m, j, wealth):
+            return False
+
+    class GambleAtRoot:
+        def units(self, level, node, claim, wealth):
+            return F(100) if level == 0 else F(0)
+
+    gamma, seller = GambleAtRoot(), NeverCancel(c.tree, c.L)
+    infusion = StackInfusion(build_risk_stack(c))
+    for mode in ("recursion", "enumeration"):
+        with pytest.raises(InvariantError, match="share count 100 at level 0 can bankrupt wealth 1/2"):
+            evaluate_risk(c, gamma, infusion, seller, F(1, 2), mode=mode)
+
+
 def test_grid_oracle_brackets_random_curves():
     rng = random.Random(97)
     for _ in range(6):

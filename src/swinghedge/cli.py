@@ -198,7 +198,8 @@ def cmd_verify(args):
         short = verify_perfect_hedge(contract, portfolio, price - eps, cap=args.cap)
         checks["hedge_fails_below_price"] = (not short.ok) and short.witness is not None
         risk_stack = build_risk_stack(contract)
-        checks["risk_vanishes_at_price"] = risk_stack.risk(price) == 0
+        risk_at_price = risk_stack.risk(price)
+        checks["risk_vanishes_at_price"] = risk_at_price == 0
         curve = risk_stack.curve()
         wired = PwlFn.from_wire(curve.to_wire())
         agree = wired == curve
@@ -209,7 +210,7 @@ def cmd_verify(args):
         checks["curve_round_trips"] = agree
         report[name] = {
             "price": format_rational(price),
-            "risk_at_price": format_rational(risk_stack.risk(price)),
+            "risk_at_price": format_rational(risk_at_price),
             "checks": checks,
         }
         all_ok = all_ok and all(checks.values())

@@ -121,10 +121,6 @@ def dynkin_minimax(X, Y, measure=MARTINGALE, cap=DEFAULT_ENUMERATION_CAP):
 # ---------------------------------------------------------------------------
 # full strategy profiles for the multi-right game
 
-def _bundle(contract, first, m):
-    return contract.terminal_bundle(first, m) if first <= contract.L else Fraction(0)
-
-
 def count_strategy_profiles(contract):
     """(seller, buyer) count of reduced strategies for the whole game.
 
@@ -243,7 +239,7 @@ def brute_force_value(contract, cap=DEFAULT_ENUMERATION_CAP):
         for m in range(2 ** k):
             for i in range(L, 0, -1):
                 if k == N:
-                    v = [_bundle(contract, i, m)]
+                    v = [contract.terminal_bundle(i, m)]
                     BRbuy[(k, m, i)] = v
                     BRsell[(k, m, i)] = list(v)
                     continue
@@ -522,50 +518,17 @@ def certify_saddle(contract, seller, buyer, measure=MARTINGALE, cap=DEFAULT_ENUM
 # ---------------------------------------------------------------------------
 # direct evaluation of the one-period transforms
 
-def portfolio_value_at(psi1, psi2, p, a, b, y):
-    """Exact portfolio-transform value at one point, no envelope assembly.
+def portfolio_at(psi1, psi2, p, a, b, y):
+    """(value, smallest optimal alpha) of the portfolio transform at one
+    point, no envelope assembly.
 
     For fixed y the objective is piecewise linear in the up-state wealth w1,
     with kinks only where w1 meets a breakpoint of psi1 or the matching
     down-state wealth meets a breakpoint of psi2, so the minimum over the
     admissible segment is the minimum over those finitely many candidates.
-    """
-    y = Fraction(y)
-    pt = martingale_prob(a, b)
-    cands = {Fraction(0)}
-    for x, _ in psi1.points:
-        if pt * x <= y:
-            cands.add(x)
-    for x, _ in psi2.points:
-        if (1 - pt) * x <= y:
-            cands.add((y - (1 - pt) * x) / pt)
-    p = Fraction(p)
-    best = None
-    for w1 in cands:
-        w2 = (y - pt * w1) / (1 - pt)
-        v = p * psi1.eval(w1) + (1 - p) * psi2.eval(w2)
-        if best is None or v < best:
-            best = v
-    return best
-
-
-def infusion_value_at(psi, A, y):
-    """Exact infusion-transform value at one point."""
-    y, A = Fraction(y), Fraction(A)
-    c = max(y - A, Fraction(0))
-    best = c + psi.eval(c)
-    for x, _ in psi.points:
-        if x > c:
-            best = min(best, x + psi.eval(x))
-    return (A - y) + best
-
-
-def portfolio_argmin_at(psi1, psi2, p, a, b, y):
-    """The smallest optimal alpha at one point, no envelope assembly.
-
-    Evaluates the candidates of portfolio_value_at in increasing w1 and keeps
-    the first of least value; alpha = (w1 - y) / b grows with w1, so that is
-    the smallest optimal alpha.
+    They are evaluated in increasing w1 and the first of least value is
+    kept; alpha = (w1 - y) / b grows with w1, so that is the smallest
+    optimal alpha.
     """
     y = Fraction(y)
     pt = martingale_prob(a, b)
@@ -583,11 +546,12 @@ def portfolio_argmin_at(psi1, psi2, p, a, b, y):
         v = p * psi1.eval(w1) + (1 - p) * psi2.eval(w2)
         if best is None or v < best:
             best, best_w1 = v, w1
-    return (best_w1 - y) / Fraction(b)
+    return best, (best_w1 - y) / Fraction(b)
 
 
-def infusion_argmin_at(psi, A, y):
-    """The smallest optimal injection at one point.
+def infusion_at(psi, A, y):
+    """(value, smallest optimal injection) of the infusion transform at one
+    point.
 
     The leftmost minimizer of w + psi(w) over w >= (y - A)^+ sits at the
     left end or at a breakpoint; the injection is that w minus (y - A).
@@ -598,7 +562,7 @@ def infusion_argmin_at(psi, A, y):
     for x, v in psi.points:
         if x > c and x + v < best:
             best, best_w = x + v, x
-    return best_w + A - y
+    return (A - y) + best, best_w + A - y
 
 
 def grid_portfolio_value(psi1, psi2, p, a, b, y, resolution):
@@ -684,7 +648,7 @@ def grid_risk_oracle(contract, x, resolution=8):
         if j == 0:
             return Fraction(0)
         if k == N:
-            return max(_bundle(contract, L - j + 1, m) - y, Fraction(0))
+            return max(contract.terminal_bundle(L - j + 1, m) - y, Fraction(0))
         key = (k, m, j, y)
         if key in memo:
             return memo[key]
@@ -763,7 +727,7 @@ def grid_risk_oracle(contract, x, resolution=8):
     for m in range(2 ** N):
         rows = [[Fraction(0)] * (G + 1)]
         for j in range(1, L + 1):
-            base = _bundle(contract, L - j + 1, m)
+            base = contract.terminal_bundle(L - j + 1, m)
             rows.append([max(base - g * step, Fraction(0)) for g in range(G + 1)])
         level.append(rows)
 

@@ -18,9 +18,11 @@ b (up), a (down):
       psi_A(y) = min over z >= (A - y)^+ of z + psi(y + z - A),
       the best cost when an obligation A is due and z may be injected.
 
-Both keep the function inside the class. Each also yields the optimal
-control, selecting the SMALLEST minimizer when several controls achieve the
-minimum, so downstream policy extraction is deterministic.
+Both keep the function inside the class. Each control is built once and
+selects the SMALLEST minimizer when several controls achieve the minimum, so
+downstream policy extraction is deterministic: portfolio_transform returns
+its alpha control with the function, and the injection control of every
+obligation A is leftmost_minimizer of psi (below).
 
 The portfolio minimization is computed in post-move wealth coordinates:
 writing w1 = y + b*alpha, w2 = y + a*alpha, the constraint set becomes
@@ -43,7 +45,9 @@ The infusion minimization goes through h(w) = w + psi(w): the value is
 (A - y) + min over w >= (y - A)^+ of h(w), and the smallest injection comes
 from the LEFTMOST minimizer of h on that ray. One right-to-left pass over
 psi's breakpoints gives the suffix minimum of h and its leftmost minimizer
-for every left end at once (leftmost_minimizer).
+for every left end at once: infusion_transform reads the minimum off it,
+leftmost_minimizer the minimizer, which serves every obligation A (the left
+end is (y - A)^+).
 
 pointwise_min and pointwise_max use the same two-pointer merge.
 
@@ -533,34 +537,23 @@ def leftmost_minimizer(psi: PwlFn) -> PwlControl:
     return PwlControl([r[0] for r in rows], [r[2] for r in rows], [r[3] for r in rows])
 
 
-def infusion_transform(psi: PwlFn, A):
-    """The exact infusion minimization; returns (PwlFn, PwlControl).
+def infusion_transform(psi: PwlFn, A) -> PwlFn:
+    """The exact infusion minimization, psi_A(y), as a function of wealth y.
 
-    The control is the injected amount z(y) >= (A - y)^+, smallest optimal.
     Computed through h(w) = w + psi(w): the value is
-    (A - y) + min over w >= (y - A)^+ of h(w), and the smallest optimal z
-    comes from the LEFTMOST minimizer of h on that ray.
+    (A - y) + min over w >= (y - A)^+ of h(w). The smallest optimal
+    injection is not built here; leftmost_minimizer of psi gives it.
     """
     A = to_rational(A)
     if A < 0:
         raise ContractError(f"obligation must be nonnegative, got {A}")
     an, ad = A.numerator, A.denominator
     rows = _suffix_minimum(psi)
-
-    def minus(q, c):
-        return _q(q[0] * c[1] - c[0] * q[1], q[1] * c[1])
-
-    # y = A + c for the row at c; z = w - (y - A) and a minimizer
-    # (P*c + R)/D becomes z = ((P - D)*y + R - (P - D)*A)/D
+    # y = A + c for the row at c, where the value is m - c
     xs = [_q(c[0] * ad + an * c[1], c[1] * ad) for c, _, _, _ in rows]
-    vs = [minus(m, c) for c, m, _, _ in rows]
-    at = [minus(w, c) for c, _, w, _ in rows]
-    lines = [_line((P - D) * ad, R * ad - (P - D) * an, D * ad) for _, _, _, (P, R, D) in rows]
-    if A > 0:  # below A the ray starts at 0: z = w(0) + A - y
-        _, m0, w0, _ = rows[0]
-        s0 = _q(w0[0] * ad + an * w0[1], w0[1] * ad)
+    vs = [_q(m[0] * c[1] - c[0] * m[1], m[1] * c[1]) for c, m, _, _ in rows]
+    if A > 0:  # below A the ray starts at 0: the value is m(0) + A - y
+        m0 = rows[0][1]
         xs.insert(0, (0, 1))
         vs.insert(0, _q(m0[0] * ad + an * m0[1], m0[1] * ad))
-        at.insert(0, s0)
-        lines.insert(0, (-s0[1], s0[0], s0[1]))
-    return PwlFn._of(xs, vs), PwlControl(xs, at, lines)
+    return PwlFn._of(xs, vs)

@@ -20,8 +20,10 @@ per node and per remaining-rights count j with active right i = L - j + 1:
     cost      = min(cancel, max(exercise, continue))
 
 with terminal cost (sum of remaining exercise legs - wealth)^+. The optimal
-share counts and injections fall out of the stored transform controls, and
-the optimal cancellation behaviour is "cancel where the cancel branch is the
+share counts are the stored portfolio controls. The optimal injections are
+one rule per state: the leftmost minimizer of w + phi(w) over the wealth
+left after settlement (RiskStack.minimizer), whatever the obligation. The
+optimal cancellation behaviour is "cancel where the cancel branch is the
 standing cost", evaluated at the wealth the policy itself produces.
 
 Everything downstream of the recursion (policy evaluation, simulation, the
@@ -118,8 +120,8 @@ def build_risk_stack(contract) -> RiskStack:
                 phi[(k, s, j)] = pj
                 phi_ctrl[(k, s, j)] = ctrl
                 settled = phi[(k, s, j - 1)]
-                e_fn, _ = infusion_transform(settled, contract.Y(i).values[k][s])
-                c_fn, _ = infusion_transform(settled, contract.X(i).values[k][s])
+                e_fn = infusion_transform(settled, contract.Y(i).values[k][s])
+                c_fn = infusion_transform(settled, contract.X(i).values[k][s])
                 ex_fn[(k, s, j)] = e_fn
                 ca_fn[(k, s, j)] = c_fn
                 J[(k, s, j)] = pointwise_min(c_fn, pointwise_max(e_fn, pj))

@@ -236,34 +236,18 @@ def price_swing(contract: SwingContract):
 
 
 def optimal_strategies(stack: ValueStack):
-    """The saddle-point strategies read off the stack.
+    """The saddle-point strategies: solve_dynkin's stopping tables.
 
-    Claim i consults stack level k = L-i+1: the seller stops where Xk = Vk,
-    the buyer where Yk = Vk, each at the first such level inside the claim's
+    Claim i plays stack level k = L-i+1, so its seller table is the seller
+    stop of that level's game, where Xk <= Vk (that is Xk = Vk: contracts
+    keep Yk <= Xk, so Vk <= Xk), and its buyer table the buyer stop, where
+    Yk = Vk. Each side stops at the first such level inside the claim's
     window (level N is forced by the resolver). The tables hold one entry
-    per state of the contract's state space. The three processes of a
-    stack level share their level denominators, so the ties are numerator
-    equalities.
+    per state of the contract's state space.
     """
-    contract = stack.contract
-    tree = contract.tree
-    L, N = contract.L, tree.N
-    seller_tables, buyer_tables = [], []
-    for i in range(1, L + 1):
-        k = L - i + 1
-        Xk, Yk, Vk = stack.X[k - 1], stack.Y[k - 1], stack.V[k - 1]
-        st = {}
-        bt = {}
-        for lvl in range(N):
-            rows = zip(Xk.nums[lvl], Yk.nums[lvl], Vk.nums[lvl])
-            for s, (x, y, v) in enumerate(rows):
-                if x == v:
-                    st[(lvl, s)] = True
-                if y == v:
-                    bt[(lvl, s)] = True
-        seller_tables.append(st)
-        buyer_tables.append(bt)
+    tree, L = stack.contract.tree, stack.contract.L
+    sols = stack.solutions[::-1]  # claim i plays stack level L - i + 1
     return (
-        TableStrategy(tree, L, seller_tables, by_state=True),
-        TableStrategy(tree, L, buyer_tables, by_state=True),
+        TableStrategy(tree, L, [sol.seller_stop.decisions for sol in sols], by_state=True),
+        TableStrategy(tree, L, [sol.buyer_stop.decisions for sol in sols], by_state=True),
     )

@@ -24,14 +24,15 @@ from swinghedge.oracle import (
     grid_infusion_value,
     grid_portfolio_value,
     grid_risk_oracle,
-    infusion_value_at,
-    portfolio_value_at,
+    infusion_at,
+    portfolio_at,
 )
 from swinghedge.pwl import infusion_transform, portfolio_transform
 from swinghedge.shortfall import (
     build_risk_stack,
     evaluate_policy_risk,
     evaluate_risk,
+    infusion_minimizer,
     optimal_hedge,
     shortfall_risk,
 )
@@ -174,7 +175,7 @@ def test_criterion_08_pwl_closure_and_oracles():
                 p, a, b = random_market_bits(rng)
                 fn, ctrl = portfolio_transform(psi1, psi2, p, a, b)
                 y = random_point(rng, F(0), fn.support_end + 1)
-                want = portfolio_value_at(psi1, psi2, p, a, b, y)
+                want, _ = portfolio_at(psi1, psi2, p, a, b, y)
                 assert fn.eval(y) == want
                 alpha = ctrl.eval(y)
                 assert y + alpha * b >= 0 and y + alpha * a >= 0
@@ -184,13 +185,13 @@ def test_criterion_08_pwl_closure_and_oracles():
             else:
                 psi = random_pwl(rng, 3)
                 A = F(rng.randint(0, 8), rng.randint(1, 4))
-                fn, ctrl = infusion_transform(psi, A)
+                fn = infusion_transform(psi, A)
                 y = random_point(rng, F(0), fn.support_end + 1)
-                want = infusion_value_at(psi, A, y)
+                want, _ = infusion_at(psi, A, y)
                 assert fn.eval(y) == want
-                z = ctrl.eval(y)
-                assert z >= 0 and y - A + z >= 0
-                assert z + psi.eval(y - A + z) == want
+                z, w = infusion_minimizer(psi, y - A)
+                assert z >= 0 and w >= 0
+                assert z + psi.eval(w) == want
                 assert grid_infusion_value(psi, A, y, 4) >= want
             values = [v for _, v in fn.points]
             assert fn.points[0][0] == 0

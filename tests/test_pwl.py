@@ -10,19 +10,18 @@ from swinghedge.market import martingale_prob
 from swinghedge.oracle import (
     grid_infusion_value,
     grid_portfolio_value,
-    infusion_argmin_at,
-    infusion_value_at,
-    portfolio_argmin_at,
-    portfolio_value_at,
+    infusion_at,
+    portfolio_at,
 )
 from swinghedge.pwl import (
     PwlFn,
     infusion_transform,
+    leftmost_minimizer,
     pointwise_max,
     pointwise_min,
     portfolio_transform,
 )
-from swinghedge.shortfall import build_risk_stack, infusion_minimizer
+from swinghedge.shortfall import StackInfusion, build_risk_stack, infusion_minimizer
 
 F = Fraction
 
@@ -148,13 +147,13 @@ def test_portfolio_transform_matches_direct_minimum(seed, size):
     p, a, b = random_market_bits(rng)
     fn, ctrl = portfolio_transform(psi1, psi2, p, a, b)
     for y in probes(psi1, psi2, fn, extra=ctrl.xs):
-        want = portfolio_value_at(psi1, psi2, p, a, b, y)
+        want, smallest = portfolio_at(psi1, psi2, p, a, b, y)
         assert fn.eval(y) == want
         alpha = ctrl.eval(y)
         w1, w2 = y + alpha * b, y + alpha * a
         assert w1 >= 0 and w2 >= 0
         assert p * psi1.eval(w1) + (1 - p) * psi2.eval(w2) == want
-        assert alpha == portfolio_argmin_at(psi1, psi2, p, a, b, y)
+        assert alpha == smallest
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -176,21 +175,29 @@ def test_portfolio_transform_rejects_bad_probability():
 
 # ---- infusion transform ---------------------------------------------------
 
+def injection_knots(psi, A):
+    """The wealths y = A + c where the injection rule for obligation A has a
+    knot, c a knot of leftmost_minimizer(psi)."""
+    return [A + c for c in leftmost_minimizer(psi).xs]
+
+
 def test_infusion_transform_known_cases():
     # no future cost: inject exactly the missing part of the obligation
-    fn, ctrl = infusion_transform(PwlFn.zero(), F(1, 10))
-    assert fn == PwlFn.hockey_stick(F(1, 10))
-    assert ctrl.eval(F(0)) == F(1, 10)
-    assert ctrl.eval(F(1, 5)) == 0
+    A = F(1, 10)
+    fn = infusion_transform(PwlFn.zero(), A)
+    assert fn == PwlFn.hockey_stick(A)
+    # the injection at wealth y reads the rule at y - A
+    assert infusion_minimizer(PwlFn.zero(), 0 - A)[0] == A
+    assert infusion_minimizer(PwlFn.zero(), F(1, 5) - A)[0] == 0
     # zero obligation, but topping up can still pay off when the future
     # cost falls faster than money: psi drops 3 per unit of wealth
     steep = PwlFn([(0, F(3)), (1, F(0))])
-    fn, ctrl = infusion_transform(steep, F(0))
+    fn = infusion_transform(steep, F(0))
     assert fn.eval(0) == 1  # inject the whole unit, then nothing left to pay
-    assert ctrl.eval(F(0)) == 1
+    assert infusion_minimizer(steep, F(0))[0] == 1
     assert fn.eval(F(1, 2)) == F(1, 2)
     assert fn.eval(2) == 0
-    assert ctrl.eval(2) == 0
+    assert infusion_minimizer(steep, F(2))[0] == 0
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(SIZES))
@@ -198,15 +205,14 @@ def test_infusion_transform_matches_direct_minimum(seed, size):
     rng = random.Random(seed)
     psi = random_pwl(rng, *size)
     A = F(rng.randint(0, 8), rng.randint(1, 4))
-    fn, ctrl = infusion_transform(psi, A)
-    for y in probes(psi, fn, extra=ctrl.xs + [A]):
-        want = infusion_value_at(psi, A, y)
+    fn = infusion_transform(psi, A)
+    for y in probes(psi, fn, extra=injection_knots(psi, A) + [A]):
+        want, smallest = infusion_at(psi, A, y)
         assert fn.eval(y) == want
-        z = ctrl.eval(y)
-        w = y - A + z
+        z, w = infusion_minimizer(psi, y - A)
         assert z >= 0 and w >= 0
         assert z + psi.eval(w) == want
-        assert z == infusion_argmin_at(psi, A, y)
+        assert z == smallest
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -214,7 +220,7 @@ def test_infusion_grid_oracle_upper_bounds(seed):
     rng = random.Random(seed)
     psi = random_pwl(rng)
     A = F(rng.randint(0, 8), rng.randint(1, 4))
-    fn, _ = infusion_transform(psi, A)
+    fn = infusion_transform(psi, A)
     y = F(rng.randint(0, 12), rng.randint(1, 3))
     coarse = grid_infusion_value(psi, A, y, resolution=4)
     fine = grid_infusion_value(psi, A, y, resolution=8)
@@ -231,7 +237,7 @@ def test_infusion_minimizer_matches_the_oracle(seed, size):
     for y in ys:
         A = max(-y, F(0))
         amount, target = infusion_minimizer(psi, y)
-        assert amount == infusion_argmin_at(psi, A, y + A)
+        assert amount == infusion_at(psi, A, y + A)[1]
         assert target == y + amount
 
 
@@ -272,21 +278,21 @@ def test_controls_are_the_smallest_minimizers_on_ties(kind):
         psi1, psi2, p, a, b = tie_heavy(rng, kind)
         fn, ctrl = portfolio_transform(psi1, psi2, p, a, b)
         for y in probes(psi1, psi2, fn, extra=ctrl.xs):
-            assert fn.eval(y) == portfolio_value_at(psi1, psi2, p, a, b, y)
-            assert ctrl.eval(y) == portfolio_argmin_at(psi1, psi2, p, a, b, y)
+            assert (fn.eval(y), ctrl.eval(y)) == portfolio_at(psi1, psi2, p, a, b, y)
         A = F(rng.randint(0, 6), rng.choice([1, 2]))
         for psi in (psi1, fn):
-            gn, gctrl = infusion_transform(psi, A)
-            for y in probes(psi, gn, extra=gctrl.xs + [A]):
-                assert gn.eval(y) == infusion_value_at(psi, A, y)
-                assert gctrl.eval(y) == infusion_argmin_at(psi, A, y)
+            gn = infusion_transform(psi, A)
+            for y in probes(psi, gn, extra=injection_knots(psi, A) + [A]):
+                assert (gn.eval(y), infusion_minimizer(psi, y - A)[0]) == infusion_at(psi, A, y)
 
 
 # ---- the transforms inside the risk stack ----------------------------------
 
 def test_stack_portfolio_functions_and_controls_match_the_oracle():
     # riskcurve-markov's market on an N=6 lattice with three rights: every
-    # phi and its control against the oracle on the children's J
+    # phi and its control against the oracle on the children's J, and every
+    # exercise and cancel function and the injection rule against the
+    # oracle on the phi one right later
     p, a, b = F(3, 5), F(-1, 3), F(1, 2)
     contract = build_contract({
         "model": {"S0": "1", "a": "-1/3", "b": "1/2", "p": "3/5", "N": 6},
@@ -297,6 +303,7 @@ def test_stack_portfolio_functions_and_controls_match_the_oracle():
         ],
     })
     stack = build_risk_stack(contract)
+    infusion = StackInfusion(stack)
     tree = contract.tree
     assert tree.recombining
     for (k, s, j), ctrl in stack.phi_ctrl.items():
@@ -304,8 +311,16 @@ def test_stack_portfolio_functions_and_controls_match_the_oracle():
         psi1, psi2 = stack.J[(k + 1, up, j)], stack.J[(k + 1, dn, j)]
         fn = stack.phi[(k, s, j)]
         for y in probes(fn, extra=ctrl.xs):
-            assert fn.eval(y) == portfolio_value_at(psi1, psi2, p, a, b, y)
-            assert ctrl.eval(y) == portfolio_argmin_at(psi1, psi2, p, a, b, y)
+            assert (fn.eval(y), ctrl.eval(y)) == portfolio_at(psi1, psi2, p, a, b, y)
+        i = contract.L - j + 1
+        psi = stack.phi[(k, s, j - 1)]
+        node = next(tree.nodes_of(k, s))
+        for leg, branch in ((contract.Y(i), stack.exercise), (contract.X(i), stack.cancel)):
+            A, gn = leg.values[k][s], branch[(k, s, j)]
+            for y in probes(gn, extra=injection_knots(psi, A) + [A]):
+                want, smallest = infusion_at(psi, A, y)
+                assert gn.eval(y) == want
+                assert infusion.amount(k, node, i, y - A) == smallest
 
 
 # ---- transform outputs stay in the class ----------------------------------
@@ -319,7 +334,7 @@ def test_transforms_preserve_class_shape(seed):
     values = [v for _, v in fn.points]
     assert values == sorted(values, reverse=True)
     assert fn.points[-1][1] == 0
-    fn2, _ = infusion_transform(fn, F(rng.randint(0, 5), 2))
+    fn2 = infusion_transform(fn, F(rng.randint(0, 5), 2))
     assert fn2.points[0][0] == 0
     assert fn2.points[-1][1] == 0
     # round trip through the wire encoding preserves identity

@@ -193,9 +193,9 @@ def cmd_verify(args):
         checks["saddle_certified"] = certify_saddle(contract, seller, buyer, cap=args.cap).ok
         portfolio = build_perfect_hedge(stack)
         checks["hedge_covers_at_price"] = verify_perfect_hedge(
-            contract, portfolio, price, cap=args.cap
+            contract, portfolio, price, seller, cap=args.cap
         ).ok
-        short = verify_perfect_hedge(contract, portfolio, price - eps, cap=args.cap)
+        short = verify_perfect_hedge(contract, portfolio, price - eps, seller, cap=args.cap)
         checks["hedge_fails_below_price"] = (not short.ok) and short.witness is not None
         risk_stack = build_risk_stack(contract)
         risk_at_price = risk_stack.risk(price)

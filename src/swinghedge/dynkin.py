@@ -12,9 +12,9 @@ so ties pay Y. With Y <= X the game has the value process
 
 and stopping at the first node where X <= V (seller) or Y = V (buyer) is
 optimal. When the order Y <= X fails at a node the value is simply Y there
-(the maximizer stops; waiting is dominated). That branch never fires in the
-pricing pipeline, but the shortfall engine feeds cost processes with no order
-guarantee through the same recursion shape.
+(the maximizer stops; waiting is dominated). Only a direct caller reaches
+that branch, as the stack-reference tests' planted games do: contracts keep
+Y <= X, and shortfall.py imports nothing from this module.
 
 The recursion runs on integers. For q = u / v, solve_dynkin lifts X and Y to
 per-level denominators C_k (see market.level_scales) with C_k a multiple of

@@ -10,10 +10,13 @@ values of the relevant stack level:
 
 which moves the wealth exactly onto v_up / v_down whenever current wealth is
 at least the one-step expectation of those targets. The verifier checks the
-covering property exhaustively, over every play the buyer can force against
-the seller's committed cancellation behaviour on every path, in one
-depth-first walk of the tree: plays that share a path prefix and a
-settlement history share one wealth, computed once.
+covering property exhaustively, in one depth-first walk of the tree, over
+every play: the ClaimEvent sequence one buyer behaviour forces on one path
+against the seller's committed cancellations. Plays that share a path prefix
+and a settlement history share one wealth, computed once. Play order takes
+the paths in increasing order and, on a path, goes right by right: a right's
+outcomes go by level, the buyer's exercise comes before the seller's
+cancellation at the same level, and at maturity every open right settles on Y.
 
 Wealth runs on integers: the one wealth step, _level_wealth, holds it as a
 (numerator, denominator) pair and reads the stock prices and the payments
@@ -35,14 +38,7 @@ from typing import Optional
 
 from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, InvariantError
 from .market import to_rational
-from .swing import (
-    ClaimEvent,
-    StoppingStrategy,
-    ValueStack,
-    optimal_strategies,
-    price_swing,
-    window_start,
-)
+from .swing import ClaimEvent, ValueStack, check_strategy, optimal_strategies, price_swing
 
 
 class PortfolioStrategy:
@@ -166,45 +162,6 @@ def simulate_portfolio(contract, portfolio: PortfolioStrategy, x, events, path: 
     return [Fraction(*w) for w in pre], [Fraction(*w) for w in post]
 
 
-def enumerate_plays(contract, seller: StoppingStrategy, path: int):
-    """Every event sequence some buyer can force on this path.
-
-    The seller's cancellation behaviour is fixed; the buyer chooses, right by
-    right, an exercise level inside the current window or waits the seller
-    (or maturity) out. Each right contributes at most N + 2 outcomes, so the
-    enumeration is tiny even where the full strategy space is astronomical.
-    """
-    tree = contract.tree
-    N = tree.N
-    L = contract.L
-
-    def options(i, hist):
-        if i > L:
-            yield ()
-            return
-        theta = window_start(hist, N)
-        fire = N
-        for k in range(theta, N + 1):
-            m = tree.node_on_path(path, k)
-            if k == N or seller.stops(i, k, m, hist):
-                fire = k
-                break
-        outcomes = [(lvl, 0) for lvl in range(theta, fire + 1)]
-        if fire < N:
-            outcomes.append((fire, 1))
-        for lvl, d in outcomes:
-            ev = ClaimEvent(
-                level=lvl,
-                d=d,
-                seller_stopped=(lvl == fire),
-                buyer_stopped=(d == 0),
-            )
-            for rest in options(i + 1, hist + ((lvl, d),)):
-                yield (ev,) + rest
-
-    return options(1, ())
-
-
 @dataclass
 class HedgeWitness:
     path: int
@@ -221,6 +178,51 @@ class HedgeCheck:
     witness: Optional[HedgeWitness] = None
 
 
+def _first_failing_play(contract, portfolio, seller, x, path):
+    """(position, witness) of the first play on `path` in play order whose
+    wealth goes negative, position counting the path's plays up to it. Plays
+    are searched depth first with the walk's outcomes and wealth step, so a
+    shared prefix shares its wealth."""
+    tree = contract.tree
+    N, L = tree.N, contract.L
+    position = 0
+
+    def search(k, i, hist, w, units):
+        nonlocal position
+        m = path >> (N - k)
+        if k == N:
+            outcomes = (tuple((q, 0) for q in range(i, L + 1)),)
+        elif seller.stops(i, k, m, hist):
+            outcomes = (((i, 0),), ((i, 1),))
+        else:
+            outcomes = (((i, 0),), ())
+        for paid in outcomes:
+            _, post = _level_wealth(contract, k, m, w, units, paid)
+            j, play = i + len(paid), hist + tuple((k, d) for _, d in paid)
+            if post[0] < 0:
+                position += 1
+                # its first play exercises each later right as its window opens
+                return k, post, play + tuple((min(k + n, N), 0) for n in range(1, L + 2 - j))
+            if j > L:
+                position += 1
+                continue
+            post = _reduced(post)
+            found = search(k + 1, j, play, post, portfolio.units(k, m, j, Fraction(*post)))
+            if found:
+                return found
+        return None
+
+    found = search(0, 1, (), (x.numerator, x.denominator), 0)
+    if found is None:
+        raise InvariantError(f"path {tree.path_bits(path)} failed in the walk but in no play")
+    level, wealth, play = found
+    events = tuple(
+        ClaimEvent(k, d, d == 1 or k == N or seller.stops(i, k, path >> (N - k), play[:i - 1]), d == 0)
+        for i, (k, d) in enumerate(play, start=1)
+    )
+    return position, HedgeWitness(path, tree.path_bits(path), level, Fraction(*wealth), events)
+
+
 def verify_perfect_hedge(
     contract, portfolio: PortfolioStrategy, x, seller=None, cap=DEFAULT_ENUMERATION_CAP
 ) -> HedgeCheck:
@@ -230,7 +232,7 @@ def verify_perfect_hedge(
     every buyer behaviour, with the seller cancelling per `seller` (the
     stack's optimal one when omitted). Soundness is per-play arithmetic,
     completeness holds because every buyer strategy induces one of the
-    plays on each path (see enumerate_plays).
+    plays on each path.
 
     The plays are walked depth first over the tree, down child before up
     child. A node carries one state per settlement history that reaches it
@@ -241,10 +243,11 @@ def verify_perfect_hedge(
     stands for one play on each path through its node. Failure on a branch
     at (k, m) fails every path through m, and the walk meets those nodes in
     path order, so the first failing node gives the smallest failing path
-    and ends the walk. `plays` then counts the plays of the smaller paths
-    plus the plays of the failing path, in enumerate_plays order, up to its
-    first failing one, which is the witness. A tree of more than `cap`
-    nodes is refused before anything is walked.
+    and ends the walk. A play earlier in play order can fail deeper on that
+    path, so the witness is the path's first failing play in play order, and
+    `plays` counts every play up to it. A tree of more than `cap` nodes, or
+    a seller built for another contract, is refused before anything is
+    walked.
     """
     x = check_capital(x)
     tree = contract.tree
@@ -253,8 +256,8 @@ def verify_perfect_hedge(
     if nodes > cap:
         raise EnumerationCapError(nodes, cap)
     if seller is None:
-        stack, _ = price_swing(contract)
-        seller, _ = optimal_strategies(stack)
+        seller, _ = optimal_strategies(price_swing(contract)[0])
+    check_strategy(seller, contract)
 
     def walk(k, m, states):
         """(plays on paths below the first failure, the failing path or
@@ -293,19 +296,5 @@ def verify_perfect_hedge(
     count, failed = walk(0, 0, [(1, (), (x.numerator, x.denominator), 0)])
     if failed is None:
         return HedgeCheck(ok=True, plays=count)
-    for index, events in enumerate(enumerate_plays(contract, seller, failed), start=1):
-        _, post = simulate_portfolio(contract, portfolio, x, events, failed)
-        for k, w in enumerate(post):
-            if w < 0:
-                return HedgeCheck(
-                    ok=False,
-                    plays=count + index,
-                    witness=HedgeWitness(
-                        path=failed,
-                        bits=tree.path_bits(failed),
-                        level=k,
-                        wealth=w,
-                        events=events,
-                    ),
-                )
-    raise InvariantError(f"path {tree.path_bits(failed)} failed in the walk but in no play")
+    position, witness = _first_failing_play(contract, portfolio, seller, x, failed)
+    return HedgeCheck(ok=False, plays=count + position, witness=witness)

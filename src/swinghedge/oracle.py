@@ -35,7 +35,7 @@ from .dynkin import StoppingTime, evaluate_game
 from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, InvariantError
 from .hedge import check_capital
 from .market import MARTINGALE, format_rational, martingale_prob, measure_prob
-from .swing import StoppingStrategy
+from .swing import StoppingStrategy, check_strategy
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +305,11 @@ def play_value(contract, seller, buyer, measure=MARTINGALE):
     immediately at maturity), a cancellation pays the penalty leg,
     simultaneous moves pay the exercise leg, and everything still open
     settles on the exercise leg at maturity. A scenario's payment is added,
-    weighted by its reach probability, once its last right has settled.
+    weighted by its reach probability, once its last right has settled. A
+    strategy built for another contract is refused before it is asked.
     """
+    check_strategy(seller, contract)
+    check_strategy(buyer, contract)
     tree = contract.tree
     N, L = tree.params.N, contract.L
     q = measure_prob(tree, measure)
@@ -490,7 +493,8 @@ def certify_saddle(contract, seller, buyer, measure=MARTINGALE, cap=DEFAULT_ENUM
     buyer. On failure the certificate carries the profitable deviation as
     an explicit strategy: the failing side's best response is walked once
     more to record it, so a passing pair records no decisions. A tree of
-    more than `cap` nodes is refused before any strategy is asked anything.
+    more than `cap` nodes, or a strategy built for another contract, is
+    refused before any strategy is asked anything.
     """
     nodes = 2 ** (contract.tree.params.N + 1) - 1
     if nodes > cap:

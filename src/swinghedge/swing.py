@@ -59,6 +59,12 @@ class StoppingStrategy:
         raise NotImplementedError
 
 
+def check_strategy(s: StoppingStrategy, contract: SwingContract) -> None:
+    """ContractError unless s was built on the contract's tree for its claim count."""
+    if s.tree is not contract.tree or s.L != contract.L:
+        raise ContractError("the strategy was built for another tree or claim count")
+
+
 def window_start(history: tuple, N: int) -> int:
     """First level where the next claim may be stopped."""
     if not history:

@@ -15,7 +15,7 @@ from hypothesis import settings
 from swinghedge.contract import build_contract
 from swinghedge.market import MarketParams, ScenarioTree, build_tree
 from swinghedge.oracle import DictStrategy
-from swinghedge.swing import window_start
+from swinghedge.swing import StoppingStrategy, window_start
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -100,6 +100,19 @@ def history_dependent_seller(rng, tree, L):
 def history_dependent_buyer(rng, tree, L):
     """Random early exercises that depend on the settlement history."""
     return _history_dependent(rng, tree, L, 0.2)
+
+
+class Recording(StoppingStrategy):
+    """Answers as `inner` does and logs every question."""
+
+    def __init__(self, inner):
+        super().__init__(inner.tree, inner.L)
+        self.inner = inner
+        self.log = []
+
+    def stops(self, i, k, m, history):
+        self.log.append((i, k, m, history))
+        return self.inner.stops(i, k, m, history)
 
 
 def random_point(rng: random.Random, lo, hi) -> Fraction:

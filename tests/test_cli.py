@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from swinghedge import cli
+from swinghedge import cli, hedge
 from swinghedge.cli import main
 from swinghedge.market import format_rational
 from swinghedge.pwl import PwlFn
@@ -175,6 +175,18 @@ def test_verify_cap_reaches_the_hedge_walk(monkeypatch, capsys):
     assert main(["verify", "--cap", "1000"]) == 0
     capsys.readouterr()
     assert caps == [1000] * 6  # at and below the price on three contracts
+
+
+def test_verify_passes_the_solved_seller_to_the_hedge_walk(monkeypatch, capsys):
+    assert main(["verify"]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(contract):
+        raise AssertionError("the hedge walk priced the contract again")
+
+    monkeypatch.setattr(hedge, "price_swing", refuse)
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("capital, code", [

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MixPortfolio, history_dependent_seller, random_contract, random_params
+from conftest import (
+    MixPortfolio,
+    Recording,
+    history_dependent_seller,
+    random_contract,
+    random_params,
+)
 from swinghedge.contract import build_contract
 from swinghedge.market import build_tree
 from swinghedge.errors import ContractError, EnumerationCapError
@@ -11,7 +17,6 @@ from swinghedge.hedge import (
     HedgeCheck,
     HedgeWitness,
     build_perfect_hedge,
-    enumerate_plays,
     simulate_portfolio,
     verify_perfect_hedge,
 )
@@ -105,19 +110,34 @@ def test_witness_play_replays_to_the_reported_wealth():
     assert min(post) == w.wealth
 
 
-def test_enumerate_plays_counts():
+def test_verify_counts_every_play():
     c = build_contract({"model": {"S0": "1", "a": "-1/2", "b": "1",
                                   "p": "1/2", "N": 2},
                         "claims": [{"exercise": {"kind": "call", "strike": "1"},
                                     "penalty": {"kind": "constant", "value": "1"}}]})
+    hedge = build_perfect_hedge(price_swing(c)[0])
+    # capital 10 covers every play, so every play of the 4 paths is counted
     never = TableStrategy.all_wait(c.tree, 1)
-    plays = list(enumerate_plays(c, never, path=0b11))
     # the buyer alone can settle at level 0, 1, or 2
-    assert sorted(ev[0].level for ev in plays) == [0, 1, 2]
+    assert verify_perfect_hedge(c, hedge, 10, never) == HedgeCheck(ok=True, plays=12)
     early = TableStrategy.all_at_start(c.tree, 1)
-    plays = list(enumerate_plays(c, early, path=0b11))
     # tie at the root or the seller cancelling alone
-    assert sorted((ev[0].level, ev[0].d) for ev in plays) == [(0, 0), (0, 1)]
+    assert verify_perfect_hedge(c, hedge, 10, early) == HedgeCheck(ok=True, plays=8)
+
+
+def test_verify_refuses_a_strategy_built_for_another_contract():
+    spec = {"model": {"S0": "1", "a": "-1/2", "b": "1", "p": "1/2", "N": 2},
+            "claims": [{"exercise": {"kind": "call", "strike": "1"},
+                        "penalty": {"kind": "constant", "value": "1"}}] * 2}
+    c, other = build_contract(spec), build_contract(spec)
+    stack, price = price_swing(c)
+    hedge = build_perfect_hedge(stack)
+    foreign, _ = optimal_strategies(price_swing(other)[0])
+    for seller in (TableStrategy.all_wait(c.tree, 1), foreign):
+        asked = Recording(seller)
+        with pytest.raises(ContractError, match="another tree or claim count"):
+            verify_perfect_hedge(c, hedge, price, asked)
+        assert asked.log == []
 
 
 def test_negative_capital_rejected():

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import history_dependent_buyer, history_dependent_seller, random_contract
+from conftest import (
+    Recording,
+    history_dependent_buyer,
+    history_dependent_seller,
+    random_contract,
+)
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, EnumerationCapError
 from swinghedge.market import MARKET, MARTINGALE, MarketParams, build_tree, measure_prob
@@ -24,7 +29,6 @@ from swinghedge.oracle import (
 )
 from swinghedge.shortfall import build_risk_stack
 from swinghedge.swing import (
-    StoppingStrategy,
     TableStrategy,
     optimal_strategies,
     price_swing,
@@ -251,19 +255,6 @@ def reference_play_value(contract, seller, buyer, measure):
     return total
 
 
-class Recording(StoppingStrategy):
-    """Answers as `inner` does and logs every question."""
-
-    def __init__(self, inner):
-        super().__init__(inner.tree, inner.L)
-        self.inner = inner
-        self.log = []
-
-    def stops(self, i, k, m, history):
-        self.log.append((i, k, m, history))
-        return self.inner.stops(i, k, m, history)
-
-
 def strategy_zoo(rng, contract):
     """(sellers, buyers): optimal, never early, always early, history-dependent."""
     tree, L = contract.tree, contract.L
@@ -368,6 +359,22 @@ def test_certify_refuses_a_tree_past_the_cap_before_any_stop_query():
         certify_saddle(c, seller, buyer)
     assert err.value.needed == 2 ** 61 - 1
     assert seller.log == buyer.log == []
+
+
+def test_certify_and_play_value_refuse_a_strategy_built_for_another_contract():
+    spec = {"model": dict(MODEL1, N=2), "claims": [
+        {"exercise": {"kind": "call", "strike": "1"},
+         "penalty": {"kind": "constant", "value": "1/10"}}] * 2}
+    c, other = build_contract(spec), build_contract(spec)
+    seller, buyer = optimal_strategies(price_swing(c)[0])
+    foreign_seller, foreign_buyer = optimal_strategies(price_swing(other)[0])
+    short = TableStrategy.all_wait(c.tree, 1)
+    for pair in ((short, buyer), (seller, short), (foreign_seller, buyer), (seller, foreign_buyer)):
+        asked = [Recording(s) for s in pair]
+        for check in (certify_saddle, play_value):
+            with pytest.raises(ContractError, match="another tree or claim count"):
+                check(c, *asked)
+        assert asked[0].log == asked[1].log == []
 
 
 def test_certify_cap_counts_full_tree_nodes():

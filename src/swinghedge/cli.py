@@ -106,7 +106,7 @@ def cmd_hedge_simulate(args):
         "path": args.path,
         "capital": _fmt(capital, args.decimal),
         "prices": [
-            _fmt(tree.price[k][tree.node_on_path(path, k)], args.decimal)
+            _fmt(tree.stock.at(k, tree.node_on_path(path, k)), args.decimal)
             for k in range(tree.N + 1)
         ],
         "wealth_before": [_fmt(w, args.decimal) for w in pre],

@@ -18,8 +18,8 @@ Every scalar is exact. Model parameters are fractions.Fraction. An
 AdaptedProcess, the stock price process among them, holds integers: per
 level, a list of numerators over one positive denominator, so sums,
 expectations and comparisons within a level are integer operations. Its
-Fraction view (`values`, `at`, and the tree's `state_price` and `price`) is
-built per level on first read and then kept. The recursions downstream
+Fraction view (`values`, `at`, and the tree's `state_price`) is built per
+level on first read and then kept. The recursions downstream
 contain exact equality tests (optimal stopping ties, piecewise-linear
 breakpoints), so floating point is never used.
 """
@@ -173,10 +173,10 @@ class ScenarioTree:
     With recombining=True they are the k + 1 up-counts of the Cox-Ross-
     Rubinstein lattice; state s then stands for every node with s up moves.
 
-    stock is the stock price process, as integers. state_price[k][s] is the
-    stock price in state s of level k as a Fraction; price[k][m] reads the
-    same prices by full-tree node index, on either space. Both are built on
-    first read. Immutable after build; share freely.
+    stock is the stock price process, as integers; stock.at(k, m) reads the
+    price at full-tree node m of level k as a Fraction, on either space, and
+    state_price[k][s] the price in state s. Both are built on first read.
+    Immutable after build; share freely.
     """
 
     def __init__(self, params: MarketParams, recombining: bool = False):
@@ -206,11 +206,6 @@ class ScenarioTree:
     def state_price(self) -> list:
         """Stock price rows, Fractions, aligned with the states."""
         return self.stock.values
-
-    @cached_property
-    def price(self) -> list:
-        """Stock price rows read by full-tree node index."""
-        return [self.by_node(row) for row in self.state_price]
 
     def width(self, k: int) -> int:
         """Number of states at level k."""

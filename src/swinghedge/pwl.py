@@ -65,14 +65,14 @@ of the other list stays an unnormalized pair, since it is only compared;
 one math.gcd normalizes each knot, value, line and w1 when it is emitted
 (_q, _line). The one division whose divisor can be negative is the crossing
 of two lines (_cross), which flips both signs first. The transforms hand
-pairs from one to the next, and a Fraction is made only when a caller reads
-one: PwlFn.points and the control's xs, at and lines are built on first read
-(eval reads them) and kept.
+pairs from one to the next, and both evals read the pairs too: one binary
+search by cross-multiplication (_find) picks the piece, and the one Fraction
+made is the answer. Only PwlFn.points (built on first read and kept) and the
+control's xs (built on each read) turn the pairs into Fractions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
 
@@ -112,6 +112,19 @@ def _cross(l1, l2):
     A2, B2, D2 = l2
     n, d = B2 * D1 - B1 * D2, A1 * D2 - A2 * D1
     return _q(-n, -d) if d < 0 else _q(n, d)
+
+
+def _find(rows, n, d):
+    """The last i with knot rows[i][0] <= n/d, for knots increasing from 0."""
+    lo, hi = 1, len(rows)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        xn, xd = rows[mid][0]
+        if n * xd < xn * d:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo - 1
 
 
 def _show(q) -> str:
@@ -168,21 +181,21 @@ def _canonical(points):
 class PwlFn:
     """Canonical decreasing piecewise-linear function vanishing at infinity."""
 
-    __slots__ = ("_pairs", "_points", "_xs")
+    __slots__ = ("_pairs", "_points")
 
     def __init__(self, points):
         pts = sorted((Fraction(x), Fraction(v)) for x, v in points)
         self._pairs = _canonical(
             ((x.numerator, x.denominator), (v.numerator, v.denominator)) for x, v in pts
         )
-        self._points = self._xs = None
+        self._points = None
 
     @classmethod
     def _of(cls, xs, vs) -> "PwlFn":
         """From knot and value pairs in increasing x (the transforms' output)."""
         fn = cls.__new__(cls)
         fn._pairs = _canonical(zip(xs, vs))
-        fn._points = fn._xs = None
+        fn._points = None
         return fn
 
     @classmethod
@@ -202,7 +215,6 @@ class PwlFn:
         """The breakpoints as (Fraction, Fraction), built on first read."""
         if self._points is None:
             self._points = tuple((Fraction(*x), Fraction(*v)) for x, v in self._pairs)
-            self._xs = [x for x, _ in self._points]
         return self._points
 
     @property
@@ -213,15 +225,15 @@ class PwlFn:
         return len(self._pairs) == 1
 
     def eval(self, y) -> Fraction:
-        y = Fraction(y)
+        y = to_rational(y)
         if y < 0:
             raise ValueError(f"function is defined on [0, inf), got {y}")
-        points = self.points
-        if y >= points[-1][0]:
+        n, d, pairs = y.numerator, y.denominator, self._pairs
+        i = _find(pairs, n, d)
+        if i == len(pairs) - 1:
             return Fraction(0)
-        i = bisect_right(self._xs, y) - 1
-        (x0, v0), (x1, v1) = points[i], points[i + 1]
-        return v0 + (v1 - v0) * (y - x0) / (x1 - x0)
+        A, B, D = _chord(*pairs[i], *pairs[i + 1])
+        return Fraction(A * n + B * d, D * d)
 
     def __eq__(self, other):
         return isinstance(other, PwlFn) and self._pairs == other._pairs
@@ -248,14 +260,19 @@ class PwlFn:
             raise ContractError(f"breakpoints do not describe a valid curve: {exc}") from exc
 
 
+def _chord(x0, v0, x1, v1):
+    """The line through knots (x0, v0) and (x1, v1), x0 < x1, as an
+    unnormalized triple with a positive denominator."""
+    (x0n, x0d), (v0n, v0d), (x1n, x1d), (v1n, v1d) = x0, v0, x1, v1
+    sn = (v1n * v0d - v0n * v1d) * x0d * x1d  # slope sn/sd, sd > 0
+    sd = (x1n * x0d - x0n * x1d) * v0d * v1d
+    # v0 + (sn/sd)*(y - x0) over the denominator v0d*sd*x0d
+    return sn * v0d * x0d, v0n * sd * x0d - sn * x0n * v0d, v0d * sd * x0d
+
+
 def _lines(xs, vs):
     """The line of each piece between knots, then the zero line of the tail."""
-    out = []
-    for (x0n, x0d), (v0n, v0d), (x1n, x1d), (v1n, v1d) in zip(xs, vs, xs[1:], vs[1:]):
-        sn = (v1n * v0d - v0n * v1d) * x0d * x1d  # slope sn/sd, sd > 0
-        sd = (x1n * x0d - x0n * x1d) * v0d * v1d
-        # v0 + (sn/sd)*(y - x0) over the denominator v0d*sd*x0d
-        out.append(_line(sn * v0d * x0d, v0n * sd * x0d - sn * x0n * v0d, v0d * sd * x0d))
+    out = [_line(*_chord(*knots)) for knots in zip(xs, vs, xs[1:], vs[1:])]
     out.append((0, 0, 1))
     return out
 
@@ -321,55 +338,40 @@ def pointwise_max(f: PwlFn, g: PwlFn) -> PwlFn:
 class PwlControl:
     """The optimal control of a transform, as a function of wealth y >= 0.
 
-    xs: knots 0 = x_0 < x_1 < ...; at[t]: the control at x_t; lines[t] =
-    (coef, intercept): the control coef*y + intercept on the OPEN interval
-    (x_t, x_{t+1}), the last line on (x_last, inf). The control can jump at
-    a knot, and its value there can differ from both neighbouring lines (a
-    candidate can touch the envelope at a single point with a smaller
-    control), so knot values are stored. A knot is dropped when the same
-    line runs through it and gives its value, so equal controls have equal
-    fields.
+    Knots 0 = x_0 < x_1 < ...; the control has a value at each x_t and a
+    line on the OPEN interval (x_t, x_{t+1}), the last line on
+    (x_last, inf). The control can jump at a knot, and its value there can
+    differ from both neighbouring lines (a candidate can touch the envelope
+    at a single point with a smaller control), so knot values are stored. A
+    knot is dropped when the same line runs through it and gives its value,
+    so equal controls have equal fields.
 
-    Built from knot and value pairs and line triples (see the module
-    docstring); xs, at and lines are their Fractions, made on the first
-    read or eval and kept, so a control nobody reads costs no Fraction.
+    Held as one list of (knot, value at knot, line after it), in pairs and
+    triples (see the module docstring). eval reads them and makes one
+    Fraction, the answer; xs builds the knots' Fractions on each read.
     """
 
-    __slots__ = ("_xs", "_at", "_lines", "_fractions")
+    __slots__ = ("_knots",)
 
     def __init__(self, xs, at, lines):
-        self._xs, self._at, self._lines = [xs[0]], [at[0]], [lines[0]]
-        for x, v, line in zip(xs[1:], at[1:], lines[1:]):
-            if line == self._lines[-1] and _eq(v, _ev(line, x)):
+        self._knots = knots = []
+        for knot in zip(xs, at, lines):
+            x, v, line = knot
+            if knots and line == knots[-1][2] and _eq(v, _ev(line, x)):
                 continue
-            self._xs.append(x)
-            self._at.append(v)
-            self._lines.append(line)
-        self._fractions = None
+            knots.append(knot)
 
-    def _fracs(self):
-        if self._fractions is None:
-            self._fractions = (
-                [Fraction(*x) for x in self._xs],
-                [Fraction(*v) for v in self._at],
-                [(Fraction(A, D), Fraction(B, D)) for A, B, D in self._lines],
-            )
-        return self._fractions
-
-    xs = property(lambda self: self._fracs()[0])
-    at = property(lambda self: self._fracs()[1])
-    lines = property(lambda self: self._fracs()[2])
+    xs = property(lambda self: [Fraction(*x) for x, _, _ in self._knots])
 
     def eval(self, y) -> Fraction:
-        y = Fraction(y)
+        y = to_rational(y)
         if y < 0:
             raise ValueError(f"control is defined on [0, inf), got {y}")
-        xs, at, lines = self._fractions or self._fracs()
-        i = bisect_right(xs, y) - 1
-        if xs[i] == y:
-            return at[i]
-        coef, inter = lines[i]
-        return coef * y + inter
+        n, d = y.numerator, y.denominator
+        x, v, (A, B, D) = self._knots[_find(self._knots, n, d)]
+        if x == (n, d):
+            return Fraction(*v)
+        return Fraction(A * n + B * d, D * d)
 
 
 def _fold(env, copy):

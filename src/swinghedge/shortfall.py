@@ -52,7 +52,7 @@ from .pwl import (
     pointwise_min,
     portfolio_transform,
 )
-from .swing import StoppingStrategy, resolve
+from .swing import StoppingStrategy, check_strategy, resolve
 
 
 @dataclass
@@ -166,7 +166,7 @@ class StackPortfolio(PortfolioStrategy):
         j = L - claim + 1
         ctrl = self.stack.phi_ctrl[self.stack.key(level, node, j)]
         alpha = ctrl.eval(max(Fraction(wealth), Fraction(0)))
-        return alpha / self.tree.price[level][node]
+        return alpha / self.tree.stock.at(level, node)
 
 
 class StackInfusion:
@@ -427,9 +427,15 @@ def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=
     committed decision is read per state; needs a seller exposing
     stops_at_state.
 
-    The two must agree exactly; tests hold them against each other.
+    The two must agree exactly; tests hold them against each other. Both
+    refuse a seller built for another tree or claim count.
     """
     x = check_capital(x)
+    if mode not in ("enumeration", "recursion"):
+        raise ContractError(f"unknown evaluation mode {mode!r}")
+    if mode == "recursion" and not hasattr(seller, "stops_at_state"):
+        raise ContractError("recursion mode needs a seller with wealth-addressed decisions")
+    check_strategy(seller, contract)
     if mode == "enumeration":
         from .oracle import DEFAULT_ENUMERATION_CAP, enumerate_buyer_strategies
 
@@ -449,10 +455,4 @@ def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=
             if worst is None or total > worst:
                 worst = total
         return worst
-    if mode == "recursion":
-        if not hasattr(seller, "stops_at_state"):
-            raise ContractError(
-                "recursion mode needs a seller with wealth-addressed decisions"
-            )
-        return _policy_risk(contract, gamma, infusion, x, seller.stops_at_state).value
-    raise ContractError(f"unknown evaluation mode {mode!r}")
+    return _policy_risk(contract, gamma, infusion, x, seller.stops_at_state).value

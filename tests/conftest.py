@@ -143,7 +143,7 @@ class MixPortfolio:
         w = Fraction(wealth)
         if w <= 0:
             return Fraction(0)
-        s = self.tree.price[level][node]
+        s = self.tree.stock.at(level, node)
         a, b = self.tree.params.a, self.tree.params.b
         lo, hi = -w / (s * b), -w / (s * a)
         return lo + self._mix(level, node, claim) * (hi - lo)

@@ -59,22 +59,22 @@ def test_tree_prices_follow_path_bits():
     tree = build_tree(MarketParams(S0=4, a=Fraction(-1, 2), b=1,
                                    p=Fraction(1, 2), N=3))
     # node index bits, most significant first, spell the path; 1 means up
-    assert tree.price[3][0b111] == 32
-    assert tree.price[3][0b000] == Fraction(1, 2)
-    assert tree.price[3][0b101] == 8
+    assert tree.stock.at(3, 0b111) == 32
+    assert tree.stock.at(3, 0b000) == Fraction(1, 2)
+    assert tree.stock.at(3, 0b101) == 8
     for path in tree.paths():
         s = tree.params.S0
         for k in range(1, tree.N + 1):
             bit = (path >> (tree.N - k)) & 1
             s = s * (1 + (tree.params.b if bit else tree.params.a))
-            assert tree.price[k][tree.node_on_path(path, k)] == s
+            assert tree.stock.at(k, tree.node_on_path(path, k)) == s
 
 
 def test_children_order():
     tree = build_tree(MarketParams(S0=1, a=Fraction(-1, 2), b=1,
                                    p=Fraction(1, 2), N=2))
     up, down = tree.children(0, 0)
-    assert tree.price[1][up] > tree.price[1][down]
+    assert tree.stock.at(1, up) > tree.stock.at(1, down)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31))
@@ -89,17 +89,17 @@ def test_path_probs_sum_to_one(seed):
 def test_price_is_martingale_under_ptilde(seed):
     rng = random.Random(seed)
     tree = build_tree(random_params(rng))
-    proc = AdaptedProcess(tree, [list(level) for level in tree.price])
+    proc = AdaptedProcess(tree, [list(level) for level in tree.stock.values])
     for k in range(tree.N):
         expected = one_step_expectation(proc, k, MARTINGALE)
         for m in range(2 ** k):
-            assert expected[m] == tree.price[k][m]
+            assert expected[m] == tree.stock.at(k, m)
 
 
 def test_one_step_expectation_measures_differ():
     tree = build_tree(MarketParams(S0=1, a=Fraction(-1, 2), b=1,
                                    p=Fraction(4, 5), N=1))
-    proc = AdaptedProcess(tree, [list(level) for level in tree.price])
+    proc = AdaptedProcess(tree, [list(level) for level in tree.stock.values])
     assert one_step_expectation(proc, 0, MARTINGALE)[0] == 1
     assert one_step_expectation(proc, 0, MARKET)[0] == \
         Fraction(4, 5) * 2 + Fraction(1, 5) * Fraction(1, 2)
@@ -116,7 +116,7 @@ def test_from_function_sees_prices():
     tree = build_tree(MarketParams(S0=1, a=Fraction(-1, 2), b=1,
                                    p=Fraction(1, 2), N=2))
     proc = AdaptedProcess.from_function(tree, lambda k, m, s: 2 * s)
-    assert proc.at(2, 3) == 2 * tree.price[2][3]
+    assert proc.at(2, 3) == 2 * tree.stock.at(2, 3)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")

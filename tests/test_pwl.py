@@ -1,9 +1,11 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import random_contract
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, InvariantError
 from swinghedge.market import martingale_prob
@@ -83,6 +85,16 @@ def test_eval_interpolates_and_guards():
     assert fn.support_end == 3
     with pytest.raises(ValueError):
         fn.eval(F(-1, 2))
+
+
+@pytest.mark.parametrize("y", [0.1, 1.0, True, False])
+def test_eval_refuses_floats_and_bools(y):
+    fn = PwlFn.hockey_stick(1)
+    for obj in (fn, leftmost_minimizer(fn)):
+        with pytest.raises(ContractError, match="not a rational"):
+            obj.eval(y)
+        with pytest.raises(ValueError, match="defined on"):
+            obj.eval(F(-1, 2))
 
 
 def test_invalid_shapes_rejected():
@@ -321,6 +333,69 @@ def test_stack_portfolio_functions_and_controls_match_the_oracle():
                 want, smallest = infusion_at(psi, A, y)
                 assert gn.eval(y) == want
                 assert infusion.amount(k, node, i, y - A) == smallest
+
+
+# ---- the pair evaluators against the Fraction formulas ---------------------
+
+def reference_eval_fn(fn, y):
+    """A function at y from its Fraction knots: interpolate, 0 at and past the end."""
+    xs = [x for x, _ in fn.points]
+    if y >= xs[-1]:
+        return F(0)
+    i = bisect_right(xs, y) - 1
+    (x0, v0), (x1, v1) = fn.points[i], fn.points[i + 1]
+    return v0 + (v1 - v0) * (y - x0) / (x1 - x0)
+
+
+def reference_eval_ctrl(ctrl, y):
+    """A control at y: its stored value at a knot, else coef*y + intercept."""
+    xs = ctrl.xs
+    i = bisect_right(xs, y) - 1
+    _, v, (A, B, D) = ctrl._knots[i]
+    if xs[i] == y:
+        return F(*v)
+    return F(A, D) * y + F(B, D)
+
+
+def knot_probes(*knot_lists):
+    """0, every knot, the midpoint and thirds between neighbours, and past the end."""
+    xs = sorted({F(0)}.union(*knot_lists))
+    out = list(xs)
+    for lo, hi in zip(xs, xs[1:]):
+        out += [(lo + hi) / 2, lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3]
+    return out + [xs[-1] + 1]
+
+
+def assert_evals_match_reference(fns, ctrls):
+    """ctrls pairs each control with the function whose knots it is probed at too."""
+    for fn in fns:
+        for y in knot_probes([x for x, _ in fn.points]):
+            assert fn.eval(y) == reference_eval_fn(fn, y)
+    for ctrl, fn in ctrls:
+        for y in knot_probes(ctrl.xs, [x for x, _ in fn.points]):
+            assert ctrl.eval(y) == reference_eval_ctrl(ctrl, y)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(SIZES))
+def test_evals_match_the_fraction_formulas(seed, size):
+    rng = random.Random(seed)
+    psi1, psi2 = random_pwl(rng, *size), random_pwl(rng, *size)
+    fn, ctrl = portfolio_transform(psi1, psi2, *random_market_bits(rng))
+    gn = infusion_transform(psi1, F(rng.randint(0, 8), rng.randint(1, 4)))
+    assert_evals_match_reference(
+        [psi1, fn, gn], [(ctrl, fn), (leftmost_minimizer(fn), fn), (leftmost_minimizer(psi1), psi1)]
+    )
+
+
+def test_stack_evals_match_the_fraction_formulas():
+    rng = random.Random(13)
+    for _ in range(6):
+        stack = build_risk_stack(random_contract(rng, max_n=3, max_l=2))
+        fns = [fn for table in (stack.J, stack.phi, stack.exercise, stack.cancel)
+               for fn in table.values()]
+        ctrls = [(ctrl, stack.phi[key]) for key, ctrl in stack.phi_ctrl.items()]
+        ctrls += [(stack.minimizer(key), fn) for key, fn in stack.phi.items()]
+        assert_evals_match_reference(fns, ctrls)
 
 
 # ---- transform outputs stay in the class ----------------------------------

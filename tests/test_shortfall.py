@@ -278,3 +278,21 @@ def test_unknown_mode_rejected():
         evaluate_risk(c, gamma, infusion, seller, F(0), mode="guess")
     with pytest.raises(ContractError):
         evaluate_risk(c, gamma, infusion, object(), F(0), mode="recursion")
+
+
+def test_both_evaluation_modes_refuse_a_seller_of_another_contract():
+    model = dict(MODEL2, p="3/5")
+
+    def claim(kind):
+        return {"exercise": {"kind": kind, "strike": "1"},
+                "penalty": {"kind": "constant", "value": "1/10"}}
+
+    one, two, put = (build_contract({"model": model, "claims": claims})
+                     for claims in ([claim("call")], [claim("call")] * 2, [claim("put")]))
+    x = F(1, 5)
+    # another claim count either way, and another tree of the same shape
+    for own, other in ((one, two), (two, one), (put, one)):
+        gamma, infusion, seller = optimal_hedge(build_risk_stack(own), x)
+        for mode in ("recursion", "enumeration"):
+            with pytest.raises(ContractError, match="another tree or claim count"):
+                evaluate_risk(other, gamma, infusion, seller, x, mode=mode)

@@ -18,15 +18,15 @@ the paths in increasing order and, on a path, goes right by right: a right's
 outcomes go by level, the buyer's exercise comes before the seller's
 cancellation at the same level, and at maturity every open right settles on Y.
 
-Wealth runs on integers: the one wealth step, _level_wealth, holds it as a
-(numerator, denominator) pair and reads the stock prices and the payments
-off the integer rows of their processes, and PerfectHedge reads V the same
-way. Fractions remain at the edges: the share counts a portfolio returns,
-the wealth it is asked about, and the wealth simulate_portfolio and a
-HedgeWitness report. The step also serves every wealth change of the
-shortfall layer, through shortfall._trade and shortfall._settle: its
-simulate_with_infusion, ReplayStrategy's wealth replay, its policy-risk
-recursion and the maturity payments of that recursion.
+Wealth runs on integers: the one wealth step, _level_wealth, holds it and
+the share count as (numerator, denominator) pairs and reads the stock prices
+and the payments off the integer rows of their processes, and PerfectHedge
+reads V the same way. Here Fractions remain at the edges: a portfolio is
+asked about its wealth as a Fraction and answers a Fraction, which the walk
+turns into a pair, and simulate_portfolio and a HedgeWitness report
+Fractions. The step also serves every wealth change of the shortfall layer,
+through shortfall._trade and shortfall._settle, whose loops and policies
+run on pairs throughout (see that module).
 """
 
 from __future__ import annotations
@@ -95,20 +95,21 @@ def _level_wealth(contract, k, node, w, units, paid):
 
     w is the wealth at the parent after its payments (the capital at the
     root) as a (numerator, denominator) pair, held as `units` shares over
-    the period into level k; paid lists the (claim, d) settlements at level
-    k, d = 1 paying the cancellation leg. Returns (pre, post): wealth before
-    and after those payments, as pairs with positive denominators, not
-    reduced.
+    the period into level k, a pair with a positive denominator too; paid
+    lists the (claim, d) settlements at level k, d = 1 paying the
+    cancellation leg. Returns (pre, post): wealth before and after those
+    payments, as pairs with positive denominators, not reduced.
     """
     tree = contract.tree
     n, d = w
     s = tree.state(k, node)
-    if k > 0 and units:
+    un, ud = units
+    if k > 0 and un:
         stock = tree.stock
         now, before = stock.dens[k], stock.dens[k - 1]
         move = stock.nums[k][s] * before - stock.nums[k - 1][tree.state(k - 1, node >> 1)] * now
-        scale = units.denominator * now * before
-        n, d = n * scale + units.numerator * move * d, d * scale
+        scale = ud * now * before
+        n, d = n * scale + un * move * d, d * scale
     pre = n, d
     for i, cancelled in paid:
         leg = contract.X(i) if cancelled else contract.Y(i)
@@ -121,6 +122,12 @@ def _reduced(w):
     n, d = w
     g = gcd(n, d)
     return n // g, d // g
+
+
+def _units_at(portfolio, level, node, claim, w):
+    """portfolio's share count at the wealth pair w, as a pair."""
+    u = portfolio.units(level, node, claim, Fraction(*w))
+    return u.numerator, u.denominator
 
 
 def check_capital(x) -> Fraction:
@@ -150,9 +157,9 @@ def simulate_portfolio(contract, portfolio: PortfolioStrategy, x, events, path: 
     settled = 0  # claims settled before level k
     for k in range(N + 1):
         node = tree.node_on_path(path, k)
-        units = 0
+        units = (0, 1)
         if k > 0 and settled < contract.L:
-            units = portfolio.units(k - 1, node >> 1, settled + 1, Fraction(*w))
+            units = _units_at(portfolio, k - 1, node >> 1, settled + 1, w)
         here = by_level.get(k, ())
         w_pre, w = _level_wealth(contract, k, node, w, units, here)
         w = _reduced(w)
@@ -207,12 +214,12 @@ def _first_failing_play(contract, portfolio, seller, x, path):
                 position += 1
                 continue
             post = _reduced(post)
-            found = search(k + 1, j, play, post, portfolio.units(k, m, j, Fraction(*post)))
+            found = search(k + 1, j, play, post, _units_at(portfolio, k, m, j, post))
             if found:
                 return found
         return None
 
-    found = search(0, 1, (), (x.numerator, x.denominator), 0)
+    found = search(0, 1, (), (x.numerator, x.denominator), (0, 1))
     if found is None:
         raise InvariantError(f"path {tree.path_bits(path)} failed in the walk but in no play")
     level, wealth, play = found
@@ -262,7 +269,7 @@ def verify_perfect_hedge(
     def walk(k, m, states):
         """(plays on paths below the first failure, the failing path or
         None) in the subtree of (k, m); states are (claim, history, parent
-        wealth as a reduced pair, units) entering the node."""
+        wealth as a reduced pair, units as a pair) entering the node."""
         lo, width = m << (N - k), 1 << (N - k)
         done = 0  # plays that end here: one on each path through m
         onward = []
@@ -284,8 +291,7 @@ def verify_perfect_hedge(
                     onward.append((i + len(paid), hist + tuple((k, d) for _, d in paid), post))
         count = 0
         if onward:
-            states = [(i, hist, w, portfolio.units(k, m, i, Fraction(*w)))
-                      for i, hist, w in onward]
+            states = [(i, hist, w, _units_at(portfolio, k, m, i, w)) for i, hist, w in onward]
             for child in (2 * m, 2 * m + 1):
                 plays, failed = walk(k + 1, child, states)
                 count += plays
@@ -293,7 +299,7 @@ def verify_perfect_hedge(
                     return count + done * (failed - lo), failed
         return count + done * width, None
 
-    count, failed = walk(0, 0, [(1, (), (x.numerator, x.denominator), 0)])
+    count, failed = walk(0, 0, [(1, (), (x.numerator, x.denominator), (0, 1))])
     if failed is None:
         return HedgeCheck(ok=True, plays=count)
     position, witness = _first_failing_play(contract, portfolio, seller, x, failed)

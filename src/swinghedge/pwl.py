@@ -65,9 +65,11 @@ of the other list stays an unnormalized pair, since it is only compared;
 one math.gcd normalizes each knot, value, line and w1 when it is emitted
 (_q, _line). The one division whose divisor can be negative is the crossing
 of two lines (_cross), which flips both signs first. The transforms hand
-pairs from one to the next, and both evals read the pairs too: one binary
-search by cross-multiplication (_find) picks the piece, and the one Fraction
-made is the answer. Only PwlFn.points (built on first read and kept) and the
+pairs from one to the next, and one evaluator per class reads them too:
+_at takes a wealth pair, picks the piece by one binary search by
+cross-multiplication (_find) and answers a pair, which is what the shortfall
+layer's policies ask. The public evals wrap it and make one Fraction, the
+answer. Only those, PwlFn.points (built on first read and kept) and the
 control's xs (built on each read) turn the pairs into Fractions.
 """
 
@@ -228,12 +230,18 @@ class PwlFn:
         y = to_rational(y)
         if y < 0:
             raise ValueError(f"function is defined on [0, inf), got {y}")
-        n, d, pairs = y.numerator, y.denominator, self._pairs
+        return Fraction(*self._at((y.numerator, y.denominator)))
+
+    def _at(self, y):
+        """The value at a reduced pair y >= 0, as a pair with a positive
+        denominator, not reduced."""
+        n, d = y
+        pairs = self._pairs
         i = _find(pairs, n, d)
         if i == len(pairs) - 1:
-            return Fraction(0)
+            return 0, 1
         A, B, D = _chord(*pairs[i], *pairs[i + 1])
-        return Fraction(A * n + B * d, D * d)
+        return A * n + B * d, D * d
 
     def __eq__(self, other):
         return isinstance(other, PwlFn) and self._pairs == other._pairs
@@ -347,8 +355,9 @@ class PwlControl:
     so equal controls have equal fields.
 
     Held as one list of (knot, value at knot, line after it), in pairs and
-    triples (see the module docstring). eval reads them and makes one
-    Fraction, the answer; xs builds the knots' Fractions on each read.
+    triples (see the module docstring). _at reads them on a wealth pair and
+    eval wraps it with one Fraction, the answer; xs builds the knots'
+    Fractions on each read.
     """
 
     __slots__ = ("_knots",)
@@ -367,11 +376,17 @@ class PwlControl:
         y = to_rational(y)
         if y < 0:
             raise ValueError(f"control is defined on [0, inf), got {y}")
-        n, d = y.numerator, y.denominator
+        return Fraction(*self._at((y.numerator, y.denominator)))
+
+    def _at(self, y):
+        """The control at a reduced pair y >= 0, as a pair with a positive
+        denominator, not reduced. y must be reduced: a knot is found by
+        tuple equality."""
+        n, d = y
         x, v, (A, B, D) = self._knots[_find(self._knots, n, d)]
-        if x == (n, d):
-            return Fraction(*v)
-        return Fraction(A * n + B * d, D * d)
+        if x == y:
+            return v
+        return A * n + B * d, D * d
 
 
 def _fold(env, copy):

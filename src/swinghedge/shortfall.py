@@ -32,8 +32,15 @@ is what the randomized dominance checks exercise. One state recursion,
 _policy_risk, serves both policy evaluators: evaluate_policy_risk lets the
 seller cancel optimally, evaluate_risk(mode="recursion") reads a committed
 seller's decision per state. Every wealth change, a trade or a payment, is
-one hedge._level_wealth step on an integer pair; wealth is a Fraction
-wherever a policy sees it or a result reports it.
+one hedge._level_wealth step on an integer pair, and these loops carry wealth
+(and the recursion its costs) as reduced (numerator, denominator) pairs from
+start to end. The stack's own policies answer in pairs too: share counts,
+injections and stop tests read the stored controls and functions on the
+wealth pair, the stock price and the maturity payments off the processes'
+integer rows. Any other policy (user code, or a user rule mixed with a stack
+policy) is asked through one adapter per interface, which hands it a
+Fraction and takes a Fraction back. Fractions are built only for what a
+result returns or reports.
 """
 
 from __future__ import annotations
@@ -42,10 +49,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ContractError, InvariantError
-from .hedge import PortfolioStrategy, _level_wealth, check_capital
+from .hedge import PortfolioStrategy, _level_wealth, _reduced, check_capital
+from .market import to_rational
 from .pwl import (
     PwlControl,
     PwlFn,
+    _lt,
     infusion_transform,
     leftmost_minimizer,
     pointwise_max,
@@ -147,9 +156,45 @@ def infusion_minimizer(fn: PwlFn, y):
     y may be negative (wealth after an unpaid obligation); the injection
     w - y is then at least the debt.
     """
-    y = Fraction(y)
+    y = to_rational(y)
     w = leftmost_minimizer(fn).eval(max(y, Fraction(0)))
     return w - y, w
+
+
+# The pair protocol. The stack's own policies answer on wealth held as a
+# reduced (numerator, denominator) pair, in pairs with positive denominators:
+# StackPortfolio._units, StackInfusion._amount, ReplayStrategy._stops_at.
+# Their public methods wrap these in Fractions. Every loop below asks a
+# policy through the adapter of its interface, which picks the pair method
+# by the policy's class and asks any other policy through its Fraction call.
+
+
+def _units_on_pairs(gamma):
+    if type(gamma) is StackPortfolio:
+        return gamma._units
+
+    def units(level, node, claim, w):
+        u = Fraction(gamma.units(level, node, claim, Fraction(*w)))
+        return u.numerator, u.denominator
+
+    return units
+
+
+def _amount_on_pairs(infusion):
+    if type(infusion) is StackInfusion:
+        return infusion._amount
+
+    def amount(level, node, claim, y):
+        z = Fraction(infusion.amount(level, node, claim, Fraction(*y)))
+        return z.numerator, z.denominator
+
+    return amount
+
+
+def _stops_on_pairs(seller):
+    if type(seller) is ReplayStrategy:
+        return seller._stops_at
+    return lambda k, m, j, w: seller.stops_at_state(k, m, j, Fraction(*w))
 
 
 class StackPortfolio(PortfolioStrategy):
@@ -160,13 +205,17 @@ class StackPortfolio(PortfolioStrategy):
         self.tree = stack.contract.tree
 
     def units(self, level, node, claim, wealth):
+        w = to_rational(wealth)
+        return Fraction(*self._units(level, node, claim, (w.numerator, w.denominator)))
+
+    def _units(self, level, node, claim, w):
         L = self.stack.contract.L
         if claim > L or level >= self.tree.N:
-            return Fraction(0)
-        j = L - claim + 1
-        ctrl = self.stack.phi_ctrl[self.stack.key(level, node, j)]
-        alpha = ctrl.eval(max(Fraction(wealth), Fraction(0)))
-        return alpha / self.tree.stock.at(level, node)
+            return 0, 1
+        ctrl = self.stack.phi_ctrl[self.stack.key(level, node, L - claim + 1)]
+        an, ad = ctrl._at(w if w[0] > 0 else (0, 1))
+        stock = self.tree.stock
+        return an * stock.dens[level], ad * stock.nums[level][self.tree.state(level, node)]
 
 
 class StackInfusion:
@@ -178,14 +227,24 @@ class StackInfusion:
         self.contract = stack.contract
 
     def amount(self, level, node, claim, y):
-        y = Fraction(y)
-        N = self.contract.tree.N
-        if level == N:
-            due = self.contract.terminal_bundle(claim + 1, node)
-            return max(due - y, Fraction(0))
-        j_left = self.contract.L - claim
-        table = self.stack.minimizer(self.stack.key(level, node, j_left))
-        return table.eval(max(y, Fraction(0))) - y
+        y = to_rational(y)
+        return Fraction(*self._amount(level, node, claim, (y.numerator, y.denominator)))
+
+    def _amount(self, level, node, claim, y):
+        yn, yd = y
+        contract = self.contract
+        tree = contract.tree
+        if level == tree.N:
+            # what the open claims after this one pay here, less y, if positive
+            s, n, d = tree.state(level, node), -yn, yd
+            for i in range(claim + 1, contract.L + 1):
+                leg = contract.Y(i)
+                den = leg.dens[level]
+                n, d = n * den + leg.nums[level][s] * d, d * den
+            return (n, d) if n > 0 else (0, 1)
+        table = self.stack.minimizer(self.stack.key(level, node, contract.L - claim))
+        wn, wd = table._at(y if yn > 0 else (0, 1))
+        return wn * yd - yn * wd, wd * yd
 
 
 class ReplayStrategy(StoppingStrategy):
@@ -210,21 +269,30 @@ class ReplayStrategy(StoppingStrategy):
         self.gamma = gamma
         self.infusion = infusion
         self.side = side
-        # (level, node, settlements below that level) -> wealth on arrival
-        self._wealth_at = {(0, 0, ()): self.x}
+        self._branch = stack.cancel if side == "seller" else stack.exercise
+        self._units_of = _units_on_pairs(gamma)
+        self._amount_of = _amount_on_pairs(infusion)
+        # (level, node, settlements below that level) -> wealth pair on arrival
+        self._wealth_at = {(0, 0, ()): (self.x.numerator, self.x.denominator)}
         # (claim, level, node, history) -> stop answer; resolve asks the same
         # state again and again (3,112 queries, 346 distinct states over a
         # partial-hedge-query cycle)
         self._stops = {}
 
     def stops_at_state(self, k, m, j, wealth):
-        w = max(Fraction(wealth), Fraction(0))
-        branch = self.stack.cancel if self.side == "seller" else self.stack.exercise
+        w = to_rational(wealth)
+        return self._stops_at(k, m, j, (w.numerator, w.denominator))
+
+    def _stops_at(self, k, m, j, w):
+        if w[0] < 0:
+            w = 0, 1
         key = self.stack.key(k, m, j)
-        return branch[key].eval(w) == self.stack.J[key].eval(w)
+        bn, bd = self._branch[key]._at(w)
+        vn, vd = self.stack.J[key]._at(w)
+        return bn * vd == vn * bd
 
     def _wealth(self, k, m, history):
-        """Wealth on arrival at node (k, m), before level k's settlements."""
+        """Wealth pair on arrival at node (k, m), before level k's settlements."""
         memo = self._wealth_at
         key = (k, m, tuple(e for e in history if e[0] < k))
         missing = []
@@ -236,9 +304,9 @@ class ReplayStrategy(StoppingStrategy):
         for k, m, hist in reversed(missing):
             lvl, node = k - 1, m >> 1
             if hist and hist[-1][0] == lvl:
-                _, w = _settle(self.contract, self.infusion, lvl, node, w, len(hist), hist[-1][1])
+                _, w = _settle(self.contract, self._amount_of, lvl, node, w, len(hist), hist[-1][1])
             if len(hist) < self.L:
-                units = self.gamma.units(lvl, node, len(hist) + 1, w)
+                units = self._units_of(lvl, node, len(hist) + 1, w)
                 w = _trade(self.contract, k, m, w, units)
             memo[(k, m, hist)] = w
         return w
@@ -250,7 +318,7 @@ class ReplayStrategy(StoppingStrategy):
         answer = self._stops.get(key)
         if answer is None:
             wealth = self._wealth(k, m, history)
-            answer = self._stops[key] = self.stops_at_state(k, m, self.L - i + 1, wealth)
+            answer = self._stops[key] = self._stops_at(k, m, self.L - i + 1, wealth)
         return answer
 
 
@@ -280,67 +348,79 @@ class SimulationOutcome:
     cost: Fraction
 
 
+def _add(a, b):
+    """The reduced pair of a + b."""
+    return _reduced((a[0] * b[1] + b[0] * a[1], a[1] * b[1]))
+
+
 def _trade(contract, k, node, w, units):
-    """Wealth w at the parent of (k, node), held as `units` shares into level k.
+    """Wealth pair w at the parent of (k, node), held as `units` shares (a
+    pair) into level k; the reduced pair it becomes.
 
     Raises InvariantError when the trade leaves that wealth negative.
     """
-    (n, d), _ = _level_wealth(contract, k, node, (w.numerator, w.denominator), units, ())
+    (n, d), _ = _level_wealth(contract, k, node, w, units, ())
     if n < 0:
-        raise InvariantError(f"share count {units} at level {k - 1} can bankrupt wealth {w}")
-    return Fraction(n, d)
-
-
-def _checked_infusion(infusion, level, node, claim, y):
-    z = Fraction(infusion.amount(level, node, claim, y))
-    if z < 0 or y + z < 0:
         raise InvariantError(
-            f"injection {z} at level {level} leaves wealth {y + z}; "
+            f"share count {Fraction(*units)} at level {k - 1} can bankrupt wealth {Fraction(*w)}"
+        )
+    return _reduced((n, d))
+
+
+def _settle(contract, amount, k, node, w, claim, d):
+    """(injection, reduced wealth after it) when claim settles at (k, node)
+    from wealth w, all pairs, with amount a pair-level injection rule; d = 1
+    pays the cancellation leg."""
+    _, rest = _level_wealth(contract, k, node, w, (0, 1), ((claim, d),))
+    rest = _reduced(rest)
+    z = amount(k, node, claim, rest)
+    after = _add(rest, z)
+    if z[0] < 0 or after[0] < 0:
+        raise InvariantError(
+            f"injection {Fraction(*z)} at level {k} leaves wealth {Fraction(*after)}; "
             "policies must keep wealth nonnegative"
         )
-    return z
-
-
-def _settle(contract, infusion, k, node, w, claim, d):
-    """(injection, wealth after it) when claim settles at (k, node) from
-    wealth w; d = 1 pays the cancellation leg."""
-    _, (n, den) = _level_wealth(contract, k, node, (w.numerator, w.denominator), 0, ((claim, d),))
-    rest = Fraction(n, den)
-    z = _checked_infusion(infusion, k, node, claim, rest)
-    return z, rest + z
+    return z, after
 
 
 def simulate_with_infusion(contract, gamma, infusion, events, path: int, x):
     """Run a partial hedge through one resolved play on one path."""
-    w = check_capital(x)
+    x = check_capital(x)
+    units, amount = _units_on_pairs(gamma), _amount_on_pairs(infusion)
     tree = contract.tree
     by_level = {}
     for i, ev in enumerate(events, start=1):
         by_level.setdefault(ev.level, []).append((i, ev.d))
     pre, post, paid_in = [], [], []
-    cost = Fraction(0)
+    w, cost = (x.numerator, x.denominator), (0, 1)
     settled = 0  # claims settled before level k
     for k in range(tree.N + 1):
         node = tree.node_on_path(path, k)
         if k > 0 and settled < contract.L:
-            w = _trade(contract, k, node, w, gamma.units(k - 1, node >> 1, settled + 1, w))
+            w = _trade(contract, k, node, w, units(k - 1, node >> 1, settled + 1, w))
         pre.append(w)
         here = by_level.get(k, ())
         for i, d in here:
-            z, w = _settle(contract, infusion, k, node, w, i, d)
-            cost += z
-            paid_in.append((k, i, z))
+            z, w = _settle(contract, amount, k, node, w, i, d)
+            cost = _add(cost, z)
+            paid_in.append((k, i, Fraction(*z)))
         settled += len(here)
         post.append(w)
-    return SimulationOutcome(pre=pre, post=post, infusions=paid_in, cost=cost)
+    return SimulationOutcome(
+        pre=[Fraction(*w) for w in pre],
+        post=[Fraction(*w) for w in post],
+        infusions=paid_in,
+        cost=Fraction(*cost),
+    )
 
 
-def _terminal_cost(contract, infusion, m, first, y):
-    """Injection total when claims first..L all settle at maturity node m."""
-    cost = Fraction(0)
+def _terminal_cost(contract, amount, m, first, y):
+    """Injection total, a reduced pair, when claims first..L all settle at
+    maturity node m from wealth pair y."""
+    cost = (0, 1)
     for q in range(first, contract.L + 1):
-        z, y = _settle(contract, infusion, contract.tree.N, m, y, q, 0)
-        cost += z
+        z, y = _settle(contract, amount, contract.tree.N, m, y, q, 0)
+        cost = _add(cost, z)
     return cost
 
 
@@ -354,54 +434,65 @@ def _policy_risk(contract, gamma, infusion, x, stops) -> PolicyRisk:
     """Worst-buyer expected injection cost of fixed trading and injection
     policies, by recursion on (level, node, rights remaining, wealth).
 
-    stops(k, m, j, wealth) is the seller's committed decision; only the
-    branch it takes is valued. stops=None lets the seller cancel optimally,
-    which values both. Table entries hold None for a branch not valued.
+    stops(k, m, j, wealth) is the seller's committed decision, asked on a
+    wealth pair; only the branch it takes is valued. stops=None lets the
+    seller cancel optimally, which values both. Table entries hold None for
+    a branch not valued. Wealth and costs are reduced pairs until the result
+    is built.
     """
+    x = check_capital(x)
+    units, amount = _units_on_pairs(gamma), _amount_on_pairs(infusion)
     tree = contract.tree
     N, L = tree.N, contract.L
-    p = tree.params.p
+    pn, pd = tree.params.p.numerator, tree.params.p.denominator
     memo = {}
 
     def hold(k, m, claim, w):
         """Expected cost from wealth w at (k, m) after its settlements, with
         claim the next right open."""
         if claim > L:
-            return Fraction(0)
-        shares = Fraction(gamma.units(k, m, claim, w))
+            return 0, 1
+        shares = units(k, m, claim, w)
         up = _trade(contract, k + 1, 2 * m + 1, w, shares)
         dn = _trade(contract, k + 1, 2 * m, w, shares)
         j = L - claim + 1
-        return p * rec(k + 1, 2 * m + 1, j, up) + (1 - p) * rec(k + 1, 2 * m, j, dn)
+        (un, ud), (vn, vd) = rec(k + 1, 2 * m + 1, j, up), rec(k + 1, 2 * m, j, dn)
+        return _reduced((pn * un * vd + (pd - pn) * vn * ud, pd * ud * vd))
 
     def rec(k, m, j, y):
         if j == 0:
-            return Fraction(0)
+            return 0, 1
         i = L - j + 1
         if k == N:
-            return _terminal_cost(contract, infusion, m, i, y)
+            return _terminal_cost(contract, amount, m, i, y)
         key = (k, m, j, y)
         if key in memo:
             return memo[key][0]
 
         def settle(d):
-            z, w = _settle(contract, infusion, k, m, y, i, d)
-            return z + hold(k, m, i + 1, w)
+            z, w = _settle(contract, amount, k, m, y, i, d)
+            return _add(z, hold(k, m, i + 1, w))
 
         ex = settle(0)
         if stops is None:
             ca, cont = settle(1), hold(k, m, i, y)
-            val = max(ex, min(ca, cont))
+            low = cont if _lt(cont, ca) else ca
         elif stops(k, m, j, y):
             ca, cont = settle(1), None
-            val = max(ex, ca)
+            low = ca
         else:
             ca, cont = None, hold(k, m, i, y)
-            val = max(ex, cont)
+            low = cont
+        val = low if _lt(ex, low) else ex
         memo[key] = (val, ex, ca, cont)
         return val
 
-    return PolicyRisk(value=rec(0, 0, L, check_capital(x)), table=memo)
+    value = rec(0, 0, L, (x.numerator, x.denominator))
+    table = {
+        (k, m, j, Fraction(*y)): tuple(None if q is None else Fraction(*q) for q in entry)
+        for (k, m, j, y), entry in memo.items()
+    }
+    return PolicyRisk(value=Fraction(*value), table=table)
 
 
 def evaluate_policy_risk(contract, gamma, infusion, x) -> PolicyRisk:
@@ -455,4 +546,4 @@ def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=
             if worst is None or total > worst:
                 worst = total
         return worst
-    return _policy_risk(contract, gamma, infusion, x, seller.stops_at_state).value
+    return _policy_risk(contract, gamma, infusion, x, _stops_on_pairs(seller)).value

@@ -104,6 +104,22 @@ def test_policy_entry_points_refuse_inexact_or_negative_capital(capital):
             entry()
 
 
+@pytest.mark.parametrize("wealth", [0.1, 1.0, True, False])
+def test_policy_queries_refuse_float_and_bool_wealth(wealth):
+    stack = build_risk_stack(contract_a())
+    gamma, infusion, seller = optimal_hedge(stack, F(0))
+    queries = [
+        lambda y: infusion_minimizer(PwlFn.hockey_stick(1), y),
+        lambda y: gamma.units(0, 0, 1, y),
+        lambda y: infusion.amount(0, 0, 1, y),
+        lambda y: seller.stops_at_state(0, 0, 1, y),
+    ]
+    for query in queries:
+        with pytest.raises(ContractError, match="not a rational"):
+            query(wealth)
+        query(F(-1, 2))  # a debt is still a wealth they answer on
+
+
 def test_infusion_minimizer_prefers_the_leftmost():
     flat = PwlFn([(0, F(2)), (1, F(1)), (2, F(1, 2)), (3, F(0))])
     # h(w) = w + psi(w) is 2, 2, 5/2, 3 at the breakpoints: stay at 0
@@ -226,6 +242,23 @@ def test_both_evaluation_modes_refuse_a_bankrupting_share_count():
     for mode in ("recursion", "enumeration"):
         with pytest.raises(InvariantError, match="share count 100 at level 0 can bankrupt wealth 1/2"):
             evaluate_risk(c, gamma, infusion, seller, F(1, 2), mode=mode)
+
+
+def test_both_evaluation_modes_refuse_a_negative_injection():
+    c = contract_a()
+    stack = build_risk_stack(c)
+    x = F(1, 2)
+    gamma, _, seller = optimal_hedge(stack, x)
+
+    class Thief:
+        def amount(self, level, node, claim, y):
+            return F(-1)
+
+    want = "injection -1 at level 0 leaves wealth -1/2; policies must keep wealth nonnegative"
+    for mode in ("recursion", "enumeration"):
+        with pytest.raises(InvariantError) as err:
+            evaluate_risk(c, gamma, Thief(), seller, x, mode=mode)
+        assert str(err.value) == want
 
 
 def test_grid_oracle_brackets_random_curves():

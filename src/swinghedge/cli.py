@@ -27,8 +27,8 @@ from importlib import resources
 
 from .contract import build_contract, load_contract
 from .errors import ContractError, EnumerationCapError, InvariantError
-from .hedge import build_perfect_hedge, simulate_portfolio, verify_perfect_hedge
-from .market import format_rational, to_rational
+from .hedge import build_perfect_hedge, check_capital, simulate_portfolio, verify_perfect_hedge
+from .market import format_rational
 from .oracle import DEFAULT_ENUMERATION_CAP, brute_force_value, certify_saddle
 from .pwl import PwlFn
 from .shortfall import build_risk_stack
@@ -96,9 +96,10 @@ def cmd_hedge_simulate(args):
     contract = load_contract(args.contract)
     tree = contract.tree
     path = _parse_path(args.path, tree.N)
+    capital = None if args.capital is None else check_capital(args.capital)
     stack, price = price_swing(contract)
     seller, buyer = optimal_strategies(stack)
-    capital = price if args.capital is None else to_rational(args.capital)
+    capital = price if capital is None else capital
     portfolio = build_perfect_hedge(stack)
     events = resolve_path(seller, buyer, path)
     pre, post = simulate_portfolio(contract, portfolio, capital, events, path)
@@ -132,7 +133,7 @@ def cmd_hedge_simulate(args):
 
 def cmd_risk(args):
     contract = load_contract(args.contract)
-    x = to_rational(args.capital)
+    x = check_capital(args.capital)
     stack = build_risk_stack(contract)
     _emit({
         "capital": _fmt(x, args.decimal),

@@ -20,13 +20,14 @@ cancellation at the same level, and at maturity every open right settles on Y.
 
 Wealth runs on integers: the one wealth step, _level_wealth, holds it and
 the share count as (numerator, denominator) pairs and reads the stock prices
-and the payments off the integer rows of their processes, and PerfectHedge
-reads V the same way. Here Fractions remain at the edges: a portfolio is
-asked about its wealth as a Fraction and answers a Fraction, which the walk
-turns into a pair, and simulate_portfolio and a HedgeWitness report
-Fractions. The step also serves every wealth change of the shortfall layer,
-through shortfall._trade and shortfall._settle, whose loops and policies
-run on pairs throughout (see that module).
+and the payments off the integer rows of their processes. Share counts are
+asked on the wealth pair through one adapter, _units_on_pairs: PerfectHedge
+answers in pairs, reading V and the stock off their integer rows, and a
+portfolio of any other class is handed a Fraction and answers one. Fractions
+are built only for what simulate_portfolio and a HedgeWitness report. The
+step and the adapter also serve every wealth change and share count of the
+shortfall layer, through shortfall._trade and shortfall._settle, whose loops
+and policies run on pairs throughout (see that module).
 """
 
 from __future__ import annotations
@@ -61,12 +62,14 @@ class PerfectHedge(PortfolioStrategy):
         return self.stack.price()
 
     def units(self, level, node, claim, wealth):
+        w = to_rational(wealth)
+        return Fraction(*self._units(level, node, claim, (w.numerator, w.denominator)))
+
+    def _units(self, level, node, claim, w):
         L = self.stack.contract.L
-        if claim > L:
-            return Fraction(0)
         tree = self.tree
-        if level >= tree.N:
-            return Fraction(0)
+        if claim > L or level >= tree.N:
+            return 0, 1
         Vk = self.stack.V[L - claim]  # stack level L - claim + 1
         row, den = Vk.nums[level + 1], Vk.dens[level + 1]
         vu = row[tree.state(level + 1, 2 * node + 1)]
@@ -75,15 +78,12 @@ class PerfectHedge(PortfolioStrategy):
         # than gamble (only reachable when starting below the exact price).
         # The targets' expectation is (u*vu + (v-u)*vd) / (v*den).
         u, v = tree.ptilde.numerator, tree.ptilde.denominator
-        if wealth.numerator * v * den < (u * vu + (v - u) * vd) * wealth.denominator:
-            return Fraction(0)
+        if w[0] * v * den < (u * vu + (v - u) * vd) * w[1]:
+            return 0, 1
         stock = tree.stock
         s = stock.nums[level][tree.state(level, node)]
         spread = self._spread
-        return Fraction(
-            (vu - vd) * stock.dens[level] * spread.denominator,
-            den * s * spread.numerator,
-        )
+        return (vu - vd) * stock.dens[level] * spread.denominator, den * s * spread.numerator
 
 
 def build_perfect_hedge(stack: ValueStack) -> PerfectHedge:
@@ -124,10 +124,29 @@ def _reduced(w):
     return n // g, d // g
 
 
-def _units_at(portfolio, level, node, claim, w):
-    """portfolio's share count at the wealth pair w, as a pair."""
-    u = portfolio.units(level, node, claim, Fraction(*w))
-    return u.numerator, u.denominator
+def _units_on_pairs(portfolio):
+    """portfolio's share counts asked on wealth pairs, answered in pairs with
+    positive denominators: its own pair method `_units` when its class
+    defines one, else its Fraction `units`."""
+    if "_units" in type(portfolio).__dict__:
+        return portfolio._units
+
+    def units(level, node, claim, w):
+        u = Fraction(portfolio.units(level, node, claim, Fraction(*w)))
+        return u.numerator, u.denominator
+
+    return units
+
+
+def _outcomes(seller, N, L, i, k, m, hist):
+    """Right i's branches at (k, m) after settlements hist, each a tuple of
+    the (claim, d) settled: at maturity all open rights settle on Y; where
+    the seller stops, exercise or cancel; otherwise exercise or wait."""
+    if k == N:
+        return (tuple((q, 0) for q in range(i, L + 1)),)
+    if seller.stops(i, k, m, hist):
+        return ((i, 0),), ((i, 1),)
+    return ((i, 0),), ()
 
 
 def check_capital(x) -> Fraction:
@@ -152,6 +171,7 @@ def simulate_portfolio(contract, portfolio: PortfolioStrategy, x, events, path: 
     by_level = {}
     for i, ev in enumerate(events, start=1):
         by_level.setdefault(ev.level, []).append((i, ev.d))
+    units_of = _units_on_pairs(portfolio)
     pre, post = [], []
     w = (x.numerator, x.denominator)
     settled = 0  # claims settled before level k
@@ -159,7 +179,7 @@ def simulate_portfolio(contract, portfolio: PortfolioStrategy, x, events, path: 
         node = tree.node_on_path(path, k)
         units = (0, 1)
         if k > 0 and settled < contract.L:
-            units = _units_at(portfolio, k - 1, node >> 1, settled + 1, w)
+            units = units_of(k - 1, node >> 1, settled + 1, w)
         here = by_level.get(k, ())
         w_pre, w = _level_wealth(contract, k, node, w, units, here)
         w = _reduced(w)
@@ -185,11 +205,11 @@ class HedgeCheck:
     witness: Optional[HedgeWitness] = None
 
 
-def _first_failing_play(contract, portfolio, seller, x, path):
+def _first_failing_play(contract, units_of, seller, x, path):
     """(position, witness) of the first play on `path` in play order whose
     wealth goes negative, position counting the path's plays up to it. Plays
-    are searched depth first with the walk's outcomes and wealth step, so a
-    shared prefix shares its wealth."""
+    are searched depth first with the walk's outcomes, wealth step and share
+    counts (units_of), so a shared prefix shares its wealth."""
     tree = contract.tree
     N, L = tree.N, contract.L
     position = 0
@@ -197,13 +217,7 @@ def _first_failing_play(contract, portfolio, seller, x, path):
     def search(k, i, hist, w, units):
         nonlocal position
         m = path >> (N - k)
-        if k == N:
-            outcomes = (tuple((q, 0) for q in range(i, L + 1)),)
-        elif seller.stops(i, k, m, hist):
-            outcomes = (((i, 0),), ((i, 1),))
-        else:
-            outcomes = (((i, 0),), ())
-        for paid in outcomes:
+        for paid in _outcomes(seller, N, L, i, k, m, hist):
             _, post = _level_wealth(contract, k, m, w, units, paid)
             j, play = i + len(paid), hist + tuple((k, d) for _, d in paid)
             if post[0] < 0:
@@ -214,7 +228,7 @@ def _first_failing_play(contract, portfolio, seller, x, path):
                 position += 1
                 continue
             post = _reduced(post)
-            found = search(k + 1, j, play, post, _units_at(portfolio, k, m, j, post))
+            found = search(k + 1, j, play, post, units_of(k, m, j, post))
             if found:
                 return found
         return None
@@ -265,6 +279,7 @@ def verify_perfect_hedge(
     if seller is None:
         seller, _ = optimal_strategies(price_swing(contract)[0])
     check_strategy(seller, contract)
+    units_of = _units_on_pairs(portfolio)
 
     def walk(k, m, states):
         """(plays on paths below the first failure, the failing path or
@@ -274,13 +289,7 @@ def verify_perfect_hedge(
         done = 0  # plays that end here: one on each path through m
         onward = []
         for i, hist, w, units in states:
-            if k == N:
-                outcomes = (tuple((q, 0) for q in range(i, L + 1)),)
-            elif seller.stops(i, k, m, hist):
-                outcomes = (((i, 0),), ((i, 1),))
-            else:
-                outcomes = (((i, 0),), ())
-            for paid in outcomes:
+            for paid in _outcomes(seller, N, L, i, k, m, hist):
                 _, post = _level_wealth(contract, k, m, w, units, paid)
                 if post[0] < 0:
                     return 0, lo
@@ -291,7 +300,7 @@ def verify_perfect_hedge(
                     onward.append((i + len(paid), hist + tuple((k, d) for _, d in paid), post))
         count = 0
         if onward:
-            states = [(i, hist, w, _units_at(portfolio, k, m, i, w)) for i, hist, w in onward]
+            states = [(i, hist, w, units_of(k, m, i, w)) for i, hist, w in onward]
             for child in (2 * m, 2 * m + 1):
                 plays, failed = walk(k + 1, child, states)
                 count += plays
@@ -302,5 +311,5 @@ def verify_perfect_hedge(
     count, failed = walk(0, 0, [(1, (), (x.numerator, x.denominator), (0, 1))])
     if failed is None:
         return HedgeCheck(ok=True, plays=count)
-    position, witness = _first_failing_play(contract, portfolio, seller, x, failed)
+    position, witness = _first_failing_play(contract, units_of, seller, x, failed)
     return HedgeCheck(ok=False, plays=count + position, witness=witness)

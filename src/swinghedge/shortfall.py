@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ContractError, InvariantError
-from .hedge import PortfolioStrategy, _level_wealth, _reduced, check_capital
+from .hedge import PortfolioStrategy, _level_wealth, _reduced, _units_on_pairs, check_capital
 from .market import to_rational
 from .pwl import (
     PwlControl,
@@ -165,23 +165,13 @@ def infusion_minimizer(fn: PwlFn, y):
 # reduced (numerator, denominator) pair, in pairs with positive denominators:
 # StackPortfolio._units, StackInfusion._amount, ReplayStrategy._stops_at.
 # Their public methods wrap these in Fractions. Every loop below asks a
-# policy through the adapter of its interface, which picks the pair method
-# by the policy's class and asks any other policy through its Fraction call.
-
-
-def _units_on_pairs(gamma):
-    if type(gamma) is StackPortfolio:
-        return gamma._units
-
-    def units(level, node, claim, w):
-        u = Fraction(gamma.units(level, node, claim, Fraction(*w)))
-        return u.numerator, u.denominator
-
-    return units
+# policy through the adapter of its interface (hedge._units_on_pairs for
+# share counts), which hands over the pair method when the policy's own
+# class defines it and asks any other policy through its Fraction call.
 
 
 def _amount_on_pairs(infusion):
-    if type(infusion) is StackInfusion:
+    if "_amount" in type(infusion).__dict__:
         return infusion._amount
 
     def amount(level, node, claim, y):
@@ -192,7 +182,7 @@ def _amount_on_pairs(infusion):
 
 
 def _stops_on_pairs(seller):
-    if type(seller) is ReplayStrategy:
+    if "_stops_at" in type(seller).__dict__:
         return seller._stops_at
     return lambda k, m, j, w: seller.stops_at_state(k, m, j, Fraction(*w))
 

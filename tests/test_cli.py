@@ -150,6 +150,21 @@ def test_negative_capital_is_refused(command, capsys):
     assert err == "error: initial capital must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("command", [["hedge-simulate", "--path", "u"], ["risk"]])
+def test_negative_capital_is_refused_before_anything_is_built(command, monkeypatch, capsys):
+    # on a large lattice the stack takes minutes; the capital is checked first
+    def unexpected(*args, **kwargs):
+        raise AssertionError("built before the capital was checked")
+
+    monkeypatch.setattr(cli, "build_risk_stack", unexpected)
+    monkeypatch.setattr(cli, "price_swing", unexpected)
+    contract = resources.files("swinghedge") / "contracts" / "one_right_small_penalty.json"
+    with resources.as_file(contract) as path:
+        argv = command[:1] + [str(path)] + command[1:] + ["--capital", "-1"]
+        code, out, err = _call(argv, capsys)
+    assert (code, out, err) == (1, "", "error: initial capital must be nonnegative, got -1\n")
+
+
 def test_verify_passes_on_bundled_contracts(capsys):
     assert main(["verify"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -7,9 +7,10 @@ asked through its Fraction interface. ReferencePortfolio, ReferenceInfusion,
 ReferenceReplay and reference_simulate_with_infusion are the Fraction
 versions of the stack's policies and of the simulator, kept here as they
 were apart from their names; reference_trade and reference_settle write the
-one wealth step out in Fractions. Being of other classes, the reference
-policies drive every loop down the Fraction route, and every result of the
-two routes must be ==.
+one wealth step out in Fractions. ReferencePerfectHedge keeps the perfect
+hedge's Fraction share count the same way. Being of other classes, the
+reference policies drive every loop down the Fraction route, and every
+result of the two routes must be ==.
 """
 
 import random
@@ -22,11 +23,19 @@ from conftest import (
     MixPortfolio,
     PaddedInfusion,
     history_dependent_buyer,
+    history_dependent_seller,
     random_contract,
     reachable_histories,
 )
 from swinghedge.errors import InvariantError
-from swinghedge.hedge import PortfolioStrategy, check_capital
+from swinghedge.hedge import (
+    PerfectHedge,
+    PortfolioStrategy,
+    build_perfect_hedge,
+    check_capital,
+    simulate_portfolio,
+    verify_perfect_hedge,
+)
 from swinghedge.pwl import PwlControl, PwlFn
 from swinghedge.shortfall import (
     ReplayStrategy,
@@ -38,7 +47,14 @@ from swinghedge.shortfall import (
     evaluate_risk,
     simulate_with_infusion,
 )
-from swinghedge.swing import StoppingStrategy, TableStrategy, price_swing, resolve, window_start
+from swinghedge.swing import (
+    StoppingStrategy,
+    TableStrategy,
+    optimal_strategies,
+    price_swing,
+    resolve,
+    window_start,
+)
 
 F = Fraction
 EPS = F(1, 10 ** 6)
@@ -59,6 +75,36 @@ class ReferencePortfolio(PortfolioStrategy):
         ctrl = self.stack.phi_ctrl[self.stack.key(level, node, j)]
         alpha = ctrl.eval(max(Fraction(wealth), Fraction(0)))
         return alpha / self.tree.stock.at(level, node)
+
+
+class ReferencePerfectHedge(PerfectHedge):
+    """Replicating share counts read off a value stack, in Fractions. It
+    overrides units only, so the hedge walk asks it through units."""
+
+    def units(self, level, node, claim, wealth):
+        L = self.stack.contract.L
+        if claim > L:
+            return Fraction(0)
+        tree = self.tree
+        if level >= tree.N:
+            return Fraction(0)
+        Vk = self.stack.V[L - claim]  # stack level L - claim + 1
+        row, den = Vk.nums[level + 1], Vk.dens[level + 1]
+        vu = row[tree.state(level + 1, 2 * node + 1)]
+        vd = row[tree.state(level + 1, 2 * node)]
+        # underfunded wealth cannot reach both targets; stay in cash rather
+        # than gamble (only reachable when starting below the exact price).
+        # The targets' expectation is (u*vu + (v-u)*vd) / (v*den).
+        u, v = tree.ptilde.numerator, tree.ptilde.denominator
+        if wealth.numerator * v * den < (u * vu + (v - u) * vd) * wealth.denominator:
+            return Fraction(0)
+        stock = tree.stock
+        s = stock.nums[level][tree.state(level, node)]
+        spread = self._spread
+        return Fraction(
+            (vu - vd) * stock.dens[level] * spread.denominator,
+            den * s * spread.numerator,
+        )
 
 
 class ReferenceInfusion:
@@ -326,3 +372,43 @@ def test_refusals_read_the_same_on_both_routes():
                     else:
                         assert simulate_with_infusion(c, gamma, infusion, events[path], path, x) == want
     assert refused > 0
+
+
+def hedge_wealth_probes(stack, level, node, claim):
+    """0, the price, a debt, and where the hedge of `claim` at (level, node)
+    starts trading: the targets' expectation and either side of it."""
+    tree, L = stack.contract.tree, stack.contract.L
+    out = [F(0), stack.price(), F(-1, 3)]
+    if level < tree.N and claim <= L:
+        V, q = stack.V[L - claim], tree.ptilde
+        mean = q * V.at(level + 1, 2 * node + 1) + (1 - q) * V.at(level + 1, 2 * node)
+        out += [mean, mean - EPS, mean + EPS]
+    return out
+
+
+@pytest.mark.parametrize("seed, lattice", CASES)
+def test_perfect_hedge_pair_route_equals_the_fraction_route(seed, lattice):
+    rng = random.Random(1000 + seed)
+    c = random_contract(rng, max_n=5, max_l=3, recombining=lattice)
+    stack, price = price_swing(c)
+    tree, L = c.tree, c.L
+    hedge, ref = build_perfect_hedge(stack), ReferencePerfectHedge(stack)
+    for k in range(tree.N + 1):
+        for m in range(2 ** k):
+            for claim in range(1, L + 2):
+                for y in hedge_wealth_probes(stack, k, m, claim):
+                    assert hedge.units(k, m, claim, y) == ref.units(k, m, claim, y)
+    optimal, buyer = optimal_strategies(stack)
+    sellers = [optimal, history_dependent_seller(rng, tree, L)]
+    failed = 0
+    for x in (price, price - EPS, price / 2):
+        for seller in sellers:
+            check = verify_perfect_hedge(c, hedge, x, seller)
+            assert check == verify_perfect_hedge(c, ref, x, seller)
+            failed += not check.ok
+            for other in (buyer, history_dependent_buyer(rng, tree, L)):
+                events = resolve(seller, other).events
+                for path in tree.paths():
+                    assert simulate_portfolio(c, hedge, x, events[path], path) == \
+                        simulate_portfolio(c, ref, x, events[path], path)
+    assert failed > 0

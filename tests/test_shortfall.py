@@ -6,6 +6,7 @@ import pytest
 from conftest import random_contract, random_point, random_policy
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, InvariantError
+from swinghedge.hedge import build_perfect_hedge
 from swinghedge.oracle import grid_risk_oracle
 from swinghedge.pwl import PwlFn
 from swinghedge.shortfall import (
@@ -108,8 +109,10 @@ def test_policy_entry_points_refuse_inexact_or_negative_capital(capital):
 def test_policy_queries_refuse_float_and_bool_wealth(wealth):
     stack = build_risk_stack(contract_a())
     gamma, infusion, seller = optimal_hedge(stack, F(0))
+    hedge = build_perfect_hedge(price_swing(contract_a())[0])
     queries = [
         lambda y: infusion_minimizer(PwlFn.hockey_stick(1), y),
+        lambda y: hedge.units(0, 0, 1, y),
         lambda y: gamma.units(0, 0, 1, y),
         lambda y: infusion.amount(0, 0, 1, y),
         lambda y: seller.stops_at_state(0, 0, 1, y),

@@ -23,11 +23,17 @@ the share count as (numerator, denominator) pairs and reads the stock prices
 and the payments off the integer rows of their processes. Share counts are
 asked on the wealth pair through one adapter, _units_on_pairs: PerfectHedge
 answers in pairs, reading V and the stock off their integer rows, and a
-portfolio of any other class is handed a Fraction and answers one. Fractions
-are built only for what simulate_portfolio and a HedgeWitness report. The
-step and the adapter also serve every wealth change and share count of the
+portfolio of any other class is handed a Fraction and answers one. The step
+and the adapter also serve every wealth change and share count of the
 shortfall layer, through shortfall._trade and shortfall._settle, whose loops
 and policies run on pairs throughout (see that module).
+
+Both path simulators are one loop, _run_path, which checks the capital, the
+path and the play before any policy is asked: simulate_portfolio runs it
+with plain payments, and shortfall.simulate_with_infusion with checked
+trades and injections. Fractions are built only for what simulate_portfolio
+returns and a HedgeWitness reports; a SimulationOutcome builds its own when
+a field is read.
 """
 
 from __future__ import annotations
@@ -39,7 +45,14 @@ from typing import Optional
 
 from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, InvariantError
 from .market import to_rational
-from .swing import ClaimEvent, ValueStack, check_strategy, optimal_strategies, price_swing
+from .swing import (
+    ClaimEvent,
+    ValueStack,
+    check_strategy,
+    optimal_strategies,
+    price_swing,
+    window_start,
+)
 
 
 class PortfolioStrategy:
@@ -157,35 +170,70 @@ def check_capital(x) -> Fraction:
     return x
 
 
+def _run_path(contract, units_of, step, events, path: int, x):
+    """The one path loop: wealth pairs (pre, post) at every level of `path`.
+
+    Starts from capital x and runs the settled claims `events` (one
+    ClaimEvent per claim, in claim order). Before level k > 0 the wealth is
+    held as the share count units_of(k - 1, parent, next open claim, wealth)
+    asks on the reduced wealth pair; step(k, node, w, units, paid) makes
+    that trade and level k's payments paid, (claim, d) in claim order, and
+    returns the wealth pairs before and after the payments, the latter
+    reduced. Once every claim is settled the wealth stays as it is to
+    maturity. Capital, path and events are checked, in that order, before
+    any rule is asked: the path must be one of the tree's, and events must
+    hold exactly L ClaimEvents, each at a level from the window its
+    predecessor opens to maturity.
+    """
+    x = check_capital(x)
+    tree = contract.tree
+    N, L = tree.N, contract.L
+    tree.check_path(path)
+    if len(events) != L:
+        raise ContractError(f"a play settles {L} claims, got {len(events)} events")
+    by_level = {}
+    prev = ()
+    for i, ev in enumerate(events, start=1):
+        start = window_start(prev, N)
+        if not isinstance(ev, ClaimEvent) or not start <= ev.level <= N:
+            raise ContractError(
+                f"event {i} must be a ClaimEvent at a level in [{start}, {N}], got {ev!r}"
+            )
+        by_level.setdefault(ev.level, []).append((i, ev.d))
+        prev = ((ev.level, ev.d),)
+    pre, post = [], []
+    w = (x.numerator, x.denominator)
+    settled = 0  # claims settled before level k
+    for k in range(N + 1):
+        if settled == L:  # nothing is held or paid from here to maturity
+            pre += [w] * (N + 1 - k)
+            post += [w] * (N + 1 - k)
+            break
+        node = path >> (N - k)
+        units = units_of(k - 1, node >> 1, settled + 1, w) if k else (0, 1)
+        here = by_level.get(k, ())
+        w_pre, w = step(k, node, w, units, here)
+        pre.append(w_pre)
+        post.append(w)
+        settled += len(here)
+    return pre, post
+
+
 def simulate_portfolio(contract, portfolio: PortfolioStrategy, x, events, path: int):
     """Wealth along one path, given the settled claims on that path.
 
     events: the ClaimEvent sequence of the path (claim order). Returns
     (pre, post): pre[k] is wealth at level k before that level's payments,
     post[k] after them, as Fractions. No injections here; payments just
-    subtract.
+    subtract, and the wealth may go negative. The path loop is _run_path,
+    with _level_wealth as its step.
     """
-    x = check_capital(x)
-    tree = contract.tree
-    N = tree.N
-    by_level = {}
-    for i, ev in enumerate(events, start=1):
-        by_level.setdefault(ev.level, []).append((i, ev.d))
-    units_of = _units_on_pairs(portfolio)
-    pre, post = [], []
-    w = (x.numerator, x.denominator)
-    settled = 0  # claims settled before level k
-    for k in range(N + 1):
-        node = tree.node_on_path(path, k)
-        units = (0, 1)
-        if k > 0 and settled < contract.L:
-            units = units_of(k - 1, node >> 1, settled + 1, w)
-        here = by_level.get(k, ())
-        w_pre, w = _level_wealth(contract, k, node, w, units, here)
-        w = _reduced(w)
-        pre.append(w_pre)
-        settled += len(here)
-        post.append(w)
+
+    def step(k, node, w, units, paid):
+        w_pre, w = _level_wealth(contract, k, node, w, units, paid)
+        return w_pre, _reduced(w)
+
+    pre, post = _run_path(contract, _units_on_pairs(portfolio), step, events, path, x)
     return [Fraction(*w) for w in pre], [Fraction(*w) for w in post]
 
 

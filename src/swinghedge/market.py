@@ -262,10 +262,16 @@ class ScenarioTree:
     def paths(self):
         return range(2 ** self.N)
 
+    def check_path(self, path) -> None:
+        """ContractError unless path is an int naming one of the 2^N paths."""
+        if not isinstance(path, int) or not 0 <= path < 1 << self.N:
+            raise ContractError(f"path must be an integer in [0, 2^{self.N}), got {path!r}")
+
     def path_prob(self, path: int, q: Fraction) -> Fraction:
         """Probability of an N-step path when each up move has probability q."""
-        ups = path.bit_count()
-        return q ** ups * (1 - q) ** (self.N - ups)
+        ups, N = path.bit_count(), self.N
+        u, d = q.numerator, q.denominator
+        return Fraction(u ** ups * (d - u) ** (N - ups), d ** N)
 
     def path_bits(self, path: int) -> str:
         """The path as a string of u/d moves, first move first."""

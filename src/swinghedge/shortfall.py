@@ -39,17 +39,27 @@ injections and stop tests read the stored controls and functions on the
 wealth pair, the stock price and the maturity payments off the processes'
 integer rows. Any other policy (user code, or a user rule mixed with a stack
 policy) is asked through one adapter per interface, which hands it a
-Fraction and takes a Fraction back. Fractions are built only for what a
-result returns or reports.
+Fraction and takes a Fraction back. simulate_with_infusion is the path loop
+of the hedge module, hedge._run_path, with _trade and _settle as its step.
+Fractions are built only for what a result returns or reports, and a
+SimulationOutcome builds them when a field is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ContractError, InvariantError
-from .hedge import PortfolioStrategy, _level_wealth, _reduced, _units_on_pairs, check_capital
+from .hedge import (
+    PortfolioStrategy,
+    _level_wealth,
+    _reduced,
+    _run_path,
+    _units_on_pairs,
+    check_capital,
+)
 from .market import to_rational
 from .pwl import (
     PwlControl,
@@ -264,9 +274,9 @@ class ReplayStrategy(StoppingStrategy):
         self._amount_of = _amount_on_pairs(infusion)
         # (level, node, settlements below that level) -> wealth pair on arrival
         self._wealth_at = {(0, 0, ()): (self.x.numerator, self.x.denominator)}
-        # (claim, level, node, history) -> stop answer; resolve asks the same
-        # state again and again (3,112 queries, 346 distinct states over a
-        # partial-hedge-query cycle)
+        # (claim, level, node, history) -> stop answer; resolve asks each
+        # state once, but evaluate_risk's enumeration resolves one seller
+        # against every buyer strategy
         self._stops = {}
 
     def stops_at_state(self, k, m, j, wealth):
@@ -287,9 +297,11 @@ class ReplayStrategy(StoppingStrategy):
         key = (k, m, tuple(e for e in history if e[0] < k))
         missing = []
         while key not in memo:
+            if key[0] <= 0:  # the root is the only level-0 entry
+                raise ContractError(f"({k}, {m}) is not a node of the tree")
             missing.append(key)
-            k, m, hist = key
-            key = (k - 1, m >> 1, tuple(e for e in hist if e[0] < k - 1))
+            lvl, node, hist = key
+            key = (lvl - 1, node >> 1, tuple(e for e in hist if e[0] < lvl - 1))
         w = memo[key]
         for k, m, hist in reversed(missing):
             lvl, node = k - 1, m >> 1
@@ -330,12 +342,55 @@ def optimal_buyer(stack: RiskStack, x):
 # ---------------------------------------------------------------------------
 # running and evaluating arbitrary policies
 
-@dataclass
 class SimulationOutcome:
-    pre: list     # wealth at each level before that level's settlements
-    post: list    # after settlements and injections
-    infusions: list  # (level, claim, amount)
-    cost: Fraction
+    """A partial hedge run along one path.
+
+    pre: wealth at each level before that level's settlements; post: after
+    its settlements and injections; infusions: (level, claim, amount) in
+    order; cost: their total. The keyword constructor takes Fractions.
+    simulate_with_infusion keeps integer pairs instead (_of_pairs), and a
+    field is built as Fractions when it is first read.
+    """
+
+    __hash__ = None
+
+    def __init__(self, pre, post, infusions, cost):
+        self.pre, self.post, self.infusions, self.cost = pre, post, infusions, cost
+
+    @classmethod
+    def _of_pairs(cls, pre, post, infusions, cost):
+        out = cls.__new__(cls)
+        out._pairs = pre, post, infusions, cost
+        return out
+
+    @cached_property
+    def pre(self):
+        return [Fraction(*w) for w in self._pairs[0]]
+
+    @cached_property
+    def post(self):
+        return [Fraction(*w) for w in self._pairs[1]]
+
+    @cached_property
+    def infusions(self):
+        return [(k, i, Fraction(*z)) for k, i, z in self._pairs[2]]
+
+    @cached_property
+    def cost(self):
+        return Fraction(*self._pairs[3])
+
+    def _fields(self):
+        return self.pre, self.post, self.infusions, self.cost
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "SimulationOutcome(pre={!r}, post={!r}, infusions={!r}, cost={!r})".format(
+            *self._fields()
+        )
 
 
 def _add(a, b):
@@ -374,34 +429,27 @@ def _settle(contract, amount, k, node, w, claim, d):
 
 
 def simulate_with_infusion(contract, gamma, infusion, events, path: int, x):
-    """Run a partial hedge through one resolved play on one path."""
-    x = check_capital(x)
-    units, amount = _units_on_pairs(gamma), _amount_on_pairs(infusion)
-    tree = contract.tree
-    by_level = {}
-    for i, ev in enumerate(events, start=1):
-        by_level.setdefault(ev.level, []).append((i, ev.d))
-    pre, post, paid_in = [], [], []
-    w, cost = (x.numerator, x.denominator), (0, 1)
-    settled = 0  # claims settled before level k
-    for k in range(tree.N + 1):
-        node = tree.node_on_path(path, k)
-        if k > 0 and settled < contract.L:
-            w = _trade(contract, k, node, w, units(k - 1, node >> 1, settled + 1, w))
-        pre.append(w)
-        here = by_level.get(k, ())
-        for i, d in here:
+    """Run a partial hedge through one resolved play on one path.
+
+    The path loop is hedge._run_path, with _trade and _settle as its step.
+    """
+    amount = _amount_on_pairs(infusion)
+    paid_in = []
+
+    def step(k, node, w, units, paid):
+        if units[0]:
+            w = _trade(contract, k, node, w, units)
+        w_pre = w
+        for i, d in paid:
             z, w = _settle(contract, amount, k, node, w, i, d)
-            cost = _add(cost, z)
-            paid_in.append((k, i, Fraction(*z)))
-        settled += len(here)
-        post.append(w)
-    return SimulationOutcome(
-        pre=[Fraction(*w) for w in pre],
-        post=[Fraction(*w) for w in post],
-        infusions=paid_in,
-        cost=Fraction(*cost),
-    )
+            paid_in.append((k, i, z))
+        return w_pre, w
+
+    pre, post = _run_path(contract, _units_on_pairs(gamma), step, events, path, x)
+    cost = (0, 1)
+    for _, _, z in paid_in:
+        cost = _add(cost, z)
+    return SimulationOutcome._of_pairs(pre, post, paid_in, cost)
 
 
 def _terminal_cost(contract, amount, m, first, y):

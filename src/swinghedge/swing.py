@@ -22,8 +22,10 @@ and the root values, through AdaptedProcess.at.
 
 Strategies here are per-claim stopping rules fed with the realized payoff
 history ((a_1, d_1), ..), a_j the j-th payoff level and d_j = 1 when the
-seller cancelled strictly first. resolve() plays two strategies against each
-other pathwise.
+seller cancelled strictly first. resolve_path() plays two strategies against
+each other on one path; resolve() plays them on every path in one
+depth-first walk of the tree, which asks each (claim, level, node, history)
+question once, where the paths share it.
 """
 
 from __future__ import annotations
@@ -161,11 +163,16 @@ class ResolvedPlay:
         self.events = events  # path -> tuple of ClaimEvent, length L
 
 
+def _check_pair(s: StoppingStrategy, b: StoppingStrategy) -> None:
+    if b.tree is not s.tree or b.L != s.L:
+        raise ContractError("strategies disagree on tree or claim count")
+
+
 def resolve_path(s: StoppingStrategy, b: StoppingStrategy, path: int) -> tuple:
     """The ClaimEvent sequence of seller s against buyer b on one path."""
+    _check_pair(s, b)
     tree = s.tree
-    if b.tree is not tree or b.L != s.L:
-        raise ContractError("strategies disagree on tree or claim count")
+    tree.check_path(path)
     L, N = s.L, tree.N
     hist = ()
     out = []
@@ -185,9 +192,42 @@ def resolve_path(s: StoppingStrategy, b: StoppingStrategy, path: int) -> tuple:
 
 
 def resolve(s: StoppingStrategy, b: StoppingStrategy) -> ResolvedPlay:
-    """Play seller strategy s against buyer strategy b on every path."""
-    events = {path: resolve_path(s, b, path) for path in s.tree.paths()}
-    return ResolvedPlay(s.tree, s.L, events)
+    """Play seller strategy s against buyer strategy b on every path.
+
+    One depth-first walk of the tree, down child first, asks what
+    resolve_path asks on each path, each question once and in the order in
+    which the paths, taken in increasing order, first ask it. At a node
+    where claim i is open, the seller and then the buyer is asked; a
+    settlement opens claim i + 1 at the children. At maturity every open
+    claim settles on the spot, and a subtree with no claim open gives all of
+    its paths one events tuple.
+    """
+    _check_pair(s, b)
+    tree = s.tree
+    L, N = s.L, tree.N
+    forced = ClaimEvent(level=N, d=0, seller_stopped=True, buyer_stopped=True)
+    events = {}
+
+    def walk(k, m, i, hist, out):
+        if i > L:
+            lo = m << (N - k)
+            for path in range(lo, lo + (1 << (N - k))):
+                events[path] = out
+            return
+        if k == N:
+            events[m] = out + (forced,) * (L + 1 - i)
+            return
+        ss = s.stops(i, k, m, hist)
+        bs = b.stops(i, k, m, hist)
+        if ss or bs:
+            d = 0 if bs else 1
+            out = out + (ClaimEvent(level=k, d=d, seller_stopped=ss, buyer_stopped=bs),)
+            i, hist = i + 1, hist + ((k, d),)
+        walk(k + 1, 2 * m, i, hist, out)
+        walk(k + 1, 2 * m + 1, i, hist, out)
+
+    walk(0, 0, 1, (), ())
+    return ResolvedPlay(tree, L, events)
 
 
 @dataclass

@@ -86,6 +86,18 @@ def test_path_probs_sum_to_one(seed):
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31))
+def test_path_prob_is_the_product_of_its_moves(seed):
+    rng = random.Random(seed)
+    tree = build_tree(random_params(rng, n=rng.randint(1, 12)), recombining=True)
+    N = tree.N
+    den = rng.randint(1, 40)
+    q = Fraction(rng.randint(0, den), den)
+    for path in [0, 2 ** N - 1] + [rng.randrange(2 ** N) for _ in range(30)]:
+        ups = path.bit_count()
+        assert tree.path_prob(path, q) == q ** ups * (1 - q) ** (N - ups)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 31))
 def test_price_is_martingale_under_ptilde(seed):
     rng = random.Random(seed)
     tree = build_tree(random_params(rng))

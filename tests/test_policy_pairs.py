@@ -326,9 +326,12 @@ def test_pair_route_equals_the_fraction_route(seed, lattice, reduced_asks):
             for events in (play.events, other.events):
                 for path in tree.paths():
                     out = simulate_with_infusion(c, gamma, infusion, events[path], path, x)
-                    assert out == reference_simulate_with_infusion(
+                    want = reference_simulate_with_infusion(
                         c, ref_gamma, ref_infusion, events[path], path, x
                     )
+                    assert out == want and want == out
+                    read = out.pre + out.post + [z for _, _, z in out.infusions] + [out.cost]
+                    assert all(type(v) is Fraction for v in read)
             assert evaluate_policy_risk(c, gamma, infusion, x) == \
                 evaluate_policy_risk(c, ref_gamma, ref_infusion, x)
             modes = ("recursion", "enumeration") if few_buyers else ("recursion",)

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_contract, random_point, random_policy
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, InvariantError
-from swinghedge.hedge import build_perfect_hedge
+from swinghedge.hedge import build_perfect_hedge, simulate_portfolio
 from swinghedge.oracle import grid_risk_oracle
 from swinghedge.pwl import PwlFn
 from swinghedge.shortfall import (
@@ -20,7 +20,7 @@ from swinghedge.shortfall import (
     shortfall_risk,
     simulate_with_infusion,
 )
-from swinghedge.swing import StoppingStrategy, price_swing, resolve
+from swinghedge.swing import ClaimEvent, StoppingStrategy, price_swing, resolve, resolve_path
 
 F = Fraction
 EPS = F(1, 10 ** 6)
@@ -304,6 +304,65 @@ def test_simulation_rejects_cheating_infusions():
     play = resolve(seller, buyer)
     with pytest.raises(InvariantError):
         simulate_with_infusion(c, gamma, Thief(), play.events[0], 0, F(0))
+
+
+class Unasked:
+    """A policy that fails the test when it is asked anything."""
+
+    def units(self, *args):
+        raise AssertionError(f"asked {args}")
+
+    amount = units
+
+
+def test_simulators_refuse_paths_and_plays_that_do_not_fit():
+    c = random_contract(random.Random(1), n=5, l=2)
+    stack, price = price_swing(c)
+    risk = build_risk_stack(c)
+    gamma, infusion, seller = optimal_hedge(risk, price / 2)
+    good = resolve(seller, optimal_buyer(risk, price / 2)).events[0]
+    hedge = build_perfect_hedge(stack)
+    simulators = [
+        lambda events, path, x: simulate_portfolio(c, hedge, x, events, path),
+        lambda events, path, x: simulate_with_infusion(c, gamma, infusion, events, path, x),
+        lambda events, path, x: simulate_portfolio(c, Unasked(), x, events, path),
+        lambda events, path, x: simulate_with_infusion(c, Unasked(), Unasked(), events, path, x),
+    ]
+
+    def at(*levels):
+        return tuple(ClaimEvent(k, 0, k == 5, True) for k in levels)
+
+    bad_plays = [
+        good[:1],  # one claim left unsettled
+        good + good[-1:],  # one claim too many
+        at(2, 2),  # the second claim settles before its window opens
+        at(-1, 3),
+        at(1, 6),  # past maturity
+        ((1, 0), (3, 0)),  # not ClaimEvents
+    ]
+    for simulate in simulators:
+        for path in (-1, 2 ** 5, 1.0):
+            with pytest.raises(ContractError, match="path"):
+                simulate(good, path, price / 2)
+        for events in bad_plays:
+            with pytest.raises(ContractError, match="event"):
+                simulate(events, 0, price / 2)
+        with pytest.raises(ContractError, match="capital"):  # capital is checked first
+            simulate(good[:1], -1, -1)
+    for simulate in simulators[:2]:  # a claim may settle at either end of its window
+        for events in (at(5, 5), at(0, 5), at(3, 4)):
+            simulate(events, 2 ** 5 - 1, price / 2)
+
+
+def test_replay_refuses_a_node_off_the_tree():
+    c = random_contract(random.Random(1), n=5, l=2)
+    risk = build_risk_stack(c)
+    _, _, seller = optimal_hedge(risk, F(0))
+    for k, m in [(0, 1), (2, 4), (3, -1), (-1, 0)]:
+        with pytest.raises(ContractError, match="not a node"):
+            seller.stops(1, k, m, ())
+    with pytest.raises(ContractError, match="path"):
+        resolve_path(seller, optimal_buyer(risk, F(0)), 2 ** 5)
 
 
 def test_unknown_mode_rejected():

@@ -1,19 +1,27 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import random_contract
+from conftest import (
+    Recording,
+    history_dependent_buyer,
+    history_dependent_seller,
+    random_contract,
+)
 from swinghedge.contract import build_contract
 from swinghedge.dynkin import solve_dynkin
 from swinghedge.errors import ContractError, EnumerationCapError
 from swinghedge.oracle import brute_force_value, certify_saddle
+from swinghedge.shortfall import build_risk_stack, optimal_buyer, optimal_hedge
 from swinghedge.swing import (
     RuleStrategy,
     TableStrategy,
     optimal_strategies,
     price_swing,
     resolve,
+    resolve_path,
     window_start,
 )
 
@@ -62,6 +70,55 @@ def test_resolve_respects_windows_and_maturity():
                 if ev.level == c.tree.N:
                     assert ev.d == 0
                 last = ev.level
+
+
+def strategy_pairs(rng, c):
+    """(seller, buyer) pairs: the optimal tables, the trivial tables,
+    history-dependent rules, and the optimal partial hedge's replays at
+    capitals 0, price/2 and the price."""
+    tree, L = c.tree, c.L
+    stack, price = price_swing(c)
+    seller, buyer = optimal_strategies(stack)
+    wait, start = TableStrategy.all_wait(tree, L), TableStrategy.all_at_start(tree, L)
+    rules = history_dependent_seller(rng, tree, L), history_dependent_buyer(rng, tree, L)
+    pairs = [(seller, buyer), (wait, start), (start, wait), (wait, wait), rules, (seller, rules[1])]
+    risk = build_risk_stack(c)
+    for x in (0, price / 2, price):
+        pairs.append((optimal_hedge(risk, x)[2], optimal_buyer(risk, x)))
+    return pairs
+
+
+def recorded(s, b):
+    """s and b under Recording, both logging (side, question) to one list."""
+    log = []
+    pair = Recording(s), Recording(b)
+    for side, rec in enumerate(pair):
+        rec.log = SimpleNamespace(append=lambda question, side=side: log.append((side, question)))
+    return pair, log
+
+
+@pytest.mark.parametrize("seed, lattice", [(s, lat) for s in range(6) for lat in (False, True)])
+def test_resolve_walk_asks_what_the_path_loop_asks(seed, lattice):
+    """resolve gives every path resolve_path's events, in path order, and
+    asks each distinct question once, in the order the paths first ask it."""
+    rng = random.Random(500 + seed)
+    c = random_contract(rng, max_n=5, max_l=3, recombining=lattice)
+    for s, b in strategy_pairs(rng, c):
+        walked, walk_log = recorded(s, b)
+        events = resolve(*walked).events
+        looped, loop_log = recorded(s, b)
+        assert list(events.items()) == [(p, resolve_path(*looped, p)) for p in c.tree.paths()]
+        assert walk_log == list(dict.fromkeys(loop_log))
+
+
+@pytest.mark.parametrize("path", [-1, 4, 1.0])
+def test_resolve_path_refuses_a_path_off_the_tree(path):
+    c = two_calls({"kind": "constant", "value": "1"})
+    s = Recording(TableStrategy.all_wait(c.tree, c.L))
+    b = Recording(TableStrategy.all_at_start(c.tree, c.L))
+    with pytest.raises(ContractError, match="path"):
+        resolve_path(s, b, path)
+    assert s.log == b.log == []
 
 
 def test_tie_settles_as_exercise():
@@ -120,8 +177,12 @@ def test_rule_strategy_rejects_early_stopping_times():
     rule = RuleStrategy(c.tree, c.L,
                         lambda i, hist: StoppingTime.at_level(c.tree, 0))
     wait = TableStrategy.all_wait(c.tree, c.L)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError) as walked:
         resolve(rule, wait)
+    with pytest.raises(ContractError) as looped:
+        for path in c.tree.paths():
+            resolve_path(rule, wait, path)
+    assert str(walked.value) == str(looped.value)
 
 
 def test_table_strategy_needs_all_claims():

@@ -269,12 +269,14 @@ class ScenarioTree:
 
     def path_prob(self, path: int, q: Fraction) -> Fraction:
         """Probability of an N-step path when each up move has probability q."""
+        self.check_path(path)
         ups, N = path.bit_count(), self.N
         u, d = q.numerator, q.denominator
         return Fraction(u ** ups * (d - u) ** (N - ups), d ** N)
 
     def path_bits(self, path: int) -> str:
         """The path as a string of u/d moves, first move first."""
+        self.check_path(path)
         return format(path, f"0{self.N}b").replace("1", "u").replace("0", "d")
 
 

@@ -18,28 +18,46 @@ b (up), a (down):
       psi_A(y) = min over z >= (A - y)^+ of z + psi(y + z - A),
       the best cost when an obligation A is due and z may be injected.
 
-Both keep the function inside the class. Each control is built once and
-selects the SMALLEST minimizer when several controls achieve the minimum, so
-downstream policy extraction is deterministic: portfolio_transform returns
-its alpha control with the function, and the injection control of every
-obligation A is leftmost_minimizer of psi (below).
+Both keep the function inside the class. Each control selects the SMALLEST
+minimizer when several controls achieve the minimum, so downstream policy
+extraction is deterministic: portfolio_transform returns its alpha control
+with the function, and the injection control of every obligation A is
+leftmost_minimizer of psi (below).
 
 The portfolio minimization is computed in post-move wealth coordinates:
 writing w1 = y + b*alpha, w2 = y + a*alpha, the constraint set becomes
 {w1, w2 >= 0, ptilde*w1 + (1-ptilde)*w2 = y} with ptilde = a/(a-b). With
 u1 = ptilde*w1 and u2 = (1-ptilde)*w2 this is the infimal convolution of
 f1(u) = p*psi_1(u/ptilde) and f2(u) = (1-p)*psi_2(u/(1-ptilde)) (Rockafellar,
-Convex Analysis, sec. 5). For fixed y the objective is piecewise linear in
-w1 with kinks where w1 hits a psi_1 breakpoint P_i or w2 hits a psi_2
-breakpoint Q_j, so the smallest minimizer pins one of the two. Pinning
-w1 = P_i leaves a copy of f2 shifted right by ptilde*P_i and raised by
-f1(ptilde*P_i), with w1 constant; pinning w2 = Q_j leaves the mirror copy
-of f1, with w1 affine in y. The transform is the lower envelope of these
-|P| + |Q| copies, each labelled with its w1: the copies are folded in one at
-a time (P_0 and Q_0 first, so the envelope covers every y from the start),
-each fold a two-pointer merge of knot lists that inserts the crossings.
-Ties keep the smaller w1: at a knot by value, along a piece by the lower of
-the two affine w1 lines (two lines cross only at a knot of both copies).
+Convex Analysis, sec. 5). For fixed y the objective F(u1) = f1(u1) +
+f2(y - u1) on [0, y] is piecewise linear with kinks where w1 hits a psi_1
+breakpoint P_i or w2 hits a psi_2 breakpoint Q_j. Pinning w1 = P_i leaves a
+copy of f2 shifted right by ptilde*P_i and raised by f1(ptilde*P_i), with
+w1 constant; pinning w2 = Q_j leaves the mirror copy of f1, with w1 affine
+in y. The transform is the lower envelope of such copies, each labelled
+with its w1.
+
+Not every copy is needed. The smallest minimizer u1* is 0 (copy P_0), y
+(copy Q_0), or an interior point where F falls strictly on the left and
+does not fall on the right, so the slope of F rises there. That rise is
+the rise of f1's slope at u1* plus the rise of f2's slope at y - u1*, so
+at least one of them rises: u1* is a convex kink of f1, a P_i where the
+slope of psi_1 rises, or y - u1* is a convex kink of f2, where copy Q_j
+gives the same w1. A kink where the slope falls (concave) never holds the
+smallest minimizer unless the other function has a convex kink at the
+same point, and then that copy covers it. So the envelope folds only P_0,
+Q_0 and the convex kinks of psi_1 and psi_2 (_kinks); the last breakpoint
+always qualifies, since the function falls into it and is flat after it.
+The envelope keeps both the minimum and the smallest minimizer.
+
+The copies are folded in one at a time (P_0 and Q_0 first, so the envelope
+covers every y from the start), each fold a two-pointer merge of knot lists
+that inserts the crossings. portfolio_transform folds values only (_lower)
+and returns the function at once. Its control holds only its inputs until
+it is first read; that read folds the same copies with their w1 labels
+(_fold, from _portfolio_control). Ties keep the smaller w1: at a knot by
+value, along a piece by the lower of the two affine w1 lines (two lines
+cross only at a knot of both copies).
 
 The infusion minimization goes through h(w) = w + psi(w): the value is
 (A - y) + min over w >= (y - A)^+ of h(w), and the smallest injection comes
@@ -70,7 +88,10 @@ _at takes a wealth pair, picks the piece by one binary search by
 cross-multiplication (_find) and answers a pair, which is what the shortfall
 layer's policies ask. The public evals wrap it and make one Fraction, the
 answer. Only those, PwlFn.points (built on first read and kept) and the
-control's xs (built on each read) turn the pairs into Fractions.
+control's xs (built on each read) turn the pairs into Fractions. A
+function's suffix-minimum rows are kept the same way (_minimum_rows), so
+the exercise and cancel transforms of one function and its injection rule
+share one pass.
 """
 
 from __future__ import annotations
@@ -129,6 +150,18 @@ def _find(rows, n, d):
     return lo - 1
 
 
+def _first_at(xs, x):
+    """The first i with knot xs[i] >= x, for knots increasing."""
+    (n, d), lo, hi = x, 0, len(xs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if xs[mid][0] * d < n * xs[mid][1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _show(q) -> str:
     return str(Fraction(*q))
 
@@ -183,21 +216,21 @@ def _canonical(points):
 class PwlFn:
     """Canonical decreasing piecewise-linear function vanishing at infinity."""
 
-    __slots__ = ("_pairs", "_points")
+    __slots__ = ("_pairs", "_points", "_rows")
 
     def __init__(self, points):
         pts = sorted((Fraction(x), Fraction(v)) for x, v in points)
         self._pairs = _canonical(
             ((x.numerator, x.denominator), (v.numerator, v.denominator)) for x, v in pts
         )
-        self._points = None
+        self._points = self._rows = None
 
     @classmethod
     def _of(cls, xs, vs) -> "PwlFn":
         """From knot and value pairs in increasing x (the transforms' output)."""
         fn = cls.__new__(cls)
         fn._pairs = _canonical(zip(xs, vs))
-        fn._points = None
+        fn._points = fn._rows = None
         return fn
 
     @classmethod
@@ -218,6 +251,13 @@ class PwlFn:
         if self._points is None:
             self._points = tuple((Fraction(*x), Fraction(*v)) for x, v in self._pairs)
         return self._points
+
+    @property
+    def _minimum_rows(self) -> list:
+        """_suffix_minimum of this function, built on first read and kept."""
+        if self._rows is None:
+            self._rows = _suffix_minimum(self)
+        return self._rows
 
     @property
     def support_end(self) -> Fraction:
@@ -358,9 +398,15 @@ class PwlControl:
     triples (see the module docstring). _at reads them on a wealth pair and
     eval wraps it with one Fraction, the answer; xs builds the knots'
     Fractions on each read.
+
+    A portfolio control starts unbuilt: _knots is None and _inputs holds
+    only its transform's inputs (psi1, psi2, p, a, b). The first read (_at,
+    eval or xs) builds the knots with _portfolio_control, keeps them and
+    drops the inputs; after that a read costs one truth test more than a
+    plain slot read.
     """
 
-    __slots__ = ("_knots",)
+    __slots__ = ("_knots", "_inputs")
 
     def __init__(self, xs, at, lines):
         self._knots = knots = []
@@ -370,7 +416,18 @@ class PwlControl:
                 continue
             knots.append(knot)
 
-    xs = property(lambda self: [Fraction(*x) for x, _, _ in self._knots])
+    @classmethod
+    def _unbuilt(cls, inputs) -> "PwlControl":
+        ctrl = cls.__new__(cls)
+        ctrl._knots, ctrl._inputs = None, inputs
+        return ctrl
+
+    def _build(self) -> list:
+        self._knots = _portfolio_control(*self._inputs)._knots
+        self._inputs = None
+        return self._knots
+
+    xs = property(lambda self: [Fraction(*x) for x, _, _ in self._knots or self._build()])
 
     def eval(self, y) -> Fraction:
         y = to_rational(y)
@@ -383,7 +440,8 @@ class PwlControl:
         denominator, not reduced. y must be reduced: a knot is found by
         tuple equality."""
         n, d = y
-        x, v, (A, B, D) = self._knots[_find(self._knots, n, d)]
+        knots = self._knots or self._build()
+        x, v, (A, B, D) = knots[_find(knots, n, d)]
         if x == y:
             return v
         return A * n + B * d, D * d
@@ -403,14 +461,7 @@ def _fold(env, copy):
     """
     X, V, L, K, C = env
     cx, cl, line = copy
-    # the first env knot at or after the copy's start
-    (sn, sd), lo, hi = cx[0], 0, len(X)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if X[mid][0] * sd < sn * X[mid][1]:
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = _first_at(X, cx[0])
     nX, nV, nL, nK, nC = X[:lo], V[:lo], L[:lo], K[:lo], C[:lo]
 
     def piece(vline, ctl):
@@ -465,22 +516,23 @@ def _fold(env, copy):
     return nX, nV, nL, nK, nC
 
 
-def portfolio_transform(psi1: PwlFn, psi2: PwlFn, p, a, b):
-    """The exact portfolio minimization; returns (PwlFn, PwlControl).
+def _kinks(lines):
+    """0 and every knot at which the slope rises, for lines as _lines gives
+    them: the knots a smallest minimizer can sit at (module docstring)."""
+    return [0] + [
+        t for t in range(1, len(lines)) if lines[t][0] * lines[t - 1][2] > lines[t - 1][0] * lines[t][2]
+    ]
 
-    The control is alpha, money invested in stock, with alpha(y) in
-    K(y) = [-y/b, -y/a]; the smallest optimal alpha is selected.
-    """
-    p = to_rational(p)
-    a, b = to_rational(a), to_rational(b)
-    if not (0 < p < 1):
-        raise ContractError(f"need 0 < p < 1, got {p}")
-    pt = martingale_prob(a, b)
+
+def _copies(psi1, psi2, p, pt):
+    """The copies the portfolio envelope folds: P_0, Q_0, then the convex
+    kinks of psi1 and of psi2. Each is (knots, value line from each knot
+    on, w1 line), on [start, end] in u-coordinates."""
     tn, td, pn, pd = pt.numerator, pt.denominator, p.numerator, p.denominator
-    P, Q = [x for x, _ in psi1._pairs], [x for x, _ in psi2._pairs]
+    P = [x for x, _ in psi1._pairs]
     # both inputs in u-coordinates: f1 on uP, f2 on uQ
     uP = [_q(tn * n, td * d) for n, d in P]
-    uQ = [_q((td - tn) * n, td * d) for n, d in Q]
+    uQ = [_q((td - tn) * n, td * d) for (n, d), _ in psi2._pairs]
     fP = [_q(pn * n, pd * d) for _, (n, d) in psi1._pairs]
     fQ = [_q((pd - pn) * n, pd * d) for _, (n, d) in psi2._pairs]
     lP, lQ = _lines(uP, fP), _lines(uQ, fQ)
@@ -497,21 +549,96 @@ def portfolio_transform(psi1: PwlFn, psi2: PwlFn, p, a, b):
         return xs, ls, w1
 
     # copy i pins w1 = P_i; copy j pins w2 = Q_j, so w1 = (y - uQ_j) / pt
-    copies = [copy(u, f, uQ, lQ, (0, n, d)) for u, f, (n, d) in zip(uP, fP, P)]
-    copies += [copy(u, f, uP, lP, _line(td * d, -td * n, tn * d)) for u, f, (n, d) in zip(uQ, fQ, uQ)]
-    copies.insert(1, copies.pop(len(P)))  # Q_0 right after P_0
+    kP = _kinks(lP)
+    copies = [copy(uP[i], fP[i], uQ, lQ, (0, *P[i])) for i in kP]
+    for j in _kinks(lQ):
+        n, d = uQ[j]
+        copies.append(copy(uQ[j], fQ[j], uP, lP, _line(td * d, -td * n, tn * d)))
+    copies.insert(1, copies.pop(len(kP)))  # Q_0 right after P_0
+    return copies
+
+
+def _lower(env, copy):
+    """Lower envelope of env and one copy, values only.
+
+    env = (knots, values at the knots, value line on each piece) covers
+    [0, end]; copy = (knots, value line from each knot on, w1 line, not
+    read) covers [start, end]. As in _fold, without the w1 labels: a knot
+    through which the same value line runs is dropped.
+    """
+    X, V, L = env
+    cx, cl, _ = copy
+    lo = _first_at(X, cx[0])
+    nX, nV, nL = X[:lo], V[:lo], L[:lo]
+
+    def piece(vline):
+        t = len(nX) - 1
+        if t and nL[t - 1] == vline:
+            del nX[t], nV[t]
+        else:
+            nL.append(vline)
+
+    prev = None
+    for x, i, j in _union_walk(X, cx, lo, 0):
+        on_env = X[i] == x
+        e = V[i] if on_env else _ev(L[i], x)
+        c = _ev(cl[j], x)
+        left, right = e[0] * c[1], c[0] * e[1]
+        d = (left > right) - (left < right)  # the sign of env - copy
+        if prev is not None:
+            pd, pi, pj = prev
+            if pd * d < 0:
+                xc = _cross(L[pi], cl[pj])
+                piece(L[pi] if pd < 0 else cl[pj])
+                nX.append(xc)
+                nV.append(_q(*_ev(L[pi], xc)))
+                piece(cl[pj] if pd < 0 else L[pi])
+            else:  # no crossing: the lower line, or the one line both ends tie on
+                piece(L[pi] if pd <= 0 and d <= 0 else cl[pj])
+        nX.append(x)
+        if d > 0:
+            nV.append(_q(*c))
+        else:
+            nV.append(e if on_env else _q(*e))
+        prev = d, i, j
+    return nX, nV, nL
+
+
+def portfolio_transform(psi1: PwlFn, psi2: PwlFn, p, a, b):
+    """The exact portfolio minimization; returns (PwlFn, PwlControl).
+
+    The control is alpha, money invested in stock, with alpha(y) in
+    K(y) = [-y/b, -y/a]; the smallest optimal alpha is selected. Only the
+    function is computed here; the control is built when first read.
+    """
+    p = to_rational(p)
+    a, b = to_rational(a), to_rational(b)
+    if not (0 < p < 1):
+        raise ContractError(f"need 0 < p < 1, got {p}")
+    copies = _copies(psi1, psi2, p, martingale_prob(a, b))
+    xs, ls, _ = copies[0]
+    env = xs, [_q(*_ev(l, x)) for l, x in zip(ls, xs)], ls
+    for cp in copies[1:]:
+        env = _lower(env, cp)
+    return PwlFn._of(*env[:2]), PwlControl._unbuilt((psi1, psi2, p, a, b))
+
+
+def _portfolio_control(psi1, psi2, p, a, b):
+    """The alpha control of portfolio_transform(psi1, psi2, p, a, b): the
+    same copies folded with their w1 labels."""
+    copies = _copies(psi1, psi2, p, martingale_prob(a, b))
     xs, ls, line = copies[0]
-    env = (xs, [_q(*_ev(l, x)) for l, x in zip(ls, xs)], ls, [P[0]] * len(xs), [line] * len(xs))
+    env = xs, [_q(*_ev(l, x)) for l, x in zip(ls, xs)], ls, [(0, 1)] * len(xs), [line] * len(xs)
     for cp in copies[1:]:
         env = _fold(env, cp)
-    X, V, _, K, C = env
+    X, _, _, K, C = env
     # from the last event point on everything optimal costs 0, and the
     # smallest optimal w1 is the last psi1 breakpoint; alpha = (w1 - y) / b
-    bn, bd = b.numerator, b.denominator
+    (en, ed), bn, bd = psi1._pairs[-1][0], b.numerator, b.denominator
     lines = [_line((A - D) * bd, B * bd, D * bn) for A, B, D in C[: len(X) - 1]]
-    lines.append(_line(-P[-1][1] * bd, P[-1][0] * bd, P[-1][1] * bn))
+    lines.append(_line(-ed * bd, en * bd, ed * bn))
     at = [_q((wn * yd - yn * wd) * bd, wd * yd * bn) for (yn, yd), (wn, wd) in zip(X, K)]
-    return PwlFn._of(X, V), PwlControl(X, at, lines)
+    return PwlControl(X, at, lines)
 
 
 def _suffix_minimum(psi: PwlFn):
@@ -550,7 +677,7 @@ def _suffix_minimum(psi: PwlFn):
 
 def leftmost_minimizer(psi: PwlFn) -> PwlControl:
     """c -> the leftmost minimizer of w + psi(w) over w >= c."""
-    rows = _suffix_minimum(psi)
+    rows = psi._minimum_rows
     return PwlControl([r[0] for r in rows], [r[2] for r in rows], [r[3] for r in rows])
 
 
@@ -565,7 +692,7 @@ def infusion_transform(psi: PwlFn, A) -> PwlFn:
     if A < 0:
         raise ContractError(f"obligation must be nonnegative, got {A}")
     an, ad = A.numerator, A.denominator
-    rows = _suffix_minimum(psi)
+    rows = psi._minimum_rows
     # y = A + c for the row at c, where the value is m - c
     xs = [_q(c[0] * ad + an * c[1], c[1] * ad) for c, _, _, _ in rows]
     vs = [_q(m[0] * c[1] - c[0] * m[1], m[1] * c[1]) for c, m, _, _ in rows]

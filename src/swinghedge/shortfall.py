@@ -20,7 +20,9 @@ per node and per remaining-rights count j with active right i = L - j + 1:
     cost      = min(cancel, max(exercise, continue))
 
 with terminal cost (sum of remaining exercise legs - wealth)^+. The optimal
-share counts are the stored portfolio controls. The optimal injections are
+share counts are the stored portfolio controls. Each is built from its
+transform's inputs when a policy first reads it, so a risk or a risk curve
+builds none. The optimal injections are
 one rule per state: the leftmost minimizer of w + phi(w) over the wealth
 left after settlement (RiskStack.minimizer), whatever the obligation. The
 optimal cancellation behaviour is "cancel where the cancel branch is the

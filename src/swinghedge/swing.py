@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .contract import SwingContract
 from .dynkin import DynkinSolution, StoppingTime, solve_dynkin
-from .errors import ContractError
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
 from .market import (
     MARTINGALE,
     AdaptedProcess,
@@ -200,11 +200,15 @@ def resolve(s: StoppingStrategy, b: StoppingStrategy) -> ResolvedPlay:
     where claim i is open, the seller and then the buyer is asked; a
     settlement opens claim i + 1 at the children. At maturity every open
     claim settles on the spot, and a subtree with no claim open gives all of
-    its paths one events tuple.
+    its paths one events tuple. A tree of more nodes than
+    DEFAULT_ENUMERATION_CAP is refused before either strategy is asked.
     """
     _check_pair(s, b)
     tree = s.tree
     L, N = s.L, tree.N
+    nodes = 2 ** (N + 1) - 1
+    if nodes > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(nodes, DEFAULT_ENUMERATION_CAP)
     forced = ClaimEvent(level=N, d=0, seller_stopped=True, buyer_stopped=True)
     events = {}
 

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from swinghedge import cli, hedge
+from swinghedge import cli, hedge, pwl
 from swinghedge.cli import main
 from swinghedge.market import format_rational
 from swinghedge.pwl import PwlFn
@@ -176,6 +176,22 @@ def test_verify_passes_on_bundled_contracts(capsys):
     }
     for entry in doc["contracts"].values():
         assert all(entry["checks"].values())
+
+
+def test_risk_commands_build_no_portfolio_control(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a portfolio control was built")
+
+    monkeypatch.setattr(pwl, "_portfolio_control", refuse)
+    base = resources.files("swinghedge") / "contracts"
+    for name in ("american_call_proxy", "one_right_small_penalty", "two_rights_uncancellable"):
+        with resources.as_file(base / f"{name}.json") as path:
+            stack = build_risk_stack(load_contract(str(path)))
+            assert stack.curve().eval(0) == stack.risk(0)
+            assert main(["risk-curve", str(path)]) == 0
+            assert main(["risk", str(path), "--capital", "1/2"]) == 0
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_cap_reaches_the_hedge_walk(monkeypatch, capsys):

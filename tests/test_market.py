@@ -97,6 +97,17 @@ def test_path_prob_is_the_product_of_its_moves(seed):
         assert tree.path_prob(path, q) == q ** ups * (1 - q) ** (N - ups)
 
 
+@pytest.mark.parametrize("path", [-1, "2^N", 1.0])
+def test_path_prob_and_bits_refuse_a_path_off_the_tree(path):
+    tree = build_tree(MarketParams(S0=1, a=Fraction(-1, 2), b=1, p=Fraction(3, 5), N=5))
+    if path == "2^N":
+        path = 2 ** tree.N
+    with pytest.raises(ContractError, match="path must be an integer"):
+        tree.path_prob(path, tree.params.p)
+    with pytest.raises(ContractError, match="path must be an integer"):
+        tree.path_bits(path)
+
+
 @given(st.integers(min_value=0, max_value=2 ** 31))
 def test_price_is_martingale_under_ptilde(seed):
     rng = random.Random(seed)

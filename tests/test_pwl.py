@@ -1,11 +1,13 @@
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_contract
+from swinghedge import pwl
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, InvariantError
 from swinghedge.market import martingale_prob
@@ -298,6 +300,81 @@ def test_controls_are_the_smallest_minimizers_on_ties(kind):
                 assert (gn.eval(y), infusion_minimizer(psi, y - A)[0]) == infusion_at(psi, A, y)
 
 
+# ---- the portfolio envelope: which copies, values first, control on read ---
+
+ENVELOPE_KINDS = ("random",) + TIE_KINDS
+
+
+def envelope_inputs(rng, kind):
+    """Transform inputs: random_pwl shapes (flat pieces among them), or the
+    tie-heavy ones, where kinks of psi1 and psi2 coincide."""
+    if kind == "random":
+        size = rng.choice(SIZES)
+        return random_pwl(rng, *size), random_pwl(rng, *size), *random_market_bits(rng)
+    return tie_heavy(rng, kind)
+
+
+def convex_kinks(psi):
+    """0 and every breakpoint at which psi's slope rises, the last one too."""
+    pts = psi.points
+    slopes = [(v1 - v0) / (x1 - x0) for (x0, v0), (x1, v1) in zip(pts, pts[1:])] + [F(0)]
+    return [F(0)] + [pts[t][0] for t in range(1, len(pts)) if slopes[t] > slopes[t - 1]]
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(ENVELOPE_KINDS))
+def test_value_envelope_matches_the_control_fold(seed, kind):
+    rng = random.Random(seed)
+    psi1, psi2, p, a, b = envelope_inputs(rng, kind)
+    copies, envs = [], []
+    make, fold = pwl._copies, pwl._fold
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pwl, "_copies", lambda *args: copies.append(make(*args)) or copies[-1])
+        mp.setattr(pwl, "_fold", lambda *args: envs.append(fold(*args)) or envs[-1])
+        fn, ctrl = portfolio_transform(psi1, psi2, p, a, b)
+        assert len(copies) == 1 and envs == []  # the values alone
+        ctrl.xs
+    assert len(copies) == 2 and copies[0] == copies[1]
+    X, V, _, _, _ = envs[-1]
+    assert pwl.PwlFn._of(X, V) == fn
+    # folded: P_0, Q_0, then the convex kinks of psi1 and of psi2; a P copy
+    # has a constant w1 line, a Q copy a rising one
+    pt = martingale_prob(a, b)
+    want = [("P", F(0)), ("Q", F(0))]
+    want += [("P", pt * x) for x in convex_kinks(psi1)[1:]]
+    want += [("Q", (1 - pt) * x) for x in convex_kinks(psi2)[1:]]
+    assert [("Q" if w1[0] else "P", F(*xs[0])) for xs, _, w1 in copies[0]] == want
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(ENVELOPE_KINDS))
+def test_pruned_copies_give_what_every_copy_gives(seed, kind):
+    # folding a copy per breakpoint of psi1 and of psi2 gives the same
+    # function and the same smallest-minimizer control, field for field
+    rng = random.Random(seed)
+    args = envelope_inputs(rng, kind)
+    fn, ctrl = portfolio_transform(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pwl, "_kinks", lambda lines: list(range(len(lines))))
+        every_fn, every_ctrl = portfolio_transform(*args)
+        every_ctrl.xs
+    assert fn == every_fn
+    assert ctrl.xs == every_ctrl.xs
+    assert ctrl._knots == every_ctrl._knots
+
+
+def test_portfolio_control_is_built_once_on_first_read(monkeypatch):
+    built = []
+    build = pwl._portfolio_control
+    monkeypatch.setattr(pwl, "_portfolio_control", lambda *args: built.append(args) or build(*args))
+    psi1, psi2 = PwlFn.hockey_stick(F(1)), PwlFn([(0, F(2)), (1, F(1, 2)), (3, F(0))])
+    fn, ctrl = portfolio_transform(psi1, psi2, F(1, 2), F(-1, 2), F(1))
+    assert built == []
+    alpha = ctrl.eval(F(1, 6))
+    assert F(*ctrl._at((1, 6))) == alpha
+    ctrl.xs
+    assert built == [(psi1, psi2, F(1, 2), F(-1, 2), F(1))]
+    assert ctrl._inputs is None
+
+
 # ---- the transforms inside the risk stack ----------------------------------
 
 def test_stack_portfolio_functions_and_controls_match_the_oracle():
@@ -333,6 +410,27 @@ def test_stack_portfolio_functions_and_controls_match_the_oracle():
                 want, smallest = infusion_at(psi, A, y)
                 assert gn.eval(y) == want
                 assert infusion.amount(k, node, i, y - A) == smallest
+
+
+def test_one_suffix_minimum_pass_per_function(monkeypatch):
+    # the exercise and the cancel transform of a state, and the replay's
+    # injection rule, all read one pass over the same phi
+    passes = Counter()
+    run = pwl._suffix_minimum
+    monkeypatch.setattr(pwl, "_suffix_minimum", lambda psi: passes.update([id(psi)]) or run(psi))
+    contract = build_contract({
+        "model": {"S0": "1", "a": "-1/3", "b": "1/2", "p": "3/5", "N": 4},
+        "claims": [
+            {"exercise": {"kind": kind, "strike": "1"},
+             "penalty": {"kind": "constant", "value": "1/10"}}
+            for kind in ("call", "put", "call")
+        ],
+    })
+    stack = build_risk_stack(contract)
+    for key in stack.phi:
+        stack.minimizer(key)
+    assert set(passes) == {id(fn) for fn in stack.phi.values()}
+    assert set(passes.values()) == {1}
 
 
 # ---- the pair evaluators against the Fraction formulas ---------------------

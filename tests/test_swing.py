@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from swinghedge.oracle import brute_force_value, certify_saddle
 from swinghedge.shortfall import build_risk_stack, optimal_buyer, optimal_hedge
 from swinghedge.swing import (
     RuleStrategy,
+    StoppingStrategy,
     TableStrategy,
     optimal_strategies,
     price_swing,
@@ -196,3 +198,25 @@ def test_brute_force_cap():
     c = random_contract(rng, n=3, l=2)
     with pytest.raises(EnumerationCapError):
         brute_force_value(c, cap=100)
+
+
+def test_resolve_refuses_a_tree_past_the_cap_before_asking():
+    # an N=30 lattice: resolve would fill a 2^30-entry events dict
+    c = build_contract({
+        "model": {"S0": "1", "a": "-1/3", "b": "1/2", "p": "3/5", "N": 30},
+        "claims": [
+            {"exercise": {"kind": kind, "strike": "1"},
+             "penalty": {"kind": "constant", "value": "1/10"}}
+            for kind in ("call", "put")
+        ],
+    })
+
+    class Unasked(StoppingStrategy):
+        def stops(self, i, k, m, history):
+            raise AssertionError("a strategy was asked")
+
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapError) as refused:
+        resolve(Unasked(c.tree, c.L), Unasked(c.tree, c.L))
+    assert time.perf_counter() - start < 1
+    assert refused.value.needed == 2 ** 31 - 1

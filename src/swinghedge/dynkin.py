@@ -170,11 +170,11 @@ def certify_stopped_values(X: AdaptedProcess, Y: AdaptedProcess,
     the earlier of the two a martingale, from start_level on. Returns
     (ok, failures) where failures lists (property, level, node). The check
     visits every full-tree node, so a tree of more than `cap` of them is
-    refused before the game is solved.
+    refused before the game is solved; cap=None sets no limit.
     """
     tree = X.tree
     nodes = 2 ** (tree.N + 1) - 1
-    if nodes > cap:
+    if cap is not None and nodes > cap:
         raise EnumerationCapError(nodes, cap)
     q = measure_prob(tree, measure)
     sol = solve_dynkin(X, Y, measure, start_level)

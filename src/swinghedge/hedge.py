@@ -314,15 +314,15 @@ def verify_perfect_hedge(
     path order, so the first failing node gives the smallest failing path
     and ends the walk. A play earlier in play order can fail deeper on that
     path, so the witness is the path's first failing play in play order, and
-    `plays` counts every play up to it. A tree of more than `cap` nodes, or
-    a seller built for another contract, is refused before anything is
-    walked.
+    `plays` counts every play up to it. A tree of more than `cap` nodes
+    (cap=None sets no limit), or a seller built for another contract, is
+    refused before anything is walked.
     """
     x = check_capital(x)
     tree = contract.tree
     N, L = tree.N, contract.L
     nodes = 2 ** (N + 1) - 1
-    if nodes > cap:
+    if cap is not None and nodes > cap:
         raise EnumerationCapError(nodes, cap)
     if seller is None:
         seller, _ = optimal_strategies(price_swing(contract)[0])

@@ -263,8 +263,9 @@ class ScenarioTree:
         return range(2 ** self.N)
 
     def check_path(self, path) -> None:
-        """ContractError unless path is an int naming one of the 2^N paths."""
-        if not isinstance(path, int) or not 0 <= path < 1 << self.N:
+        """ContractError unless path is an int, not a bool, naming one of the
+        2^N paths."""
+        if isinstance(path, bool) or not isinstance(path, int) or not 0 <= path < 1 << self.N:
             raise ContractError(f"path must be an integer in [0, 2^{self.N}), got {path!r}")
 
     def path_prob(self, path: int, q: Fraction) -> Fraction:

@@ -10,13 +10,17 @@ evidence, not tautology.
 
 The saddle certificate plays the pair forward in one walk over the states
 the play reaches, scenarios sharing their path prefixes, and then computes
-both best responses backward from one table of maturity payments. The best
-responses visit every (node, right, history) state but do the arithmetic
-once per distinct subgame: a subgame is interned by its content (node,
-right, the opponent's answer and the child subgames' ids), so histories the
-opponent treats alike share one value. Decisions are recorded only for a
-side that fails, by walking its best response once more to build the
-witness.
+both best responses backward from one table of maturity payments, summed
+once per leaf. The best responses visit every (node, right, history) state
+but do the arithmetic once per distinct subgame: a subgame is interned by
+its content (node, right, the opponent's answer and the child subgames'
+ids), so histories the opponent treats alike share one value. Against a
+TableStrategy opponent, which never reads the history, every history of a
+(level, node, right) rebuilds the same content and so gets the same id; the
+walk then keeps that id and visits each (level, node, right) once. Any other
+opponent, a TableStrategy subclass that overrides stops included, gets the
+walk over histories. Decisions are recorded only for a side that fails, by
+walking its best response once more, over histories, to build the witness.
 
 Enumeration sizes explode quickly with depth. Every enumerating entry point
 takes a cap and raises EnumerationCapError before materializing anything too
@@ -29,13 +33,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .dynkin import StoppingTime, evaluate_game
 from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, InvariantError
 from .hedge import check_capital
 from .market import MARTINGALE, format_rational, martingale_prob, measure_prob
-from .swing import StoppingStrategy, check_strategy
+from .swing import StoppingStrategy, TableStrategy, check_strategy
 
 
 # ---------------------------------------------------------------------------
@@ -361,22 +366,34 @@ def _maturity_payments(contract):
 
     Returns (ids, vals, leaf): ids maps a payment's integer ratio to its
     id, vals lists the payments by id, and leaf[i][m] is the id of the
-    payment of rights i..L at maturity node m, a suffix sum over i.
+    payment of rights i..L at maturity node m, a suffix sum over i. The
+    sums are taken on the legs' level-N numerator rows, lifted to one
+    common denominator, so a leaf costs integer additions and a Fraction
+    is built once per distinct payment; ids are given in order of first
+    appearance, rights from L down, nodes from 0 up.
     """
-    N, L = contract.tree.params.N, contract.L
+    tree = contract.tree
+    N, L = tree.params.N, contract.L
+    legs = [contract.Y(i) for i in range(1, L + 1)]
+    den = lcm(*(Y.dens[N] for Y in legs))
     ids, vals = {}, []
+    by_num = {}  # numerator over den -> id
     leaf = [None] * (L + 1)
-    bundle = [Fraction(0)] * 2 ** N
+    bundle = [0] * tree.width(N)
     for i in range(L, 0, -1):
-        Y = contract.Y(i)
-        bundle = [Y.at(N, m) + rest for m, rest in enumerate(bundle)]
+        Y = legs[i - 1]
+        lift = den // Y.dens[N]
+        bundle = [n * lift + rest for n, rest in zip(Y.nums[N], bundle)]
+        at = tree.by_node(bundle)
         row = leaf[i] = []
-        for v in bundle:
-            key = v.as_integer_ratio()
-            if key not in ids:
-                ids[key] = len(vals)
+        for m in range(2 ** N):
+            n = at[m]
+            sid = by_num.get(n)
+            if sid is None:
+                v = Fraction(n, den)
+                sid = by_num[n] = ids[v.as_integer_ratio()] = len(vals)
                 vals.append(v)
-            row.append(ids[key])
+            row.append(sid)
     return ids, vals, leaf
 
 
@@ -392,9 +409,20 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
     subgames visited, a leaf being its terminal payment (maturity is a
     _maturity_payments table). Two histories share an id only when the
     opponent answers alike in every reachable continuation, so this is
-    exact for any opponent. Returns (value, reply): with witness set, reply
-    is the reply's decision at every state, read from its id, as a
-    DictStrategy; else None, and no state is recorded.
+    exact for any opponent.
+
+    An opponent whose stops is TableStrategy.stops, the method itself and
+    not an override, never reads the history. Against it the content of a
+    subgame depends on its (node, right) alone, so every later visit of a
+    (level, node, right) would rebuild the content key of the first visit
+    and get back its id; without a witness to record, the walk then keeps
+    that id and visits each (level, node, right) once. Other opponents, and
+    every witness walk, take the history walk. The continuation of a child
+    pair is computed once, as a pair of ids has one value.
+
+    Returns (value, reply): with witness set, reply is the reply's decision
+    at every state, read from its id, as a DictStrategy; else None, and no
+    state is recorded.
     """
     tree = contract.tree
     N = tree.params.N
@@ -406,6 +434,9 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
     vals = list(vals)           # id -> value
     picks = [None] * len(vals)  # id -> the reply's decision, None where it has none
     decisions = {} if witness else None
+    mixed = {None: Fraction(0)}  # child pair -> its continuation value
+    # (level, node, right) -> subgame id, against a history-blind opponent
+    states = {} if not witness and type(opponent).stops is TableStrategy.stops else None
 
     def new(key, value, pick=None):
         ids[key] = sid = len(vals)
@@ -414,11 +445,18 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
         return sid
 
     def mix(pair):
-        return Fraction(0) if pair is None else q * vals[pair[0]] + r * vals[pair[1]]
+        v = mixed.get(pair)
+        if v is None:
+            v = mixed[pair] = q * vals[pair[0]] + r * vals[pair[1]]
+        return v
 
     def visit(k, m, i, hist):
         if k == N:
             return leaf[i][m]
+        if states is not None:
+            sid = states.get((k, m, i))
+            if sid is not None:
+                return sid
         up, dn, j = 2 * m + 1, 2 * m, i + 1
         if opponent_is_seller:
             h = hist + ((k, 0),)
@@ -446,7 +484,9 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
             else:
                 canc, cont = x + mix(a), mix(b)
                 sid = new(key, min(canc, cont), canc <= cont)
-        if decisions is not None and picks[sid] is not None:
+        if states is not None:
+            states[(k, m, i)] = sid
+        elif decisions is not None and picks[sid] is not None:
             decisions[(i, k, m, hist)] = picks[sid]
         return sid
 
@@ -493,12 +533,10 @@ def certify_saddle(contract, seller, buyer, measure=MARTINGALE, cap=DEFAULT_ENUM
     buyer. On failure the certificate carries the profitable deviation as
     an explicit strategy: the failing side's best response is walked once
     more to record it, so a passing pair records no decisions. A tree of
-    more than `cap` nodes, or a strategy built for another contract, is
-    refused before any strategy is asked anything.
+    more than `cap` nodes (cap=None sets no limit), or a strategy built for
+    another contract, is refused before any strategy is asked anything.
     """
-    nodes = 2 ** (contract.tree.params.N + 1) - 1
-    if nodes > cap:
-        raise EnumerationCapError(nodes, cap)
+    _check_cap(2 ** (contract.tree.params.N + 1) - 1, cap)
     v = play_value(contract, seller, buyer, measure)
     maturity = _maturity_payments(contract)
 

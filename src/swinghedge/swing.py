@@ -79,6 +79,11 @@ class TableStrategy(StoppingStrategy):
 
     Tables map (level, node index) to True (stop), or (level, state) with
     by_state=True, which stores a Markov rule once per lattice state.
+
+    stops never reads its history argument, and oracle.certify_saddle relies
+    on that: against this class's own stops it computes one best-response
+    state per (claim, level, node). A subclass whose stops reads the history
+    overrides stops, and so gets the certificate's walk over histories.
     """
 
     def __init__(self, tree, L, tables, by_state=False):

@@ -134,3 +134,8 @@ def test_stopped_value_check_refuses_a_deep_tree_before_solving(monkeypatch):
         certify_stopped_values(X, Y, cap=14)
     monkeypatch.undo()
     assert certify_stopped_values(X, Y, cap=15)[0]
+
+
+def test_stopped_values_take_no_cap_as_no_limit():
+    X, Y = random_game(random.Random(29), n=3)
+    assert certify_stopped_values(X, Y, cap=None) == certify_stopped_values(X, Y)

@@ -374,3 +374,11 @@ def test_verify_cap_counts_full_tree_nodes():
     assert verify_perfect_hedge(c, hedge, price, cap=7).ok  # 2^3 - 1 nodes
     with pytest.raises(EnumerationCapError):
         verify_perfect_hedge(c, hedge, price, cap=6)
+
+
+def test_verify_takes_no_cap_as_no_limit():
+    c = random_contract(random.Random(67), n=2, l=1)
+    stack, price = price_swing(c)
+    hedge = build_perfect_hedge(stack)
+    for x in (price, price - EPS):
+        assert verify_perfect_hedge(c, hedge, x, cap=None) == verify_perfect_hedge(c, hedge, x)

@@ -9,6 +9,7 @@ from conftest import (
     Recording,
     history_dependent_buyer,
     history_dependent_seller,
+    random_claim,
     random_contract,
 )
 from swinghedge.contract import build_contract
@@ -287,6 +288,115 @@ def test_interned_best_response_matches_the_history_recursion(recombining):
                     assert asked.log == asked_ref.log
 
 
+def reference_maturity_payments(contract):
+    """The interned maturity payments by Fraction sums, node by node."""
+    N, L = contract.tree.params.N, contract.L
+    ids, vals = {}, []
+    leaf = [None] * (L + 1)
+    bundle = [Fraction(0)] * 2 ** N
+    for i in range(L, 0, -1):
+        Y = contract.Y(i)
+        bundle = [Y.at(N, m) + rest for m, rest in enumerate(bundle)]
+        row = leaf[i] = []
+        for v in bundle:
+            key = v.as_integer_ratio()
+            if key not in ids:
+                ids[key] = len(vals)
+                vals.append(v)
+            row.append(ids[key])
+    return ids, vals, leaf
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_maturity_payments_match_the_fraction_sums(recombining):
+    rng = random.Random(91 + recombining)
+    for _ in range(20):
+        c = random_contract(rng, max_n=6, max_l=3, recombining=recombining)
+        claims = [random_claim(rng, c.tree.params) for _ in range(c.L)]
+        for claim in rng.sample(claims, rng.randint(1, c.L)):  # legs that pay nothing
+            claim["exercise"] = {"kind": "call", "strike": c.tree.params.S0 * 10 ** 6}
+        zeros = build_contract({"claims": claims}, tree=c.tree)
+        for contract in (c, zeros):
+            ids, vals, leaf = _maturity_payments(contract)
+            assert (ids, vals, leaf) == reference_maturity_payments(contract)
+            assert all(type(v) is Fraction for v in vals)
+
+
+def random_table(rng, tree, L, rate):
+    """A history-blind strategy that stops at random, by state on the lattice."""
+    return TableStrategy(tree, L, [
+        {(k, s): rng.random() < rate for k in range(tree.N) for s in range(tree.width(k))}
+        for _ in range(L)
+    ], by_state=True)
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_a_table_opponent_is_asked_once_per_claim_level_and_node(recombining, monkeypatch):
+    asked = []
+    table_stops = TableStrategy.stops
+
+    def logged(self, i, k, m, history):
+        asked.append((i, k, m))
+        return table_stops(self, i, k, m, history)
+
+    monkeypatch.setattr(TableStrategy, "stops", logged)
+    rng = random.Random(97 + recombining)
+    for _ in range(10):
+        c = random_contract(rng, max_n=5, max_l=3, recombining=recombining)
+        tree, L = c.tree, c.L
+        maturity = _maturity_payments(c)
+        tables = [*optimal_strategies(price_swing(c)[0]), TableStrategy.all_wait(tree, L),
+                  TableStrategy.all_at_start(tree, L), random_table(rng, tree, L, 0.3)]
+        for opponent in tables:
+            for opponent_is_seller in (True, False):
+                for measure in (MARTINGALE, MARKET):
+                    del asked[:]
+                    value, reply = _best_response(c, opponent, opponent_is_seller, measure,
+                                                  maturity, False)
+                    assert reply is None and len(asked) == len(set(asked))
+                    walked = Recording(opponent)  # the history walk
+                    ref_value, ref_reply = _best_response(c, walked, opponent_is_seller, measure,
+                                                          maturity, True)
+                    assert value == ref_value
+                    assert set(asked) == {(i, k, m) for i, k, m, _ in walked.log}
+                    _, witness = _best_response(c, opponent, opponent_is_seller, measure,
+                                                maturity, True)
+                    assert witness.decisions == ref_reply.decisions
+
+
+class HistoryTable(TableStrategy):
+    """A table whose answer flips after an odd number of cancellations."""
+
+    def stops(self, i, k, m, history):
+        return super().stops(i, k, m, history) != (sum(d for _, d in history) % 2 == 1)
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_a_table_that_reads_its_history_takes_the_history_walk(recombining):
+    rng = random.Random(101 + recombining)
+    differs = 0
+    for _ in range(10):
+        c = random_contract(rng, max_n=4, max_l=3, recombining=recombining)
+        tree, L = c.tree, c.L
+        plain = [TableStrategy.all_wait(tree, L), random_table(rng, tree, L, 0.3)]
+        sellers = [HistoryTable(tree, L, t.tables, t.by_state) for t in plain]
+        buyers = [HistoryTable(tree, L, t.tables, t.by_state) for t in reversed(plain)]
+        for seller, buyer in zip(sellers, buyers):
+            for measure in (MARTINGALE, MARKET):
+                v = play_value(c, seller, buyer, measure)
+                b_val, b_dec = reference_best_response(c, seller, True, measure)
+                s_val, s_dec = reference_best_response(c, buyer, False, measure)
+                expected = (b_val <= v <= s_val, v, b_val, s_val,
+                            b_dec if b_val > v else None, s_dec if s_val < v else None)
+                assert certificate_fields(certify_saddle(c, seller, buyer, measure)) == expected
+                blind = (reference_best_response(c, TableStrategy(tree, L, seller.tables), True,
+                                                 measure)[0],
+                         reference_best_response(c, TableStrategy(tree, L, buyer.tables), False,
+                                                 measure)[0])
+                differs += blind != (b_val, s_val)
+    assert differs >= 5
+
+
 @pytest.mark.parametrize("recombining", [False, True])
 def test_forward_play_value_matches_the_per_path_play(recombining):
     rng = random.Random(83 + recombining)
@@ -383,6 +493,15 @@ def test_certify_cap_counts_full_tree_nodes():
     assert certify_saddle(c, seller, buyer, cap=7).ok  # 2^3 - 1 nodes
     with pytest.raises(EnumerationCapError):
         certify_saddle(c, seller, buyer, cap=6)
+
+
+def test_certify_takes_no_cap_as_no_limit():
+    c = random_contract(random.Random(79), n=2, l=1)
+    seller, buyer = optimal_strategies(price_swing(c)[0])
+    never = DictStrategy(c.tree, c.L, {})
+    for pair in ((seller, buyer), (never, never)):
+        assert certificate_fields(certify_saddle(c, *pair, cap=None)) == \
+            certificate_fields(certify_saddle(c, *pair))
 
 
 def test_enumerations_refuse_a_deep_tree_before_counting_every_node():

@@ -354,6 +354,25 @@ def test_simulators_refuse_paths_and_plays_that_do_not_fit():
             simulate(events, 2 ** 5 - 1, price / 2)
 
 
+@pytest.mark.parametrize("path", [False, True])
+@pytest.mark.parametrize("entry", ["path_prob", "path_bits", "resolve_path", "simulate_with_infusion"])
+def test_a_bool_is_not_a_path(entry, path):
+    c = random_contract(random.Random(1), n=3, l=2)
+    risk = build_risk_stack(c)
+    gamma, infusion, seller = optimal_hedge(risk, F(0))
+    buyer = optimal_buyer(risk, F(0))
+    events = resolve(seller, buyer).events[int(path)]
+    call = {
+        "path_prob": lambda: c.tree.path_prob(path, F(3, 5)),
+        "path_bits": lambda: c.tree.path_bits(path),
+        "resolve_path": lambda: resolve_path(seller, buyer, path),
+        "simulate_with_infusion":
+            lambda: simulate_with_infusion(c, gamma, infusion, events, path, F(0)),
+    }[entry]
+    with pytest.raises(ContractError, match="path must be an integer"):
+        call()
+
+
 def test_replay_refuses_a_node_off_the_tree():
     c = random_contract(random.Random(1), n=5, l=2)
     risk = build_risk_stack(c)

@@ -357,6 +357,8 @@ def load_contract(path: str) -> SwingContract:
             spec = json.load(fh)
     except OSError as exc:
         raise ContractError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON, bad encoding, oversized integer
+    # malformed JSON, bad encoding, an oversized integer, or nesting deeper
+    # than the parser's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ContractError(f"{path} is not valid JSON: {exc}") from exc
     return build_contract(spec)

@@ -18,10 +18,10 @@ Every scalar is exact. Model parameters are fractions.Fraction. An
 AdaptedProcess, the stock price process among them, holds integers: per
 level, a list of numerators over one positive denominator, so sums,
 expectations and comparisons within a level are integer operations. Its
-Fraction view (`values`, `at`, and the tree's `state_price`) is built per
-level on first read and then kept. The recursions downstream
-contain exact equality tests (optimal stopping ties, piecewise-linear
-breakpoints), so floating point is never used.
+Fraction view (`values` and `at`) is built per level on first read and
+then kept. The recursions downstream contain exact equality tests (optimal
+stopping ties, piecewise-linear breakpoints), so floating point is never
+used.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, gcd, lcm
 
 from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
@@ -175,7 +174,7 @@ class ScenarioTree:
 
     stock is the stock price process, as integers; stock.at(k, m) reads the
     price at full-tree node m of level k as a Fraction, on either space, and
-    state_price[k][s] the price in state s. Both are built on first read.
+    stock.values[k][s] the price in state s. Both are built on first read.
     Immutable after build; share freely.
     """
 
@@ -201,11 +200,6 @@ class ScenarioTree:
         if not recombining:
             rows = [[row[m.bit_count()] for m in range(2 ** k)] for k, row in enumerate(rows)]
         self.stock = AdaptedProcess._of(self, rows, dens)
-
-    @cached_property
-    def state_price(self) -> list:
-        """Stock price rows, Fractions, aligned with the states."""
-        return self.stock.values
 
     def width(self, k: int) -> int:
         """Number of states at level k."""
@@ -297,9 +291,9 @@ def measure_prob(tree: ScenarioTree, measure: str) -> Fraction:
 class AdaptedProcess:
     """One rational per state, held as integers over one denominator per level.
 
-    Level k is nums[k], a list of int numerators aligned with
-    tree.state_price[k], over dens[k], a positive int: the value of state s
-    is nums[k][s] / dens[k]. The denominator need not be the smallest one, so
+    Level k is nums[k], a list of int numerators aligned with the states of
+    level k, over dens[k], a positive int: the value of state s is
+    nums[k][s] / dens[k]. The denominator need not be the smallest one, so
     processes that are compared or added level by level can share it.
     values[k][s] and at(k, m) (by full-tree node index m on either state
     space) read Fractions, built per level on first read and then kept.
@@ -341,7 +335,7 @@ class AdaptedProcess:
         """Build from fn(level, state, price) -> rational."""
         return cls(tree, [
             [fn(k, s, price) for s, price in enumerate(row)]
-            for k, row in enumerate(tree.state_price)
+            for k, row in enumerate(tree.stock.values)
         ])
 
     @classmethod

@@ -364,19 +364,18 @@ class DictStrategy(StoppingStrategy):
 def _maturity_payments(contract):
     """Interned maturity payments, built once for both best responses.
 
-    Returns (ids, vals, leaf): ids maps a payment's integer ratio to its
-    id, vals lists the payments by id, and leaf[i][m] is the id of the
-    payment of rights i..L at maturity node m, a suffix sum over i. The
-    sums are taken on the legs' level-N numerator rows, lifted to one
-    common denominator, so a leaf costs integer additions and a Fraction
-    is built once per distinct payment; ids are given in order of first
-    appearance, rights from L down, nodes from 0 up.
+    Returns (vals, leaf): vals lists the distinct payments by id, and
+    leaf[i][m] is the id of the payment of rights i..L at maturity node m,
+    a suffix sum over i. The sums are taken on the legs' level-N numerator
+    rows, lifted to one common denominator, so a leaf costs integer
+    additions and a Fraction is built once per distinct payment; ids are
+    given in order of first appearance, rights from L down, nodes from 0 up.
     """
     tree = contract.tree
     N, L = tree.params.N, contract.L
     legs = [contract.Y(i) for i in range(1, L + 1)]
     den = lcm(*(Y.dens[N] for Y in legs))
-    ids, vals = {}, []
+    vals = []
     by_num = {}  # numerator over den -> id
     leaf = [None] * (L + 1)
     bundle = [0] * tree.width(N)
@@ -390,11 +389,10 @@ def _maturity_payments(contract):
             n = at[m]
             sid = by_num.get(n)
             if sid is None:
-                v = Fraction(n, den)
-                sid = by_num[n] = ids[v.as_integer_ratio()] = len(vals)
-                vals.append(v)
+                sid = by_num[n] = len(vals)
+                vals.append(Fraction(n, den))
             row.append(sid)
-    return ids, vals, leaf
+    return vals, leaf
 
 
 def _best_response(contract, opponent, opponent_is_seller, measure, maturity, witness):
@@ -429,8 +427,8 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
     L = contract.L
     q = measure_prob(tree, measure)
     r = 1 - q
-    ids, vals, leaf = maturity
-    ids = dict(ids)             # content -> subgame id
+    vals, leaf = maturity
+    ids = {}                    # content -> subgame id
     vals = list(vals)           # id -> value
     picks = [None] * len(vals)  # id -> the reply's decision, None where it has none
     decisions = {} if witness else None

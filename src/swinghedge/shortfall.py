@@ -470,15 +470,15 @@ class PolicyRisk:
     table: dict  # (level, node, rights, wealth) -> (value, exercise, cancel, cont)
 
 
-def _policy_risk(contract, gamma, infusion, x, stops) -> PolicyRisk:
+def _policy_risk(contract, gamma, infusion, x, stops):
     """Worst-buyer expected injection cost of fixed trading and injection
     policies, by recursion on (level, node, rights remaining, wealth).
 
     stops(k, m, j, wealth) is the seller's committed decision, asked on a
     wealth pair; only the branch it takes is valued. stops=None lets the
-    seller cancel optimally, which values both. Table entries hold None for
-    a branch not valued. Wealth and costs are reduced pairs until the result
-    is built.
+    seller cancel optimally, which values both. Returns (value, memo), all
+    in reduced pairs: memo maps (level, node, rights, wealth) to (value,
+    exercise, cancel, cont), None for a branch not valued.
     """
     x = check_capital(x)
     units, amount = _units_on_pairs(gamma), _amount_on_pairs(infusion)
@@ -527,12 +527,7 @@ def _policy_risk(contract, gamma, infusion, x, stops) -> PolicyRisk:
         memo[key] = (val, ex, ca, cont)
         return val
 
-    value = rec(0, 0, L, (x.numerator, x.denominator))
-    table = {
-        (k, m, j, Fraction(*y)): tuple(None if q is None else Fraction(*q) for q in entry)
-        for (k, m, j, y), entry in memo.items()
-    }
-    return PolicyRisk(value=Fraction(*value), table=table)
+    return rec(0, 0, L, (x.numerator, x.denominator)), memo
 
 
 def evaluate_policy_risk(contract, gamma, infusion, x) -> PolicyRisk:
@@ -542,7 +537,12 @@ def evaluate_policy_risk(contract, gamma, infusion, x) -> PolicyRisk:
     plays the exact best response. For the policies extracted from a risk
     stack this reproduces the stack's value function state by state.
     """
-    return _policy_risk(contract, gamma, infusion, x, None)
+    value, memo = _policy_risk(contract, gamma, infusion, x, None)
+    table = {
+        (k, m, j, Fraction(*y)): tuple(None if q is None else Fraction(*q) for q in entry)
+        for (k, m, j, y), entry in memo.items()
+    }
+    return PolicyRisk(value=Fraction(*value), table=table)
 
 
 def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=None):
@@ -586,4 +586,5 @@ def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=
             if worst is None or total > worst:
                 worst = total
         return worst
-    return _policy_risk(contract, gamma, infusion, x, _stops_on_pairs(seller)).value
+    value, _ = _policy_risk(contract, gamma, infusion, x, _stops_on_pairs(seller))
+    return Fraction(*value)

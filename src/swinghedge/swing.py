@@ -18,7 +18,9 @@ The delayed continuation E~[V_{k-1}(n+1) | node] is then the integer
 u * up + (v - u) * down lifted to C_n by one integer factor, and every min,
 max and tie of the recursion and of both strategy tables compares
 numerators. Fractions are built only where a caller reads one: the price
-and the root values, through AdaptedProcess.at.
+and the root values, through AdaptedProcess.at. Xk and Yk are built for
+their level's game alone and dropped once it is solved; the stack keeps
+each Vk and the game's stop tables.
 
 Strategies here are per-claim stopping rules fed with the realized payoff
 history ((a_1, d_1), ..), a_j the j-th payoff level and d_j = 1 when the
@@ -241,15 +243,14 @@ def resolve(s: StoppingStrategy, b: StoppingStrategy) -> ResolvedPlay:
 
 @dataclass
 class ValueStack:
-    """Aggregated processes Xk, Yk, Vk for k = 1..L remaining claims.
+    """The value processes Vk and Dynkin solutions for k = 1..L remaining claims.
 
-    All three processes of every stack level share one denominator per
-    tree level.
+    V[k-1] is solutions[k-1].value. Every Vk has one denominator per tree
+    level, shared by all levels of the stack. The aggregated Xk and Yk of
+    each game are not kept: nothing reads them once the game is solved.
     """
 
     contract: SwingContract
-    X: list  # X[k-1] is the k-remaining aggregate cancellation process
-    Y: list
     V: list
     solutions: list  # DynkinSolution per stack level
 
@@ -266,7 +267,7 @@ def price_swing(contract: SwingContract):
     scales = level_scales(tree, q.denominator, *(leg.dens for leg in legs))
     steps = [scales[n] // (q.denominator * scales[n + 1]) for n in range(N)]
 
-    xs, ys, vs, sols = [], [], [], []
+    sols = []
     v_prev = [[0] * tree.width(n) for n in range(N + 1)]
     for k in range(1, L + 1):
         i = L - k + 1
@@ -280,13 +281,12 @@ def price_swing(contract: SwingContract):
             [y + c for y, c in zip(row, cont)]
             for row, cont in zip(contract.Y(i).over(scales), cont_rows)
         ], scales)
+        del cont_rows  # the solve reads Xk and Yk only
         sol = solve_dynkin(Xk, Yk, MARTINGALE)
-        xs.append(Xk)
-        ys.append(Yk)
-        vs.append(sol.value)
+        del Xk, Yk  # the next level reads this level's V only
         sols.append(sol)
         v_prev = sol.value.nums
-    stack = ValueStack(contract=contract, X=xs, Y=ys, V=vs, solutions=sols)
+    stack = ValueStack(contract=contract, V=[sol.value for sol in sols], solutions=sols)
     return stack, stack.price()
 
 

@@ -139,6 +139,26 @@ def test_exit_codes(spec_file, tmp_path, capsys):
         main(["risk", spec_file])  # argparse insists on --capital
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["price", "risk-curve"])
+@pytest.mark.parametrize("where", ["top", "table leg"])
+def test_deeply_nested_json_is_refused(command, where, tmp_path, capsys):
+    if where == "top":
+        text = DEEP
+    else:
+        spec = json.loads(json.dumps(SPEC))
+        spec["claims"][0]["exercise"] = {"kind": "table", "values": "DEEP"}
+        text = json.dumps(spec).replace('"DEEP"', DEEP)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = _call([command, str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [["hedge-simulate", "--path", "u"], ["risk"]])
 def test_negative_capital_is_refused(command, capsys):
     contract = resources.files("swinghedge") / "contracts" / "one_right_small_penalty.json"

@@ -68,9 +68,13 @@ def test_lattice_matches_tree():
         lat_stack, lat_price = price_swing(lat)
         full_stack, full_price = price_swing(full)
         assert lat_price == full_price
-        for name in ("X", "Y", "V"):
-            for a, b in zip(getattr(lat_stack, name), getattr(full_stack, name)):
-                assert all(a.at(k, m) == b.at(k, m) for k, m in nodes)
+        # the stack keeps no Xk or Yk: equal legs and equal V make equal games
+        lat_procs, full_procs = (
+            [leg for i in range(1, L + 1) for leg in (c.X(i), c.Y(i))] + stack.V
+            for c, stack in ((lat, lat_stack), (full, full_stack))
+        )
+        for a, b in zip(lat_procs, full_procs, strict=True):
+            assert all(a.at(k, m) == b.at(k, m) for k, m in nodes)
         for a, b in zip(lat_stack.solutions, full_stack.solutions):
             for side in ("seller_stop", "buyer_stop"):
                 lat_stop, full_stop = getattr(a, side), getattr(b, side)

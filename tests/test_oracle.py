@@ -304,7 +304,7 @@ def reference_maturity_payments(contract):
                 ids[key] = len(vals)
                 vals.append(v)
             row.append(ids[key])
-    return ids, vals, leaf
+    return vals, leaf
 
 
 @pytest.mark.parametrize("recombining", [False, True])
@@ -317,8 +317,8 @@ def test_maturity_payments_match_the_fraction_sums(recombining):
             claim["exercise"] = {"kind": "call", "strike": c.tree.params.S0 * 10 ** 6}
         zeros = build_contract({"claims": claims}, tree=c.tree)
         for contract in (c, zeros):
-            ids, vals, leaf = _maturity_payments(contract)
-            assert (ids, vals, leaf) == reference_maturity_payments(contract)
+            vals, leaf = _maturity_payments(contract)
+            assert (vals, leaf) == reference_maturity_payments(contract)
             assert all(type(v) is Fraction for v in vals)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_contract, random_point, random_policy
+from swinghedge import shortfall
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, InvariantError
 from swinghedge.hedge import build_perfect_hedge, simulate_portfolio
@@ -181,6 +182,23 @@ def test_both_risk_evaluators_agree_on_the_optimal_hedge():
                                  mode="enumeration") == want
             assert evaluate_risk(c, gamma, infusion, seller, x,
                                  mode="recursion") == want
+
+
+def test_committed_recursion_builds_no_policy_table(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a PolicyRisk was built")
+
+    rng = random.Random(97)
+    for _ in range(6):
+        c = random_contract(rng, max_n=3)
+        stack = build_risk_stack(c)
+        x = stack.curve().support_end / 2
+        gamma, infusion, seller = optimal_hedge(stack, x)
+        want = evaluate_risk(c, gamma, infusion, seller, x, mode="recursion")
+        assert want == stack.curve().eval(x)
+        with monkeypatch.context() as patched:
+            patched.setattr(shortfall, "PolicyRisk", unexpected)
+            assert evaluate_risk(c, gamma, infusion, seller, x, mode="recursion") == want
 
 
 def test_risk_evaluators_agree_on_committed_arbitrary_policies():

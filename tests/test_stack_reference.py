@@ -1,10 +1,14 @@
 """The integer value stack against a Fraction recursion.
 
-`reference_solve_dynkin`, `reference_price_swing`,
-`reference_optimal_strategies` and `reference_one_step_expectation` are the
-Fraction versions of the recursion that the integer stack replaced, kept
-here unchanged apart from their names. Every V, Xk and Yk entry, every stop
-table and every strategy table of the integer stack must equal theirs.
+`reference_solve_dynkin`, `reference_optimal_strategies` and
+`reference_one_step_expectation` are the Fraction versions of the recursion
+that the integer stack replaced, kept here apart from their names and the
+arguments of `reference_optimal_strategies`. The stack keeps no Xk or Yk, so
+`reference_level_games` rebuilds each level's game in Fractions from the
+contract's legs and the stack's own V_{k-1}. Level by level, the reference
+solve of that game must equal the stack's solution in every V entry and stop
+table, and the strategy tables read off the rebuilt games must equal the
+stack's.
 """
 
 import random
@@ -25,7 +29,7 @@ from swinghedge.market import (
     measure_prob,
     one_step_expectation,
 )
-from swinghedge.swing import TableStrategy, ValueStack, optimal_strategies, price_swing
+from swinghedge.swing import TableStrategy, optimal_strategies, price_swing
 
 F = Fraction
 
@@ -82,11 +86,13 @@ def reference_solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = 
     )
 
 
-def reference_price_swing(contract):
-    """Build the value stack; returns (stack, price at the root)."""
+def reference_level_games(stack) -> list:
+    """Each stack level's (Xk, Yk) in Fractions, rebuilt from the contract's
+    legs and the stack's own V_{k-1}, with V_0 = 0."""
+    contract = stack.contract
     tree = contract.tree
     L, N = contract.L, tree.N
-    xs, ys, vs, sols = [], [], [], []
+    games = []
     v_prev = AdaptedProcess.constant(tree, 0)
     for k in range(1, L + 1):
         i = L - k + 1
@@ -100,31 +106,26 @@ def reference_price_swing(contract):
             [y + c for y, c in zip(row, cont)]
             for row, cont in zip(contract.Y(i).values, cont_rows)
         ])
-        sol = reference_solve_dynkin(Xk, Yk, MARTINGALE)
-        xs.append(Xk)
-        ys.append(Yk)
-        vs.append(sol.value)
-        sols.append(sol)
-        v_prev = sol.value
-    stack = ValueStack(contract=contract, X=xs, Y=ys, V=vs, solutions=sols)
-    return stack, stack.price()
+        games.append((Xk, Yk))
+        v_prev = stack.V[k - 1]
+    return games
 
 
-def reference_optimal_strategies(stack: ValueStack):
-    """The saddle-point strategies read off the stack.
+def reference_optimal_strategies(contract, games, values):
+    """The saddle-point strategies read off the stack's games.
 
-    Claim i consults stack level k = L-i+1: the seller stops where Xk = Vk,
-    the buyer where Yk = Vk, each at the first such level inside the claim's
-    window (level N is forced by the resolver). The tables hold one entry
-    per state of the contract's state space.
+    Claim i consults stack level k = L-i+1, whose game is games[k-1] and
+    value values[k-1]: the seller stops where Xk = Vk, the buyer where
+    Yk = Vk, each at the first such level inside the claim's window (level N
+    is forced by the resolver). The tables hold one entry per state of the
+    contract's state space.
     """
-    contract = stack.contract
     tree = contract.tree
     L, N = contract.L, tree.N
     seller_tables, buyer_tables = [], []
     for i in range(1, L + 1):
         k = L - i + 1
-        Xk, Yk, Vk = stack.X[k - 1], stack.Y[k - 1], stack.V[k - 1]
+        (Xk, Yk), Vk = games[k - 1], values[k - 1]
         st = {}
         bt = {}
         for lvl in range(N):
@@ -151,16 +152,17 @@ def assert_same_solution(got, want):
 
 
 def assert_same_stack(contract):
+    """Check the integer stack level by level against the reference solve of
+    each game rebuilt on the stack's own V_{k-1}; returns the stack."""
     stack, price = price_swing(contract)
-    ref, ref_price = reference_price_swing(contract)
-    assert price == ref_price
-    assert [v.at(0, 0) for v in stack.V] == [v.at(0, 0) for v in ref.V]
-    for name in ("X", "Y", "V"):
-        got, want = getattr(stack, name), getattr(ref, name)
-        assert [p.values for p in got] == [p.values for p in want]
-    for got, want in zip(stack.solutions, ref.solutions):
+    games = reference_level_games(stack)
+    refs = [reference_solve_dynkin(Xk, Yk, MARTINGALE) for Xk, Yk in games]
+    for got, want in zip(stack.solutions, refs):
         assert_same_solution(got, want)
-    for got, want in zip(optimal_strategies(stack), reference_optimal_strategies(ref)):
+    assert [v.values for v in stack.V] == [ref.value.values for ref in refs]
+    assert price == refs[-1].value.at(0, 0)
+    want_sides = reference_optimal_strategies(contract, games, [ref.value for ref in refs])
+    for got, want in zip(optimal_strategies(stack), want_sides):
         assert got.by_state == want.by_state
         assert got.tables == want.tables
     return stack
@@ -276,11 +278,7 @@ def test_deep_lattice_price_matches_the_fraction_recursion(no_full_tree):
             "claims": [{"exercise": {"kind": kind, "strike": "1"},
                         "penalty": {"kind": "constant", "value": "1/10"}}
                        for kind in ("call", "put", "call")]}
-    c = build_contract(spec)
-    stack, price = price_swing(c)
-    ref, ref_price = reference_price_swing(c)
-    assert price == ref_price
-    assert [v.at(0, 0) for v in stack.V] == [v.at(0, 0) for v in ref.V]
+    assert_same_stack(build_contract(spec))
 
 
 def test_process_round_trips_its_rationals():

@@ -1,7 +1,8 @@
+import gc
 import random
 import time
 from fractions import Fraction
-from types import SimpleNamespace
+from types import FunctionType, ModuleType, SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from conftest import (
 from swinghedge.contract import build_contract
 from swinghedge.dynkin import solve_dynkin
 from swinghedge.errors import ContractError, EnumerationCapError
+from swinghedge.market import AdaptedProcess
 from swinghedge.oracle import brute_force_value, certify_saddle
 from swinghedge.shortfall import build_risk_stack, optimal_buyer, optimal_hedge
 from swinghedge.swing import (
@@ -170,6 +172,33 @@ def test_known_two_right_prices():
     # starts one period later and is worth its expected intrinsic 1/3
     free = two_calls({"kind": "constant", "value": "0"})
     assert price_swing(free)[1] == brute_force_value(free) == Fraction(1, 3)
+
+
+def reachable(root):
+    """Every object reachable from root through gc.get_referents, classes,
+    modules and functions excluded, by id."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return seen
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_the_stack_keeps_only_its_value_processes(recombining):
+    rng = random.Random(131 + recombining)
+    for _ in range(10):
+        c = random_contract(rng, max_n=5, max_l=3, recombining=recombining)
+        result = price_swing(c)
+        stack = result[0]
+        held = {key for key, obj in reachable(c).items() if isinstance(obj, AdaptedProcess)}
+        kept = {key for key, obj in reachable(result).items()
+                if isinstance(obj, AdaptedProcess) and key not in held}
+        assert kept == {id(v) for v in stack.V} and len(stack.V) == c.L
+        assert all(sol.value is v for sol, v in zip(stack.solutions, stack.V, strict=True))
 
 
 def test_rule_strategy_rejects_early_stopping_times():

@@ -43,6 +43,7 @@ from .market import (
     ScenarioTree,
     build_tree,
     format_rational,
+    lift_pairs,
     normalized,
     to_rational,
 )
@@ -209,12 +210,7 @@ def _table_process(rows, tree: ScenarioTree) -> AdaptedProcess:
         rows = _up_count_rows(rows)
         if rows is None:
             raise ContractError("a path-dependent table needs the full tree")
-    nums, dens = [], []
-    for row in rows:
-        den = lcm(*(d for _, d in row))
-        nums.append([n * (den // d) for n, d in row])
-        dens.append(den)
-    return AdaptedProcess._of(tree, nums, dens)
+    return AdaptedProcess._of(tree, *lift_pairs(rows))
 
 
 def _exercise_process(leg, tree: ScenarioTree) -> AdaptedProcess:

@@ -20,8 +20,9 @@ The recursion runs on integers. For q = u / v, solve_dynkin lifts X and Y to
 per-level denominators C_k (see market.level_scales) with C_k a multiple of
 v * C_{k+1}. Then E[V(k+1) | node] is the integer u * up + (v - u) * down
 times C_k / (v * C_{k+1}), and every min, max and tie is an integer
-comparison. V shares the C_k; a Fraction is built only where a caller reads
-one through V.at or V.values.
+comparison. One backward pass computes V and, from start_level on,
+records both players' stop tables as it goes. V shares the C_k; a Fraction
+is built only where a caller reads one through V.row, V.at or V.values.
 """
 
 from __future__ import annotations
@@ -116,28 +117,23 @@ def solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = MARTINGALE
 
     values = [None] * (N + 1)
     values[N] = list(ys[N])
+    seller = {}
+    buyer = {}
     for k in range(N - 1, -1, -1):
         row = []
         conts = expectation_row(tree, values[k + 1], q,
                                 scales[k] // (q.denominator * scales[k + 1]))
-        for y, x, cont in zip(ys[k], xs[k], conts):
-            if y > x:
-                row.append(y)
-            else:
-                row.append(min(x, max(y, cont)))
+        for s, (y, x, cont) in enumerate(zip(ys[k], xs[k], conts)):
+            v = y if y > x else min(x, max(y, cont))
+            row.append(v)
+            if k >= start_level:
+                if x <= v:
+                    seller[(k, s)] = True
+                if y == v:
+                    buyer[(k, s)] = True
         values[k] = row
-    V = AdaptedProcess._of(tree, values, scales)
-
-    seller = {}
-    buyer = {}
-    for k in range(start_level, N):
-        for s, (x, y, v) in enumerate(zip(xs[k], ys[k], values[k])):
-            if x <= v:
-                seller[(k, s)] = True
-            if y == v:
-                buyer[(k, s)] = True
     return DynkinSolution(
-        value=V,
+        value=AdaptedProcess._of(tree, values, scales),
         seller_stop=StoppingTime(tree, start_level, seller, by_state=True),
         buyer_stop=StoppingTime(tree, start_level, buyer, by_state=True),
         start=start_level,
@@ -181,8 +177,6 @@ def certify_stopped_values(X: AdaptedProcess, Y: AdaptedProcess,
     V, sig, tau = sol.value, sol.seller_stop, sol.buyer_stop
     failures = []
 
-    # seller_live[k][m]: sigma has not fired at any level < k... <= k matters
-    # only through whether the step k -> k+1 is still "alive".
     for name, stops in (("supermartingale", (sig,)), ("submartingale", (tau,)),
                         ("martingale", (sig, tau))):
         for k in range(start_level, tree.N):

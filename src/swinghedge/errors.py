@@ -16,7 +16,12 @@ class EnumerationCapError(RuntimeError):
     """An exhaustive enumeration would exceed the configured cap."""
 
     def __init__(self, needed, cap):
-        super().__init__(f"enumeration needs {needed} items, cap is {cap}")
+        # a count too large to build (None) or to print is named by the cap
+        try:
+            count = f"more than {cap}" if needed is None else str(needed)
+        except ValueError:
+            count = f"more than {cap}"
+        super().__init__(f"enumeration needs {count} items, cap is {cap}")
         self.needed = needed
         self.cap = cap
 

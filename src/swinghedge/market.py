@@ -10,7 +10,8 @@ A node is a pair (level k, index m) with 0 <= m < 2^k, where the bits of m
 spell the path, most significant bit first, 1 meaning up. Node indices are the
 public coordinates everywhere. The recursions instead run over the states of
 a ScenarioTree: the nodes themselves on the full binary tree, or the k + 1
-up-counts of level k on the recombining (Cox-Ross-Rubinstein) lattice. The
+up-counts of level k on the recombining (Cox-Ross-Rubinstein) lattice, and
+ScenarioTree.state is the one rule that maps a node to its state. The
 lattice is exact whenever every payoff depends on the node only through its
 up-count; path-dependent payoffs need the full tree.
 
@@ -18,8 +19,9 @@ Every scalar is exact. Model parameters are fractions.Fraction. An
 AdaptedProcess, the stock price process among them, holds integers: per
 level, a list of numerators over one positive denominator, so sums,
 expectations and comparisons within a level are integer operations. Its
-Fraction view (`values` and `at`) is built per level on first read and
-then kept. The recursions downstream contain exact equality tests (optimal
+one Fraction cache is per level: `row(k)` builds level k's Fractions on
+first read and keeps them, and `values` and `at` read through it. The
+recursions downstream contain exact equality tests (optimal
 stopping ties, piecewise-linear breakpoints), so floating point is never
 used.
 """
@@ -68,7 +70,9 @@ def to_rational(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ContractError(f"not a rational: {value!r}") from exc
-    raise ContractError(f"not a rational: {value!r} (floats are not accepted)")
+    if isinstance(value, float):
+        raise ContractError(f"not a rational: {value!r} (floats are not accepted)")
+    raise ContractError(f"not a rational: {value!r}")
 
 
 def format_rational(q: Fraction) -> str:
@@ -123,6 +127,10 @@ class MarketParams:
             raise ContractError(f"need 0 < p < 1, got p={self.p}")
         if not (isinstance(self.N, int) and not isinstance(self.N, bool) and self.N >= 1):
             raise ContractError(f"horizon N must be an integer >= 1, got {self.N!r}")
+        # past the cap on either state space (each holds more than N states):
+        # refused before a count or a message of N's size is built
+        if self.N > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationCapError(None, DEFAULT_ENUMERATION_CAP)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MarketParams":
@@ -131,10 +139,18 @@ class MarketParams:
         except (KeyError, TypeError) as exc:
             raise ContractError("model needs keys S0, a, b, p, N") from exc
         if isinstance(raw_n, str):
-            digits = raw_n[1:] if raw_n.startswith("-") else raw_n
+            negative = raw_n.startswith("-")
+            digits = raw_n[1:] if negative else raw_n
             if not digits.isdecimal():
                 raise ContractError(f"N must be an integer, got {raw_n!r}")
-            raw_n = int(raw_n)
+            # refused before int() meets thousands of digits: an N with more
+            # digits than the cap is negative or past the cap
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > len(str(DEFAULT_ENUMERATION_CAP)):
+                if negative:
+                    raise ContractError("horizon N must be an integer >= 1, got a negative one")
+                raise EnumerationCapError(None, DEFAULT_ENUMERATION_CAP)
+            raw_n = -int(digits) if negative else int(digits)
         if not isinstance(raw_n, int) or isinstance(raw_n, bool):
             raise ContractError(f"N must be an integer, got {raw_n!r}")
         missing = [k for k in ("S0", "a", "b", "p") if k not in d]
@@ -152,19 +168,6 @@ class MarketParams:
         }
 
 
-class _UpCountRow:
-    """One lattice level read by full-tree node index: node m holds the
-    state of its up-count, popcount(m)."""
-
-    __slots__ = ("states",)
-
-    def __init__(self, states):
-        self.states = states
-
-    def __getitem__(self, m):
-        return self.states[m.bit_count()]
-
-
 class ScenarioTree:
     """The state space of the market over N periods.
 
@@ -172,10 +175,10 @@ class ScenarioTree:
     With recombining=True they are the k + 1 up-counts of the Cox-Ross-
     Rubinstein lattice; state s then stands for every node with s up moves.
 
-    stock is the stock price process, as integers; stock.at(k, m) reads the
-    price at full-tree node m of level k as a Fraction, on either space, and
-    stock.values[k][s] the price in state s. Both are built on first read.
-    Immutable after build; share freely.
+    stock is the stock price process, as integers; stock.row(k)[s] reads the
+    price in state s of level k as a Fraction, and stock.at(k, m) the price
+    at full-tree node m, on either space, through state(k, m). Immutable
+    after build; share freely.
     """
 
     def __init__(self, params: MarketParams, recombining: bool = False):
@@ -245,10 +248,6 @@ class ScenarioTree:
         """Number of full-tree nodes of level k held by state s."""
         return comb(k, s) if self.recombining else 1
 
-    def by_node(self, row):
-        """One per-state row made readable by full-tree node index."""
-        return _UpCountRow(row) if self.recombining else row
-
     def node_on_path(self, path: int, k: int) -> int:
         """Index at level k of the node the N-bit path passes through."""
         return path >> (self.N - k)
@@ -295,24 +294,22 @@ class AdaptedProcess:
     level k, over dens[k], a positive int: the value of state s is
     nums[k][s] / dens[k]. The denominator need not be the smallest one, so
     processes that are compared or added level by level can share it.
-    values[k][s] and at(k, m) (by full-tree node index m on either state
-    space) read Fractions, built per level on first read and then kept.
+    row(k)[s] reads a Fraction from the one cache, built per level on first
+    read and then kept; values[k] is row(k), and at(k, m) reads full-tree
+    node m on either state space as row(k)[tree.state(k, m)].
     """
 
     def __init__(self, tree: ScenarioTree, values):
         if len(values) != tree.N + 1:
             raise ContractError("process does not cover every level")
-        nums, dens = [], []
+        rows = []
         for k, level in enumerate(values):
             if len(level) != tree.width(k):
                 raise ContractError(
                     f"level {k} has {len(level)} values, wants {tree.width(k)}"
                 )
-            row = [to_rational(v) for v in level]
-            den = lcm(*(q.denominator for q in row))
-            nums.append([q.numerator * (den // q.denominator) for q in row])
-            dens.append(den)
-        self._set(tree, nums, dens)
+            rows.append([to_rational(v).as_integer_ratio() for v in level])
+        self._set(tree, *lift_pairs(rows))
 
     @classmethod
     def _of(cls, tree: ScenarioTree, nums: list, dens: list) -> "AdaptedProcess":
@@ -327,8 +324,6 @@ class AdaptedProcess:
         self.nums = nums
         self.dens = dens
         self._rows = [None] * len(nums)
-        self._by_node = [None] * len(nums)
-        self._values = None
 
     @classmethod
     def from_function(cls, tree: ScenarioTree, fn) -> "AdaptedProcess":
@@ -358,15 +353,11 @@ class AdaptedProcess:
     @property
     def values(self) -> list:
         """The Fractions of every level: values[k][s]."""
-        if self._values is None:
-            self._values = [self.row(k) for k in range(len(self.nums))]
-        return self._values
+        return [self.row(k) for k in range(len(self.nums))]
 
     def at(self, k: int, m: int) -> Fraction:
-        row = self._by_node[k]
-        if row is None:
-            row = self._by_node[k] = self.tree.by_node(self.row(k))
-        return row[m]
+        """The Fraction at full-tree node m of level k."""
+        return self.row(k)[self.tree.state(k, m)]
 
     def over(self, scales: list) -> list:
         """The numerator rows over the level denominators `scales`, each a
@@ -387,6 +378,18 @@ class AdaptedProcess:
             if top * best_den > best * den:
                 best, best_den = top, den
         return Fraction(best, best_den)
+
+
+def lift_pairs(rows):
+    """(numerator rows, level denominators) of rows of reduced
+    (numerator, denominator) pairs: each level over the lcm of its
+    denominators."""
+    nums, dens = [], []
+    for row in rows:
+        den = lcm(*(d for _, d in row))
+        nums.append([n * (den // d) for n, d in row])
+        dens.append(den)
+    return nums, dens
 
 
 def normalized(nums: list, den: int):

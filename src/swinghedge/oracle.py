@@ -383,10 +383,9 @@ def _maturity_payments(contract):
         Y = legs[i - 1]
         lift = den // Y.dens[N]
         bundle = [n * lift + rest for n, rest in zip(Y.nums[N], bundle)]
-        at = tree.by_node(bundle)
         row = leaf[i] = []
         for m in range(2 ** N):
-            n = at[m]
+            n = bundle[tree.state(N, m)]
             sid = by_num.get(n)
             if sid is None:
                 sid = by_num[n] = len(vals)

@@ -125,7 +125,7 @@ def build_risk_stack(contract) -> RiskStack:
     for s in range(tree.width(N)):
         J[(N, s, 0)] = PwlFn.zero()
         for j in range(1, L + 1):
-            due = sum((contract.Y(i).values[N][s] for i in range(L - j + 1, L + 1)), Fraction(0))
+            due = sum((contract.Y(i).row(N)[s] for i in range(L - j + 1, L + 1)), Fraction(0))
             J[(N, s, j)] = PwlFn.hockey_stick(due)
 
     for k in range(N - 1, -1, -1):
@@ -141,8 +141,8 @@ def build_risk_stack(contract) -> RiskStack:
                 phi[(k, s, j)] = pj
                 phi_ctrl[(k, s, j)] = ctrl
                 settled = phi[(k, s, j - 1)]
-                e_fn = infusion_transform(settled, contract.Y(i).values[k][s])
-                c_fn = infusion_transform(settled, contract.X(i).values[k][s])
+                e_fn = infusion_transform(settled, contract.Y(i).row(k)[s])
+                c_fn = infusion_transform(settled, contract.X(i).row(k)[s])
                 ex_fn[(k, s, j)] = e_fn
                 ca_fn[(k, s, j)] = c_fn
                 J[(k, s, j)] = pointwise_min(c_fn, pointwise_max(e_fn, pj))

@@ -159,6 +159,27 @@ def test_deeply_nested_json_is_refused(command, where, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["price", "risk-curve"])
+@pytest.mark.parametrize("horizon", [10 ** 2999, "9" * 5000], ids=["int", "string"])
+def test_a_horizon_too_large_to_print_is_refused(command, horizon, tmp_path, capsys):
+    spec = json.loads(json.dumps(SPEC))
+    spec["model"]["N"] = horizon
+    path = tmp_path / "big_n.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _call([command, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration needs more than 500000 items, cap is 500000\n"
+
+
+def test_a_table_entry_that_is_a_list_is_not_called_a_float(tmp_path, capsys):
+    spec = json.loads(json.dumps(SPEC))
+    spec["claims"][0]["exercise"] = {"kind": "table", "values": [[[[1]]], ["0", "1"], ["0"] * 4]}
+    path = tmp_path / "list_entry.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _call(["price", str(path)], capsys)
+    assert (code, out, err) == (1, "", "error: not a rational: [[1]]\n")
+
+
 @pytest.mark.parametrize("command", [["hedge-simulate", "--path", "u"], ["risk"]])
 def test_negative_capital_is_refused(command, capsys):
     contract = resources.files("swinghedge") / "contracts" / "one_right_small_penalty.json"

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_params
-from swinghedge.errors import ContractError
+from conftest import random_contract, random_params
+from swinghedge.contract import build_contract
+from swinghedge.errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
 from swinghedge.market import (
     MARKET,
     MARTINGALE,
@@ -19,6 +20,7 @@ from swinghedge.market import (
     one_step_expectation,
     to_rational,
 )
+from swinghedge.swing import price_swing
 
 
 def test_to_rational_parses_strings_and_ints():
@@ -32,6 +34,14 @@ def test_to_rational_rejects_floats_and_junk():
         to_rational(0.5)
     with pytest.raises(ContractError):
         to_rational("half")
+
+
+@pytest.mark.parametrize("value", [None, [[1]], {}, 1.5])
+def test_to_rational_names_floats_only_for_floats(value):
+    with pytest.raises(ContractError) as info:
+        to_rational(value)
+    assert str(info.value).startswith(f"not a rational: {value!r}")
+    assert ("floats are not accepted" in str(info.value)) == isinstance(value, float)
 
 
 def test_format_round_trip():
@@ -151,3 +161,71 @@ def test_format_rational_names_the_interpreters_digit_limit():
             format_rational(Fraction(10 ** 700))
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def test_a_horizon_past_the_cap_is_refused_without_its_digits():
+    with pytest.raises(EnumerationCapError) as info:
+        ScenarioTree(MarketParams(S0=1, a=Fraction(-1, 2), b=1, p=Fraction(1, 2), N=10 ** 2999))
+    cap = DEFAULT_ENUMERATION_CAP
+    assert str(info.value) == f"enumeration needs more than {cap} items, cap is {cap}"
+
+
+@pytest.mark.parametrize("text, N", [("0" * 5000 + "3", 3), ("-" + "9" * 5000, None)])
+def test_a_horizon_string_of_thousands_of_digits_is_read_without_int(text, N):
+    model = {"S0": "1", "a": "-1/2", "b": "1", "p": "1/2", "N": text}
+    if N is None:
+        with pytest.raises(ContractError, match="N must be an integer >= 1, got a negative one"):
+            MarketParams.from_dict(model)
+    else:
+        assert MarketParams.from_dict(model).N == N
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_a_count_too_long_to_print_is_named_by_the_cap():
+    # 2^20001 - 1 full-tree nodes: more digits than int -> str converts
+    with pytest.raises(EnumerationCapError) as info:
+        ScenarioTree(MarketParams(S0=1, a=Fraction(-1, 2), b=1, p=Fraction(1, 2), N=20_000))
+    assert str(info.value).startswith("enumeration needs more than ")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_node_read_goes_through_state(seed):
+    rng = random.Random(seed)
+    contract = random_contract(rng, max_n=8, max_l=3, recombining=seed % 2 == 0)
+    tree = contract.tree
+    stack, _ = price_swing(contract)
+    procs = [tree.stock] + stack.V + [
+        leg for i in range(1, contract.L + 1) for leg in (contract.X(i), contract.Y(i))
+    ]
+    for k in range(tree.N + 1):
+        by_state = {}
+        for m in range(2 ** k):
+            by_state.setdefault(tree.state(k, m), []).append(m)
+        assert sorted(by_state) == list(range(tree.width(k)))
+        for s, nodes in by_state.items():
+            assert list(tree.nodes_of(k, s)) == nodes
+            assert tree.node_multiplicity(k, s) == len(nodes)
+    for proc in procs:
+        for k in range(tree.N + 1):
+            assert proc.values[k] == proc.row(k)
+            for m in range(2 ** k):
+                s = tree.state(k, m)
+                assert proc.at(k, m) == proc.row(k)[s] == Fraction(proc.nums[k][s], proc.dens[k])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_table_leg_lifts_like_a_process(seed):
+    rng = random.Random(100 + seed)
+    params = random_params(rng, max_n=5)
+    rows = [[Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(2 ** k)]
+            for k in range(params.N + 1)]
+    contract = build_contract({
+        "model": params.to_dict(),
+        "claims": [{"exercise": {"kind": "table", "values": [[format_rational(q) for q in row]
+                                                           for row in rows]},
+                    "penalty": {"kind": "constant", "value": "1/3"}}],
+    }, tree=ScenarioTree(params))
+    leg = contract.Y(1)
+    proc = AdaptedProcess(contract.tree, rows)
+    assert (leg.nums, leg.dens) == (proc.nums, proc.dens)
+    assert leg.values == rows

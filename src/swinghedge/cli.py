@@ -26,7 +26,7 @@ from functools import cache
 from importlib import resources
 
 from .contract import build_contract, load_contract
-from .errors import ContractError, EnumerationCapError, InvariantError
+from .errors import ContractError, EnumerationCapError, InvariantError, echo
 from .hedge import build_perfect_hedge, check_capital, simulate_portfolio, verify_perfect_hedge
 from .market import format_rational
 from .oracle import DEFAULT_ENUMERATION_CAP, brute_force_value, certify_saddle
@@ -55,7 +55,7 @@ def _fmt(x, decimal=False):
 def _parse_path(text, N):
     bits = text.strip().lower()
     if len(bits) != N or any(c not in "ud" for c in bits):
-        raise ContractError(f"path must be {N} letters of u/d, got {text!r}")
+        raise ContractError(f"path must be {N} letters of u/d, got {echo(text)}")
     path = 0
     for c in bits:
         path = (path << 1) | (1 if c == "u" else 0)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ContractError
+from .errors import ContractError, echo
 from .market import (
     AdaptedProcess,
     MarketParams,
@@ -136,7 +136,12 @@ def _parse_table(values, N: int, where: str) -> list:
     """Rows of reduced (numerator, denominator) pairs, one per level, row k
     holding 2^k entries.
 
-    The whole shape is checked before any entry is parsed.
+    The whole shape is checked before any entry is parsed. Entries are
+    parsed in row order, each distinct string once: a table of 2^(N+1) - 1
+    entries usually spells a few hundred distinct values. Only strings are
+    memoized, since True == 1 == 1.0 hash alike and bools and floats must
+    still be refused; an entry that fails raises before it is kept, so the
+    first bad entry and its message are those of a plain parse.
     """
     if not isinstance(values, list) or not all(isinstance(row, list) for row in values):
         raise ContractError(f"{where}: table values must be a list of lists")
@@ -145,7 +150,17 @@ def _parse_table(values, N: int, where: str) -> list:
     for k, row in enumerate(values):
         if len(row) != 2 ** k:
             raise ContractError(f"{where}: table level {k} has {len(row)} entries, wants {2 ** k}")
-    return [[_parse_entry(v) for v in row] for row in values]
+    parsed = {}  # string entry -> its pair
+
+    def entry(v):
+        if type(v) is not str:
+            return _parse_entry(v)
+        pair = parsed.get(v)
+        if pair is None:
+            pair = parsed[v] = _parse_entry(v)
+        return pair
+
+    return [[entry(v) for v in row] for row in values]
 
 
 def _parse_leg(spec, part: str, idx: int, N: int) -> tuple:
@@ -160,7 +175,7 @@ def _parse_leg(spec, part: str, idx: int, N: int) -> tuple:
     kind = spec.get("kind")
     fields = LEG_FIELDS[part]
     if not isinstance(kind, str) or kind not in fields:
-        raise ContractError(f"claim {idx} has unknown {part} kind {kind!r}")
+        raise ContractError(f"claim {idx} has unknown {part} kind {echo(kind)}")
     field = fields[kind]
     if field not in spec:
         if kind == "infinite-proxy":

@@ -7,6 +7,19 @@ cap overruns exit 2, internal invariant violations exit 3.
 # Largest enumeration or state space built without an explicit budget.
 DEFAULT_ENUMERATION_CAP = 500_000
 
+# Longest rendering of an input value that an error message echoes whole.
+ECHO_MAX = 60
+
+
+def echo(value, render=repr) -> str:
+    """An input value as an error message shows it: render(value) when it
+    has at most ECHO_MAX characters, else its head and its length, so that
+    a value of thousands of characters still makes a one-line message."""
+    text = render(value)
+    if len(text) <= ECHO_MAX:
+        return text
+    return f"{text[:ECHO_MAX]}... ({len(text)} characters)"
+
 
 class ContractError(ValueError):
     """Malformed or inconsistent contract input (bad scalars, Y > X, ...)."""

@@ -43,7 +43,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, InvariantError
+from .errors import (
+    DEFAULT_ENUMERATION_CAP,
+    ContractError,
+    EnumerationCapError,
+    InvariantError,
+    echo,
+)
 from .market import to_rational
 from .swing import (
     ClaimEvent,
@@ -166,7 +172,7 @@ def check_capital(x) -> Fraction:
     """Initial capital x as an exact nonnegative Fraction, else ContractError."""
     x = to_rational(x)
     if x < 0:
-        raise ContractError(f"initial capital must be nonnegative, got {x}")
+        raise ContractError(f"initial capital must be nonnegative, got {echo(x, str)}")
     return x
 
 

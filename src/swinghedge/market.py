@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, echo
 
 MARKET = "market"
 MARTINGALE = "martingale"
@@ -56,7 +56,7 @@ def to_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise ContractError(f"not a rational: {value!r}")
+        raise ContractError(f"not a rational: {echo(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -65,14 +65,14 @@ def to_rational(value) -> Fraction:
             digits = sum(ch.isdigit() for ch in value[: exp.start()])
             power = exp.group(1).replace("_", "")
             if len(power) > len(str(MAX_DIGITS)) or int(power) + digits > MAX_DIGITS:
-                raise ContractError(f"not a rational: {value!r} expands past {MAX_DIGITS} digits")
+                raise ContractError(f"not a rational: {echo(value)} expands past {MAX_DIGITS} digits")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ContractError(f"not a rational: {value!r}") from exc
+            raise ContractError(f"not a rational: {echo(value)}") from exc
     if isinstance(value, float):
-        raise ContractError(f"not a rational: {value!r} (floats are not accepted)")
-    raise ContractError(f"not a rational: {value!r}")
+        raise ContractError(f"not a rational: {echo(value)} (floats are not accepted)")
+    raise ContractError(f"not a rational: {echo(value)}")
 
 
 def format_rational(q: Fraction) -> str:
@@ -100,7 +100,7 @@ def martingale_prob(a, b) -> Fraction:
     """
     a, b = to_rational(a), to_rational(b)
     if not (Fraction(-1) < a < 0 < b):
-        raise ContractError(f"need -1 < a < 0 < b, got a={a}, b={b}")
+        raise ContractError(f"need -1 < a < 0 < b, got a={echo(a, str)}, b={echo(b, str)}")
     return a / (a - b)
 
 
@@ -120,13 +120,14 @@ class MarketParams:
         object.__setattr__(self, "b", to_rational(self.b))
         object.__setattr__(self, "p", to_rational(self.p))
         if self.S0 <= 0:
-            raise ContractError(f"S0 must be positive, got {self.S0}")
+            raise ContractError(f"S0 must be positive, got {echo(self.S0, str)}")
         if not (Fraction(-1) < self.a < 0 < self.b):
-            raise ContractError(f"need -1 < a < 0 < b, got a={self.a}, b={self.b}")
+            raise ContractError(f"need -1 < a < 0 < b, got a={echo(self.a, str)}, "
+                                f"b={echo(self.b, str)}")
         if not (0 < self.p < 1):
-            raise ContractError(f"need 0 < p < 1, got p={self.p}")
+            raise ContractError(f"need 0 < p < 1, got p={echo(self.p, str)}")
         if not (isinstance(self.N, int) and not isinstance(self.N, bool) and self.N >= 1):
-            raise ContractError(f"horizon N must be an integer >= 1, got {self.N!r}")
+            raise ContractError(f"horizon N must be an integer >= 1, got {echo(self.N)}")
         # past the cap on either state space (each holds more than N states):
         # refused before a count or a message of N's size is built
         if self.N > DEFAULT_ENUMERATION_CAP:
@@ -142,7 +143,7 @@ class MarketParams:
             negative = raw_n.startswith("-")
             digits = raw_n[1:] if negative else raw_n
             if not digits.isdecimal():
-                raise ContractError(f"N must be an integer, got {raw_n!r}")
+                raise ContractError(f"N must be an integer, got {echo(raw_n)}")
             # refused before int() meets thousands of digits: an N with more
             # digits than the cap is negative or past the cap
             digits = digits.lstrip("0") or "0"
@@ -152,7 +153,7 @@ class MarketParams:
                 raise EnumerationCapError(None, DEFAULT_ENUMERATION_CAP)
             raw_n = -int(digits) if negative else int(digits)
         if not isinstance(raw_n, int) or isinstance(raw_n, bool):
-            raise ContractError(f"N must be an integer, got {raw_n!r}")
+            raise ContractError(f"N must be an integer, got {echo(raw_n)}")
         missing = [k for k in ("S0", "a", "b", "p") if k not in d]
         if missing:
             raise ContractError(f"model is missing keys: {', '.join(missing)}")
@@ -259,7 +260,7 @@ class ScenarioTree:
         """ContractError unless path is an int, not a bool, naming one of the
         2^N paths."""
         if isinstance(path, bool) or not isinstance(path, int) or not 0 <= path < 1 << self.N:
-            raise ContractError(f"path must be an integer in [0, 2^{self.N}), got {path!r}")
+            raise ContractError(f"path must be an integer in [0, 2^{self.N}), got {echo(path)}")
 
     def path_prob(self, path: int, q: Fraction) -> Fraction:
         """Probability of an N-step path when each up move has probability q."""

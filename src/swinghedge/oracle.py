@@ -413,9 +413,14 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
     subgame depends on its (node, right) alone, so every later visit of a
     (level, node, right) would rebuild the content key of the first visit
     and get back its id; without a witness to record, the walk then keeps
-    that id and visits each (level, node, right) once. Other opponents, and
-    every witness walk, take the history walk. The continuation of a child
-    pair is computed once, as a pair of ids has one value.
+    that id and visits each (level, node, right) once, with no content key
+    at all, as none could be met twice. Other opponents, and every witness
+    walk, take the history walk. The continuation of a child pair is
+    computed once, as a pair of ids has one value, and as one Fraction from
+    integer parts: with q = qn/qd, 1 - q = (qd - qn)/qd shares q's
+    denominator, so q na/da + (1 - q) nb/db is (qn na db + (qd - qn) nb da)
+    over qd da db, normalized once. The legs are read only on the branches
+    that pay them.
 
     Returns (value, reply): with witness set, reply is the reply's decision
     at every state, read from its id, as a DictStrategy; else None, and no
@@ -425,7 +430,8 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
     N = tree.params.N
     L = contract.L
     q = measure_prob(tree, measure)
-    r = 1 - q
+    qn, qd = q.numerator, q.denominator
+    rn = qd - qn  # 1 - q = rn/qd
     vals, leaf = maturity
     ids = {}                    # content -> subgame id
     vals = list(vals)           # id -> value
@@ -436,7 +442,9 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
     states = {} if not witness and type(opponent).stops is TableStrategy.stops else None
 
     def new(key, value, pick=None):
-        ids[key] = sid = len(vals)
+        sid = len(vals)
+        if key is not None:
+            ids[key] = sid
         vals.append(value)
         picks.append(pick)
         return sid
@@ -444,7 +452,9 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
     def mix(pair):
         v = mixed.get(pair)
         if v is None:
-            v = mixed[pair] = q * vals[pair[0]] + r * vals[pair[1]]
+            va, vb = vals[pair[0]], vals[pair[1]]
+            na, da, nb, db = va.numerator, va.denominator, vb.numerator, vb.denominator
+            v = mixed[pair] = Fraction(qn * na * db + rn * nb * da, qd * da * db)
         return v
 
     def visit(k, m, i, hist):
@@ -469,17 +479,19 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
             h = hist + ((k, 0) if s else (k, 1),)
             a = None if j > L else (visit(k + 1, up, j, h), visit(k + 1, dn, j, h))
             b = None if s else (visit(k + 1, up, i, hist), visit(k + 1, dn, i, hist))
-        key = (k, m, i, s, a, b)
-        sid = ids.get(key)
+        # on the state route each (level, node, right) is visited once, so
+        # its content key could never be met again
+        key = None if states is not None else (k, m, i, s, a, b)
+        sid = None if key is None else ids.get(key)
         if sid is None:
-            y, x = contract.Y(i).at(k, m), contract.X(i).at(k, m)
             if opponent_is_seller:
-                stop, alt = y + mix(a), (x + mix(b) if s else mix(b))
+                stop = contract.Y(i).at(k, m) + mix(a)
+                alt = contract.X(i).at(k, m) + mix(b) if s else mix(b)
                 sid = new(key, max(stop, alt), stop >= alt)
             elif s:
-                sid = new(key, y + mix(a))
+                sid = new(key, contract.Y(i).at(k, m) + mix(a))
             else:
-                canc, cont = x + mix(a), mix(b)
+                canc, cont = contract.X(i).at(k, m) + mix(a), mix(b)
                 sid = new(key, min(canc, cont), canc <= cont)
         if states is not None:
             states[(k, m, i)] = sid

@@ -68,6 +68,31 @@ def random_contract(rng: random.Random, max_n=3, max_l=2, n=None, l=None, recomb
     )
 
 
+def random_path_dependent_contract(rng: random.Random, n, l):
+    """A random full-tree contract of horizon n whose l legs are lookback-call
+    and Asian-put tables (the running maximum over a strike, a strike over
+    the running average) with constant penalties."""
+    params = random_params(rng, n=n)
+    tree = build_tree(params)
+    prices = [[tree.stock.at(k, m) for m in range(2 ** k)] for k in range(params.N + 1)]
+    claims = []
+    for _ in range(l):
+        lookback = rng.random() < 0.5
+        strike = params.S0 * Fraction(rng.randint(2, 6), 4)
+        values = []
+        for k in range(params.N + 1):
+            row = []
+            for m in range(2 ** k):
+                path = [prices[j][m >> (k - j)] for j in range(k + 1)]
+                v = max(path) - strike if lookback else strike - sum(path) / (k + 1)
+                row.append(str(max(v, Fraction(0))))
+            values.append(row)
+        penalty = str(Fraction(rng.randint(0, 6), 4))
+        claims.append({"exercise": {"kind": "table", "values": values},
+                       "penalty": {"kind": "constant", "value": penalty}})
+    return build_contract({"claims": claims}, tree=tree)
+
+
 def reachable_histories(N, L):
     """Every settlement history some claim 1..L can see, by claim."""
     out = {1: [()]}

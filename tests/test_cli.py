@@ -8,6 +8,7 @@ import pytest
 
 from swinghedge import cli, hedge, pwl
 from swinghedge.cli import main
+from swinghedge.errors import ECHO_MAX
 from swinghedge.market import format_rational
 from swinghedge.pwl import PwlFn
 from swinghedge.shortfall import build_risk_stack
@@ -347,3 +348,37 @@ def test_values_past_the_float_range_are_refused(argv, tmp_path, capsys):
     assert out.out == ""
     assert out.err == "error: a result is too large for a float\n"
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("model", "a"), "1" * 700,
+     f"need -1 < a < 0 < b, got a={'1' * ECHO_MAX}... (700 characters), b=1"),
+    (("model", "N"), -10 ** 2999,
+     f"horizon N must be an integer >= 1, got -1{'0' * (ECHO_MAX - 2)}... (3001 characters)"),
+    (("claims", 0, "exercise", "kind"), "k" * 700,
+     f"claim 1 has unknown exercise kind '{'k' * (ECHO_MAX - 1)}... (702 characters)"),
+    (("claims", 0, "exercise", "strike"), "x" * 5000,
+     f"not a rational: '{'x' * (ECHO_MAX - 1)}... (5002 characters)"),
+], ids=["a", "N", "kind", "strike"])
+def test_a_long_input_value_is_echoed_by_its_head_and_length(where, value, message, tmp_path,
+                                                             capsys):
+    spec = json.loads(json.dumps(SPEC))
+    node = spec
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _call(["price", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    assert len(err.encode()) < 200
+
+
+def test_a_long_path_or_capital_is_echoed_by_its_head_and_length(spec_file, capsys):
+    code, out, err = _call(["hedge-simulate", spec_file, "--path", "u" * 700], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: path must be 2 letters of u/d, got '{'u' * (ECHO_MAX - 1)}... (702 characters)\n"
+    code, out, err = _call(["risk", spec_file, "--capital", "-" + "9" * 700], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: initial capital must be nonnegative, got -{'9' * (ECHO_MAX - 1)}... (701 characters)\n"

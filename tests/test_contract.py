@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_contract
+from swinghedge import contract
 from swinghedge.contract import _parse_table, build_contract, load_contract, payoff_at
 from swinghedge.errors import ContractError
 from swinghedge.market import AdaptedProcess, MarketParams, build_tree, to_rational
@@ -239,16 +240,10 @@ def test_table_entries_parse_like_to_rational(value):
         assert _parse_table([[value]], 0, "t") == [[(q.numerator, q.denominator)]]
 
 
-@pytest.mark.parametrize("recombining", [False, True])
-def test_table_legs_match_the_fraction_constructor(recombining):
-    rng = random.Random(73 + recombining)
+def check_table_legs_against_the_fraction_constructor(recombining, entry):
+    """Five random tables with entries from entry() read as AdaptedProcess reads them."""
     params = MarketParams(S0=3, a=Fraction(-1, 3), b=Fraction(1, 2), p=Fraction(1, 2), N=4)
     tree = build_tree(params, recombining)
-
-    def entry():
-        d = rng.choice((1, 7, 1000003, 2 ** 61 - 1)) * rng.randint(1, 9)
-        return f"{rng.randint(0, 5 * d)}/{d}"
-
     for _ in range(5):
         rows = []
         for k in range(params.N + 1):
@@ -262,3 +257,63 @@ def test_table_legs_match_the_fraction_constructor(recombining):
                   for k, row in enumerate(rows)]
         want = AdaptedProcess(tree, states)
         assert (c.Y(1).nums, c.Y(1).dens) == (want.nums, want.dens)
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_table_legs_match_the_fraction_constructor(recombining):
+    rng = random.Random(73 + recombining)
+
+    def entry():
+        d = rng.choice((1, 7, 1000003, 2 ** 61 - 1)) * rng.randint(1, 9)
+        return f"{rng.randint(0, 5 * d)}/{d}"
+
+    check_table_legs_against_the_fraction_constructor(recombining, entry)
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_table_legs_with_repeated_entries_match_the_fraction_constructor(recombining):
+    # a small pool, one value spelled several ways and ints among the
+    # strings, so most entries are met again
+    rng = random.Random(79 + recombining)
+    pool = ["0", "1/2", "2/4", "0.5", "4/6", "2/3", "7", 7, 0, "3/1000003"]
+    check_table_legs_against_the_fraction_constructor(recombining, lambda: rng.choice(pool))
+
+
+REPEATED = [["1/2"], ["2/4", "0.5"], ["1/2", 1, "1", "-0"], ["0.5"] * 4 + [3, "3", "6/2", "1/2"]]
+
+
+def test_a_table_of_repeated_entries_parses_entry_by_entry():
+    rows = _parse_table(REPEATED, 3, "t")
+    want = [[to_rational(v) for v in row] for row in REPEATED]
+    assert rows == [[(q.numerator, q.denominator) for q in row] for row in want]
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_a_bool_or_float_after_an_equal_entry_is_still_refused(bad):
+    with pytest.raises(ContractError) as exc:
+        to_rational(bad)
+    with pytest.raises(ContractError) as got:
+        _parse_table([["1"], [1, bad]], 1, "t")
+    assert str(got.value) == str(exc.value)
+
+
+def test_a_bad_entry_after_a_repeated_good_one_fails_as_unmemoized():
+    with pytest.raises(ContractError) as exc:
+        to_rational("1/0")
+    with pytest.raises(ContractError) as got:
+        _parse_table([["1/2"], ["1/2", "1/2"], ["1/2", "1/0", "x", "1/2"]], 2, "t")
+    assert str(got.value) == str(exc.value)
+
+
+def test_each_distinct_string_entry_is_parsed_once(monkeypatch):
+    seen = []
+    parse = contract._parse_entry
+
+    def counted(value):
+        seen.append(value)
+        return parse(value)
+
+    monkeypatch.setattr(contract, "_parse_entry", counted)
+    _parse_table(REPEATED, 3, "t")
+    # each string once, in first-seen order; every int entry on its own
+    assert seen == ["1/2", "2/4", "0.5", 1, "1", "-0", 3, "3", "6/2"]

@@ -7,7 +7,13 @@ from hypothesis import given, strategies as st
 
 from conftest import random_contract, random_params
 from swinghedge.contract import build_contract
-from swinghedge.errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
+from swinghedge.errors import (
+    DEFAULT_ENUMERATION_CAP,
+    ECHO_MAX,
+    ContractError,
+    EnumerationCapError,
+    echo,
+)
 from swinghedge.market import (
     MARKET,
     MARTINGALE,
@@ -229,3 +235,10 @@ def test_a_table_leg_lifts_like_a_process(seed):
     proc = AdaptedProcess(contract.tree, rows)
     assert (leg.nums, leg.dens) == (proc.nums, proc.dens)
     assert leg.values == rows
+
+
+def test_echo_keeps_a_short_value_and_bounds_a_long_one():
+    assert echo("x" * (ECHO_MAX - 2)) == repr("x" * (ECHO_MAX - 2))
+    assert echo(Fraction(-1, 2), str) == "-1/2"
+    assert echo("x" * (ECHO_MAX - 1)) == "'" + "x" * (ECHO_MAX - 1) + "... (61 characters)"
+    assert echo(10 ** 99) == "1" + "0" * (ECHO_MAX - 1) + "... (100 characters)"

@@ -11,6 +11,7 @@ from conftest import (
     history_dependent_seller,
     random_claim,
     random_contract,
+    random_path_dependent_contract,
 )
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, EnumerationCapError
@@ -286,6 +287,27 @@ def test_interned_best_response_matches_the_history_recursion(recombining):
                     assert _best_response(c, asked, opponent_is_seller, measure,
                                           _maturity_payments(c), False) == (ref_value, None)
                     assert asked.log == asked_ref.log
+
+
+def test_best_responses_on_path_dependent_legs_match_the_history_recursion():
+    # full-tree table legs; a plain table opponent without a witness takes
+    # the state route, every other case the walk over histories
+    rng = random.Random(107)
+    for n, l in [(3, 1), (3, 3), (4, 2), (5, 3), (6, 1), (6, 2), (6, 3)]:
+        c = random_path_dependent_contract(rng, n, l)
+        maturity = _maturity_payments(c)
+        sellers, buyers = strategy_zoo(rng, c)
+        for opponent in sellers + [buyers[0], buyers[3]]:
+            for opponent_is_seller in (True, False):
+                for measure in (MARTINGALE, MARKET):
+                    ref_value, ref_decisions = reference_best_response(
+                        c, opponent, opponent_is_seller, measure)
+                    assert _best_response(c, opponent, opponent_is_seller, measure,
+                                          maturity, False) == (ref_value, None)
+                    value, witness = _best_response(c, opponent, opponent_is_seller, measure,
+                                                    maturity, True)
+                    assert value == ref_value
+                    assert witness.decisions == ref_decisions
 
 
 def reference_maturity_payments(contract):

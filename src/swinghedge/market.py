@@ -99,9 +99,11 @@ def martingale_prob(a, b) -> Fraction:
     0 < ptilde < 1.
     """
     a, b = to_rational(a), to_rational(b)
-    if not (Fraction(-1) < a < 0 < b):
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    if not (-ad < an < 0 < bn):
         raise ContractError(f"need -1 < a < 0 < b, got a={echo(a, str)}, b={echo(b, str)}")
-    return a / (a - b)
+    # (an/ad) / (an/ad - bn/bd), over the common denominator ad*bd
+    return Fraction(an * bd, an * bd - bn * ad)
 
 
 @dataclass(frozen=True)

@@ -50,14 +50,15 @@ Q_0 and the convex kinks of psi_1 and psi_2 (_kinks); the last breakpoint
 always qualifies, since the function falls into it and is flat after it.
 The envelope keeps both the minimum and the smallest minimizer.
 
-The copies are folded in one at a time (P_0 and Q_0 first, so the envelope
-covers every y from the start), each fold a two-pointer merge of knot lists
-that inserts the crossings. portfolio_transform folds values only (_lower)
-and returns the function at once. Its control holds only its inputs until
-it is first read; that read folds the same copies with their w1 labels
-(_fold, from _portfolio_control). Ties keep the smaller w1: at a knot by
-value, along a piece by the lower of the two affine w1 lines (two lines
-cross only at a knot of both copies).
+The copies are streamed: _copies yields them one at a time (P_0 and Q_0
+first, so the envelope covers every y from the start), and each is folded in
+as it comes by a two-pointer merge of knot lists that inserts the crossings,
+so a transform holds the envelope and one copy, never every copy at once.
+portfolio_transform folds values only (_lower) and returns the function at
+once. Its control holds only its inputs until it is first read; that read
+folds the same copies with their w1 labels (_fold, from _portfolio_control).
+Ties keep the smaller w1: at a knot by value, along a piece by the lower of
+the two affine w1 lines (two lines cross only at a knot of both copies).
 
 The infusion minimization goes through h(w) = w + psi(w): the value is
 (A - y) + min over w >= (y - A)^+ of h(w), and the smallest injection comes
@@ -79,27 +80,31 @@ repeated lines and the dropped-knot rules compare tuples. Order is decided
 by cross-multiplication (a/b < c/d iff a*d < c*b, for b, d > 0), which is
 exact, so the tie rules (smaller w1 at a knot, lower w1 line along a piece)
 see the same ties as rational arithmetic would. A piece evaluated at a knot
-of the other list stays an unnormalized pair, since it is only compared;
-one math.gcd normalizes each knot, value, line and w1 when it is emitted
-(_q, _line). The one division whose divisor can be negative is the crossing
-of two lines (_cross), which flips both signs first. The transforms hand
-pairs from one to the next, and one evaluator per class reads them too:
-_at takes a wealth pair, picks the piece by one binary search by
-cross-multiplication (_find) and answers a pair, which is what the shortfall
-layer's policies ask. The public evals wrap it and make one Fraction, the
-answer. Only those, PwlFn.points (built on first read and kept) and the
-control's xs (built on each read) turn the pairs into Fractions. A
-function's suffix-minimum rows are kept the same way (_minimum_rows), so
-the exercise and cancel transforms of one function and its injection rule
-share one pass.
-"""
+of the other list stays an unnormalized pair, since it is only compared.
+Normalization happens where a rational is emitted, by one math.gcd: the
+merges (_lower, _fold, _combine) are flat loops over integers that reduce
+each value and w1 they emit in place, _copies reduces each copy's shifted
+knots and lines in the loop that builds the copy, and _cross and _q reduce a
+crossing and its value. _combine keeps no lines of its inputs: it builds the
+chord of a piece, unnormalized, only when a knot of the other function or a
+sign flip falls inside that piece. The one division whose divisor can be
+negative is the crossing of two lines (_cross), which flips both signs
+first. The transforms hand pairs from one to the next, and one evaluator per
+class reads them too: _at takes a wealth pair, picks the piece by one binary
+search by cross-multiplication (_find) and answers a pair, which is what the
+shortfall layer's policies ask. The public evals wrap it and make one
+Fraction, the answer. Only those, PwlFn.points (built on first read and
+kept) and the control's xs (built on each read) turn the pairs into
+Fractions. A function's suffix-minimum rows are kept the same way
+(_minimum_rows), so the exercise and cancel transforms of one function and
+its injection rule share one pass."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
 
-from .errors import ContractError, InvariantError
+from .errors import ContractError, InvariantError, echo
 from .market import format_rational, martingale_prob, to_rational
 
 
@@ -169,47 +174,52 @@ def _show(q) -> str:
 def _canonical(points):
     """Drop duplicates, enforce class shape, merge collinear runs.
 
-    points: (x, v) pairs in increasing x.
+    points: (x, v) pairs in increasing x. One pass drops duplicate knots over
+    the whole list and finds the first zero value; a second merges collinear
+    runs up to that knot and checks each knot it keeps as soon as the next
+    point shows it stays, so every fault is named in the order of the knots.
     """
-    cleaned = []
-    for x, v in points:
-        if cleaned:
-            lx, lv = cleaned[-1]
-            if lx == x:
-                if lv != v:
-                    raise InvariantError(f"two values at breakpoint {_show(x)}: {_show(lv)}, {_show(v)}")
-                continue
-        cleaned.append((x, v))
+    cleaned, cut, last = [], -1, None
+    for knot in points:
+        x, v = knot
+        if last is not None and x == last[0]:
+            if v != last[1]:
+                raise InvariantError(f"two values at breakpoint {_show(x)}: {_show(last[1])}, {_show(v)}")
+            continue
+        if cut < 0 and v[0] == 0:
+            cut = len(cleaned)
+        cleaned.append(knot)
+        last = knot
     if not cleaned:
         raise InvariantError("a function needs at least one breakpoint")
     if cleaned[0][0][0] != 0:
         raise InvariantError(f"first breakpoint must sit at 0, got {_show(cleaned[0][0])}")
-    # cut everything after the function first reaches 0 for good
-    for idx, (x, v) in enumerate(cleaned):
-        if v[0] == 0:
-            cleaned = cleaned[: idx + 1]
-            break
-    if cleaned[-1][1][0] != 0:
+    # the function must reach 0; everything after its first zero is cut
+    if cut < 0:
         raise InvariantError(f"function must vanish, ends at value {_show(cleaned[-1][1])}")
-    out, slope = [], None
-    for x, v in cleaned:
-        if out:
-            (x0n, x0d), (v0n, v0d) = out[-1]
-            # the slope from the last kept knot, sn/sd with sd > 0
-            sn = (v[0] * v0d - v0n * v[1]) * x0d * x[1]
-            sd = (x[0] * x0d - x0n * x[1]) * v0d * v[1]
-            if slope is not None and sn * slope[1] == slope[0] * sd:
-                out.pop()  # the merged piece keeps the slope
-            else:
-                slope = sn, sd
-        out.append((x, v))
-    last_v = None
-    for x, v in out:
-        if v[0] < 0:
-            raise InvariantError(f"negative value {_show(v)} at breakpoint {_show(x)}")
-        if last_v is not None and _lt(last_v, v):
-            raise InvariantError(f"value rises to {_show(v)} at breakpoint {_show(x)}")
-        last_v = v
+    out = [cleaned[0]]
+    (x0n, x0d), (v0n, v0d) = cleaned[0]
+    kept = None  # the value of the last knot checked
+    sn0 = sd0 = None  # the slope into the last kept knot
+    for t in range(1, cut + 1):
+        knot = cleaned[t]
+        (xn, xd), (vn, vd) = knot
+        # the slope from the last kept knot, sn/sd with sd > 0
+        sn = (vn * v0d - v0n * vd) * x0d * xd
+        sd = (xn * x0d - x0n * xd) * v0d * vd
+        if sd0 is not None and sn * sd0 == sn0 * sd:
+            out[-1] = knot  # the merged piece keeps the slope
+        else:
+            # out[-1] stays: check it against the knot kept before it
+            if v0n < 0:
+                raise InvariantError(f"negative value {_show(out[-1][1])} at breakpoint {_show(out[-1][0])}")
+            if kept is not None and kept[0] * v0d < v0n * kept[1]:
+                raise InvariantError(f"value rises to {_show(out[-1][1])} at breakpoint {_show(out[-1][0])}")
+            kept = out[-1][1]
+            out.append(knot)
+            sn0, sd0 = sn, sd
+        x0n, x0d, v0n, v0d = xn, xd, vn, vd
+    # the last knot holds 0, below or at every checked value
     return tuple(out)
 
 
@@ -269,7 +279,7 @@ class PwlFn:
     def eval(self, y) -> Fraction:
         y = to_rational(y)
         if y < 0:
-            raise ValueError(f"function is defined on [0, inf), got {y}")
+            raise ValueError(f"function is defined on [0, inf), got {echo(y, str)}")
         return Fraction(*self._at((y.numerator, y.denominator)))
 
     def _at(self, y):
@@ -325,54 +335,62 @@ def _lines(xs, vs):
     return out
 
 
-def _union_walk(xa, xb, i, j):
-    """Two-pointer merge of two sorted knot lists, from xa[i] and xb[j] on.
-
-    Yields (x, ia, ib) for every x of the sorted union, with ia and ib the
-    index of the last knot <= x in each list.
-    """
-    na, nb = len(xa), len(xb)
-    while i < na or j < nb:
-        if j == nb:
-            x = xa[i]
-            i += 1
-        elif i == na:
-            x = xb[j]
-            j += 1
-        else:
-            x, y = xa[i], xb[j]
-            left, right = x[0] * y[1], y[0] * x[1]
-            if left < right:
-                i += 1
-            elif right < left:
-                x = y
-                j += 1
-            else:
-                i += 1
-                j += 1
-        yield x, i - 1, j - 1
-
-
 def _combine(f: PwlFn, g: PwlFn, lower: bool) -> PwlFn:
-    fx, fv = [x for x, _ in f._pairs], [v for _, v in f._pairs]
-    gx, gv = [x for x, _ in g._pairs], [v for _, v in g._pairs]
-    fl, gl = _lines(fx, fv), _lines(gx, gv)
+    """pointwise_min (lower) or pointwise_max of f and g: one two-pointer
+    merge of their knots. A function is read off its own knot where it has
+    one, else off the chord of its piece, built when another knot or a sign
+    flip first falls inside that piece; past its last knot it is 0."""
+    F, G = f._pairs, g._pairs
+    nf, ng = len(F), len(G)
+    i = j = 0  # the next knot of each list
+    fp = gp = -1  # the pieces whose chords fl and gl are
+    fl = gl = None
     xs, vs = [], []
-    prev = None
-    for x, i, j in _union_walk(fx, gx, 0, 0):
-        a = fv[i] if fx[i] == x else _ev(fl[i], x)
-        c = gv[j] if gx[j] == x else _ev(gl[j], x)
+    pd = 0  # the sign of f - g at the last knot; 0 before the first
+    while i < nf or j < ng:
+        if j < ng and (i == nf or G[j][0][0] * F[i][0][1] < F[i][0][0] * G[j][0][1]):
+            x, c = G[j]  # a knot of g only
+            j += 1
+            xn, xd = x
+            if i == nf:
+                a = 0, 1
+            else:
+                if fp != i - 1:
+                    fp, fl = i - 1, _chord(*F[i - 1], *F[i])
+                A, B, D = fl
+                a = A * xn + B * xd, D * xd
+        else:
+            x, a = F[i]
+            i += 1
+            xn, xd = x
+            if j < ng and G[j][0] == x:
+                c = G[j][1]
+                j += 1
+            elif j == ng:
+                c = 0, 1
+            else:
+                if gp != j - 1:
+                    gp, gl = j - 1, _chord(*G[j - 1], *G[j])
+                A, B, D = gl
+                c = A * xn + B * xd, D * xd
         left, right = a[0] * c[1], c[0] * a[1]
         d = (left > right) - (left < right)  # the sign of f - g
-        # insert the crossing if the order flips strictly inside
-        if prev is not None and prev[0] * d < 0:
-            xc = _cross(fl[prev[1]], gl[prev[2]])
+        if pd * d < 0:  # the order flips strictly inside the last piece
+            lf = _piece_line(F, pi)
+            xc = _cross(lf, _piece_line(G, pj))
             xs.append(xc)
-            vs.append(_q(*_ev(fl[prev[1]], xc)))
+            vs.append(_q(*_ev(lf, xc)))
         xs.append(x)
-        vs.append(_q(*(a if (d <= 0 if lower else d >= 0) else c)))
-        prev = (d, i, j)
+        n, m = a if (d <= 0 if lower else d >= 0) else c
+        k = gcd(n, m)
+        vs.append((n // k, m // k))
+        pd, pi, pj = d, i - 1, j - 1
     return PwlFn._of(xs, vs)
+
+
+def _piece_line(pairs, t):
+    """The chord from knot t to knot t + 1, or the zero line past the last."""
+    return _chord(*pairs[t], *pairs[t + 1]) if t + 1 < len(pairs) else (0, 0, 1)
 
 
 def pointwise_min(f: PwlFn, g: PwlFn) -> PwlFn:
@@ -432,7 +450,7 @@ class PwlControl:
     def eval(self, y) -> Fraction:
         y = to_rational(y)
         if y < 0:
-            raise ValueError(f"control is defined on [0, inf), got {y}")
+            raise ValueError(f"control is defined on [0, inf), got {echo(y, str)}")
         return Fraction(*self._at((y.numerator, y.denominator)))
 
     def _at(self, y):
@@ -452,67 +470,98 @@ def _fold(env, copy):
 
     env = (knots, values at the knots, value line on each piece, w1 at each
     knot, w1 line on each piece) covers [0, end]; copy = (knots, value line
-    from each knot on, w1 line) covers [start, end]. Knots and values are
-    pairs and lines triples, as in the module docstring: a piece evaluated
-    at a knot of the other list is compared unnormalized, and only what is
-    emitted is normalized. Before start env is kept as it is. A knot through
-    which the same value line and w1 line run, and whose w1 the line gives,
-    is dropped.
+    from each knot on, w1 line) covers [start, end]. Both knot lists end at
+    end. Knots and values are pairs and lines triples, as in the module
+    docstring: a piece evaluated at a knot of the other list is compared
+    unnormalized, and only what is emitted is normalized. Before start env
+    is kept as it is. A knot through which the same value line and w1 line
+    run, and whose w1 the line gives, is dropped.
     """
     X, V, L, K, C = env
     cx, cl, line = copy
-    lo = _first_at(X, cx[0])
-    nX, nV, nL, nK, nC = X[:lo], V[:lo], L[:lo], K[:lo], C[:lo]
-
-    def piece(vline, ctl):
-        t = len(nX) - 1
-        if t and nL[t - 1] == vline and nC[t - 1] == ctl and _eq(nK[t], _ev(ctl, nX[t])):
-            del nX[t], nV[t], nK[t]
+    wA, wB, wD = line
+    i = _first_at(X, cx[0])
+    nX, nV, nL, nK, nC = X[:i], V[:i], L[:i], K[:i], C[:i]
+    nx, j, pd = len(X), 0, None
+    while i < nx:  # the last knot of both lists is end
+        x, (yn, yd) = X[i], cx[j]
+        xn, xd = x
+        left, right = xn * yd, yn * xd
+        if left <= right:  # a knot of env
+            on_env = True
+            en, ed = V[i]
+            i += 1
+            if left == right:
+                j += 1
         else:
-            nL.append(vline)
-            nC.append(ctl)
-
-    prev = None
-    for x, i, j in _union_walk(X, cx, lo, 0):
-        on_env = X[i] == x
-        e = V[i] if on_env else _ev(L[i], x)
-        c = _ev(cl[j], x)
-        left, right = e[0] * c[1], c[0] * e[1]
+            on_env = False
+            x, xn, xd = cx[j], yn, yd
+            j += 1
+            A, B, D = L[i - 1]
+            en, ed = A * xn + B * xd, D * xd
+        A, B, D = cl[j - 1]
+        cn, cd = A * xn + B * xd, D * xd
+        left, right = en * cd, cn * ed
         d = (left > right) - (left < right)  # the sign of env - copy
-        if prev is not None:
-            px, pd, pi, pj = prev
-            if pd == 0 and d == 0:
+        if pd is not None:
+            flip = pd * d < 0  # the order flips strictly inside
+            mine, theirs = (L[pi], C[pi]), (cl[pj], line)
+            if flip:
+                first, second = (mine, theirs) if pd < 0 else (theirs, mine)
+            elif pd == 0 and d == 0:
                 # the same value along the piece: the lower w1 line wins. A
                 # constant line w1 = P_i meets a line w1 = (y - uQ_j)/pt at
                 # y = uP_i + uQ_j, a knot of both copies, and lines of one
                 # kind are parallel, so they never cross inside a piece
-                mid = (px[0] * x[1] + x[0] * px[1], 2 * px[1] * x[1])
-                piece(L[pi], line if _lt(_ev(line, mid), _ev(C[pi], mid)) else C[pi])
-            elif pd * d < 0:
+                # (compared at the midpoint mn/md, over md > 0)
+                mn, md = px[0] * xd + xn * px[1], 2 * px[1] * xd
+                A, B, D = C[pi]
+                first = L[pi], (line if (wA * mn + wB * md) * D < (A * mn + B * md) * wD else C[pi])
+            else:
+                first = mine if pd < 0 or d < 0 else theirs
+            vline, ctl = first
+            # the knot between the last piece and this one goes when both
+            # lines run on through it and the w1 line gives its w1
+            drop = bool(nL) and nL[-1] == vline and nC[-1] == ctl
+            if drop:
+                (zn, zd), (kn, kd), (A, B, D) = nX[-1], nK[-1], ctl
+                drop = kn * D * zd == (A * zn + B * zd) * kd
+            if drop:
+                nX.pop()
+                nV.pop()
+                nK.pop()
+            else:
+                nL.append(vline)
+                nC.append(ctl)
+            if flip:
                 xc = _cross(L[pi], cl[pj])
-                mine, theirs = (L[pi], C[pi]), (cl[pj], line)
-                piece(*(mine if pd < 0 else theirs))
                 nX.append(xc)
                 nV.append(_q(*_ev(L[pi], xc)))
                 we, wc = _ev(C[pi], xc), _ev(line, xc)
                 nK.append(_q(*(wc if _lt(wc, we) else we)))
-                piece(*(theirs if pd < 0 else mine))
-            elif pd < 0 or d < 0:
-                piece(L[pi], C[pi])
-            else:
-                piece(cl[pj], line)
+                nL.append(second[0])
+                nC.append(second[1])
         nX.append(x)
         if d > 0:
-            nV.append(_q(*c))
-            nK.append(_q(*_ev(line, x)))
+            g = gcd(cn, cd)
+            nV.append((cn // g, cd // g))
+            wn, wd = wA * xn + wB * xd, wD * xd
         else:
-            nV.append(e if on_env else _q(*e))
-            we = K[i] if on_env else _ev(C[i], x)
-            if d == 0:
-                wc = _ev(line, x)
-                we = wc if _lt(wc, we) else we
-            nK.append(_q(*we))
-        prev = (x, d, i, j)
+            if on_env:
+                nV.append((en, ed))
+                wn, wd = K[i - 1]
+            else:
+                g = gcd(en, ed)
+                nV.append((en // g, ed // g))
+                A, B, D = C[i - 1]
+                wn, wd = A * xn + B * xd, D * xd
+            if d == 0:  # a tie in value: the smaller w1
+                n, m = wA * xn + wB * xd, wD * xd
+                if n * wd < wn * m:
+                    wn, wd = n, m
+        g = gcd(wn, wd)
+        nK.append((wn // g, wd // g))
+        pd, pi, pj, px = d, i - 1, j - 1, x
     return nX, nV, nL, nK, nC
 
 
@@ -525,9 +574,9 @@ def _kinks(lines):
 
 
 def _copies(psi1, psi2, p, pt):
-    """The copies the portfolio envelope folds: P_0, Q_0, then the convex
-    kinks of psi1 and of psi2. Each is (knots, value line from each knot
-    on, w1 line), on [start, end] in u-coordinates."""
+    """The copies the portfolio envelope folds, one at a time: P_0, Q_0,
+    then the convex kinks of psi1 and of psi2. Each is (knots, value line
+    from each knot on, w1 line), on [start, end] in u-coordinates."""
     tn, td, pn, pd = pt.numerator, pt.denominator, p.numerator, p.denominator
     P = [x for x, _ in psi1._pairs]
     # both inputs in u-coordinates: f1 on uP, f2 on uQ
@@ -540,22 +589,33 @@ def _copies(psi1, psi2, p, pt):
 
     def copy(shift, base, us, lines, w1):
         (sn, sd), (bn, bd) = shift, base
-        xs = [_q(sn * d + n * sd, sd * d) for n, d in us]
-        # f(y - shift) + base on each piece
-        ls = [_line(A * sd * bd, (B * sd - A * sn) * bd + bn * D * sd, D * sd * bd) for A, B, D in lines]
+        sdbd, snbd, bnsd = sd * bd, sn * bd, bn * sd
+        xs, ls = [], []
+        for (n, d), (A, B, D) in zip(us, lines):
+            n, d = sn * d + n * sd, sd * d
+            g = gcd(n, d)
+            xs.append((n // g, d // g))
+            # f(y - shift) + base on each piece
+            A, B, D = A * sdbd, B * sdbd - A * snbd + D * bnsd, D * sdbd
+            g = gcd(A, B, D)
+            ls.append((A // g, B // g, D // g))
         if xs[-1] != end:  # flat from the last knot on
             xs.append(end)
             ls.append(ls[-1])
         return xs, ls, w1
 
     # copy i pins w1 = P_i; copy j pins w2 = Q_j, so w1 = (y - uQ_j) / pt
-    kP = _kinks(lP)
-    copies = [copy(uP[i], fP[i], uQ, lQ, (0, *P[i])) for i in kP]
-    for j in _kinks(lQ):
+    def q_copy(j):
         n, d = uQ[j]
-        copies.append(copy(uQ[j], fQ[j], uP, lP, _line(td * d, -td * n, tn * d)))
-    copies.insert(1, copies.pop(len(kP)))  # Q_0 right after P_0
-    return copies
+        return copy(uQ[j], fQ[j], uP, lP, _line(td * d, -td * n, tn * d))
+
+    kP, kQ = _kinks(lP), _kinks(lQ)
+    yield copy(uP[0], fP[0], uQ, lQ, (0, *P[0]))
+    yield q_copy(0)
+    for i in kP[1:]:
+        yield copy(uP[i], fP[i], uQ, lQ, (0, *P[i]))
+    for j in kQ[1:]:
+        yield q_copy(j)
 
 
 def _lower(env, copy):
@@ -568,40 +628,70 @@ def _lower(env, copy):
     """
     X, V, L = env
     cx, cl, _ = copy
-    lo = _first_at(X, cx[0])
-    nX, nV, nL = X[:lo], V[:lo], L[:lo]
-
-    def piece(vline):
-        t = len(nX) - 1
-        if t and nL[t - 1] == vline:
-            del nX[t], nV[t]
+    i = _first_at(X, cx[0])
+    nX, nV, nL = X[:i], V[:i], L[:i]
+    nx, j, pd = len(X), 0, None
+    while i < nx:  # the last knot of both lists is end
+        x, (yn, yd) = X[i], cx[j]
+        xn, xd = x
+        left, right = xn * yd, yn * xd
+        if left <= right:  # a knot of env
+            on_env = True
+            en, ed = V[i]
+            i += 1
+            if left == right:
+                j += 1
         else:
-            nL.append(vline)
-
-    prev = None
-    for x, i, j in _union_walk(X, cx, lo, 0):
-        on_env = X[i] == x
-        e = V[i] if on_env else _ev(L[i], x)
-        c = _ev(cl[j], x)
-        left, right = e[0] * c[1], c[0] * e[1]
+            on_env = False
+            x, xn, xd = cx[j], yn, yd
+            j += 1
+            A, B, D = L[i - 1]
+            en, ed = A * xn + B * xd, D * xd
+        A, B, D = cl[j - 1]
+        cn, cd = A * xn + B * xd, D * xd
+        left, right = en * cd, cn * ed
         d = (left > right) - (left < right)  # the sign of env - copy
-        if prev is not None:
-            pd, pi, pj = prev
-            if pd * d < 0:
-                xc = _cross(L[pi], cl[pj])
-                piece(L[pi] if pd < 0 else cl[pj])
+        if pd is not None:
+            el, kl = L[pi], cl[pj]
+            flip = pd * d < 0  # the order flips strictly inside
+            if flip:
+                first, second = (el, kl) if pd < 0 else (kl, el)
+            else:  # the lower line, or the one line both ends tie on
+                first = el if pd <= 0 and d <= 0 else kl
+            # the knot between the last piece and this one goes when the
+            # same line runs on through it
+            if nL and nL[-1] == first:
+                nX.pop()
+                nV.pop()
+            else:
+                nL.append(first)
+            if flip:
+                xc = _cross(el, kl)
                 nX.append(xc)
-                nV.append(_q(*_ev(L[pi], xc)))
-                piece(cl[pj] if pd < 0 else L[pi])
-            else:  # no crossing: the lower line, or the one line both ends tie on
-                piece(L[pi] if pd <= 0 and d <= 0 else cl[pj])
+                nV.append(_q(*_ev(el, xc)))
+                nL.append(second)
         nX.append(x)
         if d > 0:
-            nV.append(_q(*c))
+            g = gcd(cn, cd)
+            nV.append((cn // g, cd // g))
+        elif on_env:
+            nV.append((en, ed))
         else:
-            nV.append(e if on_env else _q(*e))
-        prev = d, i, j
+            g = gcd(en, ed)
+            nV.append((en // g, ed // g))
+        pd, pi, pj = d, i - 1, j - 1
     return nX, nV, nL
+
+
+def _first_copy(copies):
+    """The first copy as an env: its knots, its values there, its lines."""
+    xs, ls, line = next(copies)
+    vs = []
+    for (xn, xd), (A, B, D) in zip(xs, ls):
+        n, d = A * xn + B * xd, D * xd
+        g = gcd(n, d)
+        vs.append((n // g, d // g))
+    return xs, vs, ls, line
 
 
 def portfolio_transform(psi1: PwlFn, psi2: PwlFn, p, a, b):
@@ -613,12 +703,11 @@ def portfolio_transform(psi1: PwlFn, psi2: PwlFn, p, a, b):
     """
     p = to_rational(p)
     a, b = to_rational(a), to_rational(b)
-    if not (0 < p < 1):
-        raise ContractError(f"need 0 < p < 1, got {p}")
+    if not (0 < p.numerator < p.denominator):
+        raise ContractError(f"need 0 < p < 1, got {echo(p, str)}")
     copies = _copies(psi1, psi2, p, martingale_prob(a, b))
-    xs, ls, _ = copies[0]
-    env = xs, [_q(*_ev(l, x)) for l, x in zip(ls, xs)], ls
-    for cp in copies[1:]:
+    env = _first_copy(copies)[:3]
+    for cp in copies:
         env = _lower(env, cp)
     return PwlFn._of(*env[:2]), PwlControl._unbuilt((psi1, psi2, p, a, b))
 
@@ -627,9 +716,9 @@ def _portfolio_control(psi1, psi2, p, a, b):
     """The alpha control of portfolio_transform(psi1, psi2, p, a, b): the
     same copies folded with their w1 labels."""
     copies = _copies(psi1, psi2, p, martingale_prob(a, b))
-    xs, ls, line = copies[0]
-    env = xs, [_q(*_ev(l, x)) for l, x in zip(ls, xs)], ls, [(0, 1)] * len(xs), [line] * len(xs)
-    for cp in copies[1:]:
+    xs, vs, ls, line = _first_copy(copies)
+    env = xs, vs, ls, [(0, 1)] * len(xs), [line] * len(xs)
+    for cp in copies:
         env = _fold(env, cp)
     X, _, _, K, C = env
     # from the last event point on everything optimal costs 0, and the
@@ -689,14 +778,14 @@ def infusion_transform(psi: PwlFn, A) -> PwlFn:
     injection is not built here; leftmost_minimizer of psi gives it.
     """
     A = to_rational(A)
-    if A < 0:
-        raise ContractError(f"obligation must be nonnegative, got {A}")
     an, ad = A.numerator, A.denominator
+    if an < 0:
+        raise ContractError(f"obligation must be nonnegative, got {echo(A, str)}")
     rows = psi._minimum_rows
     # y = A + c for the row at c, where the value is m - c
     xs = [_q(c[0] * ad + an * c[1], c[1] * ad) for c, _, _, _ in rows]
     vs = [_q(m[0] * c[1] - c[0] * m[1], m[1] * c[1]) for c, m, _, _ in rows]
-    if A > 0:  # below A the ray starts at 0: the value is m(0) + A - y
+    if an > 0:  # below A the ray starts at 0: the value is m(0) + A - y
         m0 = rows[0][1]
         xs.insert(0, (0, 1))
         vs.insert(0, _q(m0[0] * ad + an * m0[1], m0[1] * ad))

@@ -121,9 +121,10 @@ def build_risk_stack(contract) -> RiskStack:
     a, b = tree.params.a, tree.params.b
     J, phi, phi_ctrl = {}, {}, {}
     ex_fn, ca_fn = {}, {}
+    zero = PwlFn.zero()  # one per stack, so its suffix-minimum rows are built once
 
     for s in range(tree.width(N)):
-        J[(N, s, 0)] = PwlFn.zero()
+        J[(N, s, 0)] = zero
         for j in range(1, L + 1):
             due = sum((contract.Y(i).row(N)[s] for i in range(L - j + 1, L + 1)), Fraction(0))
             J[(N, s, j)] = PwlFn.hockey_stick(due)
@@ -131,8 +132,7 @@ def build_risk_stack(contract) -> RiskStack:
     for k in range(N - 1, -1, -1):
         for s in range(tree.width(k)):
             up, dn = tree.children(k, s)
-            J[(k, s, 0)] = PwlFn.zero()
-            phi[(k, s, 0)] = PwlFn.zero()
+            J[(k, s, 0)] = phi[(k, s, 0)] = zero
             for j in range(1, L + 1):
                 i = L - j + 1
                 pj, ctrl = portfolio_transform(

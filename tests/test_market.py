@@ -62,6 +62,30 @@ def test_martingale_prob_kills_the_drift():
     assert q * b + (1 - q) * a == 0
 
 
+@given(st.integers(min_value=1, max_value=10 ** 30), st.integers(min_value=1, max_value=10 ** 30),
+       st.integers(min_value=1, max_value=10 ** 30), st.integers(min_value=1, max_value=10 ** 30))
+def test_martingale_prob_is_a_over_a_minus_b(an, ad, bn, bd):
+    a, b = -Fraction(min(an, ad), max(an, ad) + 1), Fraction(bn, bd)
+    q = martingale_prob(a, b)
+    assert type(q) is Fraction and q == a / (a - b)
+    assert martingale_prob(str(a), str(b)) == q
+
+
+@pytest.mark.parametrize("a, b, shown", [
+    (-1, Fraction(1, 2), "a=-1, b=1/2"),
+    (Fraction(-3, 2), 1, "a=-3/2, b=1"),
+    (0, 1, "a=0, b=1"),
+    (Fraction(-1, 2), 0, "a=-1/2, b=0"),
+    (Fraction(-1, 2), Fraction(-1, 3), "a=-1/2, b=-1/3"),
+    ("1" * 700, 1, f"a={'1' * ECHO_MAX}... (700 characters), b=1"),
+    (Fraction(-1, 2), -Fraction(1, 10 ** 699), f"a=-1/2, b=-1/1{'0' * (ECHO_MAX - 4)}... (703 characters)"),
+], ids=["a=-1", "a<-1", "a=0", "b=0", "b<0", "long a", "long b"])
+def test_martingale_prob_refusals_keep_their_messages(a, b, shown):
+    with pytest.raises(ContractError) as info:
+        martingale_prob(a, b)
+    assert str(info.value) == f"need -1 < a < 0 < b, got {shown}"
+
+
 def test_params_validation():
     with pytest.raises(ContractError):
         MarketParams(S0=1, a=Fraction(-3, 2), b=1, p=Fraction(1, 2), N=1)

@@ -112,6 +112,56 @@ def test_invalid_shapes_rejected():
     assert PwlFn([(0, F(1)), (0, F(1)), (1, F(0))]).support_end == 1
 
 
+# One case per shape fault, then inputs with two faults, where the message
+# names the first one the checks meet. Recorded before _canonical became a
+# two-pass loop.
+SHAPE_FAULTS = {
+    "no breakpoint": ([], "a function needs at least one breakpoint"),
+    "two values at one knot": (
+        [(0, F(1)), (F(1, 2), F(1, 3)), (F(1, 2), F(2, 3)), (1, F(0))],
+        "two values at breakpoint 1/2: 1/3, 2/3"),
+    "first knot not at 0": ([(F(1, 3), F(1)), (2, F(0))], "first breakpoint must sit at 0, got 1/3"),
+    "never vanishes": ([(0, F(2)), (1, F(1, 5))], "function must vanish, ends at value 1/5"),
+    "a negative value": ([(0, F(1)), (1, F(-1, 2)), (2, F(0))], "negative value -1/2 at breakpoint 1"),
+    "a rising value": ([(0, F(1)), (1, F(7, 4)), (2, F(0))], "value rises to 7/4 at breakpoint 1"),
+    "a rise and no vanishing": ([(0, F(1)), (1, F(2))], "function must vanish, ends at value 2"),
+    "a rise just after a collinear run": (
+        [(0, F(3)), (1, F(2)), (2, F(1)), (3, F(2)), (4, F(0))], "value rises to 2 at breakpoint 3"),
+    "a rise inside a collinear run": (
+        [(0, F(1)), (1, F(2)), (2, F(3)), (3, F(0))], "value rises to 3 at breakpoint 2"),
+    "a negative value inside a collinear run": (
+        [(0, F(1)), (1, F(-1)), (2, F(-3)), (3, F(0))], "negative value -3 at breakpoint 2"),
+    "a rise, then a negative value": (
+        [(0, F(1)), (1, F(2)), (2, F(-1)), (3, F(0))], "value rises to 2 at breakpoint 1"),
+    "a negative value, then a rise": (
+        [(0, F(1)), (1, F(-3)), (2, F(-1)), (3, F(0))], "negative value -3 at breakpoint 1"),
+    "a rise, then two values past the first zero": (
+        [(0, F(1)), (1, F(2)), (2, F(0)), (3, F(1)), (3, F(2))], "two values at breakpoint 3: 1, 2"),
+    "two values and a first knot not at 0": (
+        [(1, F(1)), (1, F(2)), (2, F(0))], "two values at breakpoint 1: 1, 2"),
+    "no vanishing and a first knot not at 0": ([(1, F(1)), (2, F(1))], "first breakpoint must sit at 0, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_FAULTS)
+def test_shape_faults_name_the_first_fault(case):
+    points, message = SHAPE_FAULTS[case]
+    with pytest.raises(InvariantError) as info:
+        PwlFn(points)
+    assert str(info.value) == message
+    pairs = [((x.numerator, x.denominator), (v.numerator, v.denominator))
+             for x, v in ((F(x), F(v)) for x, v in points)]
+    with pytest.raises(InvariantError) as info:
+        PwlFn._of([x for x, _ in pairs], [v for _, v in pairs])
+    assert str(info.value) == message
+
+
+def test_whatever_follows_the_first_zero_is_cut():
+    # past the first zero value nothing is checked but the duplicates
+    fn = PwlFn([(0, F(1)), (1, F(0)), (2, F(5)), (3, F(-1))])
+    assert fn.points == ((F(0), F(1)), (F(1), F(0)))
+
+
 def test_wire_round_trip():
     fn = PwlFn([(0, F(7, 3)), (F(1, 2), F(1)), (4, F(0))])
     assert PwlFn.from_wire(fn.to_wire()) == fn
@@ -260,6 +310,30 @@ def test_infusion_rejects_negative_obligation():
         infusion_transform(PwlFn.zero(), F(-1))
 
 
+# each refusal of a value, with a short value and with a 700-digit one
+ECHO_CASES = {
+    "p": (lambda q: portfolio_transform(PwlFn.zero(), PwlFn.zero(), -q, F(-1, 2), F(1)),
+          ContractError, "need 0 < p < 1, got "),
+    "obligation": (lambda q: infusion_transform(PwlFn.zero(), -q), ContractError,
+                   "obligation must be nonnegative, got "),
+    "function wealth": (lambda q: PwlFn.hockey_stick(1).eval(-q), ValueError,
+                        "function is defined on [0, inf), got "),
+    "control wealth": (lambda q: leftmost_minimizer(PwlFn.hockey_stick(1)).eval(-q), ValueError,
+                       "control is defined on [0, inf), got "),
+}
+
+
+@pytest.mark.parametrize("case", ECHO_CASES)
+def test_refused_values_are_echoed_on_one_line(case):
+    call, error, head = ECHO_CASES[case]
+    with pytest.raises(error) as info:
+        call(F(3, 2))
+    assert str(info.value) == head + "-3/2"
+    with pytest.raises(error) as info:
+        call(F(10 ** 699, 7))
+    assert str(info.value) == head + "-1" + "0" * 58 + "... (703 characters)"
+
+
 # ---- ties: the smallest minimizer -----------------------------------------
 
 TIE_KINDS = ("p == ptilde", "psi1 == psi2", "integer grid", "zero or hockey stick")
@@ -328,7 +402,8 @@ def test_value_envelope_matches_the_control_fold(seed, kind):
     copies, envs = [], []
     make, fold = pwl._copies, pwl._fold
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pwl, "_copies", lambda *args: copies.append(make(*args)) or copies[-1])
+        # the copies come one at a time: keep them, and hand on a fresh iterator
+        mp.setattr(pwl, "_copies", lambda *args: copies.append(list(make(*args))) or iter(copies[-1]))
         mp.setattr(pwl, "_fold", lambda *args: envs.append(fold(*args)) or envs[-1])
         fn, ctrl = portfolio_transform(psi1, psi2, p, a, b)
         assert len(copies) == 1 and envs == []  # the values alone
@@ -431,6 +506,9 @@ def test_one_suffix_minimum_pass_per_function(monkeypatch):
         stack.minimizer(key)
     assert set(passes) == {id(fn) for fn in stack.phi.values()}
     assert set(passes.values()) == {1}
+    # every entry with no rights left is the stack's one zero function
+    zeros = {id(fn) for table in (stack.J, stack.phi) for key, fn in table.items() if key[2] == 0}
+    assert len(zeros) == 1
 
 
 # ---- the pair evaluators against the Fraction formulas ---------------------

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -8,6 +11,7 @@ from swinghedge import shortfall
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, InvariantError
 from swinghedge.hedge import build_perfect_hedge, simulate_portfolio
+from swinghedge.market import build_tree
 from swinghedge.oracle import grid_risk_oracle
 from swinghedge.pwl import PwlFn
 from swinghedge.shortfall import (
@@ -428,3 +432,50 @@ def test_both_evaluation_modes_refuse_a_seller_of_another_contract():
         for mode in ("recursion", "enumeration"):
             with pytest.raises(ContractError, match="another tree or claim count"):
                 evaluate_risk(other, gamma, infusion, seller, x, mode=mode)
+
+
+# ---- the whole stack, pinned -----------------------------------------------
+
+# sha256 of stack_fingerprint over STACK_PIN_CONTRACTS, recorded before the
+# pwl kernels were rewritten as flat integer loops
+STACK_PIN = "d4da7fab33f3d72566fde81e7dfb9be7e19315e2b9926eff1b8493c0c1a89874"
+
+
+def stack_pin_contracts():
+    """The bundled contracts and the L=2 baseline at N=10, on the lattice and
+    on the full tree, then random contracts of both kinds."""
+    base = resources.files("swinghedge") / "contracts"
+    specs = [json.loads((base / name).read_text())
+             for name in sorted(entry.name for entry in base.iterdir() if entry.name.endswith(".json"))]
+    specs.append({
+        "model": {"S0": "1", "a": "-1/3", "b": "1/2", "p": "3/5", "N": 10},
+        "claims": [{"exercise": {"kind": kind, "strike": "1"},
+                    "penalty": {"kind": "constant", "value": "1/10"}}
+                   for kind in ("call", "put")],
+    })
+    for spec in specs:
+        params = build_contract(spec).tree.params
+        for recombining in (True, False):
+            yield build_contract({"claims": spec["claims"]}, tree=build_tree(params, recombining))
+    rng = random.Random(2209)
+    for recombining in (True, False):
+        for _ in range(20):
+            yield random_contract(rng, max_n=6, max_l=3, recombining=recombining)
+
+
+def stack_fingerprint(stack) -> bytes:
+    """Every J, phi, exercise and cancel function's pairs and every control's
+    knots, portfolio controls built, in key order."""
+    out = []
+    for table in (stack.J, stack.phi, stack.exercise, stack.cancel):
+        out.append(repr(sorted((key, fn._pairs) for key, fn in table.items())))
+    out.append(repr(sorted((key, ctrl._knots or ctrl._build()) for key, ctrl in stack.phi_ctrl.items())))
+    out.append(repr(sorted((key, stack.minimizer(key)._knots) for key in stack.phi)))
+    return "\n".join(out).encode()
+
+
+def test_the_whole_risk_stack_is_pinned():
+    digest = hashlib.sha256()
+    for contract in stack_pin_contracts():
+        digest.update(stack_fingerprint(build_risk_stack(contract)))
+    assert digest.hexdigest() == STACK_PIN

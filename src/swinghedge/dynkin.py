@@ -23,6 +23,10 @@ times C_k / (v * C_{k+1}), and every min, max and tie is an integer
 comparison. One backward pass computes V and, from start_level on,
 records both players' stop tables as it goes. V shares the C_k; a Fraction
 is built only where a caller reads one through V.row, V.at or V.values.
+
+One level of that pass is solve_level, the one place where the min/max
+rule and the stop rule are written. swing.price_swing runs the same kernel
+for every game of its value stack inside its own sweep.
 """
 
 from __future__ import annotations
@@ -99,6 +103,41 @@ class DynkinSolution:
     start: int = 0
 
 
+def solve_level(k: int, xs: list, ys: list, conts: list, seller: dict, buyer: dict) -> list:
+    """The value numerators of one level of the game, and its stop entries.
+
+    xs, ys and conts hold, per state of level k, the numerators of X, Y and
+    E[V(k+1) | node] over one denominator. The value is
+
+        y if y > x else min(x, max(y, cont)),
+
+    taken as one comparison chain. seller[(k, s)] = True is recorded where
+    x <= v and buyer[(k, s)] = True where y == v, in state order.
+    """
+    row = []
+    append = row.append
+    for s, (x, y, c) in enumerate(zip(xs, ys, conts)):
+        if y > x:
+            append(y)
+            seller[(k, s)] = True
+            buyer[(k, s)] = True
+        elif c > x:
+            append(x)
+            seller[(k, s)] = True
+            if y == x:
+                buyer[(k, s)] = True
+        elif c > y:
+            append(c)
+            if c == x:
+                seller[(k, s)] = True
+        else:
+            append(y)
+            if x == y:
+                seller[(k, s)] = True
+            buyer[(k, s)] = True
+    return row
+
+
 def solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = MARTINGALE,
                  start_level: int = 0) -> DynkinSolution:
     """Backward induction for the game value and both optimal stopping times.
@@ -120,18 +159,12 @@ def solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = MARTINGALE
     seller = {}
     buyer = {}
     for k in range(N - 1, -1, -1):
-        row = []
         conts = expectation_row(tree, values[k + 1], q,
                                 scales[k] // (q.denominator * scales[k + 1]))
-        for s, (y, x, cont) in enumerate(zip(ys[k], xs[k], conts)):
-            v = y if y > x else min(x, max(y, cont))
-            row.append(v)
-            if k >= start_level:
-                if x <= v:
-                    seller[(k, s)] = True
-                if y == v:
-                    buyer[(k, s)] = True
-        values[k] = row
+        if k >= start_level:
+            values[k] = solve_level(k, xs[k], ys[k], conts, seller, buyer)
+        else:
+            values[k] = solve_level(k, xs[k], ys[k], conts, {}, {})
     return DynkinSolution(
         value=AdaptedProcess._of(tree, values, scales),
         seller_stop=StoppingTime(tree, start_level, seller, by_state=True),
@@ -140,10 +173,24 @@ def solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = MARTINGALE
     )
 
 
+def _check_nodes(tree: ScenarioTree, cap) -> None:
+    """EnumerationCapError if the full tree over tree's horizon has more
+    than cap nodes; cap=None sets no limit."""
+    nodes = 2 ** (tree.N + 1) - 1
+    if cap is not None and nodes > cap:
+        raise EnumerationCapError(nodes, cap)
+
+
 def evaluate_game(X: AdaptedProcess, Y: AdaptedProcess, sigma: StoppingTime,
-                  tau: StoppingTime, measure: str = MARTINGALE) -> Fraction:
-    """Exact expected settlement R(sigma, tau) over all paths."""
+                  tau: StoppingTime, measure: str = MARTINGALE,
+                  cap=DEFAULT_ENUMERATION_CAP) -> Fraction:
+    """Exact expected settlement R(sigma, tau) over all paths.
+
+    The walk visits all 2^N paths, so a tree of more than `cap` full-tree
+    nodes is refused before any path is walked; cap=None sets no limit.
+    """
     tree = X.tree
+    _check_nodes(tree, cap)
     q = measure_prob(tree, measure)
     total = Fraction(0)
     for path in tree.paths():
@@ -169,9 +216,7 @@ def certify_stopped_values(X: AdaptedProcess, Y: AdaptedProcess,
     refused before the game is solved; cap=None sets no limit.
     """
     tree = X.tree
-    nodes = 2 ** (tree.N + 1) - 1
-    if cap is not None and nodes > cap:
-        raise EnumerationCapError(nodes, cap)
+    _check_nodes(tree, cap)
     q = measure_prob(tree, measure)
     sol = solve_dynkin(X, Y, measure, start_level)
     V, sig, tau = sol.value, sol.seller_stop, sol.buyer_stop

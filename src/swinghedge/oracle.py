@@ -111,11 +111,13 @@ def dynkin_minimax(X, Y, measure=MARTINGALE, cap=DEFAULT_ENUMERATION_CAP):
     """Game value by full enumeration of both players' stopping times.
 
     Computes min over cancel times of the max over exercise times and the
-    other order too; raises if they disagree (they never should).
+    other order too; raises if they disagree (they never should). cap bounds
+    both the stopping times enumerated and the full-tree nodes under each
+    evaluate_game walk.
     """
     tree = X.tree
     times = enumerate_stopping_times(tree, cap=cap)
-    table = [[evaluate_game(X, Y, sig, tau, measure) for tau in times] for sig in times]
+    table = [[evaluate_game(X, Y, sig, tau, measure, cap) for tau in times] for sig in times]
     upper = min(max(row) for row in table)
     lower = max(min(table[i][j] for i in range(len(times))) for j in range(len(times)))
     if upper != lower:

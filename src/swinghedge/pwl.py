@@ -54,9 +54,11 @@ The copies are streamed: _copies yields them one at a time (P_0 and Q_0
 first, so the envelope covers every y from the start), and each is folded in
 as it comes by a two-pointer merge of knot lists that inserts the crossings,
 so a transform holds the envelope and one copy, never every copy at once.
-portfolio_transform folds values only (_lower) and returns the function at
-once. Its control holds only its inputs until it is first read; that read
-folds the same copies with their w1 labels (_fold, from _portfolio_control).
+portfolio_transform folds values only (_lower, in _portfolio_fold, which the
+risk stack calls with its tree's checked p and ptilde) and returns the
+function at once. Its control holds only its inputs until it is first read;
+that read folds the same copies with their w1 labels (_fold, from
+_portfolio_control).
 Ties keep the smaller w1: at a knot by value, along a piece by the lower of
 the two affine w1 lines (two lines cross only at a knot of both copies).
 
@@ -418,7 +420,7 @@ class PwlControl:
     Fractions on each read.
 
     A portfolio control starts unbuilt: _knots is None and _inputs holds
-    only its transform's inputs (psi1, psi2, p, a, b). The first read (_at,
+    only its transform's inputs (psi1, psi2, p, pt, b). The first read (_at,
     eval or xs) builds the knots with _portfolio_control, keeps them and
     drops the inputs; after that a read costs one truth test more than a
     plain slot read.
@@ -705,17 +707,23 @@ def portfolio_transform(psi1: PwlFn, psi2: PwlFn, p, a, b):
     a, b = to_rational(a), to_rational(b)
     if not (0 < p.numerator < p.denominator):
         raise ContractError(f"need 0 < p < 1, got {echo(p, str)}")
-    copies = _copies(psi1, psi2, p, martingale_prob(a, b))
+    return _portfolio_fold(psi1, psi2, p, martingale_prob(a, b), b)
+
+
+def _portfolio_fold(psi1, psi2, p, pt, b):
+    """portfolio_transform on checked Fractions: p in (0, 1), pt the
+    martingale probability of the market whose up return is b."""
+    copies = _copies(psi1, psi2, p, pt)
     env = _first_copy(copies)[:3]
     for cp in copies:
         env = _lower(env, cp)
-    return PwlFn._of(*env[:2]), PwlControl._unbuilt((psi1, psi2, p, a, b))
+    return PwlFn._of(*env[:2]), PwlControl._unbuilt((psi1, psi2, p, pt, b))
 
 
-def _portfolio_control(psi1, psi2, p, a, b):
-    """The alpha control of portfolio_transform(psi1, psi2, p, a, b): the
-    same copies folded with their w1 labels."""
-    copies = _copies(psi1, psi2, p, martingale_prob(a, b))
+def _portfolio_control(psi1, psi2, p, pt, b):
+    """The alpha control of _portfolio_fold(psi1, psi2, p, pt, b): the same
+    copies folded with their w1 labels."""
+    copies = _copies(psi1, psi2, p, pt)
     xs, vs, ls, line = _first_copy(copies)
     env = xs, vs, ls, [(0, 1)] * len(xs), [line] * len(xs)
     for cp in copies:

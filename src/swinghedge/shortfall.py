@@ -67,11 +67,11 @@ from .pwl import (
     PwlControl,
     PwlFn,
     _lt,
+    _portfolio_fold,
     infusion_transform,
     leftmost_minimizer,
     pointwise_max,
     pointwise_min,
-    portfolio_transform,
 )
 from .swing import StoppingStrategy, check_strategy, resolve
 
@@ -117,8 +117,8 @@ class RiskStack:
 def build_risk_stack(contract) -> RiskStack:
     tree = contract.tree
     N, L = tree.N, contract.L
-    p = tree.params.p
-    a, b = tree.params.a, tree.params.b
+    # the tree's own p and ptilde, checked when it was built
+    p, pt, b = tree.params.p, tree.ptilde, tree.params.b
     J, phi, phi_ctrl = {}, {}, {}
     ex_fn, ca_fn = {}, {}
     zero = PwlFn.zero()  # one per stack, so its suffix-minimum rows are built once
@@ -135,9 +135,7 @@ def build_risk_stack(contract) -> RiskStack:
             J[(k, s, 0)] = phi[(k, s, 0)] = zero
             for j in range(1, L + 1):
                 i = L - j + 1
-                pj, ctrl = portfolio_transform(
-                    J[(k + 1, up, j)], J[(k + 1, dn, j)], p, a, b
-                )
+                pj, ctrl = _portfolio_fold(J[(k + 1, up, j)], J[(k + 1, dn, j)], p, pt, b)
                 phi[(k, s, j)] = pj
                 phi_ctrl[(k, s, j)] = ctrl
                 settled = phi[(k, s, j - 1)]

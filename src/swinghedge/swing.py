@@ -11,16 +11,23 @@ price is V_L at the root. The added term is the value of everything still to
 come, delayed one period (no delay at maturity, where all remaining claims
 settle together).
 
-The stack runs on integers. Every Xk, Yk and Vk holds, per level n, its
-numerators over one shared denominator C_n: the market.level_scales of the
-contract's legs under ptilde = u / v, so C_n is a multiple of v * C_{n+1}.
-The delayed continuation E~[V_{k-1}(n+1) | node] is then the integer
-u * up + (v - u) * down lifted to C_n by one integer factor, and every min,
-max and tie of the recursion and of both strategy tables compares
-numerators. Fractions are built only where a caller reads one: the price
-and the root values, through AdaptedProcess.at. Xk and Yk are built for
-their level's game alone and dropped once it is solved; the stack keeps
-each Vk and the game's stop tables.
+The stack runs on integers. Every Vk holds, per level n, its numerators
+over one shared denominator C_n: the market.level_scales of the contract's
+legs under ptilde = u / v, so C_n is a multiple of v * C_{n+1}. The
+continuation E~[V_k(n+1) | node] is then the integer u * up + (v - u) * down
+lifted to C_n by one integer factor, and every min, max and tie of the
+recursion and of both strategy tables compares numerators. Fractions are
+built only where a caller reads one: the price and the root values, through
+AdaptedProcess.at.
+
+price_swing solves all L games in one backward sweep over the levels. At
+level n it computes each cont_k = E~[V_k(n+1) | node] once: game k's
+continuation, and the delay term that game k+1 adds to its legs at the same
+level. A leg's level-n row is lifted to C_n when that level is swept, and
+the level's value row and stop entries come from dynkin.solve_level, the
+one Dynkin level kernel, which solve_dynkin runs too. No Xk or Yk process
+and no lifted copy of a whole leg is built; the stack keeps each Vk and the
+game's stop tables.
 
 Strategies here are per-claim stopping rules fed with the realized payoff
 history ((a_1, d_1), ..), a_j the j-th payoff level and d_j = 1 when the
@@ -36,10 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contract import SwingContract
-from .dynkin import DynkinSolution, StoppingTime, solve_dynkin
+from .dynkin import DynkinSolution, StoppingTime, solve_level
 from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
 from .market import (
-    MARTINGALE,
     AdaptedProcess,
     ScenarioTree,
     expectation_row,
@@ -246,8 +252,9 @@ class ValueStack:
     """The value processes Vk and Dynkin solutions for k = 1..L remaining claims.
 
     V[k-1] is solutions[k-1].value. Every Vk has one denominator per tree
-    level, shared by all levels of the stack. The aggregated Xk and Yk of
-    each game are not kept: nothing reads them once the game is solved.
+    level, shared by all levels of the stack. The games' aggregated Xk and
+    Yk are never built as processes: price_swing adds the delay term to each
+    leg's row one level at a time, inside the sweep.
     """
 
     contract: SwingContract
@@ -259,39 +266,52 @@ class ValueStack:
 
 
 def price_swing(contract: SwingContract):
-    """Build the value stack; returns (stack, price at the root)."""
+    """Build the value stack; returns (stack, price at the root).
+
+    One backward sweep over the levels solves all L games at each level n.
+    Game k's continuation cont_k = E~[V_k(n+1) | node] is computed once and
+    is also the delay term that game k+1 adds to its legs at level n.
+    """
     tree = contract.tree
     L, N = contract.L, tree.N
     q = tree.ptilde
-    legs = [leg for claim in contract.claims for leg in (claim.cancel, claim.exercise)]
-    scales = level_scales(tree, q.denominator, *(leg.dens for leg in legs))
-    steps = [scales[n] // (q.denominator * scales[n + 1]) for n in range(N)]
+    # stack level k plays claim L-k+1, whose legs are X and Y
+    legs = [(contract.X(i), contract.Y(i)) for i in range(L, 0, -1)]
+    scales = level_scales(tree, q.denominator, *(leg.dens for pair in legs for leg in pair))
 
-    sols = []
-    v_prev = [[0] * tree.width(n) for n in range(N + 1)]
-    for k in range(1, L + 1):
-        i = L - k + 1
-        cont_rows = [expectation_row(tree, v_prev[n + 1], q, steps[n]) for n in range(N)]
-        cont_rows.append(v_prev[N])  # no delay left at maturity
-        Xk = AdaptedProcess._of(tree, [
-            [x + c for x, c in zip(row, cont)]
-            for row, cont in zip(contract.X(i).over(scales), cont_rows)
-        ], scales)
-        Yk = AdaptedProcess._of(tree, [
-            [y + c for y, c in zip(row, cont)]
-            for row, cont in zip(contract.Y(i).over(scales), cont_rows)
-        ], scales)
-        del cont_rows  # the solve reads Xk and Yk only
-        sol = solve_dynkin(Xk, Yk, MARTINGALE)
-        del Xk, Yk  # the next level reads this level's V only
-        sols.append(sol)
-        v_prev = sol.value.nums
+    def lifted(proc, n, delay):
+        factor = scales[n] // proc.dens[n]
+        return [a * factor + d for a, d in zip(proc.nums[n], delay)]
+
+    values = [[None] * (N + 1) for _ in range(L)]
+    sellers = [{} for _ in range(L)]
+    buyers = [{} for _ in range(L)]
+    # no delay left at maturity: V_k(N) is the sum of the k exercise legs due
+    due = [0] * tree.width(N)
+    for k, (_, Y) in enumerate(legs):
+        due = values[k][N] = lifted(Y, N, due)
+    for n in range(N - 1, -1, -1):
+        step = scales[n] // (q.denominator * scales[n + 1])
+        delay = [0] * tree.width(n)
+        for k, (X, Y) in enumerate(legs):
+            cont = expectation_row(tree, values[k][n + 1], q, step)
+            values[k][n] = solve_level(n, lifted(X, n, delay), lifted(Y, n, delay), cont,
+                                       sellers[k], buyers[k])
+            delay = cont
+    sols = [
+        DynkinSolution(
+            value=AdaptedProcess._of(tree, rows, scales),
+            seller_stop=StoppingTime(tree, 0, seller, by_state=True),
+            buyer_stop=StoppingTime(tree, 0, buyer, by_state=True),
+        )
+        for rows, seller, buyer in zip(values, sellers, buyers)
+    ]
     stack = ValueStack(contract=contract, V=[sol.value for sol in sols], solutions=sols)
     return stack, stack.price()
 
 
 def optimal_strategies(stack: ValueStack):
-    """The saddle-point strategies: solve_dynkin's stopping tables.
+    """The saddle-point strategies: the stop tables of the stack's games.
 
     Claim i plays stack level k = L-i+1, so its seller table is the seller
     stop of that level's game, where Xk <= Vk (that is Xk = Vk: contracts

@@ -139,3 +139,33 @@ def test_stopped_value_check_refuses_a_deep_tree_before_solving(monkeypatch):
 def test_stopped_values_take_no_cap_as_no_limit():
     X, Y = random_game(random.Random(29), n=3)
     assert certify_stopped_values(X, Y, cap=None) == certify_stopped_values(X, Y)
+
+
+def test_evaluate_game_refuses_a_deep_tree_before_walking():
+    import time
+
+    from swinghedge.errors import EnumerationCapError
+
+    class Unwalked(StoppingTime):
+        def stop_level(self, path):
+            raise AssertionError("a path was walked before the cap check")
+
+    tree = build_tree(MarketParams(S0=1, a=Fraction(-1, 3), b=Fraction(1, 2),
+                                   p=Fraction(3, 5), N=60), recombining=True)
+    X, Y = AdaptedProcess.constant(tree, 1), AdaptedProcess.constant(tree, 0)
+    never = Unwalked(tree)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapError) as err:
+        evaluate_game(X, Y, never, never)
+    assert time.perf_counter() - start < 1
+    assert err.value.needed == 2 ** 61 - 1
+    # the cap counts full-tree nodes, 7 at N = 2, and dynkin_minimax passes
+    # its own cap through: its 5 stopping times fit in 6, the nodes do not
+    X, Y = random_game(random.Random(37), n=2)
+    assert len(enumerate_stopping_times(X.tree, cap=6)) == 5
+    with pytest.raises(EnumerationCapError) as err:
+        dynkin_minimax(X, Y, cap=6)
+    assert err.value.needed == 7
+    sol = solve_dynkin(X, Y)
+    assert dynkin_minimax(X, Y, cap=7) == sol.value.at(0, 0)
+    assert evaluate_game(X, Y, sol.seller_stop, sol.buyer_stop, cap=None) == sol.value.at(0, 0)

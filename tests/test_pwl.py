@@ -446,7 +446,8 @@ def test_portfolio_control_is_built_once_on_first_read(monkeypatch):
     alpha = ctrl.eval(F(1, 6))
     assert F(*ctrl._at((1, 6))) == alpha
     ctrl.xs
-    assert built == [(psi1, psi2, F(1, 2), F(-1, 2), F(1))]
+    # the control keeps the martingale probability 1/3 of a = -1/2, b = 1
+    assert built == [(psi1, psi2, F(1, 2), F(1, 3), F(1))]
     assert ctrl._inputs is None
 
 

@@ -1,7 +1,10 @@
 import gc
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
+from importlib import resources
 from types import FunctionType, ModuleType, SimpleNamespace
 
 import pytest
@@ -15,7 +18,7 @@ from conftest import (
 from swinghedge.contract import build_contract
 from swinghedge.dynkin import solve_dynkin
 from swinghedge.errors import ContractError, EnumerationCapError
-from swinghedge.market import AdaptedProcess
+from swinghedge.market import AdaptedProcess, build_tree
 from swinghedge.oracle import brute_force_value, certify_saddle
 from swinghedge.shortfall import build_risk_stack, optimal_buyer, optimal_hedge
 from swinghedge.swing import (
@@ -249,3 +252,49 @@ def test_resolve_refuses_a_tree_past_the_cap_before_asking():
         resolve(Unasked(c.tree, c.L), Unasked(c.tree, c.L))
     assert time.perf_counter() - start < 1
     assert refused.value.needed == 2 ** 31 - 1
+
+
+# ---- the whole value stack, pinned -----------------------------------------
+
+# sha256 of value_fingerprint over value_pin_contracts, recorded before
+# price_swing solved every right's game in one backward sweep
+VALUE_PIN = "0af3d6b94601e5311e2f3683041d9a43e5907aba65e2931729678bb49ac99a22"
+
+
+def value_pin_contracts():
+    """The bundled contracts on the lattice and on the full tree, the L=3
+    baseline lattice at N=60, then random contracts of both kinds."""
+    base = resources.files("swinghedge") / "contracts"
+    for name in sorted(entry.name for entry in base.iterdir() if entry.name.endswith(".json")):
+        spec = json.loads((base / name).read_text())
+        params = build_contract(spec).tree.params
+        for recombining in (True, False):
+            yield build_contract({"claims": spec["claims"]}, tree=build_tree(params, recombining))
+    yield build_contract({
+        "model": {"S0": "1", "a": "-1/3", "b": "1/2", "p": "3/5", "N": 60},
+        "claims": [{"exercise": {"kind": kind, "strike": "1"},
+                    "penalty": {"kind": "constant", "value": "1/10"}}
+                   for kind in ("call", "put", "call")],
+    })
+    rng = random.Random(2309)
+    for recombining in (True, False):
+        for _ in range(20):
+            yield random_contract(rng, max_n=6, max_l=3, recombining=recombining)
+
+
+def value_fingerprint(stack) -> bytes:
+    """Every V's numerator rows and level denominators and both sorted stop
+    tables of every solution, stack level by stack level."""
+    out = []
+    for sol in stack.solutions:
+        out.append(repr((sol.value.nums, sol.value.dens)))
+        out.append(repr(sorted(sol.seller_stop.decisions.items())))
+        out.append(repr(sorted(sol.buyer_stop.decisions.items())))
+    return "\n".join(out).encode()
+
+
+def test_the_whole_value_stack_is_pinned():
+    digest = hashlib.sha256()
+    for contract in value_pin_contracts():
+        digest.update(value_fingerprint(price_swing(contract)[0]))
+    assert digest.hexdigest() == VALUE_PIN

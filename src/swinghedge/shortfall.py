@@ -33,15 +33,21 @@ two-route risk evaluator) works for arbitrary admissible policies too, which
 is what the randomized dominance checks exercise. One state recursion,
 _policy_risk, serves both policy evaluators: evaluate_policy_risk lets the
 seller cancel optimally, evaluate_risk(mode="recursion") reads a committed
-seller's decision per state. Every wealth change, a trade or a payment, is
-one hedge._level_wealth step on an integer pair, and these loops carry wealth
-(and the recursion its costs) as reduced (numerator, denominator) pairs from
+seller's decision per state. Every trade is one hedge._level_wealth step
+on an integer pair, every payment one subtraction of its leg (_settle), and
+these loops carry wealth (and the recursion its costs) as reduced (numerator, denominator) pairs from
 start to end. The stack's own policies answer in pairs too: share counts,
 injections and stop tests read the stored controls and functions on the
 wealth pair, the stock price and the maturity payments off the processes'
-integer rows. Any other policy (user code, or a user rule mixed with a stack
-policy) is asked through one adapter per interface, which hands it a
-Fraction and takes a Fraction back. simulate_with_infusion is the path loop
+integer rows. StackPortfolio and StackInfusion keep each answer for the
+life of the instance, keyed by (level, tree.state(level, node), claim,
+wealth pair), as ReplayStrategy keeps its wealth and stop answers.
+optimal_hedge hands its seller the very gamma and infusion it returns, so
+the questions the seller asks while resolve replays its wealth are answered
+from these memos when the caller simulates the paths. Any other policy
+(user code, or a user rule mixed with a stack policy) is asked through one
+adapter per interface, which hands it a Fraction and takes a Fraction back,
+and nothing is kept of its answers. simulate_with_infusion is the path loop
 of the hedge module, hedge._run_path, with _trade and _settle as its step.
 Fractions are built only for what a result returns or reports, and a
 SimulationOutcome builds them when a field is read.
@@ -53,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ContractError, InvariantError
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, InvariantError
 from .hedge import (
     PortfolioStrategy,
     _level_wealth,
@@ -198,11 +204,18 @@ def _stops_on_pairs(seller):
 
 
 class StackPortfolio(PortfolioStrategy):
-    """Optimal share counts: the stored portfolio control over the price."""
+    """Optimal share counts: the stored portfolio control over the price.
+
+    Each answer of _units is kept for the life of the instance, keyed by
+    (level, tree.state(level, node), claim, wealth pair): the control and
+    the price are read through the state, so the key is exact on the full
+    tree and on the lattice.
+    """
 
     def __init__(self, stack: RiskStack):
         self.stack = stack
         self.tree = stack.contract.tree
+        self._memo = {}
 
     def units(self, level, node, claim, wealth):
         w = to_rational(wealth)
@@ -210,41 +223,69 @@ class StackPortfolio(PortfolioStrategy):
 
     def _units(self, level, node, claim, w):
         L = self.stack.contract.L
-        if claim > L or level >= self.tree.N:
+        tree = self.tree
+        if claim > L or level >= tree.N:
             return 0, 1
-        ctrl = self.stack.phi_ctrl[self.stack.key(level, node, L - claim + 1)]
-        an, ad = ctrl._at(w if w[0] > 0 else (0, 1))
-        stock = self.tree.stock
-        return an * stock.dens[level], ad * stock.nums[level][self.tree.state(level, node)]
+        s = tree.state(level, node)
+        key = (level, s, claim, w)
+        units = self._memo.get(key)
+        if units is None:
+            ctrl = self.stack.phi_ctrl[(level, s, L - claim + 1)]
+            an, ad = ctrl._at(w if w[0] > 0 else (0, 1))
+            stock = tree.stock
+            units = self._memo[key] = an * stock.dens[level], ad * stock.nums[level][s]
+        return units
 
 
 class StackInfusion:
     """Optimal injections. amount(level, node, claim, y) with y the wealth
-    left after claim's settlement amount was charged (possibly negative)."""
+    left after claim's settlement amount was charged (possibly negative).
+
+    Each answer of _amount is kept for the life of the instance, keyed by
+    (level, tree.state(level, node), claim, y) like StackPortfolio's.
+    """
 
     def __init__(self, stack: RiskStack):
         self.stack = stack
         self.contract = stack.contract
+        self._memo = {}
 
     def amount(self, level, node, claim, y):
         y = to_rational(y)
         return Fraction(*self._amount(level, node, claim, (y.numerator, y.denominator)))
 
     def _amount(self, level, node, claim, y):
-        yn, yd = y
         contract = self.contract
         tree = contract.tree
+        s = tree.state(level, node)
+        key = (level, s, claim, y)
+        z = self._memo.get(key)
+        if z is not None:
+            return z
+        yn, yd = y
         if level == tree.N:
             # what the open claims after this one pay here, less y, if positive
-            s, n, d = tree.state(level, node), -yn, yd
+            n, d = -yn, yd
             for i in range(claim + 1, contract.L + 1):
                 leg = contract.Y(i)
                 den = leg.dens[level]
                 n, d = n * den + leg.nums[level][s] * d, d * den
-            return (n, d) if n > 0 else (0, 1)
-        table = self.stack.minimizer(self.stack.key(level, node, contract.L - claim))
-        wn, wd = table._at(y if yn > 0 else (0, 1))
-        return wn * yd - yn * wd, wd * yd
+            z = (n, d) if n > 0 else (0, 1)
+        else:
+            table = self.stack.minimizer((level, s, contract.L - claim))
+            wn, wd = table._at(y if yn > 0 else (0, 1))
+            z = wn * yd - yn * wd, wd * yd
+        self._memo[key] = z
+        return z
+
+
+def _below(history, k):
+    """The settlements of history at levels below k. A history's levels
+    never decrease (see swing.window_start), so they are a prefix of it."""
+    n = len(history)
+    while n and history[n - 1][0] >= k:
+        n -= 1
+    return history[:n]
 
 
 class ReplayStrategy(StoppingStrategy):
@@ -252,10 +293,11 @@ class ReplayStrategy(StoppingStrategy):
 
     The stop test compares branch values at the wealth the policy actually
     holds. The node index encodes the whole path prefix and the history
-    carries the settlements, so that wealth is exact: each (node, history)
-    entry is built from its parent's entry by one period of the policy and
-    kept, as is each stop answer, for the life of the instance. Exposes the
-    same test wealth-directly for recursive evaluators.
+    carries the settlements, so that wealth is exact: each entry, keyed by
+    the node and the settlements below its level (a prefix of the history),
+    is built from its parent's entry by one period of the policy and kept,
+    as is each stop answer, for the life of the instance. Exposes the same
+    test wealth-directly for recursive evaluators.
     """
 
     def __init__(self, stack: RiskStack, x, gamma, infusion, side):
@@ -294,14 +336,14 @@ class ReplayStrategy(StoppingStrategy):
     def _wealth(self, k, m, history):
         """Wealth pair on arrival at node (k, m), before level k's settlements."""
         memo = self._wealth_at
-        key = (k, m, tuple(e for e in history if e[0] < k))
+        key = (k, m, _below(history, k))
         missing = []
         while key not in memo:
             if key[0] <= 0:  # the root is the only level-0 entry
                 raise ContractError(f"({k}, {m}) is not a node of the tree")
             missing.append(key)
             lvl, node, hist = key
-            key = (lvl - 1, node >> 1, tuple(e for e in hist if e[0] < lvl - 1))
+            key = (lvl - 1, node >> 1, _below(hist, lvl - 1))
         w = memo[key]
         for k, m, hist in reversed(missing):
             lvl, node = k - 1, m >> 1
@@ -319,7 +361,7 @@ class ReplayStrategy(StoppingStrategy):
         key = (i, k, m, tuple(history))
         answer = self._stops.get(key)
         if answer is None:
-            wealth = self._wealth(k, m, history)
+            wealth = self._wealth(k, m, key[3])
             answer = self._stops[key] = self._stops_at(k, m, self.L - i + 1, wealth)
         return answer
 
@@ -416,8 +458,10 @@ def _settle(contract, amount, k, node, w, claim, d):
     """(injection, reduced wealth after it) when claim settles at (k, node)
     from wealth w, all pairs, with amount a pair-level injection rule; d = 1
     pays the cancellation leg."""
-    _, rest = _level_wealth(contract, k, node, w, (0, 1), ((claim, d),))
-    rest = _reduced(rest)
+    leg = contract.X(claim) if d else contract.Y(claim)
+    den = leg.dens[k]
+    n, wd = w
+    rest = _reduced((n * den - leg.nums[k][contract.tree.state(k, node)] * wd, wd * den))
     z = amount(k, node, claim, rest)
     after = _add(rest, z)
     if z[0] < 0 or after[0] < 0:
@@ -468,7 +512,7 @@ class PolicyRisk:
     table: dict  # (level, node, rights, wealth) -> (value, exercise, cancel, cont)
 
 
-def _policy_risk(contract, gamma, infusion, x, stops):
+def _policy_risk(contract, gamma, infusion, x, stops, cap):
     """Worst-buyer expected injection cost of fixed trading and injection
     policies, by recursion on (level, node, rights remaining, wealth).
 
@@ -476,12 +520,17 @@ def _policy_risk(contract, gamma, infusion, x, stops):
     wealth pair; only the branch it takes is valued. stops=None lets the
     seller cancel optimally, which values both. Returns (value, memo), all
     in reduced pairs: memo maps (level, node, rights, wealth) to (value,
-    exercise, cancel, cont), None for a branch not valued.
+    exercise, cancel, cont), None for a branch not valued. The memo is
+    keyed by node, so a tree of more than `cap` full-tree nodes (cap=None
+    sets no limit) is refused before any policy is asked.
     """
     x = check_capital(x)
-    units, amount = _units_on_pairs(gamma), _amount_on_pairs(infusion)
     tree = contract.tree
     N, L = tree.N, contract.L
+    nodes = 2 ** (N + 1) - 1
+    if cap is not None and nodes > cap:
+        raise EnumerationCapError(nodes, cap)
+    units, amount = _units_on_pairs(gamma), _amount_on_pairs(infusion)
     pn, pd = tree.params.p.numerator, tree.params.p.denominator
     memo = {}
 
@@ -528,14 +577,15 @@ def _policy_risk(contract, gamma, infusion, x, stops):
     return rec(0, 0, L, (x.numerator, x.denominator)), memo
 
 
-def evaluate_policy_risk(contract, gamma, infusion, x) -> PolicyRisk:
+def evaluate_policy_risk(contract, gamma, infusion, x, cap=DEFAULT_ENUMERATION_CAP) -> PolicyRisk:
     """Exact worst-buyer cost of fixed trading and injection policies.
 
     The seller still cancels optimally against the given policies; the buyer
     plays the exact best response. For the policies extracted from a risk
-    stack this reproduces the stack's value function state by state.
+    stack this reproduces the stack's value function state by state. A tree
+    of more than `cap` full-tree nodes is refused (cap=None sets no limit).
     """
-    value, memo = _policy_risk(contract, gamma, infusion, x, None)
+    value, memo = _policy_risk(contract, gamma, infusion, x, None, cap)
     table = {
         (k, m, j, Fraction(*y)): tuple(None if q is None else Fraction(*q) for q in entry)
         for (k, m, j, y), entry in memo.items()
@@ -557,20 +607,22 @@ def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=
     stops_at_state.
 
     The two must agree exactly; tests hold them against each other. Both
-    refuse a seller built for another tree or claim count.
+    refuse a seller built for another tree or claim count. cap (None for
+    DEFAULT_ENUMERATION_CAP) bounds the buyer strategies the enumeration
+    materializes and the full-tree nodes the recursion keys its memo by.
     """
     x = check_capital(x)
+    if cap is None:
+        cap = DEFAULT_ENUMERATION_CAP
     if mode not in ("enumeration", "recursion"):
         raise ContractError(f"unknown evaluation mode {mode!r}")
     if mode == "recursion" and not hasattr(seller, "stops_at_state"):
         raise ContractError("recursion mode needs a seller with wealth-addressed decisions")
     check_strategy(seller, contract)
     if mode == "enumeration":
-        from .oracle import DEFAULT_ENUMERATION_CAP, enumerate_buyer_strategies
+        from .oracle import enumerate_buyer_strategies
 
-        buyers = enumerate_buyer_strategies(
-            contract, cap=DEFAULT_ENUMERATION_CAP if cap is None else cap
-        )
+        buyers = enumerate_buyer_strategies(contract, cap=cap)
         p = contract.tree.params.p
         worst = None
         for buyer in buyers:
@@ -584,5 +636,5 @@ def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=
             if worst is None or total > worst:
                 worst = total
         return worst
-    value, _ = _policy_risk(contract, gamma, infusion, x, _stops_on_pairs(seller))
+    value, _ = _policy_risk(contract, gamma, infusion, x, _stops_on_pairs(seller), cap)
     return Fraction(*value)

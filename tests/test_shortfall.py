@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -9,13 +11,20 @@ import pytest
 from conftest import random_contract, random_point, random_policy
 from swinghedge import shortfall
 from swinghedge.contract import build_contract
-from swinghedge.errors import ContractError, InvariantError
-from swinghedge.hedge import build_perfect_hedge, simulate_portfolio
+from swinghedge.errors import ContractError, EnumerationCapError, InvariantError
+from swinghedge.hedge import (
+    PortfolioStrategy,
+    build_perfect_hedge,
+    simulate_portfolio,
+    verify_perfect_hedge,
+)
 from swinghedge.market import build_tree
 from swinghedge.oracle import grid_risk_oracle
-from swinghedge.pwl import PwlFn
+from swinghedge.pwl import PwlControl, PwlFn
 from swinghedge.shortfall import (
+    ReplayStrategy,
     StackInfusion,
+    StackPortfolio,
     build_risk_stack,
     evaluate_policy_risk,
     evaluate_risk,
@@ -432,6 +441,231 @@ def test_both_evaluation_modes_refuse_a_seller_of_another_contract():
         for mode in ("recursion", "enumeration"):
             with pytest.raises(ContractError, match="another tree or claim count"):
                 evaluate_risk(other, gamma, infusion, seller, x, mode=mode)
+
+
+# ---- the stack policies' memos ---------------------------------------------
+
+def partial_hedge_job(stack, x):
+    """One partial-hedge query: the optimal hedge and buyer, the play, and
+    every path simulated. Returns the expected cost and each path's
+    (events, outcome)."""
+    c = stack.contract
+    gamma, infusion, seller = optimal_hedge(stack, x)
+    play = resolve(seller, optimal_buyer(stack, x))
+    cost, runs = F(0), {}
+    for path in c.tree.paths():
+        out = simulate_with_infusion(c, gamma, infusion, play.events[path], path, x)
+        cost += c.tree.path_prob(path, c.tree.params.p) * out.cost
+        runs[path] = play.events[path], out
+    return cost, runs
+
+
+def memo_contracts():
+    rng = random.Random(2411)
+    for recombining in (True, False):
+        for _ in range(8):
+            yield random_contract(rng, max_n=5, max_l=3, recombining=recombining)
+
+
+def test_stack_policies_reach_the_controls_once_per_question(monkeypatch):
+    asking, asked, reached = [], Counter(), Counter()
+
+    def count(cls):
+        name = "_units" if cls is StackPortfolio else "_amount"
+        ask = getattr(cls, name)
+
+        def counted(self, level, node, claim, w):
+            tree = self.stack.contract.tree
+            question = (name, id(self), level, tree.state(level, node), claim, w)
+            asked[question] += 1
+            asking.append(question)
+            try:
+                return ask(self, level, node, claim, w)
+            finally:
+                asking.pop()
+
+        monkeypatch.setattr(cls, name, counted)
+
+    control_at = PwlControl._at
+
+    def at(ctrl, y):
+        if asking:
+            reached[asking[-1]] += 1
+        return control_at(ctrl, y)
+
+    count(StackPortfolio)
+    count(StackInfusion)
+    monkeypatch.setattr(PwlControl, "_at", at)
+    repeated = 0
+    for c in memo_contracts():
+        N, L = c.tree.N, c.L
+        stack = build_risk_stack(c)
+        for x in (F(0), stack.curve().support_end / 3, stack.curve().support_end):
+            asked.clear()
+            reached.clear()
+            assert partial_hedge_job(stack, x)[0] == stack.risk(x)
+            # a control is read below maturity, for an open claim
+            wanted = {q for q in asked if q[2] < N and (q[0] == "_amount" or q[4] <= L)}
+            assert set(reached) == wanted
+            assert set(reached.values()) <= {1}
+            repeated += sum(asked.values()) - len(asked)
+    assert repeated > 0
+
+
+def test_shared_stack_policies_play_like_fresh_ones():
+    for c in memo_contracts():
+        stack = build_risk_stack(c)
+        price = stack.curve().support_end
+        for x in (F(0), price / 2, price):
+            _, runs = partial_hedge_job(stack, x)
+            for path, (events, out) in runs.items():
+                seller = ReplayStrategy(stack, x, StackPortfolio(stack), StackInfusion(stack), "seller")
+                buyer = ReplayStrategy(stack, x, StackPortfolio(stack), StackInfusion(stack), "buyer")
+                assert resolve_path(seller, buyer, path) == events
+                assert simulate_with_infusion(
+                    c, StackPortfolio(stack), StackInfusion(stack), events, path, x) == out
+
+
+class AskingPortfolio:
+    """A user trading rule: the stack's share counts, asked in Fractions."""
+
+    def __init__(self, stack):
+        self.inner, self.calls = StackPortfolio(stack), 0
+
+    def units(self, level, node, claim, wealth):
+        self.calls += 1
+        return self.inner.units(level, node, claim, wealth)
+
+
+class AskingInfusion:
+    """A user injection rule: the stack's injections, asked in Fractions."""
+
+    def __init__(self, stack):
+        self.inner, self.calls = StackInfusion(stack), 0
+
+    def amount(self, level, node, claim, y):
+        self.calls += 1
+        return self.inner.amount(level, node, claim, y)
+
+
+def test_a_user_policy_is_asked_through_the_fraction_adapter_uncached():
+    asked = Counter()
+    for c in memo_contracts():
+        stack = build_risk_stack(c)
+        x = stack.curve().support_end / 2
+        _, runs = partial_hedge_job(stack, x)
+        gamma, infusion = AskingPortfolio(stack), AskingInfusion(stack)
+        for rounds in (1, 2):
+            for path, (events, out) in runs.items():
+                assert simulate_with_infusion(c, gamma, infusion, events, path, x) == out
+            if rounds == 1:
+                once = gamma.calls, infusion.calls
+        # the second round asks every question of the first again
+        assert (gamma.calls, infusion.calls) == (2 * once[0], 2 * once[1])
+        asked.update(units=once[0], amount=once[1])
+    assert asked["units"] > 0 and asked["amount"] > 0
+
+
+class FilterReplay(ReplayStrategy):
+    """ReplayStrategy keying its wealth by filtering the whole history for
+    the settlements below a level, as it did before keys were prefixes."""
+
+    def _wealth(self, k, m, history):
+        memo = self._wealth_at
+        key = (k, m, tuple(e for e in history if e[0] < k))
+        missing = []
+        while key not in memo:
+            if key[0] <= 0:
+                raise ContractError(f"({k}, {m}) is not a node of the tree")
+            missing.append(key)
+            lvl, node, hist = key
+            key = (lvl - 1, node >> 1, tuple(e for e in hist if e[0] < lvl - 1))
+        w = memo[key]
+        for k, m, hist in reversed(missing):
+            lvl, node = k - 1, m >> 1
+            if hist and hist[-1][0] == lvl:
+                _, w = shortfall._settle(self.contract, self._amount_of, lvl, node, w,
+                                         len(hist), hist[-1][1])
+            if len(hist) < self.L:
+                units = self._units_of(lvl, node, len(hist) + 1, w)
+                w = shortfall._trade(self.contract, k, m, w, units)
+            memo[(k, m, hist)] = w
+        return w
+
+
+def test_replay_histories_are_prefix_keyed_like_the_filtered_ones(monkeypatch):
+    asked = {}
+    stops = ReplayStrategy.stops
+
+    def logged(self, i, k, m, history):
+        asked.setdefault(self, []).append((i, k, m, history))
+        return stops(self, i, k, m, history)
+
+    monkeypatch.setattr(ReplayStrategy, "stops", logged)
+    rng = random.Random(2412)
+    contracts = [build_contract(json.loads(
+        (resources.files("swinghedge") / "contracts" / f"{name}.json").read_text()))
+        for name in ("one_right_small_penalty", "two_rights_uncancellable", "american_call_proxy")]
+    contracts += [random_contract(rng, max_n=4, max_l=3, recombining=n % 2 == 0) for n in range(20)]
+    longest = 0
+    for c in contracts:
+        stack = build_risk_stack(c)
+        value_stack, price = price_swing(c)
+        hedge = build_perfect_hedge(value_stack)
+        for x in (F(0), price / 2, price):
+            asked.clear()
+            gamma, infusion, seller = optimal_hedge(stack, x)
+            buyer = optimal_buyer(stack, x)
+            resolve(seller, buyer)
+            for path in c.tree.paths():
+                resolve_path(seller, buyer, path)
+            # below the price the walk fails, and its witness search asks the seller
+            if x < price:
+                assert not verify_perfect_hedge(c, hedge, x, seller).ok
+            if c.tree.N <= 2:  # the enumeration grows too fast beyond
+                evaluate_risk(c, gamma, infusion, seller, x)
+            assert seller in asked and buyer in asked
+            for replay, questions in asked.items():
+                twin = FilterReplay(stack, x, StackPortfolio(stack), StackInfusion(stack), replay.side)
+                for i, k, m, history in questions:
+                    levels = [level for level, _ in history]
+                    assert levels == sorted(levels)
+                    longest = max(longest, len(history))
+                    assert stops(twin, i, k, m, history) == stops(replay, i, k, m, history)
+                assert twin._wealth_at == replay._wealth_at
+    assert longest >= 2
+
+
+def test_policy_risk_refuses_a_deep_tree_before_any_policy_is_asked():
+    class Unasked(PortfolioStrategy, StoppingStrategy):
+        def units(self, *args):
+            raise AssertionError("a policy was asked before the cap check")
+
+        amount = stops = stops_at_state = units
+
+    model = {"S0": "1", "a": "-1/3", "b": "1/2", "p": "3/5", "N": 20}
+    claims = [{"exercise": {"kind": kind, "strike": "1"},
+               "penalty": {"kind": "constant", "value": "1/10"}} for kind in ("call", "put")]
+    big = build_contract({"model": model, "claims": claims})
+    policy = Unasked(big.tree, big.L)
+    start = time.perf_counter()
+    for call in (lambda: evaluate_policy_risk(big, policy, policy, 0),
+                 lambda: evaluate_risk(big, policy, policy, policy, 0, mode="recursion")):
+        with pytest.raises(EnumerationCapError) as err:
+            call()
+        assert err.value.needed == 2 ** 21 - 1
+    assert time.perf_counter() - start < 1
+    # the cap counts full-tree nodes, 15 at N = 3, and is passed through
+    c = random_contract(random.Random(2413), n=3, recombining=True)
+    stack = build_risk_stack(c)
+    x = stack.curve().support_end / 2
+    gamma, infusion, seller = optimal_hedge(stack, x)
+    for call in (lambda cap: evaluate_policy_risk(c, gamma, infusion, x, cap=cap).value,
+                 lambda cap: evaluate_risk(c, gamma, infusion, seller, x, mode="recursion", cap=cap)):
+        with pytest.raises(EnumerationCapError) as err:
+            call(14)
+        assert (err.value.needed, err.value.cap) == (15, 14)
+        assert call(15) == call(None) == stack.risk(x)
 
 
 # ---- the whole stack, pinned -----------------------------------------------

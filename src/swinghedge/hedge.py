@@ -22,7 +22,8 @@ Wealth runs on integers: the one wealth step, _level_wealth, holds it and
 the share count as (numerator, denominator) pairs and reads the stock prices
 and the payments off the integer rows of their processes. Share counts are
 asked on the wealth pair through one adapter, _units_on_pairs: PerfectHedge
-answers in pairs, reading V and the stock off their integer rows, and a
+answers in pairs from one rule per (level, state, claim), read once off the
+integer rows of V and the stock and kept for the instance's life, and a
 portfolio of any other class is handed a Fraction and answers one. The step
 and the adapter also serve every wealth change and share count of the
 shortfall layer, through shortfall._trade and shortfall._settle, whose loops
@@ -69,12 +70,25 @@ class PortfolioStrategy:
 
 
 class PerfectHedge(PortfolioStrategy):
-    """Replicating share counts read off a value stack."""
+    """Replicating share counts read off a value stack.
+
+    The share count at (level, node) for the next open claim depends on the
+    node only through its state, tree.state(level, node), and on the wealth
+    only through one test: wealth below the expectation of the two targets
+    holds nothing. So the instance keeps one rule per (level, state, claim),
+    built on the first question and kept for its life: the targets'
+    expectation as an integer pair and the share count as a pair, or None
+    where nothing is held (claim > L or level >= N). A question is then one
+    dict read and one cross-multiplication; every play and path that reaches
+    a (level, state, claim) again, in any verify or simulation with this
+    instance, reuses its rule.
+    """
 
     def __init__(self, stack: ValueStack):
         self.stack = stack
         self.tree = stack.contract.tree
         self._spread = self.tree.params.b - self.tree.params.a
+        self._rules = {}  # (level, state, claim) -> _rule's answer
 
     @property
     def initial_capital(self) -> Fraction:
@@ -85,24 +99,37 @@ class PerfectHedge(PortfolioStrategy):
         return Fraction(*self._units(level, node, claim, (w.numerator, w.denominator)))
 
     def _units(self, level, node, claim, w):
+        key = level, self.tree.state(level, node), claim
+        try:
+            rule = self._rules[key]
+        except KeyError:
+            rule = self._rules[key] = self._rule(*key)
+        # underfunded wealth cannot reach both targets; stay in cash rather
+        # than gamble (only reachable when starting below the exact price)
+        if rule is None or w[0] * rule[1] < rule[0] * w[1]:
+            return 0, 1
+        return rule[2]
+
+    def _rule(self, level, state, claim):
+        """(n, d, units) at `state` of `level` for `claim`: the targets'
+        expectation is n/d, d > 0, and units the share count held from
+        wealth at least that, as a pair with a positive denominator; None
+        where nothing is held."""
         L = self.stack.contract.L
         tree = self.tree
         if claim > L or level >= tree.N:
-            return 0, 1
+            return None
         Vk = self.stack.V[L - claim]  # stack level L - claim + 1
         row, den = Vk.nums[level + 1], Vk.dens[level + 1]
-        vu = row[tree.state(level + 1, 2 * node + 1)]
-        vd = row[tree.state(level + 1, 2 * node)]
-        # underfunded wealth cannot reach both targets; stay in cash rather
-        # than gamble (only reachable when starting below the exact price).
-        # The targets' expectation is (u*vu + (v-u)*vd) / (v*den).
+        up, down = tree.children(level, state)
+        vu, vd = row[up], row[down]
+        # the targets' expectation is (u*vu + (v-u)*vd) / (v*den)
         u, v = tree.ptilde.numerator, tree.ptilde.denominator
-        if w[0] * v * den < (u * vu + (v - u) * vd) * w[1]:
-            return 0, 1
         stock = tree.stock
-        s = stock.nums[level][tree.state(level, node)]
+        s = stock.nums[level][state]
         spread = self._spread
-        return (vu - vd) * stock.dens[level] * spread.denominator, den * s * spread.numerator
+        units = (vu - vd) * stock.dens[level] * spread.denominator, den * s * spread.numerator
+        return u * vu + (v - u) * vd, v * den, units
 
 
 def build_perfect_hedge(stack: ValueStack) -> PerfectHedge:

@@ -21,6 +21,11 @@ walk then keeps that id and visits each (level, node, right) once. Any other
 opponent, a TableStrategy subclass that overrides stops included, gets the
 walk over histories. Decisions are recorded only for a side that fails, by
 walking its best response once more, over histories, to build the witness.
+The values stay Fractions, but the certificate reads every leg payment as
+integer parts, the numerator at the node's state over the level's
+denominator, and never through a leg's Fraction row; a subgame compares its
+two branches unreduced, by cross-multiplication, and builds a Fraction only
+for the one that wins.
 
 Enumeration sizes explode quickly with depth. Every enumerating entry point
 takes a cap and raises EnumerationCapError before materializing anything too
@@ -312,7 +317,8 @@ def play_value(contract, seller, buyer, measure=MARTINGALE):
     immediately at maturity), a cancellation pays the penalty leg,
     simultaneous moves pay the exercise leg, and everything still open
     settles on the exercise leg at maturity. A scenario's payment is added,
-    weighted by its reach probability, once its last right has settled. A
+    weighted by its reach probability, once its last right has settled;
+    each payment is read off the leg's integer row as one Fraction(n, d). A
     strategy built for another contract is refused before it is asked.
     """
     check_strategy(seller, contract)
@@ -326,15 +332,18 @@ def play_value(contract, seller, buyer, measure=MARTINGALE):
     while stack:
         k, m, i, hist, reach, paid = stack.pop()
         if k == N:
+            st = tree.state(N, m)
             for j in range(i, L + 1):
-                paid += contract.Y(j).at(N, m)
+                leg = contract.Y(j)
+                paid += Fraction(leg.nums[N][st], leg.dens[N])
             total += reach * paid
             continue
         ss = seller.stops(i, k, m, hist)
         bs = buyer.stops(i, k, m, hist)
         if ss or bs:
             d = 1 if (ss and not bs) else 0
-            paid += (contract.X(i) if d else contract.Y(i)).at(k, m)
+            leg = contract.X(i) if d else contract.Y(i)
+            paid += Fraction(leg.nums[k][tree.state(k, m)], leg.dens[k])
             if i == L:
                 total += reach * paid
                 continue
@@ -421,8 +430,16 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
     computed once, as a pair of ids has one value, and as one Fraction from
     integer parts: with q = qn/qd, 1 - q = (qd - qn)/qd shares q's
     denominator, so q na/da + (1 - q) nb/db is (qn na db + (qd - qn) nb da)
-    over qd da db, normalized once. The legs are read only on the branches
-    that pay them.
+    over qd da db, normalized once.
+
+    The legs are read only on the branches that pay them, as integer parts:
+    (leg.nums[k][tree.state(k, m)], leg.dens[k]), the denominator positive.
+    A branch, a leg payment plus a continuation Fraction, is held as an
+    unreduced pair, and the two branches of a subgame are compared by
+    cross-multiplication. Only the winner becomes a Fraction; a winning
+    continuation alone is the cached mix Fraction itself. Ties go as in a
+    plain max or min: stop where stop >= the alternative, cancel where
+    cancel <= the continuation.
 
     Returns (value, reply): with witness set, reply is the reply's decision
     at every state, read from its id, as a DictStrategy; else None, and no
@@ -459,6 +476,12 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
             v = mixed[pair] = Fraction(qn * na * db + rn * nb * da, qd * da * db)
         return v
 
+    def paying(leg, k, st, v):
+        # leg's payment at state st of level k plus the continuation v, as
+        # an unreduced (numerator, positive denominator)
+        ld, vd = leg.dens[k], v.denominator
+        return leg.nums[k][st] * vd + v.numerator * ld, ld * vd
+
     def visit(k, m, i, hist):
         if k == N:
             return leaf[i][m]
@@ -486,15 +509,18 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
         key = None if states is not None else (k, m, i, s, a, b)
         sid = None if key is None else ids.get(key)
         if sid is None:
+            st = tree.state(k, m)
             if opponent_is_seller:
-                stop = contract.Y(i).at(k, m) + mix(a)
-                alt = contract.X(i).at(k, m) + mix(b) if s else mix(b)
-                sid = new(key, max(stop, alt), stop >= alt)
+                stop, after = paying(contract.Y(i), k, st, mix(a)), mix(b)
+                alt = paying(contract.X(i), k, st, after) if s else (after.numerator, after.denominator)
+                pick = stop[0] * alt[1] >= alt[0] * stop[1]
+                sid = new(key, Fraction(*stop) if pick else Fraction(*alt) if s else after, pick)
             elif s:
-                sid = new(key, contract.Y(i).at(k, m) + mix(a))
+                sid = new(key, Fraction(*paying(contract.Y(i), k, st, mix(a))))
             else:
-                canc, cont = contract.X(i).at(k, m) + mix(a), mix(b)
-                sid = new(key, min(canc, cont), canc <= cont)
+                canc, cont = paying(contract.X(i), k, st, mix(a)), mix(b)
+                pick = canc[0] * cont.denominator <= cont.numerator * canc[1]
+                sid = new(key, Fraction(*canc) if pick else cont, pick)
         if states is not None:
             states[(k, m, i)] = sid
         elif decisions is not None and picks[sid] is not None:

@@ -45,6 +45,56 @@ def test_perfect_hedge_units_replicate_both_children():
     assert start + units * Fraction(2) * Fraction(-1, 2) == 1
 
 
+def reference_units(hedge, level, node, claim, w):
+    """The share count on wealth pair w by the formula asked afresh, as
+    PerfectHedge answered before it kept a rule per (level, state, claim)."""
+    L = hedge.stack.contract.L
+    tree = hedge.tree
+    if claim > L or level >= tree.N:
+        return 0, 1
+    Vk = hedge.stack.V[L - claim]
+    row, den = Vk.nums[level + 1], Vk.dens[level + 1]
+    vu = row[tree.state(level + 1, 2 * node + 1)]
+    vd = row[tree.state(level + 1, 2 * node)]
+    u, v = tree.ptilde.numerator, tree.ptilde.denominator
+    if w[0] * v * den < (u * vu + (v - u) * vd) * w[1]:
+        return 0, 1
+    s = tree.stock.nums[level][tree.state(level, node)]
+    spread = tree.params.b - tree.params.a
+    return (vu - vd) * tree.stock.dens[level] * spread.denominator, den * s * spread.numerator
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_perfect_hedge_rules_answer_as_the_formula(recombining):
+    # one instance asked every (level, node, claim), claim L + 1 and level N
+    # included, in random order and at wealth below, at and above the
+    # targets' expectation, on unreduced pairs too
+    rng = random.Random(113 + recombining)
+    for _ in range(12):
+        c = random_contract(rng, max_n=5, max_l=3, recombining=recombining)
+        tree, L = c.tree, c.L
+        stack, _ = price_swing(c)
+        hedge = build_perfect_hedge(stack)
+        asks = []
+        for level in range(tree.N + 1):
+            for node in range(2 ** level):
+                for claim in range(1, L + 2):
+                    if claim > L or level == tree.N:
+                        expect = Fraction(0)
+                    else:
+                        V = stack.V[L - claim]
+                        expect = tree.ptilde * V.at(level + 1, 2 * node + 1) \
+                            + (1 - tree.ptilde) * V.at(level + 1, 2 * node)
+                    for w in (expect - Fraction(1, 7), expect, expect + Fraction(1, 7)):
+                        asks.append((level, node, claim, (w.numerator, w.denominator)))
+                        asks.append((level, node, claim, (3 * w.numerator, 3 * w.denominator)))
+        rng.shuffle(asks)
+        for level, node, claim, w in asks + asks:
+            want = reference_units(hedge, level, node, claim, w)
+            assert hedge._units(level, node, claim, w) == want
+            assert hedge.units(level, node, claim, Fraction(*w)) == Fraction(*want)
+
+
 def test_initial_capital_is_the_price():
     rng = random.Random(41)
     for _ in range(10):

@@ -310,6 +310,70 @@ def test_best_responses_on_path_dependent_legs_match_the_history_recursion():
                     assert witness.decisions == ref_decisions
 
 
+def tied_contracts(rng, recombining):
+    """Contracts whose branches tie: a constant penalty of 0, so X == Y
+    before maturity, and the same claims with every leg zero."""
+    for _ in range(6):
+        c = random_contract(rng, max_n=5, max_l=3, recombining=recombining)
+        claims = [random_claim(rng, c.tree.params) for _ in range(c.L)]
+        for claim in claims:
+            claim["penalty"] = {"kind": "constant", "value": 0}
+        yield build_contract({"claims": claims}, tree=c.tree)
+        for claim in claims:
+            claim["exercise"] = {"kind": "call", "strike": c.tree.params.S0 * 10 ** 6}
+        yield build_contract({"claims": claims}, tree=c.tree)
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_tied_branches_pick_as_the_history_recursion(recombining):
+    # ties go to cancel for the seller's reply and to stop for the buyer's;
+    # a plain table opponent without a witness takes the state route, a
+    # Recording one the walk over histories
+    rng = random.Random(127 + recombining)
+    for c in tied_contracts(rng, recombining):
+        maturity = _maturity_payments(c)
+        sellers, buyers = strategy_zoo(rng, c)
+        for opponent in sellers + buyers:
+            for opponent_is_seller in (True, False):
+                for measure in (MARTINGALE, MARKET):
+                    asked_ref = Recording(opponent)
+                    ref_value, ref_decisions = reference_best_response(
+                        c, asked_ref, opponent_is_seller, measure)
+                    asked = Recording(opponent)
+                    value, witness = _best_response(c, asked, opponent_is_seller, measure,
+                                                    maturity, True)
+                    assert (value, witness.decisions, asked.log) == \
+                        (ref_value, ref_decisions, asked_ref.log)
+                    asked = Recording(opponent)
+                    assert _best_response(c, asked, opponent_is_seller, measure,
+                                          maturity, False) == (ref_value, None)
+                    assert asked.log == asked_ref.log
+                    assert _best_response(c, opponent, opponent_is_seller, measure,
+                                          maturity, False) == (ref_value, None)
+
+
+@pytest.mark.parametrize("recombining", [False, True])
+def test_the_certificate_builds_no_fraction_row_of_a_leg(recombining):
+    rng = random.Random(131 + recombining)
+    if recombining:
+        c = random_contract(rng, n=5, l=3, recombining=True)
+    else:
+        c = random_path_dependent_contract(rng, 5, 3)
+    tree, L = c.tree, c.L
+    seller, buyer = optimal_strategies(price_swing(c)[0])
+    never, early = TableStrategy.all_wait(tree, L), TableStrategy.all_at_start(tree, L)
+    assert certify_saddle(c, seller, buyer).ok
+    witnesses = set()
+    for pair in ((seller, never), (seller, early), (never, buyer), (early, buyer)):
+        cert = certify_saddle(c, *pair)
+        witnesses |= {side for side, w in (("buyer", cert.buyer_witness),
+                                           ("seller", cert.seller_witness)) if w is not None}
+    assert witnesses == {"buyer", "seller"}  # both witness walks ran
+    play_value(c, early, never)
+    legs = [leg for i in range(1, L + 1) for leg in (c.X(i), c.Y(i))]
+    assert all(row is None for leg in legs for row in leg._rows)
+
+
 def reference_maturity_payments(contract):
     """The interned maturity payments by Fraction sums, node by node."""
     N, L = contract.tree.params.N, contract.L

@@ -26,7 +26,7 @@ from functools import cache
 from importlib import resources
 
 from .contract import build_contract, load_contract
-from .errors import ContractError, EnumerationCapError, InvariantError, echo
+from .errors import ContractError, EnumerationCapError, InvariantError, check_cap, echo
 from .hedge import build_perfect_hedge, check_capital, simulate_portfolio, verify_perfect_hedge
 from .market import format_rational
 from .oracle import DEFAULT_ENUMERATION_CAP, brute_force_value, certify_saddle
@@ -81,9 +81,7 @@ def cmd_strategies(args):
     stack, price = price_swing(contract)
     seller, buyer = optimal_strategies(stack)
     # one entry per full-tree node: refuse before a lattice table expands
-    needed = seller.entry_count() + buyer.entry_count()
-    if needed > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(needed, DEFAULT_ENUMERATION_CAP)
+    check_cap(seller.entry_count() + buyer.entry_count(), DEFAULT_ENUMERATION_CAP)
     _emit({
         "value": _fmt(price, args.decimal),
         "seller_cancels": _table_entries(seller),

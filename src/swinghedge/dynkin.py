@@ -16,17 +16,22 @@ optimal. When the order Y <= X fails at a node the value is simply Y there
 that branch, as the stack-reference tests' planted games do: contracts keep
 Y <= X, and shortfall.py imports nothing from this module.
 
-The recursion runs on integers. For q = u / v, solve_dynkin lifts X and Y to
-per-level denominators C_k (see market.level_scales) with C_k a multiple of
-v * C_{k+1}. Then E[V(k+1) | node] is the integer u * up + (v - u) * down
-times C_k / (v * C_{k+1}), and every min, max and tie is an integer
-comparison. One backward pass computes V and, from start_level on,
-records both players' stop tables as it goes. V shares the C_k; a Fraction
-is built only where a caller reads one through V.row, V.at or V.values.
+solve_stack solves a stack of such games, the games of swing.price_swing:
+game k+1 adds game k's continuation E[V_k(n+1) | node] to both of its legs
+at level n, and at maturity, where nothing is delayed, V_k(N) is the sum of
+the first k games' Y legs. A stack of one game is the plain game above, so
+solve_dynkin is solve_stack on [(X, Y)].
 
-One level of that pass is solve_level, the one place where the min/max
-rule and the stop rule are written. swing.price_swing runs the same kernel
-for every game of its value stack inside its own sweep.
+The recursion runs on integers. For q = u / v, every leg lifts to per-level
+denominators C_k (see market.level_scales), C_k a multiple of v * C_{k+1}.
+Then E[V(k+1) | node] is the integer u * up + (v - u) * down times
+C_k / (v * C_{k+1}), and every min, max and tie is an integer comparison.
+One backward sweep over the levels solves every game of the stack at each
+level, computing each continuation once, and records both players' stop
+tables as it goes; solve_level is the one place where the min/max rule and
+the stop rule are written. Every V shares the C_k; a Fraction is built only
+where a caller reads one through V.row, V.at or V.values. A leg's row is
+lifted when its level is swept, so no lifted copy of a whole leg is built.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, check_cap
 from .market import (
     MARTINGALE,
     AdaptedProcess,
@@ -138,47 +143,60 @@ def solve_level(k: int, xs: list, ys: list, conts: list, seller: dict, buyer: di
     return row
 
 
+def solve_stack(tree: ScenarioTree, q: Fraction, legs: list) -> list:
+    """The solutions of a stack of games with up probability q, in order.
+
+    legs lists each game's own (X, Y); game k+1 plays its legs plus game k's
+    continuation, as the module docstring says. Every value process has the
+    level denominators C_k of level_scales for all the legs, and the stop
+    tables, keyed by state, start at level 0.
+    """
+    N = tree.N
+    scales = level_scales(tree, q.denominator, *(leg.dens for pair in legs for leg in pair))
+
+    def lifted(proc, n, delay):
+        factor = scales[n] // proc.dens[n]
+        return [a * factor + d for a, d in zip(proc.nums[n], delay)]
+
+    values = [[None] * (N + 1) for _ in legs]
+    sellers = [{} for _ in legs]
+    buyers = [{} for _ in legs]
+    due = [0] * tree.width(N)
+    for k, (_, Y) in enumerate(legs):
+        due = values[k][N] = lifted(Y, N, due)
+    for n in range(N - 1, -1, -1):
+        step = scales[n] // (q.denominator * scales[n + 1])
+        delay = [0] * tree.width(n)
+        for k, (X, Y) in enumerate(legs):
+            cont = expectation_row(tree, values[k][n + 1], q, step)
+            values[k][n] = solve_level(n, lifted(X, n, delay), lifted(Y, n, delay), cont,
+                                       sellers[k], buyers[k])
+            delay = cont
+    return [
+        DynkinSolution(
+            value=AdaptedProcess._of(tree, rows, scales),
+            seller_stop=StoppingTime(tree, 0, seller, by_state=True),
+            buyer_stop=StoppingTime(tree, 0, buyer, by_state=True),
+        )
+        for rows, seller, buyer in zip(values, sellers, buyers)
+    ]
+
+
 def solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = MARTINGALE,
                  start_level: int = 0) -> DynkinSolution:
-    """Backward induction for the game value and both optimal stopping times.
-
-    The value process has the level denominators C_k of level_scales for X
-    and Y; when X and Y already share such denominators (as the swing stack
-    builds them), V shares them too.
-    """
+    """The game value and both optimal stopping times from start_level on:
+    the one-game stack, with the stop entries below start_level dropped."""
     tree = X.tree
     if Y.tree is not tree:
         raise ContractError("X and Y must live on the same tree")
-    q = measure_prob(tree, measure)
-    N = tree.N
-    scales = level_scales(tree, q.denominator, X.dens, Y.dens)
-    xs, ys = X.over(scales), Y.over(scales)
-
-    values = [None] * (N + 1)
-    values[N] = list(ys[N])
-    seller = {}
-    buyer = {}
-    for k in range(N - 1, -1, -1):
-        conts = expectation_row(tree, values[k + 1], q,
-                                scales[k] // (q.denominator * scales[k + 1]))
-        if k >= start_level:
-            values[k] = solve_level(k, xs[k], ys[k], conts, seller, buyer)
-        else:
-            values[k] = solve_level(k, xs[k], ys[k], conts, {}, {})
-    return DynkinSolution(
-        value=AdaptedProcess._of(tree, values, scales),
-        seller_stop=StoppingTime(tree, start_level, seller, by_state=True),
-        buyer_stop=StoppingTime(tree, start_level, buyer, by_state=True),
-        start=start_level,
+    (sol,) = solve_stack(tree, measure_prob(tree, measure), [(X, Y)])
+    seller, buyer = (
+        StoppingTime(tree, start_level,
+                     {key: flag for key, flag in stop.decisions.items() if key[0] >= start_level},
+                     by_state=True)
+        for stop in (sol.seller_stop, sol.buyer_stop)
     )
-
-
-def _check_nodes(tree: ScenarioTree, cap) -> None:
-    """EnumerationCapError if the full tree over tree's horizon has more
-    than cap nodes; cap=None sets no limit."""
-    nodes = 2 ** (tree.N + 1) - 1
-    if cap is not None and nodes > cap:
-        raise EnumerationCapError(nodes, cap)
+    return DynkinSolution(sol.value, seller, buyer, start_level)
 
 
 def evaluate_game(X: AdaptedProcess, Y: AdaptedProcess, sigma: StoppingTime,
@@ -190,7 +208,7 @@ def evaluate_game(X: AdaptedProcess, Y: AdaptedProcess, sigma: StoppingTime,
     nodes is refused before any path is walked; cap=None sets no limit.
     """
     tree = X.tree
-    _check_nodes(tree, cap)
+    check_cap(2 ** (tree.N + 1) - 1, cap)
     q = measure_prob(tree, measure)
     total = Fraction(0)
     for path in tree.paths():
@@ -216,7 +234,7 @@ def certify_stopped_values(X: AdaptedProcess, Y: AdaptedProcess,
     refused before the game is solved; cap=None sets no limit.
     """
     tree = X.tree
-    _check_nodes(tree, cap)
+    check_cap(2 ** (tree.N + 1) - 1, cap)
     q = measure_prob(tree, measure)
     sol = solve_dynkin(X, Y, measure, start_level)
     V, sig, tau = sol.value, sol.seller_stop, sol.buyer_stop

@@ -39,5 +39,12 @@ class EnumerationCapError(RuntimeError):
         self.cap = cap
 
 
+def check_cap(needed, cap) -> None:
+    """EnumerationCapError(needed, cap) when needed items are past the
+    budget cap; cap=None sets no limit."""
+    if cap is not None and needed > cap:
+        raise EnumerationCapError(needed, cap)
+
+
 class InvariantError(AssertionError):
     """An internal invariant failed; indicates a bug, not bad input."""

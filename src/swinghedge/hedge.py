@@ -44,13 +44,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .errors import (
-    DEFAULT_ENUMERATION_CAP,
-    ContractError,
-    EnumerationCapError,
-    InvariantError,
-    echo,
-)
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, InvariantError, check_cap, echo
 from .market import to_rational
 from .swing import (
     ClaimEvent,
@@ -215,8 +209,8 @@ def _run_path(contract, units_of, step, events, path: int, x):
     reduced. Once every claim is settled the wealth stays as it is to
     maturity. Capital, path and events are checked, in that order, before
     any rule is asked: the path must be one of the tree's, and events must
-    hold exactly L ClaimEvents, each at a level from the window its
-    predecessor opens to maturity.
+    hold exactly L ClaimEvents, each at an int level from the window its
+    predecessor opens to maturity, with d the int 0 or 1 (bools refused).
     """
     x = check_capital(x)
     tree = contract.tree
@@ -228,9 +222,11 @@ def _run_path(contract, units_of, step, events, path: int, x):
     prev = ()
     for i, ev in enumerate(events, start=1):
         start = window_start(prev, N)
-        if not isinstance(ev, ClaimEvent) or not start <= ev.level <= N:
+        if not (isinstance(ev, ClaimEvent) and type(ev.level) is int and start <= ev.level <= N
+                and type(ev.d) is int and ev.d in (0, 1)):
             raise ContractError(
-                f"event {i} must be a ClaimEvent at a level in [{start}, {N}], got {ev!r}"
+                f"event {i} must be a ClaimEvent at an integer level in [{start}, {N}] "
+                f"with d 0 or 1, got {echo(ev)}"
             )
         by_level.setdefault(ev.level, []).append((i, ev.d))
         prev = ((ev.level, ev.d),)
@@ -354,9 +350,7 @@ def verify_perfect_hedge(
     x = check_capital(x)
     tree = contract.tree
     N, L = tree.N, contract.L
-    nodes = 2 ** (N + 1) - 1
-    if cap is not None and nodes > cap:
-        raise EnumerationCapError(nodes, cap)
+    check_cap(2 ** (N + 1) - 1, cap)
     if seller is None:
         seller, _ = optimal_strategies(price_swing(contract)[0])
     check_strategy(seller, contract)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, echo
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, check_cap, echo
 
 MARKET = "market"
 MARTINGALE = "martingale"
@@ -190,8 +190,7 @@ class ScenarioTree:
         self.ptilde = martingale_prob(params.a, params.b)
         self.recombining = recombining
         # refuse an oversized space before anything of its size exists
-        if self.node_count > DEFAULT_ENUMERATION_CAP:
-            raise EnumerationCapError(self.node_count, DEFAULT_ENUMERATION_CAP)
+        check_cap(self.node_count, DEFAULT_ENUMERATION_CAP)
         up, down = 1 + params.b, 1 + params.a
         to_up = up.numerator * down.denominator
         to_down = down.numerator * up.denominator
@@ -361,17 +360,6 @@ class AdaptedProcess:
     def at(self, k: int, m: int) -> Fraction:
         """The Fraction at full-tree node m of level k."""
         return self.row(k)[self.tree.state(k, m)]
-
-    def over(self, scales: list) -> list:
-        """The numerator rows over the level denominators `scales`, each a
-        multiple of this process's own."""
-        rows = []
-        for row, c, d in zip(self.nums, scales, self.dens):
-            if c != d:
-                factor = c // d
-                row = [n * factor for n in row]
-            rows.append(row)
-        return rows
 
     def max_value(self) -> Fraction:
         """The largest value over all states."""

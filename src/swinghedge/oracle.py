@@ -42,7 +42,7 @@ from math import lcm
 from typing import Optional
 
 from .dynkin import StoppingTime, evaluate_game
-from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, InvariantError
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, InvariantError, check_cap
 from .hedge import check_capital
 from .market import MARTINGALE, format_rational, martingale_prob, measure_prob
 from .swing import StoppingStrategy, TableStrategy, check_strategy
@@ -50,11 +50,6 @@ from .swing import StoppingStrategy, TableStrategy, check_strategy
 
 # ---------------------------------------------------------------------------
 # stopping-time enumeration
-
-def _check_cap(count, cap):
-    if cap is not None and count > cap:
-        raise EnumerationCapError(count, cap)
-
 
 def count_stopping_times(tree, start_level=0, cap=None):
     """Number of stopping times with values in [start_level, N].
@@ -66,16 +61,16 @@ def count_stopping_times(tree, start_level=0, cap=None):
     error then carries that partial count.
     """
     below = 1
-    _check_cap(below, cap)
+    check_cap(below, cap)
     for _ in range(start_level, tree.params.N):
         below = 1 + below * below
-        _check_cap(below, cap)
+        check_cap(below, cap)
     if below == 1:
         return 1
     total = 1
     for _ in range(2 ** start_level):
         total *= below
-        _check_cap(total, cap)
+        check_cap(total, cap)
     return total
 
 
@@ -177,7 +172,7 @@ def enumerate_buyer_strategies(contract, cap=DEFAULT_ENUMERATION_CAP):
     recurrence before any tuples are built.
     """
     for _, _, nB in _profile_counts(contract):
-        _check_cap(nB[1], cap)
+        check_cap(nB[1], cap)
     total = nB[1]
     tree = contract.tree
     N, L = tree.N, contract.L
@@ -237,7 +232,7 @@ def brute_force_value(contract, cap=DEFAULT_ENUMERATION_CAP):
     need = 0
     for k, nS, nB in _profile_counts(contract):
         need += 2 ** k * sum(nS[1:-1] + nB[1:-1])
-        _check_cap(need, cap)
+        check_cap(need, cap)
 
     tree = contract.tree
     N = tree.params.N
@@ -573,7 +568,7 @@ def certify_saddle(contract, seller, buyer, measure=MARTINGALE, cap=DEFAULT_ENUM
     more than `cap` nodes (cap=None sets no limit), or a strategy built for
     another contract, is refused before any strategy is asked anything.
     """
-    _check_cap(2 ** (contract.tree.params.N + 1) - 1, cap)
+    check_cap(2 ** (contract.tree.params.N + 1) - 1, cap)
     v = play_value(contract, seller, buyer, measure)
     maturity = _maturity_payments(contract)
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError, InvariantError
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, InvariantError, check_cap
 from .hedge import (
     PortfolioStrategy,
     _level_wealth,
@@ -527,9 +527,7 @@ def _policy_risk(contract, gamma, infusion, x, stops, cap):
     x = check_capital(x)
     tree = contract.tree
     N, L = tree.N, contract.L
-    nodes = 2 ** (N + 1) - 1
-    if cap is not None and nodes > cap:
-        raise EnumerationCapError(nodes, cap)
+    check_cap(2 ** (N + 1) - 1, cap)
     units, amount = _units_on_pairs(gamma), _amount_on_pairs(infusion)
     pn, pd = tree.params.p.numerator, tree.params.p.denominator
     memo = {}
@@ -593,7 +591,8 @@ def evaluate_policy_risk(contract, gamma, infusion, x, cap=DEFAULT_ENUMERATION_C
     return PolicyRisk(value=Fraction(*value), table=table)
 
 
-def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=None):
+def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration",
+                  cap=DEFAULT_ENUMERATION_CAP):
     """Worst-buyer expected injection cost with the seller fully committed.
 
     Two deliberately different routes:
@@ -607,13 +606,11 @@ def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration", cap=
     stops_at_state.
 
     The two must agree exactly; tests hold them against each other. Both
-    refuse a seller built for another tree or claim count. cap (None for
-    DEFAULT_ENUMERATION_CAP) bounds the buyer strategies the enumeration
-    materializes and the full-tree nodes the recursion keys its memo by.
+    refuse a seller built for another tree or claim count. cap bounds the
+    buyer strategies the enumeration materializes and the full-tree nodes the
+    recursion keys its memo by; cap=None sets no limit.
     """
     x = check_capital(x)
-    if cap is None:
-        cap = DEFAULT_ENUMERATION_CAP
     if mode not in ("enumeration", "recursion"):
         raise ContractError(f"unknown evaluation mode {mode!r}")
     if mode == "recursion" and not hasattr(seller, "stops_at_state"):

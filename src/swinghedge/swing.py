@@ -11,23 +11,10 @@ price is V_L at the root. The added term is the value of everything still to
 come, delayed one period (no delay at maturity, where all remaining claims
 settle together).
 
-The stack runs on integers. Every Vk holds, per level n, its numerators
-over one shared denominator C_n: the market.level_scales of the contract's
-legs under ptilde = u / v, so C_n is a multiple of v * C_{n+1}. The
-continuation E~[V_k(n+1) | node] is then the integer u * up + (v - u) * down
-lifted to C_n by one integer factor, and every min, max and tie of the
-recursion and of both strategy tables compares numerators. Fractions are
-built only where a caller reads one: the price and the root values, through
-AdaptedProcess.at.
-
-price_swing solves all L games in one backward sweep over the levels. At
-level n it computes each cont_k = E~[V_k(n+1) | node] once: game k's
-continuation, and the delay term that game k+1 adds to its legs at the same
-level. A leg's level-n row is lifted to C_n when that level is swept, and
-the level's value row and stop entries come from dynkin.solve_level, the
-one Dynkin level kernel, which solve_dynkin runs too. No Xk or Yk process
-and no lifted copy of a whole leg is built; the stack keeps each Vk and the
-game's stop tables.
+The stack is dynkin.solve_stack on the contract's legs under ptilde: one
+backward sweep on integers over the levels, which solves all L games at
+each level and computes each continuation once. It keeps each Vk and the
+games' stop tables, and builds no Xk or Yk process.
 
 Strategies here are per-claim stopping rules fed with the realized payoff
 history ((a_1, d_1), ..), a_j the j-th payoff level and d_j = 1 when the
@@ -43,14 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contract import SwingContract
-from .dynkin import DynkinSolution, StoppingTime, solve_level
-from .errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
-from .market import (
-    AdaptedProcess,
-    ScenarioTree,
-    expectation_row,
-    level_scales,
-)
+from .dynkin import StoppingTime, solve_stack
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, check_cap
+from .market import ScenarioTree
 
 
 class StoppingStrategy:
@@ -219,9 +201,7 @@ def resolve(s: StoppingStrategy, b: StoppingStrategy) -> ResolvedPlay:
     _check_pair(s, b)
     tree = s.tree
     L, N = s.L, tree.N
-    nodes = 2 ** (N + 1) - 1
-    if nodes > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(nodes, DEFAULT_ENUMERATION_CAP)
+    check_cap(2 ** (N + 1) - 1, DEFAULT_ENUMERATION_CAP)
     forced = ClaimEvent(level=N, d=0, seller_stopped=True, buyer_stopped=True)
     events = {}
 
@@ -253,59 +233,23 @@ class ValueStack:
 
     V[k-1] is solutions[k-1].value. Every Vk has one denominator per tree
     level, shared by all levels of the stack. The games' aggregated Xk and
-    Yk are never built as processes: price_swing adds the delay term to each
-    leg's row one level at a time, inside the sweep.
+    Yk are never built as processes: dynkin.solve_stack adds the delay term
+    to each leg's row one level at a time, inside its sweep.
     """
 
     contract: SwingContract
     V: list
-    solutions: list  # DynkinSolution per stack level
+    solutions: list  # dynkin.DynkinSolution per stack level
 
     def price(self) -> Fraction:
         return self.V[-1].at(0, 0)
 
 
 def price_swing(contract: SwingContract):
-    """Build the value stack; returns (stack, price at the root).
-
-    One backward sweep over the levels solves all L games at each level n.
-    Game k's continuation cont_k = E~[V_k(n+1) | node] is computed once and
-    is also the delay term that game k+1 adds to its legs at level n.
-    """
-    tree = contract.tree
-    L, N = contract.L, tree.N
-    q = tree.ptilde
-    # stack level k plays claim L-k+1, whose legs are X and Y
-    legs = [(contract.X(i), contract.Y(i)) for i in range(L, 0, -1)]
-    scales = level_scales(tree, q.denominator, *(leg.dens for pair in legs for leg in pair))
-
-    def lifted(proc, n, delay):
-        factor = scales[n] // proc.dens[n]
-        return [a * factor + d for a, d in zip(proc.nums[n], delay)]
-
-    values = [[None] * (N + 1) for _ in range(L)]
-    sellers = [{} for _ in range(L)]
-    buyers = [{} for _ in range(L)]
-    # no delay left at maturity: V_k(N) is the sum of the k exercise legs due
-    due = [0] * tree.width(N)
-    for k, (_, Y) in enumerate(legs):
-        due = values[k][N] = lifted(Y, N, due)
-    for n in range(N - 1, -1, -1):
-        step = scales[n] // (q.denominator * scales[n + 1])
-        delay = [0] * tree.width(n)
-        for k, (X, Y) in enumerate(legs):
-            cont = expectation_row(tree, values[k][n + 1], q, step)
-            values[k][n] = solve_level(n, lifted(X, n, delay), lifted(Y, n, delay), cont,
-                                       sellers[k], buyers[k])
-            delay = cont
-    sols = [
-        DynkinSolution(
-            value=AdaptedProcess._of(tree, rows, scales),
-            seller_stop=StoppingTime(tree, 0, seller, by_state=True),
-            buyer_stop=StoppingTime(tree, 0, buyer, by_state=True),
-        )
-        for rows, seller, buyer in zip(values, sellers, buyers)
-    ]
+    """Build the value stack; returns (stack, price at the root)."""
+    # stack level k plays claim L-k+1
+    legs = [(contract.X(i), contract.Y(i)) for i in range(contract.L, 0, -1)]
+    sols = solve_stack(contract.tree, contract.tree.ptilde, legs)
     stack = ValueStack(contract=contract, V=[sol.value for sol in sols], solutions=sols)
     return stack, stack.price()
 

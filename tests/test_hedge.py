@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from conftest import (
     history_dependent_seller,
     random_contract,
     random_params,
+    random_path_dependent_contract,
 )
 from swinghedge.contract import build_contract
 from swinghedge.market import build_tree
@@ -432,3 +434,43 @@ def test_verify_takes_no_cap_as_no_limit():
     hedge = build_perfect_hedge(stack)
     for x in (price, price - EPS):
         assert verify_perfect_hedge(c, hedge, x, cap=None) == verify_perfect_hedge(c, hedge, x)
+
+
+# ---- the hedge walk, pinned ------------------------------------------------
+
+# sha256 of hedge_fingerprint over hedge_pin_contracts, recorded before
+# solve_dynkin became the one-game case of the value stack's sweep
+HEDGE_PIN = "b2c9273c3499ef63d84529d1517f50c0dcfe1120c880eab48b392cb62f8156f0"
+
+
+def hedge_pin_contracts():
+    """Random contracts on the full tree and on the lattice, then full-tree
+    table contracts with path-dependent legs."""
+    rng = random.Random(2603)
+    for recombining in (False, True):
+        for _ in range(20):
+            yield random_contract(rng, max_n=7, max_l=3, recombining=recombining)
+    for n, l in [(3, 2), (4, 1), (5, 3), (6, 2), (7, 3), (8, 2)]:
+        yield random_path_dependent_contract(rng, n, l)
+
+
+def hedge_fingerprint(contract) -> bytes:
+    """The perfect hedge's HedgeCheck, witness included, at the price, just
+    below it (where that is not negative), at half of it and at 0, against
+    the optimal, the never-early and the always-early seller."""
+    tree, L = contract.tree, contract.L
+    stack, price = price_swing(contract)
+    hedge = build_perfect_hedge(stack)
+    sellers = (optimal_strategies(stack)[0], TableStrategy.all_wait(tree, L),
+               TableStrategy.all_at_start(tree, L))
+    return "\n".join(
+        repr(verify_perfect_hedge(contract, hedge, x, seller))
+        for seller in sellers for x in (price, price - EPS, price / 2, Fraction(0)) if x >= 0
+    ).encode()
+
+
+def test_the_hedge_walk_is_pinned():
+    digest = hashlib.sha256()
+    for contract in hedge_pin_contracts():
+        digest.update(hedge_fingerprint(contract))
+    assert digest.hexdigest() == HEDGE_PIN

@@ -12,6 +12,7 @@ from swinghedge.errors import (
     ECHO_MAX,
     ContractError,
     EnumerationCapError,
+    check_cap,
     echo,
 )
 from swinghedge.market import (
@@ -216,6 +217,14 @@ def test_a_count_too_long_to_print_is_named_by_the_cap():
     with pytest.raises(EnumerationCapError) as info:
         ScenarioTree(MarketParams(S0=1, a=Fraction(-1, 2), b=1, p=Fraction(1, 2), N=20_000))
     assert str(info.value).startswith("enumeration needs more than ")
+
+
+def test_check_cap_refuses_past_the_cap_and_none_sets_no_limit():
+    check_cap(5, 5)
+    check_cap(10 ** 100, None)
+    with pytest.raises(EnumerationCapError) as err:
+        check_cap(6, 5)
+    assert (err.value.needed, err.value.cap) == (6, 5)
 
 
 @pytest.mark.parametrize("seed", range(6))

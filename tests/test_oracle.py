@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -598,3 +599,54 @@ def test_enumerations_refuse_a_deep_tree_before_counting_every_node():
         with pytest.raises(EnumerationCapError):
             enumerate_(c)
     assert time.perf_counter() - start < 5
+
+
+# ---- the certificate and the best responses, pinned ------------------------
+
+# sha256 of certificate_fingerprint over certificate_pin_contracts, recorded
+# before solve_dynkin became the one-game case of the value stack's sweep
+CERTIFICATE_PIN = "407ee028f656a56729a8f5c184fd084f43e3120f2839440cf563505dc8269b8c"
+
+
+def certificate_pin_contracts():
+    """Random contracts on the full tree and on the lattice, then full-tree
+    table contracts with path-dependent legs."""
+    rng = random.Random(2601)
+    for recombining in (False, True):
+        for _ in range(8):
+            yield random_contract(rng, max_n=4, max_l=3, recombining=recombining)
+    for n, l in [(3, 2), (4, 1), (4, 3), (5, 2)]:
+        yield random_path_dependent_contract(rng, n, l)
+
+
+def certificate_fingerprint(rng, contract) -> bytes:
+    """Every certificate of the strategy zoo's pairs under both measures,
+    witnesses sorted, then every best response to each zoo strategy with its
+    witness on and off, with the questions it asked in order."""
+    sellers, buyers = strategy_zoo(rng, contract)
+    maturity = _maturity_payments(contract)
+    out = []
+    for measure in (MARTINGALE, MARKET):
+        for seller in sellers:
+            for buyer in buyers:
+                cert = certify_saddle(contract, seller, buyer, measure)
+                out.append(repr(certificate_fields(cert)[:4]))
+                for witness in (cert.buyer_witness, cert.seller_witness):
+                    out.append(repr(witness and sorted(witness.decisions.items())))
+        for opponents, opponent_is_seller in ((sellers, True), (buyers, False)):
+            for opponent in opponents:
+                for witness in (False, True):
+                    asked = Recording(opponent)
+                    value, reply = _best_response(contract, asked, opponent_is_seller,
+                                                  measure, maturity, witness)
+                    out.append(repr((value, reply and sorted(reply.decisions.items()))))
+                    out.append(repr(asked.log))
+    return "\n".join(out).encode()
+
+
+def test_the_certificate_and_best_responses_are_pinned():
+    rng = random.Random(2602)
+    digest = hashlib.sha256()
+    for contract in certificate_pin_contracts():
+        digest.update(certificate_fingerprint(rng, contract))
+    assert digest.hexdigest() == CERTIFICATE_PIN

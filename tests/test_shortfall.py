@@ -8,10 +8,15 @@ from importlib import resources
 
 import pytest
 
-from conftest import random_contract, random_point, random_policy
+from conftest import random_contract, random_path_dependent_contract, random_point, random_policy
 from swinghedge import shortfall
 from swinghedge.contract import build_contract
-from swinghedge.errors import ContractError, EnumerationCapError, InvariantError
+from swinghedge.errors import (
+    DEFAULT_ENUMERATION_CAP,
+    ContractError,
+    EnumerationCapError,
+    InvariantError,
+)
 from swinghedge.hedge import (
     PortfolioStrategy,
     build_perfect_hedge,
@@ -19,7 +24,7 @@ from swinghedge.hedge import (
     verify_perfect_hedge,
 )
 from swinghedge.market import build_tree
-from swinghedge.oracle import grid_risk_oracle
+from swinghedge.oracle import count_strategy_profiles, grid_risk_oracle
 from swinghedge.pwl import PwlControl, PwlFn
 from swinghedge.shortfall import (
     ReplayStrategy,
@@ -195,6 +200,33 @@ def test_both_risk_evaluators_agree_on_the_optimal_hedge():
                                  mode="enumeration") == want
             assert evaluate_risk(c, gamma, infusion, seller, x,
                                  mode="recursion") == want
+
+
+def test_evaluate_risk_takes_no_cap_as_no_limit(monkeypatch):
+    from swinghedge import oracle
+
+    c = random_contract(random.Random(83), max_n=2)
+    stack = build_risk_stack(c)
+    x = stack.curve().support_end / 2
+    gamma, infusion, seller = optimal_hedge(stack, x)
+    passed = []
+    enumerate_, policy_risk = oracle.enumerate_buyer_strategies, shortfall._policy_risk
+    monkeypatch.setattr(oracle, "enumerate_buyer_strategies",
+                        lambda contract, cap: passed.append(cap) or enumerate_(contract, cap=cap))
+    monkeypatch.setattr(shortfall, "_policy_risk",
+                        lambda *args: passed.append(args[-1]) or policy_risk(*args))
+    buyers = count_strategy_profiles(c)[1]
+    for mode, needed in (("enumeration", buyers), ("recursion", 2 ** (c.tree.N + 1) - 1)):
+        def risk(**cap):
+            return evaluate_risk(c, gamma, infusion, seller, x, mode=mode, **cap)
+
+        passed.clear()
+        assert risk(cap=None) == risk() == risk(cap=needed) == stack.risk(x)
+        with pytest.raises(EnumerationCapError) as err:
+            risk(cap=needed - 1)
+        assert (err.value.needed, err.value.cap) == (needed, needed - 1)
+        # None reaches the budget check as no limit, not as the default cap
+        assert passed == [None, DEFAULT_ENUMERATION_CAP, needed, needed - 1]
 
 
 def test_committed_recursion_builds_no_policy_table(monkeypatch):
@@ -383,6 +415,25 @@ def test_simulators_refuse_paths_and_plays_that_do_not_fit():
     for simulate in simulators[:2]:  # a claim may settle at either end of its window
         for events in (at(5, 5), at(0, 5), at(3, 4)):
             simulate(events, 2 ** 5 - 1, price / 2)
+
+
+@pytest.mark.parametrize("simulator", ["simulate_portfolio", "simulate_with_infusion"])
+@pytest.mark.parametrize("field, value", [
+    ("d", 5), ("d", -1), ("d", True), ("d", False),
+    ("level", 1.0), ("level", "1"), ("level", True),
+])
+def test_simulators_refuse_a_malformed_event_before_any_policy(simulator, field, value):
+    c = random_contract(random.Random(1), n=5, l=2)
+    first = dict(level=1, d=0, seller_stopped=False, buyer_stopped=True)
+    first[field] = value
+    events = (ClaimEvent(**first), ClaimEvent(5, 0, True, True))
+    simulate = {
+        "simulate_portfolio": lambda: simulate_portfolio(c, Unasked(), F(1), events, 0),
+        "simulate_with_infusion":
+            lambda: simulate_with_infusion(c, Unasked(), Unasked(), events, 0, F(1)),
+    }[simulator]
+    with pytest.raises(ContractError, match="event 1 must be a ClaimEvent"):
+        simulate()
 
 
 @pytest.mark.parametrize("path", [False, True])
@@ -713,3 +764,46 @@ def test_the_whole_risk_stack_is_pinned():
     for contract in stack_pin_contracts():
         digest.update(stack_fingerprint(build_risk_stack(contract)))
     assert digest.hexdigest() == STACK_PIN
+
+
+# ---- the partial hedge, pinned ---------------------------------------------
+
+# sha256 of partial_hedge_fingerprint over partial_hedge_pin_contracts,
+# recorded before solve_dynkin became the one-game case of the value stack's
+# sweep
+PARTIAL_HEDGE_PIN = "9266c40855240a08906d2b170959d9a8706ce636afa654f31b0e2981429ed594"
+
+
+def partial_hedge_pin_contracts():
+    """Random contracts on the full tree and on the lattice, then full-tree
+    table contracts with path-dependent legs."""
+    rng = random.Random(2604)
+    for recombining in (False, True):
+        for _ in range(10):
+            yield random_contract(rng, max_n=5, max_l=3, recombining=recombining)
+    for n, l in [(3, 2), (4, 1), (5, 2)]:
+        yield random_path_dependent_contract(rng, n, l)
+
+
+def partial_hedge_fingerprint(contract) -> bytes:
+    """At k/5 of the price for k = 0..5: every path's events and
+    SimulationOutcome under the optimal hedge against the optimal buyer,
+    the expected cost, and evaluate_policy_risk's value and sorted table
+    for the stack's policies."""
+    stack = build_risk_stack(contract)
+    price = price_swing(contract)[1]
+    out = []
+    for k in range(6):
+        x = price * k / 5
+        cost, runs = partial_hedge_job(stack, x)
+        out.append(repr((cost, sorted(runs.items()))))
+        risk = evaluate_policy_risk(contract, StackPortfolio(stack), StackInfusion(stack), x)
+        out.append(repr((risk.value, sorted(risk.table.items()))))
+    return "\n".join(out).encode()
+
+
+def test_the_partial_hedge_is_pinned():
+    digest = hashlib.sha256()
+    for contract in partial_hedge_pin_contracts():
+        digest.update(partial_hedge_fingerprint(contract))
+    assert digest.hexdigest() == PARTIAL_HEDGE_PIN

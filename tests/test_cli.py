@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -382,3 +384,79 @@ def test_a_long_path_or_capital_is_echoed_by_its_head_and_length(spec_file, caps
     code, out, err = _call(["risk", spec_file, "--capital", "-" + "9" * 700], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: initial capital must be nonnegative, got -{'9' * (ECHO_MAX - 1)}... (701 characters)\n"
+
+
+# ---- hedge-simulate, pinned ------------------------------------------------
+
+# sha256 of hedge-simulate's stdout over hedge_simulate_pin_specs, every path,
+# at the price and at half of it; recorded before AdaptedProcess.at stopped
+# building level rows
+HEDGE_SIMULATE_PIN = "cd52143efd07d86edd6d17724e6bfb3586d2075bee13928c90abd8926c9ea6c3"
+
+
+def hedge_simulate_pin_specs():
+    """Full-tree contracts of lookback-call and Asian-put table legs, with
+    constant or table penalties, then lattice contracts of call and put legs."""
+    rng = random.Random(2701)
+
+    def model(n):
+        den = rng.randint(2, 5)
+        return {"S0": str(Fraction(rng.randint(1, 6), rng.randint(1, 2))),
+                "a": f"-{rng.randint(1, den - 1)}/{den}",
+                "b": f"{rng.randint(1, 6)}/{rng.randint(1, 3)}", "p": "1/2", "N": n}
+
+    for n, l in [(2, 1), (3, 2), (4, 3), (5, 2)]:
+        spec = {"model": model(n), "claims": []}
+        s0, a, b = (Fraction(spec["model"][key]) for key in ("S0", "a", "b"))
+        for _ in range(l):
+            lookback = rng.random() < 0.5
+            strike = s0 * Fraction(rng.randint(2, 6), 4)
+            exercise, penalty = [], []
+            for k in range(n + 1):
+                ex_row, pen_row = [], []
+                for m in range(2 ** k):
+                    bits = [(m >> (k - 1 - j)) & 1 for j in range(k)]
+                    path = [s0]
+                    for up in bits:
+                        path.append(path[-1] * (1 + (b if up else a)))
+                    v = max(path) - strike if lookback else strike - sum(path) / (k + 1)
+                    v = max(v, Fraction(0))
+                    ex_row.append(str(v))
+                    pen_row.append(str(v + Fraction(rng.randint(0, 6), 4)))
+                exercise.append(ex_row)
+                penalty.append(pen_row)
+            pen = ({"kind": "table", "values": penalty} if rng.random() < 0.5
+                   else {"kind": "constant", "value": str(Fraction(rng.randint(0, 6), 4))})
+            spec["claims"].append({"exercise": {"kind": "table", "values": exercise},
+                                   "penalty": pen})
+        yield spec
+    for n, l in [(3, 1), (4, 2), (6, 3)]:
+        spec = {"model": model(n), "claims": []}
+        s0 = Fraction(spec["model"]["S0"])
+        for _ in range(l):
+            kind = rng.choice(["call", "put"])
+            pen = rng.choice([{"kind": "constant", "value": str(Fraction(rng.randint(0, 6), 4))},
+                              {"kind": "proportional", "factor": f"{rng.randint(0, 8)}/8"},
+                              {"kind": "infinite-proxy"}])
+            spec["claims"].append({
+                "exercise": {"kind": kind, "strike": str(s0 * Fraction(rng.randint(1, 8), 4))},
+                "penalty": pen})
+        yield spec
+
+
+def test_hedge_simulate_stdout_is_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for n, spec in enumerate(hedge_simulate_pin_specs()):
+        path = tmp_path / f"pin{n}.json"
+        path.write_text(json.dumps(spec))
+        assert main(["price", str(path)]) == 0
+        half = Fraction(json.loads(capsys.readouterr().out)["price"]) / 2
+        N = spec["model"]["N"]
+        for bits in range(2 ** N):
+            letters = format(bits, f"0{N}b").replace("1", "u").replace("0", "d")
+            for extra in ([], ["--capital", format_rational(half)]):
+                code, out, err = _call(["hedge-simulate", str(path), "--path", letters, *extra],
+                                       capsys)
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+    assert digest.hexdigest() == HEDGE_SIMULATE_PIN

@@ -16,7 +16,14 @@ from conftest import (
 )
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, EnumerationCapError
-from swinghedge.market import MARKET, MARTINGALE, MarketParams, build_tree, measure_prob
+from swinghedge.market import (
+    MARKET,
+    MARTINGALE,
+    AdaptedProcess,
+    MarketParams,
+    build_tree,
+    measure_prob,
+)
 from swinghedge.oracle import (
     DictStrategy,
     _best_response,
@@ -354,7 +361,9 @@ def test_tied_branches_pick_as_the_history_recursion(recombining):
 
 
 @pytest.mark.parametrize("recombining", [False, True])
-def test_the_certificate_builds_no_fraction_row_of_a_leg(recombining):
+def test_the_certificate_builds_no_fraction_row_of_a_leg(recombining, monkeypatch):
+    """The certificate and play_value read every leg as integer parts: no
+    X_i or Y_i is read through AdaptedProcess.row (so values) or at."""
     rng = random.Random(131 + recombining)
     if recombining:
         c = random_contract(rng, n=5, l=3, recombining=True)
@@ -363,6 +372,18 @@ def test_the_certificate_builds_no_fraction_row_of_a_leg(recombining):
     tree, L = c.tree, c.L
     seller, buyer = optimal_strategies(price_swing(c)[0])
     never, early = TableStrategy.all_wait(tree, L), TableStrategy.all_at_start(tree, L)
+    legs = {id(leg) for i in range(1, L + 1) for leg in (c.X(i), c.Y(i))}
+    reads = []
+
+    def recording(method):
+        def read(self, *args):
+            if id(self) in legs:
+                reads.append((method.__name__, args))
+            return method(self, *args)
+        return read
+
+    monkeypatch.setattr(AdaptedProcess, "row", recording(AdaptedProcess.row))
+    monkeypatch.setattr(AdaptedProcess, "at", recording(AdaptedProcess.at))
     assert certify_saddle(c, seller, buyer).ok
     witnesses = set()
     for pair in ((seller, never), (seller, early), (never, buyer), (early, buyer)):
@@ -371,8 +392,7 @@ def test_the_certificate_builds_no_fraction_row_of_a_leg(recombining):
                                            ("seller", cert.seller_witness)) if w is not None}
     assert witnesses == {"buyer", "seller"}  # both witness walks ran
     play_value(c, early, never)
-    legs = [leg for i in range(1, L + 1) for leg in (c.X(i), c.Y(i))]
-    assert all(row is None for leg in legs for row in leg._rows)
+    assert reads == []
 
 
 def reference_maturity_payments(contract):

@@ -142,6 +142,45 @@ def test_policy_queries_refuse_float_and_bool_wealth(wealth):
         query(F(-1, 2))  # a debt is still a wealth they answer on
 
 
+class Answering:
+    """A user policy that answers every question with one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def units(self, *args):
+        return self.value
+
+    amount = units
+
+
+@pytest.mark.parametrize("answer", [0.1, 1.0, True, False])
+@pytest.mark.parametrize("entry", [
+    "PwlFn knot", "PwlFn value", "simulate_portfolio", "simulate_with_infusion shares",
+    "simulate_with_infusion injection", "evaluate_policy_risk shares",
+    "evaluate_policy_risk injection",
+])
+def test_a_float_or_bool_answer_or_breakpoint_is_not_a_rational(entry, answer):
+    c = contract_a()
+    stack = build_risk_stack(c)
+    gamma, infusion = StackPortfolio(stack), StackInfusion(stack)
+    user = Answering(answer)
+    events = (ClaimEvent(1, 0, True, True),)  # the claim settles at maturity
+    call = {
+        "PwlFn knot": lambda: PwlFn([(0, 1), (answer, 0)]),
+        "PwlFn value": lambda: PwlFn([(0, answer), (2, 0)]),
+        "simulate_portfolio": lambda: simulate_portfolio(c, user, F(1), events, 1),
+        "simulate_with_infusion shares":
+            lambda: simulate_with_infusion(c, user, infusion, events, 1, F(1)),
+        "simulate_with_infusion injection":
+            lambda: simulate_with_infusion(c, gamma, user, events, 1, F(1)),
+        "evaluate_policy_risk shares": lambda: evaluate_policy_risk(c, user, infusion, F(1)),
+        "evaluate_policy_risk injection": lambda: evaluate_policy_risk(c, gamma, user, F(1)),
+    }[entry]
+    with pytest.raises(ContractError, match="not a rational"):
+        call()
+
+
 def test_infusion_minimizer_prefers_the_leftmost():
     flat = PwlFn([(0, F(2)), (1, F(1)), (2, F(1, 2)), (3, F(0))])
     # h(w) = w + psi(w) is 2, 2, 5/2, 3 at the breakpoints: stay at 0
@@ -401,6 +440,7 @@ def test_simulators_refuse_paths_and_plays_that_do_not_fit():
         at(2, 2),  # the second claim settles before its window opens
         at(-1, 3),
         at(1, 6),  # past maturity
+        at(3) + (ClaimEvent(5, 1, True, False),),  # a cancellation at maturity
         ((1, 0), (3, 0)),  # not ClaimEvents
     ]
     for simulate in simulators:

@@ -56,11 +56,15 @@ as it comes by a two-pointer merge of knot lists that inserts the crossings,
 so a transform holds the envelope and one copy, never every copy at once.
 portfolio_transform folds values only (_lower, in _portfolio_fold, which the
 risk stack calls with its tree's checked p and ptilde) and returns the
-function at once. Its control holds only its inputs until it is first read;
-that read folds the same copies with their w1 labels (_fold, from
-_portfolio_control).
-Ties keep the smaller w1: at a knot by value, along a piece by the lower of
-the two affine w1 lines (two lines cross only at a knot of both copies).
+function at once. Its control holds only its inputs and that function until
+it is first read; that read labels the function's knots and pieces with the
+same copies, each passed once (_ties, from _portfolio_control), and folds no
+value again. At each y the control's w1 is the smallest among the copies
+whose value meets the envelope there. A copy never lies below the envelope,
+so it meets it along a piece only on the envelope's line and at a single
+point only at a knot: ties keep the smaller w1, at a knot by value, along a
+piece by the lower of the two affine w1 lines (two lines cross only at a
+knot of both copies).
 
 The infusion minimization goes through h(w) = w + psi(w): the value is
 (A - y) + min over w >= (y - A)^+ of h(w), and the smallest injection comes
@@ -84,7 +88,7 @@ exact, so the tie rules (smaller w1 at a knot, lower w1 line along a piece)
 see the same ties as rational arithmetic would. A piece evaluated at a knot
 of the other list stays an unnormalized pair, since it is only compared.
 Normalization happens where a rational is emitted, by one math.gcd: the
-merges (_lower, _fold, _combine) are flat loops over integers that reduce
+merges (_lower, _ties, _combine) are flat loops over integers that reduce
 each value and w1 they emit in place, _copies reduces each copy's shifted
 knots and lines in the loop that builds the copy, and _cross and _q reduce a
 crossing and its value. _combine keeps no lines of its inputs: it builds the
@@ -418,10 +422,11 @@ class PwlControl:
     Fractions on each read.
 
     A portfolio control starts unbuilt: _knots is None and _inputs holds
-    only its transform's inputs (psi1, psi2, p, pt, b). The first read (_at,
-    eval or xs) builds the knots with _portfolio_control, keeps them and
-    drops the inputs; after that a read costs one truth test more than a
-    plain slot read.
+    only its transform's inputs and value, (psi1, psi2, p, pt, b, fn). The
+    first read (_at, eval or xs) builds the knots with _portfolio_control,
+    which labels fn's envelope with the smallest w1 of the copies meeting
+    it, keeps them and drops the inputs; after that a read costs one truth
+    test more than a plain slot read.
     """
 
     __slots__ = ("_knots", "_inputs")
@@ -464,107 +469,6 @@ class PwlControl:
         if x == y:
             return v
         return A * n + B * d, D * d
-
-
-def _fold(env, copy):
-    """Lower envelope of env and one copy, ordered by (value, w1).
-
-    env = (knots, values at the knots, value line on each piece, w1 at each
-    knot, w1 line on each piece) covers [0, end]; copy = (knots, value line
-    from each knot on, w1 line) covers [start, end]. Both knot lists end at
-    end. Knots and values are pairs and lines triples, as in the module
-    docstring: a piece evaluated at a knot of the other list is compared
-    unnormalized, and only what is emitted is normalized. Before start env
-    is kept as it is. A knot through which the same value line and w1 line
-    run, and whose w1 the line gives, is dropped.
-    """
-    X, V, L, K, C = env
-    cx, cl, line = copy
-    wA, wB, wD = line
-    i = _first_at(X, cx[0])
-    nX, nV, nL, nK, nC = X[:i], V[:i], L[:i], K[:i], C[:i]
-    nx, j, pd = len(X), 0, None
-    while i < nx:  # the last knot of both lists is end
-        x, (yn, yd) = X[i], cx[j]
-        xn, xd = x
-        left, right = xn * yd, yn * xd
-        if left <= right:  # a knot of env
-            on_env = True
-            en, ed = V[i]
-            i += 1
-            if left == right:
-                j += 1
-        else:
-            on_env = False
-            x, xn, xd = cx[j], yn, yd
-            j += 1
-            A, B, D = L[i - 1]
-            en, ed = A * xn + B * xd, D * xd
-        A, B, D = cl[j - 1]
-        cn, cd = A * xn + B * xd, D * xd
-        left, right = en * cd, cn * ed
-        d = (left > right) - (left < right)  # the sign of env - copy
-        if pd is not None:
-            flip = pd * d < 0  # the order flips strictly inside
-            mine, theirs = (L[pi], C[pi]), (cl[pj], line)
-            if flip:
-                first, second = (mine, theirs) if pd < 0 else (theirs, mine)
-            elif pd == 0 and d == 0:
-                # the same value along the piece: the lower w1 line wins. A
-                # constant line w1 = P_i meets a line w1 = (y - uQ_j)/pt at
-                # y = uP_i + uQ_j, a knot of both copies, and lines of one
-                # kind are parallel, so they never cross inside a piece
-                # (compared at the midpoint mn/md, over md > 0)
-                mn, md = px[0] * xd + xn * px[1], 2 * px[1] * xd
-                A, B, D = C[pi]
-                first = L[pi], (line if (wA * mn + wB * md) * D < (A * mn + B * md) * wD else C[pi])
-            else:
-                first = mine if pd < 0 or d < 0 else theirs
-            vline, ctl = first
-            # the knot between the last piece and this one goes when both
-            # lines run on through it and the w1 line gives its w1; unkept,
-            # the controls of an N=14, L=3 stack took 7.7 s instead of 1.4 s
-            drop = bool(nL) and nL[-1] == vline and nC[-1] == ctl
-            if drop:
-                (zn, zd), (kn, kd), (A, B, D) = nX[-1], nK[-1], ctl
-                drop = kn * D * zd == (A * zn + B * zd) * kd
-            if drop:
-                nX.pop()
-                nV.pop()
-                nK.pop()
-            else:
-                nL.append(vline)
-                nC.append(ctl)
-            if flip:
-                xc = _cross(L[pi], cl[pj])
-                nX.append(xc)
-                nV.append(_q(*_ev(L[pi], xc)))
-                we, wc = _ev(C[pi], xc), _ev(line, xc)
-                nK.append(_q(*(wc if _lt(wc, we) else we)))
-                nL.append(second[0])
-                nC.append(second[1])
-        nX.append(x)
-        if d > 0:
-            g = gcd(cn, cd)
-            nV.append((cn // g, cd // g))
-            wn, wd = wA * xn + wB * xd, wD * xd
-        else:
-            if on_env:
-                nV.append((en, ed))
-                wn, wd = K[i - 1]
-            else:
-                g = gcd(en, ed)
-                nV.append((en // g, ed // g))
-                A, B, D = C[i - 1]
-                wn, wd = A * xn + B * xd, D * xd
-            if d == 0:  # a tie in value: the smaller w1
-                n, m = wA * xn + wB * xd, wD * xd
-                if n * wd < wn * m:
-                    wn, wd = n, m
-        g = gcd(wn, wd)
-        nK.append((wn // g, wd // g))
-        pd, pi, pj, px = d, i - 1, j - 1, x
-    return nX, nV, nL, nK, nC
 
 
 def _kinks(lines):
@@ -626,8 +530,9 @@ def _lower(env, copy):
 
     env = (knots, values at the knots, value line on each piece) covers
     [0, end]; copy = (knots, value line from each knot on, w1 line, not
-    read) covers [start, end]. As in _fold, without the w1 labels: a knot
-    through which the same value line runs is dropped.
+    read) covers [start, end]. Where the two cross inside a piece the
+    crossing goes in, and a knot through which the same value line runs is
+    dropped.
     """
     X, V, L = env
     cx, cl, _ = copy
@@ -689,13 +594,13 @@ def _lower(env, copy):
 
 def _first_copy(copies):
     """The first copy as an env: its knots, its values there, its lines."""
-    xs, ls, line = next(copies)
+    xs, ls, _ = next(copies)
     vs = []
     for (xn, xd), (A, B, D) in zip(xs, ls):
         n, d = A * xn + B * xd, D * xd
         g = gcd(n, d)
         vs.append((n // g, d // g))
-    return xs, vs, ls, line
+    return xs, vs, ls
 
 
 def portfolio_transform(psi1: PwlFn, psi2: PwlFn, p, a, b):
@@ -716,20 +621,93 @@ def _portfolio_fold(psi1, psi2, p, pt, b):
     """portfolio_transform on checked Fractions: p in (0, 1), pt the
     martingale probability of the market whose up return is b."""
     copies = _copies(psi1, psi2, p, pt)
-    env = _first_copy(copies)[:3]
+    env = _first_copy(copies)
     for cp in copies:
         env = _lower(env, cp)
-    return PwlFn._of(*env[:2]), PwlControl._unbuilt((psi1, psi2, p, pt, b))
+    fn = PwlFn._of(*env[:2])
+    return fn, PwlControl._unbuilt((psi1, psi2, p, pt, b, fn))
 
 
-def _portfolio_control(psi1, psi2, p, pt, b):
-    """The alpha control of _portfolio_fold(psi1, psi2, p, pt, b): the same
-    copies folded with their w1 labels."""
+def _ties(env, copy):
+    """Label env with one copy: the smaller w1 wherever the copy meets it.
+
+    env = (knots, values at the knots, value line after each knot, w1 at
+    each knot, w1 line after each knot; a label is None until a copy gives
+    it) covers [0, end]; copy = (knots, value line from each knot on, w1
+    line) covers [start, end]. env's values are the lower envelope of the
+    copies, so a copy meets them along a piece only where it runs on env's
+    line, and at a single point only at a knot of env or of the copy. Every
+    env knot is kept, and a copy knot goes in where the copy's value is
+    env's. At a knot where the values are equal the smaller w1 labels it;
+    on a piece where the copy runs on env's line, the lower w1 line,
+    decided at the piece's left end by value and on a tie by slope. Two
+    such lines cross only at a knot of both copies (_copies), which the
+    copy labelled first put in, so no piece holds a crossing.
+    """
+    X, V, L, K, C = env
+    cx, cl, line = copy
+    wA, wB, wD = line
+    i = _first_at(X, cx[0])
+    nX, nV, nL, nK, nC = X[:i], V[:i], L[:i], K[:i], C[:i]
+    nx, j = len(X), 0
+    while i < nx:  # the last knot of both lists is end
+        x, (yn, yd) = X[i], cx[j]
+        xn, xd = x
+        left, right = xn * yd, yn * xd
+        if left <= right:  # a knot of env
+            v, k = V[i], K[i]
+            en, ed = v
+            i += 1
+            if left == right:
+                j += 1
+        else:  # a knot of the copy inside env's piece
+            x, xn, xd = cx[j], yn, yd
+            j += 1
+            A, B, D = L[i - 1]
+            en, ed = A * xn + B * xd, D * xd
+            v = None  # kept only if the copy meets env here
+        el, cc, cline = L[i - 1], C[i - 1], cl[j - 1]  # the lines after x
+        A, B, D = cline
+        if en * D * xd != (A * xn + B * xd) * ed:  # the copy does not meet env
+            if v is None:
+                continue
+        else:
+            if v is None:
+                v = _q(en, ed)
+                k = None if cc is None else _q(*_ev(cc, x))
+            wn, wd = wA * xn + wB * xd, wD * xd
+            if k is None or wn * k[1] < k[0] * wd:
+                k = _q(wn, wd)
+            if cline == el:  # the copy runs on env's line after x
+                if cc is None:
+                    cc = line
+                else:
+                    A, B, D = cc
+                    c = (A * xn + B * xd) * wD
+                    if wn * D < c or (wn * D == c and wA * D < A * wD):
+                        cc = line
+        nX.append(x)
+        nV.append(v)
+        nL.append(el)
+        nK.append(k)
+        nC.append(cc)
+    return nX, nV, nL, nK, nC
+
+
+def _portfolio_control(psi1, psi2, p, pt, b, fn):
+    """The alpha control of fn = _portfolio_fold(psi1, psi2, p, pt, b)[0]:
+    fn's knots labelled with the same copies, each passed once (_ties)."""
     copies = _copies(psi1, psi2, p, pt)
-    xs, vs, ls, line = _first_copy(copies)
-    env = xs, vs, ls, [(0, 1)] * len(xs), [line] * len(xs)
+    first = next(copies)
+    X, V = [x for x, _ in fn._pairs], [v for _, v in fn._pairs]
+    L, end = _lines(X, V), first[0][-1]
+    if X[-1] != end:  # fn is 0 from its last knot to the copies' end
+        X.append(end)
+        V.append((0, 1))
+        L.append((0, 0, 1))
+    env = _ties((X, V, L, [None] * len(X), [None] * len(X)), first)
     for cp in copies:
-        env = _fold(env, cp)
+        env = _ties(env, cp)
     X, _, _, K, C = env
     # from the last event point on everything optimal costs 0, and the
     # smallest optimal w1 is the last psi1 breakpoint; alpha = (w1 - y) / b

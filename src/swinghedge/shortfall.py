@@ -539,8 +539,6 @@ def _policy_risk(contract, gamma, infusion, x, stops, cap):
         return _reduced((pn * un * vd + (pd - pn) * vn * ud, pd * ud * vd))
 
     def rec(k, m, j, y):
-        if j == 0:
-            return 0, 1
         i = L - j + 1
         if k == N:
             return _terminal_cost(contract, amount, m, i, y)

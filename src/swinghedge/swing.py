@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contract import SwingContract
-from .dynkin import StoppingTime, solve_stack
+from .dynkin import solve_stack
 from .errors import DEFAULT_ENUMERATION_CAP, ContractError, check_cap
 from .market import ScenarioTree
 

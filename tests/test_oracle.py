@@ -3,6 +3,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -22,6 +23,7 @@ from swinghedge.market import (
     AdaptedProcess,
     MarketParams,
     build_tree,
+    format_rational,
     measure_prob,
 )
 from swinghedge.oracle import (
@@ -156,6 +158,38 @@ def test_certify_saddle_accepts_the_solved_pair():
         doc = cert.to_json_dict()
         assert doc["ok"] is True
         assert "seller_deviation" not in doc
+
+
+def test_the_certificate_writes_each_side_s_deviation():
+    # on the bundled one-right contract a seller who never cancels loses to
+    # a cancellation, and a buyer who exercises at once gains by waiting
+    text = (resources.files("swinghedge") / "contracts" / "one_right_small_penalty.json").read_text()
+    c = build_contract(json.loads(text))
+    tree, L = c.tree, c.L
+    _, buyer = optimal_strategies(price_swing(c)[0])
+    never, early = TableStrategy.all_wait(tree, L), TableStrategy.all_at_start(tree, L)
+
+    cert = certify_saddle(c, never, buyer)
+    doc = cert.to_json_dict()
+    assert not cert.ok and cert.buyer_witness is None and "buyer_deviation" not in doc
+    assert cert.seller_best_response < cert.value
+    assert doc["seller_deviation"] == {
+        "gain": format_rational(cert.value - cert.seller_best_response),
+        "strategy": cert.seller_witness.to_entries(),
+    }
+    assert doc["seller_deviation"]["strategy"]  # it cancels somewhere
+    assert play_value(c, cert.seller_witness, buyer) == cert.seller_best_response
+
+    cert = certify_saddle(c, early, early)
+    doc = cert.to_json_dict()
+    assert not cert.ok and cert.seller_witness is None and "seller_deviation" not in doc
+    assert cert.buyer_best_response > cert.value
+    assert doc["buyer_deviation"] == {
+        "gain": format_rational(cert.buyer_best_response - cert.value),
+        "strategy": cert.buyer_witness.to_entries(),
+    }
+    assert play_value(c, early, cert.buyer_witness) == cert.buyer_best_response
+    json.dumps(doc)
 
 
 def test_grid_risk_oracle_brackets_and_nesting():

@@ -399,16 +399,25 @@ def convex_kinks(psi):
 def test_value_envelope_matches_the_control_fold(seed, kind):
     rng = random.Random(seed)
     psi1, psi2, p, a, b = envelope_inputs(rng, kind)
-    copies, envs = [], []
-    make, fold = pwl._copies, pwl._fold
+    copies, labelled, envs = [], [], []
+    make, ties = pwl._copies, pwl._ties
+
+    def label(env, copy):
+        labelled.append(copy)
+        envs.append(ties(env, copy))
+        return envs[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         # the copies come one at a time: keep them, and hand on a fresh iterator
         mp.setattr(pwl, "_copies", lambda *args: copies.append(list(make(*args))) or iter(copies[-1]))
-        mp.setattr(pwl, "_fold", lambda *args: envs.append(fold(*args)) or envs[-1])
+        mp.setattr(pwl, "_ties", label)
         fn, ctrl = portfolio_transform(psi1, psi2, p, a, b)
-        assert len(copies) == 1 and envs == []  # the values alone
+        assert len(copies) == 1 and labelled == []  # the values alone
         ctrl.xs
+    # the read makes the same copies again and labels with each one once
     assert len(copies) == 2 and copies[0] == copies[1]
+    assert len(labelled) == len(copies[1])
+    assert all(got is want for got, want in zip(labelled, copies[1]))
     X, V, _, _, _ = envs[-1]
     assert pwl.PwlFn._of(X, V) == fn
     # folded: P_0, Q_0, then the convex kinks of psi1 and of psi2; a P copy
@@ -447,8 +456,34 @@ def test_portfolio_control_is_built_once_on_first_read(monkeypatch):
     assert F(*ctrl._at((1, 6))) == alpha
     ctrl.xs
     # the control keeps the martingale probability 1/3 of a = -1/2, b = 1
-    assert built == [(psi1, psi2, F(1, 2), F(1, 3), F(1))]
+    assert built == [(psi1, psi2, F(1, 2), F(1, 3), F(1), fn)]
     assert ctrl._inputs is None
+
+
+def test_the_value_fold_keeps_no_knot_inside_one_line(monkeypatch):
+    # _lower drops a knot when the same value line runs on through it, so
+    # the raw envelope, before _canonical merges collinear runs, keeps none:
+    # on random and tie-heavy inputs, and inside a risk stack
+    envs = []
+    lower = pwl._lower
+    monkeypatch.setattr(pwl, "_lower", lambda env, copy: envs.append(lower(env, copy)) or envs[-1])
+    rng = random.Random(2801)
+    for kind in ENVELOPE_KINDS:
+        for _ in range(20):
+            portfolio_transform(*envelope_inputs(rng, kind))
+    folds = len(envs)
+    build_risk_stack(build_contract({
+        "model": {"S0": "1", "a": "-1/3", "b": "1/2", "p": "3/5", "N": 5},
+        "claims": [
+            {"exercise": {"kind": kind, "strike": "1"},
+             "penalty": {"kind": "constant", "value": "1/10"}}
+            for kind in ("call", "put", "call")
+        ],
+    }))
+    assert folds > 0 and len(envs) > folds
+    for X, _, L in envs:
+        assert len(L) == len(X) - 1  # one line on each piece
+        assert all(L[t - 1] != L[t] for t in range(1, len(L)))
 
 
 # ---- the transforms inside the risk stack ----------------------------------

@@ -35,22 +35,26 @@ _policy_risk, serves both policy evaluators: evaluate_policy_risk lets the
 seller cancel optimally, evaluate_risk(mode="recursion") reads a committed
 seller's decision per state. Every trade is one hedge._level_wealth step
 on an integer pair, every payment one subtraction of its leg (_settle), and
-these loops carry wealth (and the recursion its costs) as reduced (numerator, denominator) pairs from
-start to end. The stack's own policies answer in pairs too: share counts,
-injections and stop tests read the stored controls and functions on the
-wealth pair, the stock price and the maturity payments off the processes'
-integer rows. StackPortfolio and StackInfusion keep each answer for the
-life of the instance, keyed by (level, tree.state(level, node), claim,
-wealth pair), as ReplayStrategy keeps its wealth on arrival at a node.
-optimal_hedge hands its seller the very gamma and infusion it returns, so
-the questions the seller asks while resolve replays its wealth are answered
-from these memos when the caller simulates the paths. Any other policy
-(user code, or a user rule mixed with a stack policy) is asked through one
-adapter per interface, which hands it a Fraction and takes a Fraction back,
-and nothing is kept of its answers. simulate_with_infusion is the path loop
-of the hedge module, hedge._run_path, with _trade and _settle as its step.
+these loops carry wealth (and the recursion its costs) as reduced
+(numerator, denominator) pairs from start to end. The stack's own policies
+answer in pairs too: share counts, injections and stop tests read the
+stored controls and functions on the wealth pair, the stock price and the
+maturity payments off the processes' integer rows.
+
+simulate_with_infusion and ReplayStrategy read one wealth stepper, the
+hedge module's _WealthBook, with _trade and _settle as its steps: it keeps
+every prefix of a run by (level, node, settlements up to that level) and
+steps a missing one down from the nearest kept prefix. optimal_hedge hands
+its seller the very gamma and infusion it returns, and a StackPortfolio and
+a StackInfusion built on one stack share one book per capital, kept on the
+portfolio (_wealth_book). So the wealths the seller steps while resolve
+asks it are the prefixes the caller's per-path simulations read, and each
+shared prefix is traded and settled once. Any other policy (user code, a
+subclass, or a user rule mixed with a stack policy) gets a new book per
+call, and is asked through one adapter per interface, which hands it a
+Fraction and takes a Fraction back; nothing is kept of its answers.
 Fractions are built only for what a result returns or reports, and a
-SimulationOutcome builds them when a field is read.
+SimulationOutcome builds its wealths and injections when they are read.
 """
 
 from __future__ import annotations
@@ -59,13 +63,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DEFAULT_ENUMERATION_CAP, ContractError, InvariantError, check_cap
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, InvariantError, check_cap, echo
 from .hedge import (
     PortfolioStrategy,
+    _add,
+    _below,
+    _checked_play,
     _level_wealth,
     _reduced,
-    _run_path,
+    _unrolled,
     _units_on_pairs,
+    _WealthBook,
     check_capital,
 )
 from .market import to_rational
@@ -216,7 +224,9 @@ class StackPortfolio(PortfolioStrategy):
     def __init__(self, stack: RiskStack):
         self.stack = stack
         self.tree = stack.contract.tree
-        self._memo = {}  # 1,257 hits to 181 misses per partial-hedge-query cycle
+        # 181 hits to 181 misses per partial-hedge-query cycle: both children of a node ask alike
+        self._memo = {}
+        self._books = {}  # (infusion, capital as a pair) -> the _WealthBook they share
 
     def units(self, level, node, claim, wealth):
         w = to_rational(wealth)
@@ -249,7 +259,8 @@ class StackInfusion:
     def __init__(self, stack: RiskStack):
         self.stack = stack
         self.contract = stack.contract
-        self._memo = {}  # 867 hits to 157 misses per partial-hedge-query cycle
+        # 0 hits to 157 misses per partial-hedge-query cycle; 243 hits on the memo test's lattices
+        self._memo = {}
 
     def amount(self, level, node, claim, y):
         y = to_rational(y)
@@ -280,25 +291,20 @@ class StackInfusion:
         return z
 
 
-def _below(history, k):
-    """The settlements of history at levels below k. A history's levels
-    never decrease (see swing.window_start), so they are a prefix of it."""
-    n = len(history)
-    while n and history[n - 1][0] >= k:
-        n -= 1
-    return history[:n]
-
-
 class ReplayStrategy(StoppingStrategy):
     """Stopping behaviour of the optimal partial hedge.
 
     The stop test compares branch values at the wealth the policy actually
     holds. The node index encodes the whole path prefix and the history
-    carries the settlements, so that wealth is exact: each entry, keyed by
-    the node and the settlements below its level (a prefix of the history),
-    is built from its parent's entry by one period of the policy and kept
-    for the life of the instance. Exposes the same test wealth-directly
-    for recursive evaluators.
+    carries the settlements, so that wealth is exact: it is the arrival
+    entry of the wealth book of (gamma, infusion, x), keyed by the node and
+    the settlements below its level (a prefix of the history). The book is
+    the one simulate_with_infusion reads (see _wealth_book), so the
+    optimal hedge's seller and the caller's per-path simulations step each
+    prefix once; any other pair gets a book of this instance's own. A claim
+    outside 1..L, a level outside 0..N or a node off the tree is refused
+    before any policy is asked. Exposes the same test wealth-directly for
+    recursive evaluators.
     """
 
     def __init__(self, stack: RiskStack, x, gamma, infusion, side):
@@ -313,11 +319,7 @@ class ReplayStrategy(StoppingStrategy):
         self.infusion = infusion
         self.side = side
         self._branch = stack.cancel if side == "seller" else stack.exercise
-        self._units_of = _units_on_pairs(gamma)
-        self._amount_of = _amount_on_pairs(infusion)
-        # (level, node, settlements below that level) -> wealth pair on arrival;
-        # of a partial-hedge-query cycle's 346 reads, 30 hit, 316 step once from a kept parent
-        self._wealth_at = {(0, 0, ()): (self.x.numerator, self.x.denominator)}
+        self._book = _wealth_book(contract, gamma, infusion, self.x)
 
     def stops_at_state(self, k, m, j, wealth):
         w = to_rational(wealth)
@@ -333,28 +335,15 @@ class ReplayStrategy(StoppingStrategy):
 
     def _wealth(self, k, m, history):
         """Wealth pair on arrival at node (k, m), before level k's settlements."""
-        memo = self._wealth_at
-        key = (k, m, _below(history, k))
-        missing = []
-        while key not in memo:
-            if key[0] <= 0:  # the root is the only level-0 entry
-                raise ContractError(f"({k}, {m}) is not a node of the tree")
-            missing.append(key)
-            lvl, node, hist = key
-            key = (lvl - 1, node >> 1, _below(hist, lvl - 1))
-        w = memo[key]
-        for k, m, hist in reversed(missing):
-            lvl, node = k - 1, m >> 1
-            if hist and hist[-1][0] == lvl:
-                _, w = _settle(self.contract, self._amount_of, lvl, node, w, len(hist), hist[-1][1])
-            if len(hist) < self.L:
-                units = self._units_of(lvl, node, len(hist) + 1, w)
-                w = _trade(self.contract, k, m, w, units)
-            memo[(k, m, hist)] = w
-        return w
+        return self._book.entry(k, m, _below(history, k))[0]
 
     def stops(self, i, k, m, history):
-        if k >= self.tree.N:
+        N = self.tree.N
+        if not 1 <= i <= self.L:
+            raise ContractError(f"claim {echo(i)} is not one of the game's claims 1..{self.L}")
+        if not (0 <= k <= N and 0 <= m < 1 << k):
+            raise ContractError(f"({echo(k)}, {echo(m)}) is not a node of the tree")
+        if k == N:
             return True
         return self._stops_at(k, m, self.L - i + 1, self._wealth(k, m, tuple(history)))
 
@@ -383,8 +372,9 @@ class SimulationOutcome:
     pre: wealth at each level before that level's settlements; post: after
     its settlements and injections; infusions: (level, claim, amount) in
     order; cost: their total. The keyword constructor takes Fractions.
-    simulate_with_infusion keeps integer pairs instead (_of_pairs), and a
-    field is built as Fractions when it is first read.
+    simulate_with_infusion keeps the wealth book's entry of the run instead
+    (_of_entry) and builds cost at once; pre, post and infusions are built
+    as Fractions when first read.
     """
 
     __hash__ = None
@@ -394,10 +384,15 @@ class SimulationOutcome:
 
     # partial-hedge-query reads only cost: 6,720 Fractions of its 480 outcomes unbuilt
     @classmethod
-    def _of_pairs(cls, pre, post, infusions, cost):
+    def _of_entry(cls, entry, pad):
         out = cls.__new__(cls)
-        out._pairs = pre, post, infusions, cost
+        out._entry = entry, pad
+        out.cost = Fraction(*entry[3])
         return out
+
+    @cached_property
+    def _pairs(self):
+        return _unrolled(*self._entry)
 
     @cached_property
     def pre(self):
@@ -411,10 +406,6 @@ class SimulationOutcome:
     def infusions(self):
         return [(k, i, Fraction(*z)) for k, i, z in self._pairs[2]]
 
-    @cached_property
-    def cost(self):
-        return Fraction(*self._pairs[3])
-
     def _fields(self):
         return self.pre, self.post, self.infusions, self.cost
 
@@ -427,11 +418,6 @@ class SimulationOutcome:
         return "SimulationOutcome(pre={!r}, post={!r}, infusions={!r}, cost={!r})".format(
             *self._fields()
         )
-
-
-def _add(a, b):
-    """The reduced pair of a + b."""
-    return _reduced((a[0] * b[1] + b[0] * a[1], a[1] * b[1]))
 
 
 def _trade(contract, k, node, w, units):
@@ -466,28 +452,45 @@ def _settle(contract, amount, k, node, w, claim, d):
     return z, after
 
 
+def _wealth_book(contract, gamma, infusion, x):
+    """The _WealthBook of the partial hedge (gamma, infusion) from capital x.
+
+    Shared only when gamma and infusion are exactly the stack's own classes
+    (read on type(policy), like the pair adapters), built on one stack whose
+    contract is `contract`: then the book is kept on gamma per (infusion, x)
+    and lives and dies with the instances. Any other pair, a subclass
+    included, gets a new book, so it is asked every question again.
+    """
+    shared = (type(gamma) is StackPortfolio and type(infusion) is StackInfusion
+              and gamma.stack is infusion.stack and contract is gamma.stack.contract)
+    key = infusion, x.numerator, x.denominator
+    if shared:
+        book = gamma._books.get(key)
+        if book is not None:
+            return book
+    amount = _amount_on_pairs(infusion)
+    book = _WealthBook(
+        contract.L,
+        _units_on_pairs(gamma),
+        lambda k, m, w, units: _trade(contract, k, m, w, units),
+        lambda k, m, w, claim, d: _settle(contract, amount, k, m, w, claim, d),
+        x,
+    )
+    if shared:
+        gamma._books[key] = book
+    return book
+
+
 def simulate_with_infusion(contract, gamma, infusion, events, path: int, x):
     """Run a partial hedge through one resolved play on one path.
 
-    The path loop is hedge._run_path, with _trade and _settle as its step.
+    The play is checked by hedge._checked_play, and the run is the wealth
+    book's entry at the play's last settlement, kept to maturity; calls with
+    the optimal hedge's own gamma and infusion share one book.
     """
-    amount = _amount_on_pairs(infusion)
-    paid_in = []
-
-    def step(k, node, w, units, paid):
-        if units[0]:
-            w = _trade(contract, k, node, w, units)
-        w_pre = w
-        for i, d in paid:
-            z, w = _settle(contract, amount, k, node, w, i, d)
-            paid_in.append((k, i, z))
-        return w_pre, w
-
-    pre, post = _run_path(contract, _units_on_pairs(gamma), step, events, path, x)
-    cost = (0, 1)
-    for _, _, z in paid_in:
-        cost = _add(cost, z)
-    return SimulationOutcome._of_pairs(pre, post, paid_in, cost)
+    x, key = _checked_play(contract, events, path, x)
+    entry = _wealth_book(contract, gamma, infusion, x).entry(*key)
+    return SimulationOutcome._of_entry(entry, contract.tree.N - key[0])
 
 
 def _terminal_cost(contract, amount, m, first, y):
@@ -612,16 +615,17 @@ def evaluate_risk(contract, gamma, infusion, seller, x, mode="enumeration",
         from .oracle import enumerate_buyer_strategies
 
         buyers = enumerate_buyer_strategies(contract, cap=cap)
-        p = contract.tree.params.p
+        tree = contract.tree
+        probs = [tree.path_prob(path, tree.params.p) for path in tree.paths()]
         worst = None
         for buyer in buyers:
             play = resolve(seller, buyer)
             total = Fraction(0)
-            for path in contract.tree.paths():
+            for path, prob in zip(tree.paths(), probs):
                 out = simulate_with_infusion(
                     contract, gamma, infusion, play.events[path], path, x
                 )
-                total += contract.tree.path_prob(path, p) * out.cost
+                total += prob * out.cost
             if worst is None or total > worst:
                 worst = total
         return worst

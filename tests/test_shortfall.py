@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -506,6 +508,28 @@ def test_replay_refuses_a_node_off_the_tree():
         resolve_path(seller, optimal_buyer(risk, F(0)), 2 ** 5)
 
 
+def test_replay_refuses_a_question_outside_the_game_before_asking_a_policy():
+    c = build_contract(json.loads(
+        (resources.files("swinghedge") / "contracts" / "two_rights_uncancellable.json").read_text()))
+    N, L = c.tree.N, c.L
+    assert N == L == 2
+    stack = build_risk_stack(c)
+    gamma, infusion = AskingPortfolio(stack), AskingInfusion(stack)
+    for side in ("seller", "buyer"):
+        replay = ReplayStrategy(stack, F(0), gamma, infusion, side)
+        for i, k, m in [(0, 1, 0), (L + 1, 1, 1), (-1, 0, 0)]:
+            with pytest.raises(ContractError, match=f"claim {i} is not one of"):
+                replay.stops(i, k, m, ())
+        for i, k, m in [(1, N + 3, 0), (1, N + 1, 0), (2, -1, 0), (1, N, 2 ** N), (1, N, -1)]:
+            with pytest.raises(ContractError, match="not a node"):
+                replay.stops(i, k, m, ())
+        assert replay.stops(1, N, 2 ** N - 1, ()) is True
+        # a history no play of the tree holds walks up past the root
+        with pytest.raises(ContractError, match="no play reaches"):
+            replay.stops(2, 1, 1, ((-1, 0),))
+    assert gamma.calls == infusion.calls == 0
+
+
 def test_unknown_mode_rejected():
     c = contract_a()
     stack = build_risk_stack(c)
@@ -657,9 +681,131 @@ def test_a_user_policy_is_asked_through_the_fraction_adapter_uncached():
     assert asked["units"] > 0 and asked["amount"] > 0
 
 
+def book_contracts():
+    rng = random.Random(2915)
+    for recombining in (False, True):
+        for _ in range(5):
+            yield random_contract(rng, max_n=4, max_l=3, recombining=recombining)
+    for n in (2, 3, 4):
+        yield random_path_dependent_contract(rng, n=n, l=2)
+
+
+def fresh_run(stack, events, path, x):
+    """The run of the optimal partial hedge on fresh instances: a book of its own."""
+    return simulate_with_infusion(stack.contract, StackPortfolio(stack), StackInfusion(stack),
+                                  events, path, x)
+
+
+def test_the_wealth_book_is_exact():
+    interleaved = 0
+    for c in book_contracts():
+        stack = build_risk_stack(c)
+        price = stack.curve().support_end
+        plays = {}
+        for x in (F(0), price / 2, price):
+            gamma, infusion, seller = optimal_hedge(stack, x)
+            plays[x] = play = resolve(seller, optimal_buyer(stack, x))
+            # the seller filled the book; the paths read it from the deepest first
+            for path in reversed(c.tree.paths()):
+                events = play.events[path]
+                assert simulate_with_infusion(c, gamma, infusion, events, path, x) == \
+                    fresh_run(stack, events, path, x)
+            assert list(gamma._books) == [(infusion, x.numerator, x.denominator)]
+            # a contract equal to the stack's, but not it, gets a book per call
+            twin = copy.copy(c)
+            assert twin == c and twin is not c
+            for path in c.tree.paths():
+                events = play.events[path]
+                assert simulate_with_infusion(twin, gamma, infusion, events, path, x) == \
+                    fresh_run(stack, events, path, x)
+            assert len(gamma._books) == 1
+        # two capitals interleaved on one instance pair keep a book each
+        gamma, infusion = StackPortfolio(stack), StackInfusion(stack)
+        for path in c.tree.paths():
+            for x in (price / 2, F(0), price):
+                events = plays[x].events[path]
+                assert simulate_with_infusion(c, gamma, infusion, events, path, x) == \
+                    fresh_run(stack, events, path, x)
+        assert len(gamma._books) == len(plays)
+        interleaved += len(plays) > 1
+    assert interleaved > 0
+
+
+def test_a_mixed_or_derived_pair_is_asked_every_question_again():
+    class Derived(StackPortfolio):
+        pass
+
+    asked = Counter()
+    for c in book_contracts():
+        stack = build_risk_stack(c)
+        x = stack.curve().support_end / 2
+        _, runs = partial_hedge_job(stack, x)
+        pairs = [(AskingPortfolio(stack), StackInfusion(stack)),
+                 (StackPortfolio(stack), AskingInfusion(stack))]
+        for gamma, infusion in pairs:
+            asking = gamma if isinstance(gamma, AskingPortfolio) else infusion
+            for rounds in (1, 2):
+                for path, (events, out) in runs.items():
+                    assert simulate_with_infusion(c, gamma, infusion, events, path, x) == out
+                if rounds == 1:
+                    once = asking.calls
+            assert asking.calls == 2 * once
+            asked[type(asking).__name__] += once
+        derived = Derived(stack)
+        for path, (events, out) in runs.items():
+            assert simulate_with_infusion(c, derived, StackInfusion(stack), events, path, x) == out
+        assert derived._books == {}
+    assert asked["AskingPortfolio"] > 0 and asked["AskingInfusion"] > 0
+
+
+def test_a_deep_path_runs_in_a_loop_past_the_recursion_limit():
+    class NoShares(PortfolioStrategy):
+        def units(self, level, node, claim, wealth):
+            return F(0)
+
+    class DebtOnly:
+        def amount(self, level, node, claim, y):
+            return max(-y, F(0))
+
+    N = 200
+    model = {"S0": "1", "a": "-1/3", "b": "1/2", "p": "3/5", "N": N}
+    claims = [{"exercise": {"kind": kind, "strike": "1"},
+               "penalty": {"kind": "constant", "value": "1/10"}} for kind in ("call", "put")]
+    c = build_contract({"model": model, "claims": claims})
+    assert c.tree.recombining
+    path = (1 << N) // 3
+    events = (ClaimEvent(N // 2, 0, False, True), ClaimEvent(N, 0, True, True))
+    y1 = c.Y(1).at(N // 2, path >> (N - N // 2))
+    y2 = c.Y(2).at(N, path)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        pre, post = simulate_portfolio(c, NoShares(), F(0), events, path)
+        out = simulate_with_infusion(c, NoShares(), DebtOnly(), events, path, F(0))
+    finally:
+        sys.setrecursionlimit(limit)
+    half = N // 2
+    assert pre == [F(0)] * (half + 1) + [-y1] * (N - half)
+    assert post == [F(0)] * half + [-y1] * (N - half) + [-y1 - y2]
+    assert out.pre == [F(0)] * (half + 1) + [F(0)] * (N - half - 1) + [-y2]
+    assert out.post == [F(0)] * (N + 1)
+    assert out.infusions == [(half, 1, y1), (N, 2, y2)]
+    assert out.cost == y1 + y2
+
+
 class FilterReplay(ReplayStrategy):
     """ReplayStrategy keying its wealth by filtering the whole history for
-    the settlements below a level, as it did before keys were prefixes."""
+    the settlements below a level, as it did before keys were prefixes, in
+    a dict and a stepping loop of its own rather than the wealth book."""
+
+    def __init__(self, stack, x, gamma, infusion, side):
+        super().__init__(stack, x, gamma, infusion, side)
+        self._units_of = shortfall._units_on_pairs(gamma)
+        self._amount_of = shortfall._amount_on_pairs(infusion)
+        self._wealth_at = {(0, 0, ()): (self.x.numerator, self.x.denominator)}
 
     def _wealth(self, k, m, history):
         memo = self._wealth_at
@@ -723,7 +869,15 @@ def test_replay_histories_are_prefix_keyed_like_the_filtered_ones(monkeypatch):
                     assert levels == sorted(levels)
                     longest = max(longest, len(history))
                     assert stops(twin, i, k, m, history) == stops(replay, i, k, m, history)
-                assert twin._wealth_at == replay._wealth_at
+                    assert twin._wealth(k, m, history) == replay._wealth(k, m, history)
+                # the book's arrival entries (no settlement at their own level) are
+                # the twin's entries, with equal wealth; the enumeration's
+                # simulations add arrivals no question reaches
+                arrivals = {key: entry[0] for key, entry in replay._book._entries.items()
+                            if not key[2] or key[2][-1][0] < key[0]}
+                assert {key: arrivals[key] for key in twin._wealth_at} == twin._wealth_at
+                if c.tree.N > 2:
+                    assert arrivals == twin._wealth_at
     assert longest >= 2
 
 

@@ -25,9 +25,9 @@ asked on the wealth pair through one adapter, _units_on_pairs: PerfectHedge
 answers in pairs from one rule per (level, state, claim), read once off the
 integer rows of V and the stock and kept for the instance's life, and a
 portfolio of any other class is handed a Fraction and answers one. The step
-and the adapter also serve every wealth change and share count of the
-shortfall layer, through shortfall._trade and shortfall._settle, whose loops
-and policies run on pairs throughout (see that module).
+and the adapter also serve the shortfall layer's trades, share counts and
+maturity debts; shortfall._settle keeps its own one-leg subtraction, which
+ran partial-hedge-query 1.7-5.7% faster than the step (5 of 6 pairs).
 
 Both path simulators check the capital, the path and the play in one
 place, _checked_play, before any policy is asked, and then read one wealth
@@ -47,11 +47,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .errors import DEFAULT_ENUMERATION_CAP, ContractError, InvariantError, check_cap, echo
 from .market import to_rational
+from .pwl import _q
 from .swing import (
     ClaimEvent,
     ValueStack,
@@ -165,12 +165,6 @@ def _level_wealth(contract, k, node, w, units, paid):
     return pre, (n, d)
 
 
-def _reduced(w):
-    n, d = w
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 def _units_on_pairs(portfolio):
     """portfolio's share counts asked on wealth pairs, answered in pairs with
     positive denominators: its own pair method `_units` when its class
@@ -198,7 +192,7 @@ def _outcomes(seller, N, L, i, k, m, hist):
 
 def _add(a, b):
     """The reduced pair of a + b."""
-    return _reduced((a[0] * b[1] + b[0] * a[1], a[1] * b[1]))
+    return _q(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
 
 
 def _below(history, k):
@@ -342,10 +336,10 @@ def simulate_portfolio(contract, portfolio: PortfolioStrategy, x, events, path: 
     x, key = _checked_play(contract, events, path, x)
 
     def trade(k, m, w, units):
-        return _reduced(_level_wealth(contract, k, m, w, units, ())[0])
+        return _q(*_level_wealth(contract, k, m, w, units, ())[0])
 
     def pay(k, m, w, claim, d):
-        return (0, 1), _reduced(_level_wealth(contract, k, m, w, (0, 1), ((claim, d),))[1])
+        return (0, 1), _q(*_level_wealth(contract, k, m, w, (0, 1), ((claim, d),))[1])
 
     book = _WealthBook(contract.L, _units_on_pairs(portfolio), trade, pay, x)
     pre, post, _ = _unrolled(book.entry(*key), contract.tree.N - key[0])
@@ -390,7 +384,7 @@ def _first_failing_play(contract, units_of, seller, x, path):
             if j > L:
                 position += 1
                 continue
-            post = _reduced(post)
+            post = _q(*post)
             found = search(k + 1, j, play, post, units_of(k, m, j, post))
             if found:
                 return found
@@ -457,7 +451,7 @@ def verify_perfect_hedge(
                 if i + len(paid) > L:
                     done += 1
                 else:
-                    post = _reduced(post)
+                    post = _q(*post)
                     onward.append((i + len(paid), hist + tuple((k, d) for _, d in paid), post))
         count = 0
         if onward:

@@ -697,16 +697,10 @@ def _ties(env, copy):
 def _portfolio_control(psi1, psi2, p, pt, b, fn):
     """The alpha control of fn = _portfolio_fold(psi1, psi2, p, pt, b)[0]:
     fn's knots labelled with the same copies, each passed once (_ties)."""
-    copies = _copies(psi1, psi2, p, pt)
-    first = next(copies)
     X, V = [x for x, _ in fn._pairs], [v for _, v in fn._pairs]
-    L, end = _lines(X, V), first[0][-1]
-    if X[-1] != end:  # fn is 0 from its last knot to the copies' end
-        X.append(end)
-        V.append((0, 1))
-        L.append((0, 0, 1))
-    env = _ties((X, V, L, [None] * len(X), [None] * len(X)), first)
-    for cp in copies:
+    # fn first reaches 0 at the copies' end, so env ends there, as _ties needs
+    env = X, V, _lines(X, V), [None] * len(X), [None] * len(X)
+    for cp in _copies(psi1, psi2, p, pt):
         env = _ties(env, cp)
     X, _, _, K, C = env
     # from the last event point on everything optimal costs 0, and the

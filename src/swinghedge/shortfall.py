@@ -38,8 +38,8 @@ on an integer pair, every payment one subtraction of its leg (_settle), and
 these loops carry wealth (and the recursion its costs) as reduced
 (numerator, denominator) pairs from start to end. The stack's own policies
 answer in pairs too: share counts, injections and stop tests read the
-stored controls and functions on the wealth pair, the stock price and the
-maturity payments off the processes' integer rows.
+stored controls and functions on the wealth pair, the stock price off its
+integer rows and a maturity debt off one _level_wealth step.
 
 simulate_with_infusion and ReplayStrategy read one wealth stepper, the
 hedge module's _WealthBook, with _trade and _settle as its steps: it keeps
@@ -70,7 +70,6 @@ from .hedge import (
     _below,
     _checked_play,
     _level_wealth,
-    _reduced,
     _unrolled,
     _units_on_pairs,
     _WealthBook,
@@ -82,6 +81,7 @@ from .pwl import (
     PwlFn,
     _lt,
     _portfolio_fold,
+    _q,
     infusion_transform,
     leftmost_minimizer,
     pointwise_max,
@@ -277,12 +277,9 @@ class StackInfusion:
         yn, yd = y
         if level == tree.N:
             # what the open claims after this one pay here, less y, if positive
-            n, d = -yn, yd
-            for i in range(claim + 1, contract.L + 1):
-                leg = contract.Y(i)
-                den = leg.dens[level]
-                n, d = n * den + leg.nums[level][s] * d, d * den
-            z = (n, d) if n > 0 else (0, 1)
+            later = tuple((i, 0) for i in range(claim + 1, contract.L + 1))
+            _, (n, d) = _level_wealth(contract, level, node, y, (0, 1), later)
+            z = (-n, d) if n < 0 else (0, 1)
         else:
             table = self.stack.minimizer((level, s, contract.L - claim))
             wn, wd = table._at(y if yn > 0 else (0, 1))
@@ -301,10 +298,10 @@ class ReplayStrategy(StoppingStrategy):
     the settlements below its level (a prefix of the history). The book is
     the one simulate_with_infusion reads (see _wealth_book), so the
     optimal hedge's seller and the caller's per-path simulations step each
-    prefix once; any other pair gets a book of this instance's own. A claim
-    outside 1..L, a level outside 0..N or a node off the tree is refused
-    before any policy is asked. Exposes the same test wealth-directly for
-    recursive evaluators.
+    prefix once; any other pair gets a book of this instance's own. stops
+    and the wealth-direct stops_at_state, for recursive evaluators, refuse a
+    claim or rights count outside 1..L and a node off the tree before any
+    policy is asked and answer True at maturity; _stops_at checks nothing.
     """
 
     def __init__(self, stack: RiskStack, x, gamma, infusion, side):
@@ -321,7 +318,17 @@ class ReplayStrategy(StoppingStrategy):
         self._branch = stack.cancel if side == "seller" else stack.exercise
         self._book = _wealth_book(contract, gamma, infusion, self.x)
 
+    def _at_maturity(self, what, n, k, m):
+        """k == N, for n in 1..L and (k, m) a node of the tree, else ContractError."""
+        if not 1 <= n <= self.L:
+            raise ContractError(f"{what} {echo(n)} is not one of the game's {what}s 1..{self.L}")
+        if not (0 <= k <= self.tree.N and 0 <= m < 1 << k):
+            raise ContractError(f"({echo(k)}, {echo(m)}) is not a node of the tree")
+        return k == self.tree.N
+
     def stops_at_state(self, k, m, j, wealth):
+        if self._at_maturity("rights count", j, k, m):
+            return True
         w = to_rational(wealth)
         return self._stops_at(k, m, j, (w.numerator, w.denominator))
 
@@ -338,29 +345,20 @@ class ReplayStrategy(StoppingStrategy):
         return self._book.entry(k, m, _below(history, k))[0]
 
     def stops(self, i, k, m, history):
-        N = self.tree.N
-        if not 1 <= i <= self.L:
-            raise ContractError(f"claim {echo(i)} is not one of the game's claims 1..{self.L}")
-        if not (0 <= k <= N and 0 <= m < 1 << k):
-            raise ContractError(f"({echo(k)}, {echo(m)}) is not a node of the tree")
-        if k == N:
+        if self._at_maturity("claim", i, k, m):
             return True
         return self._stops_at(k, m, self.L - i + 1, self._wealth(k, m, tuple(history)))
 
 
 def optimal_hedge(stack: RiskStack, x):
     """(shares, injections, cancellation strategy) attaining the risk at x."""
-    gamma = StackPortfolio(stack)
-    infusion = StackInfusion(stack)
-    seller = ReplayStrategy(stack, x, gamma, infusion, "seller")
-    return gamma, infusion, seller
+    gamma, infusion = StackPortfolio(stack), StackInfusion(stack)
+    return gamma, infusion, ReplayStrategy(stack, x, gamma, infusion, "seller")
 
 
 def optimal_buyer(stack: RiskStack, x):
     """The buyer behaviour extracting the full risk against the hedge at x."""
-    gamma = StackPortfolio(stack)
-    infusion = StackInfusion(stack)
-    return ReplayStrategy(stack, x, gamma, infusion, "buyer")
+    return ReplayStrategy(stack, x, StackPortfolio(stack), StackInfusion(stack), "buyer")
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +429,18 @@ def _trade(contract, k, node, w, units):
         raise InvariantError(
             f"share count {Fraction(*units)} at level {k - 1} can bankrupt wealth {Fraction(*w)}"
         )
-    return _reduced((n, d))
+    return _q(n, d)
 
 
 def _settle(contract, amount, k, node, w, claim, d):
     """(injection, reduced wealth after it) when claim settles at (k, node)
     from wealth w, all pairs, with amount a pair-level injection rule; d = 1
     pays the cancellation leg."""
+    # not through _level_wealth: partial-hedge-query then lost 5 of 6 pairs, 1.7-5.7% of its jobs/s
     leg = contract.X(claim) if d else contract.Y(claim)
     den = leg.dens[k]
     n, wd = w
-    rest = _reduced((n * den - leg.nums[k][contract.tree.state(k, node)] * wd, wd * den))
+    rest = _q(n * den - leg.nums[k][contract.tree.state(k, node)] * wd, wd * den)
     z = amount(k, node, claim, rest)
     after = _add(rest, z)
     if z[0] < 0 or after[0] < 0:
@@ -539,7 +538,7 @@ def _policy_risk(contract, gamma, infusion, x, stops, cap):
         dn = _trade(contract, k + 1, 2 * m, w, shares)
         j = L - claim + 1
         (un, ud), (vn, vd) = rec(k + 1, 2 * m + 1, j, up), rec(k + 1, 2 * m, j, dn)
-        return _reduced((pn * un * vd + (pd - pn) * vn * ud, pd * ud * vd))
+        return _q(pn * un * vd + (pd - pn) * vn * ud, pd * ud * vd)
 
     def rec(k, m, j, y):
         i = L - j + 1

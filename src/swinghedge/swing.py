@@ -18,10 +18,11 @@ games' stop tables, and builds no Xk or Yk process.
 
 Strategies here are per-claim stopping rules fed with the realized payoff
 history ((a_1, d_1), ..), a_j the j-th payoff level and d_j = 1 when the
-seller cancelled strictly first. resolve_path() plays two strategies against
-each other on one path; resolve() plays them on every path in one
-depth-first walk of the tree, which asks each (claim, level, node, history)
-question once, where the paths share it.
+seller cancelled strictly first. The resolvers ask about claim i only in its
+window (window_start) and settle all open claims at maturity themselves.
+resolve_path() plays two strategies on one path, resolve() on every path in
+one depth-first walk that asks each (claim, level, node, history) question
+once, where the paths share it.
 """
 
 from __future__ import annotations
@@ -117,26 +118,6 @@ class TableStrategy(StoppingStrategy):
     def all_wait(cls, tree, L):
         """Never stop early; everything settles at maturity."""
         return cls(tree, L, [{} for _ in range(L)])
-
-
-class RuleStrategy(StoppingStrategy):
-    """Wraps rule(i, history) -> StoppingTime, validating the delay window."""
-
-    def __init__(self, tree, L, rule):
-        super().__init__(tree, L)
-        self.rule = rule
-
-    def stops(self, i, k, m, history):
-        st = self.rule(i, history)
-        theta = window_start(history, self.tree.N)
-        # A stopping time that fires before this claim's window is a broken
-        # rule, not a market event; refuse it loudly.
-        for kk in range(st.start, k):
-            if kk < theta and st.stops_at(kk, m >> (k - kk)):
-                raise ContractError(
-                    f"claim {i} rule stops at level {kk}, window opens at {theta}"
-                )
-        return st.stops_at(k, m)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 
 from swinghedge import cli, hedge, pwl
 from swinghedge.cli import main
-from swinghedge.errors import ECHO_MAX
+from swinghedge.errors import ECHO_MAX, InvariantError
 from swinghedge.market import format_rational
 from swinghedge.pwl import PwlFn
 from swinghedge.shortfall import build_risk_stack
@@ -460,3 +460,12 @@ def test_hedge_simulate_stdout_is_pinned(tmp_path, capsys):
                 assert (code, err) == (0, "")
                 digest.update(out.encode())
     assert digest.hexdigest() == HEDGE_SIMULATE_PIN
+
+
+def test_an_invariant_violation_exits_3(spec_file, monkeypatch, capsys):
+    def broken(path):
+        raise InvariantError("planted in load_contract")
+
+    monkeypatch.setattr(cli, "load_contract", broken)
+    code, out, err = _call(["price", spec_file], capsys)
+    assert (code, out, err) == (3, "", "invariant violated: planted in load_contract\n")

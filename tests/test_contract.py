@@ -119,6 +119,28 @@ def test_payoff_at_orders_stopping_times():
     assert payoff_at(c, 1, 1, 0, 0) == 0                 # buyer strictly first
     with pytest.raises(ContractError):
         payoff_at(c, 2, 0, 0, 0)
+    N = c.tree.N
+    for m, n in [(N + 1, 0), (0, N + 1), (-1, 1), (1, -1)]:
+        with pytest.raises(ContractError) as info:
+            payoff_at(c, 1, m, n, 0)
+        assert str(info.value) == f"stopping levels ({m}, {n}) out of range 0..{N}"
+    for m, n, node in [(1, 1, 2), (0, 1, 1), (1, 0, -1)]:
+        with pytest.raises(ContractError) as info:
+            payoff_at(c, 1, m, n, node)
+        assert str(info.value) == f"node {node} not at level {min(m, n)}"
+
+
+def test_a_spec_that_is_a_json_array_is_refused(tmp_path, capsys):
+    from swinghedge.cli import main
+
+    with pytest.raises(ContractError) as info:
+        build_contract([])
+    assert str(info.value) == "contract spec must be a JSON object"
+    path = tmp_path / "array.json"
+    path.write_text("[]")
+    assert main(["price", str(path)]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: contract spec must be a JSON object\n")
 
 
 def test_load_contract_round_trip(tmp_path):

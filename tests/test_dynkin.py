@@ -102,12 +102,47 @@ def test_stopped_value_properties_with_start_level():
         assert ok, failures
 
 
+def test_stopped_value_check_reports_a_value_off_by_one(monkeypatch):
+    from swinghedge import dynkin
+
+    # X = 10 and Y = 0 before maturity: neither side stops early, so every
+    # node below maturity is alive for all three properties
+    tree = build_tree(MarketParams(S0=1, a=Fraction(-1, 2), b=Fraction(1), p=Fraction(1, 2), N=2))
+    payoff = [Fraction(v) for v in (0, 1, 2, 3)]
+    X = AdaptedProcess(tree, [[Fraction(10)], [Fraction(10)] * 2, payoff])
+    Y = AdaptedProcess(tree, [[Fraction(0)], [Fraction(0)] * 2, payoff])
+    assert certify_stopped_values(X, Y) == (True, [])
+    solve = dynkin.solve_dynkin
+
+    def off_by_one(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        V = sol.value
+        nums = [list(row) for row in V.nums]
+        nums[1][0] += 1  # V(1, 0) one numerator too high
+        return dynkin.DynkinSolution(AdaptedProcess._of(tree, nums, list(V.dens)),
+                                     sol.seller_stop, sol.buyer_stop, sol.start)
+
+    monkeypatch.setattr(dynkin, "solve_dynkin", off_by_one)
+    ok, failures = certify_stopped_values(X, Y)
+    assert ok is False
+    # the root's continuation rises above its value; (1, 0)'s value above its continuation
+    assert failures == [("supermartingale", 0, 0), ("submartingale", 1, 0),
+                        ("martingale", 0, 0), ("martingale", 1, 0)]
+
+
 def test_mismatched_trees_rejected():
     rng = random.Random(23)
     X, _ = random_game(rng, n=2)
     _, Y = random_game(rng, n=2)
     with pytest.raises(ContractError):
         solve_dynkin(X, Y)
+
+
+def test_an_unknown_measure_is_refused_by_name():
+    X, Y = random_game(random.Random(23), n=2)
+    with pytest.raises(ContractError) as info:
+        solve_dynkin(X, Y, measure="physical")
+    assert str(info.value) == "unknown measure 'physical'"
 
 
 def test_stopped_value_check_refuses_a_deep_tree_before_solving(monkeypatch):

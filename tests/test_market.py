@@ -275,3 +275,34 @@ def test_echo_keeps_a_short_value_and_bounds_a_long_one():
     assert echo(Fraction(-1, 2), str) == "-1/2"
     assert echo("x" * (ECHO_MAX - 1)) == "'" + "x" * (ECHO_MAX - 1) + "... (61 characters)"
     assert echo(10 ** 99) == "1" + "0" * (ECHO_MAX - 1) + "... (100 characters)"
+
+
+@pytest.mark.parametrize("N, shown", [(2.0, "2.0"), ([2], "[2]")])
+def test_a_horizon_that_is_no_integer_is_refused_by_name(N, shown):
+    model = {"S0": "1", "a": "-1/2", "b": "1", "p": "1/2", "N": N}
+    with pytest.raises(ContractError) as info:
+        MarketParams.from_dict(model)
+    assert str(info.value) == f"N must be an integer, got {shown}"
+
+
+def test_a_model_without_s0_names_the_missing_key():
+    with pytest.raises(ContractError) as info:
+        MarketParams.from_dict({"a": "-1/2", "b": "1", "p": "1/2", "N": 2})
+    assert str(info.value) == "model is missing keys: S0"
+
+
+def test_a_process_missing_a_level_is_refused():
+    tree = build_tree(MarketParams(S0=1, a=Fraction(-1, 2), b=1, p=Fraction(1, 2), N=2))
+    for values in ([[1], [1, 2]], [[1], [1, 2], [1, 2, 3, 4], [0] * 8]):
+        with pytest.raises(ContractError) as info:
+            AdaptedProcess(tree, values)
+        assert str(info.value) == "process does not cover every level"
+
+
+@pytest.mark.parametrize("level", [-1, 2, 3])
+def test_one_step_expectation_refuses_a_level_out_of_range(level):
+    tree = build_tree(MarketParams(S0=1, a=Fraction(-1, 2), b=1, p=Fraction(1, 2), N=2))
+    proc = AdaptedProcess(tree, [list(row) for row in tree.stock.values])
+    with pytest.raises(ContractError) as info:
+        one_step_expectation(proc, level, MARTINGALE)
+    assert str(info.value) == f"level {level} out of range for horizon 2"

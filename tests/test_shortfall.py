@@ -530,6 +530,33 @@ def test_replay_refuses_a_question_outside_the_game_before_asking_a_policy():
     assert gamma.calls == infusion.calls == 0
 
 
+def test_the_wealth_direct_stop_test_refuses_a_question_outside_the_game():
+    c = build_contract(json.loads(
+        (resources.files("swinghedge") / "contracts" / "two_rights_uncancellable.json").read_text()))
+    N, L = c.tree.N, c.L
+    assert N == L == 2
+    stack = build_risk_stack(c)
+    for side in ("seller", "buyer"):
+        replay = ReplayStrategy(stack, F(0), StackPortfolio(stack), StackInfusion(stack), side)
+        for k, m, j in [(0, 0, 0), (0, 0, L + 1), (1, 1, -1)]:
+            with pytest.raises(ContractError, match=f"rights count {j} is not one of"):
+                replay.stops_at_state(k, m, j, F(0))
+        for k, m in [(1, 5), (N + 3, 0), (N + 1, 0), (-1, 0), (N, 2 ** N), (0, -1)]:
+            with pytest.raises(ContractError, match="not a node"):
+                replay.stops_at_state(k, m, 1, F(0))
+        for j in range(1, L + 1):
+            for m in range(2 ** N):
+                assert replay.stops_at_state(N, m, j, F(0)) is True
+        # inside the game the answer is the pair route's
+        for k in range(N):
+            for m in range(2 ** k):
+                for j in range(1, L + 1):
+                    for w in (F(0), F(1, 3), F(-2)):
+                        y = max(w, F(0))
+                        expected = replay._stops_at(k, m, j, (y.numerator, y.denominator))
+                        assert replay.stops_at_state(k, m, j, w) is expected
+
+
 def test_unknown_mode_rejected():
     c = contract_a()
     stack = build_risk_stack(c)
@@ -538,6 +565,14 @@ def test_unknown_mode_rejected():
         evaluate_risk(c, gamma, infusion, seller, F(0), mode="guess")
     with pytest.raises(ContractError):
         evaluate_risk(c, gamma, infusion, object(), F(0), mode="recursion")
+
+
+def test_a_replay_of_an_unknown_side_is_refused():
+    stack = build_risk_stack(contract_a())
+    for side in ("both", None, "Seller"):
+        with pytest.raises(ContractError) as info:
+            ReplayStrategy(stack, F(0), StackPortfolio(stack), StackInfusion(stack), side)
+        assert str(info.value) == f"unknown side {side!r}"
 
 
 def test_both_evaluation_modes_refuse_a_seller_of_another_contract():

@@ -22,7 +22,6 @@ from swinghedge.market import AdaptedProcess, build_tree
 from swinghedge.oracle import brute_force_value, certify_saddle
 from swinghedge.shortfall import build_risk_stack, optimal_buyer, optimal_hedge
 from swinghedge.swing import (
-    RuleStrategy,
     StoppingStrategy,
     TableStrategy,
     optimal_strategies,
@@ -204,19 +203,22 @@ def test_the_stack_keeps_only_its_value_processes(recombining):
         assert all(sol.value is v for sol, v in zip(stack.solutions, stack.V, strict=True))
 
 
-def test_rule_strategy_rejects_early_stopping_times():
-    from swinghedge.dynkin import StoppingTime
+def test_both_resolvers_pass_on_a_strategy_refusal_alike():
+    class RefusesAtLevel1(StoppingStrategy):
+        def stops(self, i, k, m, history):
+            if k == 1:
+                raise ContractError(f"claim {i} refuses node ({k}, {m}) after {history}")
+            return False
 
     c = two_calls({"kind": "constant", "value": "1"})
-    rule = RuleStrategy(c.tree, c.L,
-                        lambda i, hist: StoppingTime.at_level(c.tree, 0))
     wait = TableStrategy.all_wait(c.tree, c.L)
-    with pytest.raises(ContractError) as walked:
-        resolve(rule, wait)
-    with pytest.raises(ContractError) as looped:
-        for path in c.tree.paths():
-            resolve_path(rule, wait, path)
-    assert str(walked.value) == str(looped.value)
+    for s, b in [(RefusesAtLevel1(c.tree, c.L), wait), (wait, RefusesAtLevel1(c.tree, c.L))]:
+        with pytest.raises(ContractError) as walked:
+            resolve(s, b)
+        with pytest.raises(ContractError) as looped:
+            for path in c.tree.paths():
+                resolve_path(s, b, path)
+        assert str(walked.value) == str(looped.value) == "claim 1 refuses node (1, 0) after ()"
 
 
 def test_table_strategy_needs_all_claims():
@@ -298,3 +300,15 @@ def test_the_whole_value_stack_is_pinned():
     for contract in value_pin_contracts():
         digest.update(value_fingerprint(price_swing(contract)[0]))
     assert digest.hexdigest() == VALUE_PIN
+
+
+def test_both_resolvers_refuse_strategies_of_another_tree_or_claim_count():
+    c = two_calls({"kind": "constant", "value": "1"})
+    other = two_calls({"kind": "constant", "value": "1"})
+    wait = TableStrategy.all_wait(c.tree, c.L)
+    for stranger in (TableStrategy.all_wait(other.tree, c.L), TableStrategy.all_wait(c.tree, 1)):
+        for s, b in [(wait, stranger), (stranger, wait)]:
+            for play in (lambda: resolve(s, b), lambda: resolve_path(s, b, 0)):
+                with pytest.raises(ContractError) as info:
+                    play()
+                assert str(info.value) == "strategies disagree on tree or claim count"

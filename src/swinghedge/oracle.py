@@ -12,16 +12,17 @@ The saddle certificate plays the pair forward in one walk over the states
 the play reaches, scenarios sharing their path prefixes, and then computes
 both best responses backward from one table of maturity payments, summed
 once per leaf. The best responses visit every (node, right, history) state
-but do the arithmetic once per distinct subgame: a subgame is interned by
-its content (node, right, the opponent's answer and the child subgames'
-ids), so histories the opponent treats alike share one value. Against a
-TableStrategy opponent, which never reads the history, every history of a
-(level, node, right) rebuilds the same content and so gets the same id; the
-walk then keeps that id and visits each (level, node, right) once. Any other
-opponent, a TableStrategy subclass that overrides stops included, gets the
-walk over histories. Decisions are recorded only for a side that fails, by
-walking its best response once more, over histories, to build the witness.
-The values stay Fractions, but the certificate reads every leg payment as
+but do the arithmetic once per distinct subgame. A subgame's content is its
+payoffs and its children, not its node: the level and right, the
+opponent's answer, the two legs' numerators at the node's state and the
+child subgames' ids, a leaf being interned by its payment. Subgames of
+different nodes or histories with equal content share one id and one
+value. Against a TableStrategy opponent, which never reads the history,
+the walk also visits each (level, node, right) once; any other opponent, a
+TableStrategy subclass that overrides stops included, gets the walk over
+histories. Decisions are recorded only for a side that fails, by walking
+its best response once more, over histories, to build the witness. The
+values stay Fractions, but the certificate reads every leg payment as
 integer parts, the numerator at the node's state over the level's
 denominator, and never through a leg's Fraction row; a subgame compares its
 two branches unreduced, by cross-multiplication, and builds a Fraction only
@@ -406,34 +407,34 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
     reach once, in the lazy order of a plain recursion over histories: where
     the opponent is the buyer, the exercise branch is visited only where the
     buyer stops. The arithmetic is done once per distinct subgame instead of
-    once per state. A subgame gets an interned id from its content: the
-    node, the right, the opponent's answer there and the ids of the child
-    subgames visited, a leaf being its terminal payment (maturity is a
-    _maturity_payments table). Two histories share an id only when the
-    opponent answers alike in every reachable continuation, so this is
-    exact for any opponent.
+    once per state. A subgame's content is its payoffs and its children,
+    not its node: (level, right, the opponent's answer, Y's and X's
+    numerators at the node's state, the ids of the child subgames visited),
+    a leaf being its terminal payment (maturity is a _maturity_payments
+    table, interned by payment). The level and right fix both legs'
+    denominators, so the content fixes the subgame's value and the reply's
+    decision there, and two subgames with equal content share one id
+    whatever their nodes or histories. This is exact for any tree and any
+    opponent.
 
     An opponent whose stops is TableStrategy.stops, the method itself and
     not an override, never reads the history. Against it the content of a
-    subgame depends on its (node, right) alone, so every later visit of a
-    (level, node, right) would rebuild the content key of the first visit
-    and get back its id; without a witness to record, the walk then keeps
-    that id and visits each (level, node, right) once, with no content key
-    at all, as none could be met twice. Other opponents, and every witness
-    walk, take the history walk. The continuation of a child pair is
-    computed once, as a pair of ids has one value, and as one Fraction from
-    integer parts: with q = qn/qd, 1 - q = (qd - qn)/qd shares q's
-    denominator, so q na/da + (1 - q) nb/db is (qn na db + (qd - qn) nb da)
-    over qd da db, normalized once.
+    subgame depends on its (node, right) alone, so without a witness to
+    record the walk keeps the id of each (level, node, right) it has
+    visited and visits each once. Other opponents, and every witness walk,
+    take the history walk. The continuation of a child pair is computed
+    once, as a pair of ids has one value, and as one Fraction from integer
+    parts: with q = qn/qd, 1 - q = (qd - qn)/qd shares q's denominator, so
+    q na/da + (1 - q) nb/db is (qn na db + (qd - qn) nb da) over qd da db,
+    normalized once.
 
-    The legs are read only on the branches that pay them, as integer parts:
-    (leg.nums[k][tree.state(k, m)], leg.dens[k]), the denominator positive.
-    A branch, a leg payment plus a continuation Fraction, is held as an
-    unreduced pair, and the two branches of a subgame are compared by
-    cross-multiplication. Only the winner becomes a Fraction; a winning
-    continuation alone is the cached mix Fraction itself. Ties go as in a
-    plain max or min: stop where stop >= the alternative, cancel where
-    cancel <= the continuation.
+    The legs are read as integer parts: (leg.nums[k][tree.state(k, m)],
+    leg.dens[k]), the denominator positive. A branch, a leg payment plus a
+    continuation Fraction, is held as an unreduced pair, and the two
+    branches of a subgame are compared by cross-multiplication. Only the
+    winner becomes a Fraction; a winning continuation alone is the cached
+    mix Fraction itself. Ties go as in a plain max or min: stop where stop
+    >= the alternative, cancel where cancel <= the continuation.
 
     Returns (value, reply): with witness set, reply is the reply's decision
     at every state, read from its id, as a DictStrategy; else None, and no
@@ -446,21 +447,19 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
     qn, qd = q.numerator, q.denominator
     rn = qd - qn  # 1 - q = rn/qd
     vals, leaf = maturity
-    # 5,018 hits to 4,510 misses against history-dependent opponents (N=6 tables)
+    # 1,911 hits to 1,123 misses per hedge-pathdep cycle
     ids = {}                    # content -> subgame id
     vals = list(vals)           # id -> value
     picks = [None] * len(vals)  # id -> the reply's decision, None where it has none
     decisions = {} if witness else None
-    # 3,293 hits to 1,761 misses per hedge-pathdep cycle
+    # 1,047 hits to 979 misses per hedge-pathdep cycle
     mixed = {None: Fraction(0)}  # child pair -> its continuation value
     # (level, node, right) -> subgame id, against a history-blind opponent;
     # 1,644 hits to 3,034 misses per hedge-pathdep cycle
     states = {} if not witness and type(opponent).stops is TableStrategy.stops else None
 
     def new(key, value, pick=None):
-        sid = len(vals)
-        if key is not None:
-            ids[key] = sid
+        sid = ids[key] = len(vals)
         vals.append(value)
         picks.append(pick)
         return sid
@@ -501,21 +500,20 @@ def _best_response(contract, opponent, opponent_is_seller, measure, maturity, wi
             h = hist + ((k, 0) if s else (k, 1),)
             a = None if j > L else (visit(k + 1, up, j, h), visit(k + 1, dn, j, h))
             b = None if s else (visit(k + 1, up, i, hist), visit(k + 1, dn, i, hist))
-        # on the state route each (level, node, right) is visited once, so
-        # its content key could never be met again
-        key = None if states is not None else (k, m, i, s, a, b)
-        sid = None if key is None else ids.get(key)
+        st = tree.state(k, m)
+        Y, X = contract.Y(i), contract.X(i)
+        key = (k, i, s, Y.nums[k][st], X.nums[k][st], a, b)
+        sid = ids.get(key)
         if sid is None:
-            st = tree.state(k, m)
             if opponent_is_seller:
-                stop, after = paying(contract.Y(i), k, st, mix(a)), mix(b)
-                alt = paying(contract.X(i), k, st, after) if s else (after.numerator, after.denominator)
+                stop, after = paying(Y, k, st, mix(a)), mix(b)
+                alt = paying(X, k, st, after) if s else (after.numerator, after.denominator)
                 pick = stop[0] * alt[1] >= alt[0] * stop[1]
                 sid = new(key, Fraction(*stop) if pick else Fraction(*alt) if s else after, pick)
             elif s:
-                sid = new(key, Fraction(*paying(contract.Y(i), k, st, mix(a))))
+                sid = new(key, Fraction(*paying(Y, k, st, mix(a))))
             else:
-                canc, cont = paying(contract.X(i), k, st, mix(a)), mix(b)
+                canc, cont = paying(X, k, st, mix(a)), mix(b)
                 pick = canc[0] * cont.denominator <= cont.numerator * canc[1]
                 sid = new(key, Fraction(*canc) if pick else cont, pick)
         if states is not None:

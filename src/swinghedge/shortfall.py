@@ -302,6 +302,10 @@ class ReplayStrategy(StoppingStrategy):
     and the wealth-direct stops_at_state, for recursive evaluators, refuse a
     claim or rights count outside 1..L and a node off the tree before any
     policy is asked and answer True at maturity; _stops_at checks nothing.
+    Below maturity stops also refuses a history no play hands that question
+    (see _check_history) before the book or a policy is asked; _stops, the
+    route the resolvers take with histories they built themselves (see
+    swing.resolve), trusts its history.
     """
 
     def __init__(self, stack: RiskStack, x, gamma, infusion, side):
@@ -345,9 +349,40 @@ class ReplayStrategy(StoppingStrategy):
         return self._book.entry(k, m, _below(history, k))[0]
 
     def stops(self, i, k, m, history):
+        if not self._at_maturity("claim", i, k, m):
+            _check_history(i, k, m, history)
+        return self._stops(i, k, m, history)
+
+    def _stops(self, i, k, m, history):
         if self._at_maturity("claim", i, k, m):
             return True
-        return self._stops_at(k, m, self.L - i + 1, self._wealth(k, m, tuple(history)))
+        return self._stops_at(k, m, self.L - i + 1, self._wealth(k, m, history))
+
+
+def _check_history(i, k, m, history):
+    """ContractError unless history is one some play hands claim i at node
+    (k, m) below maturity: a tuple of i - 1 (level, d) tuples of ints,
+    bools refused, d 0 or 1, levels increasing from 0 and all below k (the
+    window opens one level after the last settlement)."""
+    def refuse(why):
+        raise ContractError(
+            f"no play reaches claim {i} at ({k}, {m}) after the settlements {echo(history)}: {why}")
+
+    if not isinstance(history, tuple):
+        refuse("a history is a tuple of (level, d) pairs")
+    if len(history) != i - 1:
+        refuse(f"claim {i} is asked after exactly {i - 1} settlements")
+    last = -1
+    for pair in history:
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int):
+            refuse("a settlement is a tuple (level, d) of ints")
+        level, d = pair
+        if d not in (0, 1):
+            refuse("d is 0 or 1")
+        if not last < level < k:
+            refuse(f"settlement levels increase from 0 and stay below level {k}")
+        last = level
 
 
 def optimal_hedge(stack: RiskStack, x):

@@ -22,7 +22,9 @@ seller cancelled strictly first. The resolvers ask about claim i only in its
 window (window_start) and settle all open claims at maturity themselves.
 resolve_path() plays two strategies on one path, resolve() on every path in
 one depth-first walk that asks each (claim, level, node, history) question
-once, where the paths share it.
+once, where the paths share it. Both ask a strategy whose own class defines
+a trusted `_stops` through it, as they hand it only histories they built,
+and any other strategy through stops.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 
 from .contract import SwingContract
 from .dynkin import solve_stack
-from .errors import DEFAULT_ENUMERATION_CAP, ContractError, check_cap
+from .errors import DEFAULT_ENUMERATION_CAP, ContractError, check_cap, echo
 from .market import ScenarioTree
 
 
@@ -69,7 +71,8 @@ class TableStrategy(StoppingStrategy):
     """History-independent rule: one stop/continue table per claim.
 
     Tables map (level, node index) to True (stop), or (level, state) with
-    by_state=True, which stores a Markov rule once per lattice state.
+    by_state=True, which stores a Markov rule once per lattice state. A
+    claim outside 1..L is refused.
 
     stops never reads its history argument, and oracle.certify_saddle relies
     on that: against this class's own stops it computes one best-response
@@ -86,6 +89,8 @@ class TableStrategy(StoppingStrategy):
         self.by_state = by_state and tree.recombining
 
     def stops(self, i, k, m, history):
+        if not 0 < i <= self.L:
+            raise ContractError(f"claim {echo(i)} is not one of the game's claims 1..{self.L}")
         if self.by_state:
             m = self.tree.state(k, m)
         return self.tables[i - 1].get((k, m), False)
@@ -144,9 +149,19 @@ def _check_pair(s: StoppingStrategy, b: StoppingStrategy) -> None:
         raise ContractError("strategies disagree on tree or claim count")
 
 
+def _stops_on_plays(strategy):
+    """strategy's stop test, asked only with histories a resolver built:
+    its own trusted method `_stops` when its class defines one, else its
+    public stops."""
+    if "_stops" in type(strategy).__dict__:
+        return strategy._stops
+    return strategy.stops
+
+
 def resolve_path(s: StoppingStrategy, b: StoppingStrategy, path: int) -> tuple:
     """The ClaimEvent sequence of seller s against buyer b on one path."""
     _check_pair(s, b)
+    s_stops, b_stops = _stops_on_plays(s), _stops_on_plays(b)
     tree = s.tree
     tree.check_path(path)
     L, N = s.L, tree.N
@@ -157,8 +172,8 @@ def resolve_path(s: StoppingStrategy, b: StoppingStrategy, path: int) -> tuple:
         for k in range(theta, N + 1):
             m = tree.node_on_path(path, k)
             forced = k == N
-            ss = forced or s.stops(i, k, m, hist)
-            bs = forced or b.stops(i, k, m, hist)
+            ss = forced or s_stops(i, k, m, hist)
+            bs = forced or b_stops(i, k, m, hist)
             if ss or bs:
                 d = 0 if bs else 1
                 out.append(ClaimEvent(level=k, d=d, seller_stopped=ss, buyer_stopped=bs))
@@ -183,6 +198,7 @@ def resolve(s: StoppingStrategy, b: StoppingStrategy) -> ResolvedPlay:
     tree = s.tree
     L, N = s.L, tree.N
     check_cap(2 ** (N + 1) - 1, DEFAULT_ENUMERATION_CAP)
+    s_stops, b_stops = _stops_on_plays(s), _stops_on_plays(b)
     forced = ClaimEvent(level=N, d=0, seller_stopped=True, buyer_stopped=True)
     events = {}
 
@@ -195,8 +211,8 @@ def resolve(s: StoppingStrategy, b: StoppingStrategy) -> ResolvedPlay:
         if k == N:
             events[m] = out + (forced,) * (L + 1 - i)
             return
-        ss = s.stops(i, k, m, hist)
-        bs = b.stops(i, k, m, hist)
+        ss = s_stops(i, k, m, hist)
+        bs = b_stops(i, k, m, hist)
         if ss or bs:
             d = 0 if bs else 1
             out = out + (ClaimEvent(level=k, d=d, seller_stopped=ss, buyer_stopped=bs),)

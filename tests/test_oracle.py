@@ -13,6 +13,7 @@ from conftest import (
     history_dependent_seller,
     random_claim,
     random_contract,
+    random_params,
     random_path_dependent_contract,
 )
 from swinghedge.contract import build_contract
@@ -331,20 +332,63 @@ def test_interned_best_response_matches_the_history_recursion(recombining):
                     assert asked.log == asked_ref.log
 
 
+def repeated_value_contract(rng, n, l):
+    """A full-tree contract of horizon n whose subgames repeat: its l <= 3
+    claims share one exercise table of few values, with a different
+    denominator d on each level and nothing paid at maturity (so every
+    right's leaves are alike), and one table of few penalty numerators,
+    each claim's over d times a factor of its own on each level. So equal
+    numerators pay differently on different levels and claims, and equal
+    exercise payments come with different penalties."""
+    params = random_params(rng, n=n)
+    dens = rng.sample(range(1, 8), n + 1)
+    exercise = [[str(Fraction(rng.choice((0, 0, 1, 2)) if k < n else 0, d)) for _ in range(2 ** k)]
+                for k, d in enumerate(dens)]
+    extra = [[rng.choice((0, 1, 1, 2)) for _ in range(2 ** k)] for k in range(n + 1)]
+    factors = [rng.sample((1, 2, 3), l) for _ in dens]
+    claims = [{"exercise": {"kind": "table", "values": exercise},
+               "penalty": {"kind": "table", "values": [
+                   [str(Fraction(e, d * f[c])) for e in row]
+                   for row, d, f in zip(extra, dens, factors)]}}
+              for c in range(l)]
+    return build_contract({"claims": claims}, tree=build_tree(params))
+
+
+def random_table_strategy(rng, contract, rate):
+    """A history-blind rule stopping at random nodes, so the state route meets it."""
+    tree = contract.tree
+    return TableStrategy(tree, contract.L, [
+        {(k, m): True for k in range(tree.N) for m in range(2 ** k) if rng.random() < rate}
+        for _ in range(contract.L)])
+
+
 def test_best_responses_on_path_dependent_legs_match_the_history_recursion():
     # full-tree table legs; a plain table opponent without a witness takes
-    # the state route, every other case the walk over histories
-    rng = random.Random(107)
-    for n, l in [(3, 1), (3, 3), (4, 2), (5, 3), (6, 1), (6, 2), (6, 3)]:
-        c = random_path_dependent_contract(rng, n, l)
+    # the state route, every other case the walk over histories. The
+    # repeated-value contracts give subgames of equal content on many nodes,
+    # and subgames that differ only in level, right, the opponent's answer,
+    # the exercise or the penalty payment: each of them in the content key
+    # is needed for these to pass.
+    # (the path-dependent contracts and their zoos draw from rng alone)
+    rng, extra = random.Random(107), random.Random(109)
+    shapes = [(random_path_dependent_contract, rng, n, l)
+              for n, l in [(3, 1), (3, 3), (4, 2), (5, 3), (6, 1), (6, 2), (6, 3)]]
+    shapes += [(repeated_value_contract, extra, n, l)
+               for n, l in [(2, 2), (3, 2), (4, 2)] + [(n, 3) for n in (2, 2, 3, 3, 3, 4, 4, 4, 5, 5)]]
+    for make, source, n, l in shapes:
+        c = make(source, n, l)
         maturity = _maturity_payments(c)
         sellers, buyers = strategy_zoo(rng, c)
-        for opponent in sellers + [buyers[0], buyers[3]]:
+        opponents = sellers + [buyers[0], buyers[3]]
+        opponents += [random_table_strategy(extra, c, rate) for rate in (0.3, 0.6)]
+        for opponent in opponents:
             for opponent_is_seller in (True, False):
                 for measure in (MARTINGALE, MARKET):
                     ref_value, ref_decisions = reference_best_response(
                         c, opponent, opponent_is_seller, measure)
                     assert _best_response(c, opponent, opponent_is_seller, measure,
+                                          maturity, False) == (ref_value, None)
+                    assert _best_response(c, Recording(opponent), opponent_is_seller, measure,
                                           maturity, False) == (ref_value, None)
                     value, witness = _best_response(c, opponent, opponent_is_seller, measure,
                                                     maturity, True)

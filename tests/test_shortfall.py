@@ -530,6 +530,51 @@ def test_replay_refuses_a_question_outside_the_game_before_asking_a_policy():
     assert gamma.calls == infusion.calls == 0
 
 
+def test_the_replay_refuses_a_history_no_play_produces_before_asking_a_policy():
+    # each history breaks one rule of the ones a play hands claim i at
+    # (k, m) below maturity: a tuple of i - 1 (level, d) tuples of ints (no
+    # bools), d 0 or 1, levels increasing from 0 and below k
+    two = build_contract(json.loads(
+        (resources.files("swinghedge") / "contracts" / "two_rights_uncancellable.json").read_text()))
+    assert two.tree.N == two.L == 2
+    three = random_contract(random.Random(3203), n=3, l=3)
+    bad = {two: [
+        (2, 1, 0, ((0, 7),)), (2, 1, 0, ((0, -1),)), (2, 1, 0, ((0, True),)),
+        (2, 1, 0, ((False, 0),)), (2, 1, 0, ((0, F(0)),)), (2, 1, 0, ((0.0, 0),)),
+        (2, 1, 0, (0,)), (2, 1, 0, ((0, 0, 0),)), (2, 1, 0, ((0,),)), (2, 1, 0, "xy"),
+        (2, 1, 0, None), (2, 1, 0, {(0, 0)}), (2, 1, 0, [(0, 0)]), (2, 1, 0, ([0, 0],)),
+        (2, 1, 0, ()), (1, 1, 0, ((0, 0),)), (1, 0, 0, ((0, 0),)),
+        (2, 1, 0, ((0, 0), (0, 1))), (2, 1, 1, ((0, 0), (1, 0))),
+        (2, 1, 0, ((1, 0),)), (2, 1, 1, ((2, 1),)), (2, 1, 1, ((-1, 0),)),
+    ], three: [
+        (3, 2, 0, ((1, 0), (0, 0))), (3, 2, 0, ((0, 0), (0, 1))), (3, 2, 3, ((0, 0), (2, 0))),
+        (3, 2, 0, ((0, 0),)), (2, 2, 0, ((0, 0), (1, 1))), (3, 2, 0, ((0, 0), (1, 2))),
+    ]}
+    good = {two: [(2, 1, 0, ((0, 0),)), (2, 1, 1, ((0, 1),))],
+            three: [(3, 2, 0, ((0, 1), (1, 0))), (2, 2, 2, ((1, 0),))]}
+    for c, questions in bad.items():
+        stack = build_risk_stack(c)
+        x = price_swing(c)[1] / 2
+        gamma, infusion, seller = optimal_hedge(stack, x)
+        asking = AskingPortfolio(stack), AskingInfusion(stack)
+        replays = [seller, optimal_buyer(stack, x)]
+        replays += [ReplayStrategy(stack, x, *asking, side) for side in ("seller", "buyer")]
+        for replay in replays:
+            book = replay._book._entries
+            size = len(book)
+            for i, k, m, history in questions:
+                with pytest.raises(ContractError, match="no play reaches"):
+                    replay.stops(i, k, m, history)
+                assert len(book) == size
+            # maturity answers before the history is read
+            assert replay.stops(1, c.tree.N, 0, "xy") is True
+        assert asking[0].calls == asking[1].calls == 0
+        assert list(gamma._books) == [(infusion, x.numerator, x.denominator)]
+        for replay in replays:
+            for i, k, m, history in good[c]:
+                assert replay.stops(i, k, m, history) is replay._stops(i, k, m, history)
+
+
 def test_the_wealth_direct_stop_test_refuses_a_question_outside_the_game():
     c = build_contract(json.loads(
         (resources.files("swinghedge") / "contracts" / "two_rights_uncancellable.json").read_text()))
@@ -866,14 +911,16 @@ class FilterReplay(ReplayStrategy):
 
 
 def test_replay_histories_are_prefix_keyed_like_the_filtered_ones(monkeypatch):
+    # every question reaches _stops: the resolvers ask it directly, and the
+    # public stops after checking the history
     asked = {}
-    stops = ReplayStrategy.stops
+    stops = ReplayStrategy._stops
 
     def logged(self, i, k, m, history):
         asked.setdefault(self, []).append((i, k, m, history))
         return stops(self, i, k, m, history)
 
-    monkeypatch.setattr(ReplayStrategy, "stops", logged)
+    monkeypatch.setattr(ReplayStrategy, "_stops", logged)
     rng = random.Random(2412)
     contracts = [build_contract(json.loads(
         (resources.files("swinghedge") / "contracts" / f"{name}.json").read_text()))

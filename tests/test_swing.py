@@ -227,6 +227,42 @@ def test_table_strategy_needs_all_claims():
         TableStrategy(c.tree, c.L, [{}])
 
 
+@pytest.mark.parametrize("recombining", [False, True])
+def test_table_strategy_refuses_a_claim_outside_the_game(recombining):
+    # claim 0 would read claim L's table, claim L + 1 no table at all
+    c = two_calls({"kind": "constant", "value": "1"})
+    tree = build_tree(c.tree.params, recombining)
+    table = TableStrategy.all_at_start(tree, c.L)
+    for i in (0, -1, c.L + 1):
+        with pytest.raises(ContractError, match=f"claim {i} is not one of the game's claims 1..2"):
+            table.stops(i, 0, 0, ())
+    assert table.stops(1, 0, 0, ()) is table.stops(c.L, 0, 0, ()) is True
+
+
+def test_the_resolvers_ask_a_strategy_s_own_trusted_route():
+    # a class that defines _stops is asked through it; a subclass that does
+    # not, and any other strategy, through stops
+    class Trusted(StoppingStrategy):
+        def stops(self, i, k, m, history):
+            raise AssertionError("the public route was asked")
+
+        def _stops(self, i, k, m, history):
+            return k == 1
+
+    class Public(Trusted):
+        def stops(self, i, k, m, history):
+            return k == 1
+
+    c = two_calls({"kind": "constant", "value": "1"})
+    wait = Recording(TableStrategy.all_wait(c.tree, c.L))
+    for s, b in [(Trusted(c.tree, c.L), wait), (wait, Trusted(c.tree, c.L)),
+                 (Public(c.tree, c.L), wait), (wait, Public(c.tree, c.L))]:
+        play = resolve(s, b)
+        assert {path: resolve_path(s, b, path) for path in c.tree.paths()} == play.events
+        assert all(events[0].level == 1 for events in play.events.values())
+    assert wait.log  # the recording table is asked through stops
+
+
 def test_brute_force_cap():
     rng = random.Random(31)
     c = random_contract(rng, n=3, l=2)

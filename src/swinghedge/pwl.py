@@ -50,21 +50,39 @@ Q_0 and the convex kinks of psi_1 and psi_2 (_kinks); the last breakpoint
 always qualifies, since the function falls into it and is flat after it.
 The envelope keeps both the minimum and the smallest minimizer.
 
-The copies are streamed: _copies yields them one at a time (P_0 and Q_0
-first, so the envelope covers every y from the start), and each is folded in
-as it comes by a two-pointer merge of knot lists that inserts the crossings,
-so a transform holds the envelope and one copy, never every copy at once.
-portfolio_transform folds values only (_lower, in _portfolio_fold, which the
-risk stack calls with its tree's checked p and ptilde) and returns the
-function at once. Its control holds only its inputs and that function until
-it is first read; that read labels the function's knots and pieces with the
-same copies, each passed once (_ties, from _portfolio_control), and folds no
-value again. At each y the control's w1 is the smallest among the copies
-whose value meets the envelope there. A copy never lies below the envelope,
-so it meets it along a piece only on the envelope's line and at a single
-point only at a knot: ties keep the smaller w1, at a knot by value, along a
-piece by the lower of the two affine w1 lines (two lines cross only at a
-knot of both copies).
+The values need fewer pieces when the inputs are convex in runs. Cut f1
+and f2 at every knot where the slope falls: each splits into maximal convex
+runs, consecutive runs sharing the cut knot (_runs; _kinks and _runs read
+one slope rule, _rises). The infimal convolution of two convex functions is
+the merge of their slopes, so a pair of runs, one of each, gives one piece:
+the slope merge started at the sum of the runs' first knots, equal slopes
+taken together, flat from its last knot to end (_run_pairs). Each piece is
+a min over a subset of the splits, flat where it is only an upper bound,
+so it lies on or above fn; every minimizer lies in some pair, and the pair
+of the first runs starts at 0. So the lower envelope of the pieces is fn,
+and with two convex inputs there is one piece, which is fn with no fold.
+Both families are read off one prep of the inputs (_prep), and the value
+fold takes the run pairs when there are no more of them than copies; when
+both inputs have many concave kinks their pairs grow as the product, and
+folding the run pairs on every fold took the L=2 baseline stack at N=17
+from 1.02 s to 4.10 s.
+
+Either family is streamed: _run_pairs and _copies yield one piece at a
+time (P_0 and Q_0 first, or the first runs' pair, so the envelope covers
+every y from the start), and each is folded in as it comes by a two-pointer
+merge of knot lists that inserts the crossings, so a transform holds the
+envelope and one piece, never all of them at once. portfolio_transform
+folds values only (_lower, in _portfolio_fold, which the risk stack calls
+with its tree's checked p and ptilde) and returns the function at once. Its
+control holds only its inputs and that function until it is first read;
+that read labels the function's knots and pieces with the copies, each
+passed once (_ties, from _portfolio_control), and folds no value again,
+whichever family built the values. At each y the control's w1 is the
+smallest among the copies whose value meets the envelope there. A copy
+never lies below the envelope, so it meets it along a piece only on the
+envelope's line and at a single point only at a knot: ties keep the smaller
+w1, at a knot by value, along a piece by the lower of the two affine w1
+lines (two lines cross only at a knot of both copies).
 
 The infusion minimization goes through h(w) = w + psi(w): the value is
 (A - y) + min over w >= (y - A)^+ of h(w), and the smallest injection comes
@@ -89,9 +107,9 @@ see the same ties as rational arithmetic would. A piece evaluated at a knot
 of the other list stays an unnormalized pair, since it is only compared.
 Normalization happens where a rational is emitted, by one math.gcd: the
 merges (_lower, _ties, _combine) are flat loops over integers that reduce
-each value and w1 they emit in place, _copies reduces each copy's shifted
-knots and lines in the loop that builds the copy, and _cross and _q reduce a
-crossing and its value. _combine keeps no lines of its inputs: it builds the
+each value and w1 they emit in place, _copies and _run_pairs reduce each
+piece's knots and lines in the loop that builds the piece, and _cross and
+_q reduce a crossing and its value. _combine keeps no lines of its inputs: it builds the
 chord of a piece, unnormalized, only when a knot of the other function or a
 sign flip falls inside that piece. The one division whose divisor can be
 negative is the crossing of two lines (_cross), which flips both signs
@@ -276,9 +294,6 @@ class PwlFn:
     @property
     def support_end(self) -> Fraction:
         return Fraction(*self._pairs[-1][0])
-
-    def is_zero(self) -> bool:
-        return len(self._pairs) == 1
 
     def eval(self, y) -> Fraction:
         y = to_rational(y)
@@ -471,27 +486,45 @@ class PwlControl:
         return A * n + B * d, D * d
 
 
+def _rises(lines, t):
+    """Whether the slope rises at knot t, for lines as _lines gives them."""
+    return lines[t][0] * lines[t - 1][2] > lines[t - 1][0] * lines[t][2]
+
+
 def _kinks(lines):
     """0 and every knot at which the slope rises, for lines as _lines gives
     them: the knots a smallest minimizer can sit at (module docstring)."""
-    return [0] + [
-        t for t in range(1, len(lines)) if lines[t][0] * lines[t - 1][2] > lines[t - 1][0] * lines[t][2]
-    ]
+    return [0] + [t for t in range(1, len(lines)) if _rises(lines, t)]
 
 
-def _copies(psi1, psi2, p, pt):
-    """The copies the portfolio envelope folds, one at a time: P_0, Q_0,
-    then the convex kinks of psi1 and of psi2. Each is (knots, value line
-    from each knot on, w1 line), on [start, end] in u-coordinates."""
+def _runs(lines):
+    """The maximal convex runs, as (first knot, last knot), for lines as
+    _lines gives them: cut at every knot where the slope falls, so
+    consecutive runs share the cut knot. The last knot is never a cut."""
+    cuts = [0] + [t for t in range(1, len(lines)) if not _rises(lines, t)]
+    return list(zip(cuts, cuts[1:] + [len(lines) - 1]))
+
+
+def _prep(psi1, psi2, p, pt):
+    """Both inputs in u-coordinates, f1 on knots uP with values fP and f2 on
+    uQ with fQ, each with its lines (_lines), and end, where both
+    families of the fold stop; then psi1's own knots P."""
     tn, td, pn, pd = pt.numerator, pt.denominator, p.numerator, p.denominator
     P = [x for x, _ in psi1._pairs]
-    # both inputs in u-coordinates: f1 on uP, f2 on uQ
     uP = [_q(tn * n, td * d) for n, d in P]
     uQ = [_q((td - tn) * n, td * d) for (n, d), _ in psi2._pairs]
     fP = [_q(pn * n, pd * d) for _, (n, d) in psi1._pairs]
     fQ = [_q((pd - pn) * n, pd * d) for _, (n, d) in psi2._pairs]
-    lP, lQ = _lines(uP, fP), _lines(uQ, fQ)
     end = _q(uP[-1][0] * uQ[-1][1] + uQ[-1][0] * uP[-1][1], uP[-1][1] * uQ[-1][1])
+    return uP, uQ, fP, fQ, _lines(uP, fP), _lines(uQ, fQ), end, P
+
+
+def _copies(prep, pt):
+    """The copies the portfolio envelope folds, one at a time: P_0, Q_0,
+    then the convex kinks of psi1 and of psi2. Each is (knots, value line
+    from each knot on, w1 line), on [start, end] in u-coordinates."""
+    uP, uQ, fP, fQ, lP, lQ, end, P = prep
+    tn, td = pt.numerator, pt.denominator
 
     def copy(shift, base, us, lines, w1):
         (sn, sd), (bn, bd) = shift, base
@@ -525,12 +558,51 @@ def _copies(psi1, psi2, p, pt):
         yield q_copy(j)
 
 
+def _run_pairs(prep, runsP, runsQ):
+    """The pieces the portfolio envelope folds instead of the copies, one
+    per pair of a convex run of f1 and one of f2, the first runs' pair first
+    (it starts at 0). A piece is the two runs' slope merge from the sum of
+    their first knots, equal slopes taken together, flat from its last knot
+    to end: (knots, value line from each knot on, None)."""
+    uP, uQ, fP, fQ, lP, lQ, end, _ = prep
+    for a0, a1 in runsP:
+        for b0, b1 in runsQ:
+            i, j, xs, ls = a0, b0, [], []
+            while True:
+                (n, d), (m, e) = uP[i], uQ[j]
+                n, d = n * e + m * d, d * e
+                g = gcd(n, d)
+                xs.append((n // g, d // g))
+                if i < a1 and (j == b1 or lP[i][0] * lQ[j][2] <= lQ[j][0] * lP[i][2]):
+                    # f1's piece has the lower slope: f1's line, shifted by
+                    # f2's knot; on a tie f2's piece is the same line
+                    (sn, sd), (bn, bd), (A, B, D) = uQ[j], fQ[j], lP[i]
+                    if j < b1 and lP[i][0] * lQ[j][2] == lQ[j][0] * lP[i][2]:
+                        j += 1
+                    i += 1
+                elif j < b1:
+                    (sn, sd), (bn, bd), (A, B, D) = uP[i], fP[i], lQ[j]
+                    j += 1
+                else:  # flat at the last knot's value
+                    (n, d), (m, e) = fP[i], fQ[j]
+                    ls.append(_line(0, n * e + m * d, d * e))
+                    break
+                sdbd = sd * bd
+                A, B, D = A * sdbd, B * sdbd - A * sn * bd + D * bn * sd, D * sdbd
+                g = gcd(A, B, D)
+                ls.append((A // g, B // g, D // g))
+            if xs[-1] != end:
+                xs.append(end)
+                ls.append(ls[-1])
+            yield xs, ls, None
+
+
 def _lower(env, copy):
     """Lower envelope of env and one copy, values only.
 
     env = (knots, values at the knots, value line on each piece) covers
-    [0, end]; copy = (knots, value line from each knot on, w1 line, not
-    read) covers [start, end]. Where the two cross inside a piece the
+    [0, end]; copy = (knots, value line from each knot on, a label not
+    read), a copy or a run-pair piece, covers [start, end]. Where the two cross inside a piece the
     crossing goes in, and a knot through which the same value line runs is
     dropped.
     """
@@ -592,9 +664,10 @@ def _lower(env, copy):
     return nX, nV, nL
 
 
-def _first_copy(copies):
-    """The first copy as an env: its knots, its values there, its lines."""
-    xs, ls, _ = next(copies)
+def _first_copy(pieces):
+    """The first copy or run-pair piece as an env: its knots, its values
+    there, its lines."""
+    xs, ls, _ = next(pieces)
     vs = []
     for (xn, xd), (A, B, D) in zip(xs, ls):
         n, d = A * xn + B * xd, D * xd
@@ -620,10 +693,17 @@ def portfolio_transform(psi1: PwlFn, psi2: PwlFn, p, a, b):
 def _portfolio_fold(psi1, psi2, p, pt, b):
     """portfolio_transform on checked Fractions: p in (0, 1), pt the
     martingale probability of the market whose up return is b."""
-    copies = _copies(psi1, psi2, p, pt)
-    env = _first_copy(copies)
-    for cp in copies:
-        env = _lower(env, cp)
+    prep = _prep(psi1, psi2, p, pt)
+    lP, lQ = prep[4], prep[5]
+    runsP, runsQ = _runs(lP), _runs(lQ)
+    # run pairs on every fold took the L=2 baseline stack at N=17 1.02 -> 4.10 s
+    if len(runsP) * len(runsQ) <= len(_kinks(lP)) + len(_kinks(lQ)):
+        pieces = _run_pairs(prep, runsP, runsQ)
+    else:
+        pieces = _copies(prep, pt)
+    env = _first_copy(pieces)
+    for piece in pieces:
+        env = _lower(env, piece)
     fn = PwlFn._of(*env[:2])
     return fn, PwlControl._unbuilt((psi1, psi2, p, pt, b, fn))
 
@@ -700,7 +780,7 @@ def _portfolio_control(psi1, psi2, p, pt, b, fn):
     X, V = [x for x, _ in fn._pairs], [v for _, v in fn._pairs]
     # fn first reaches 0 at the copies' end, so env ends there, as _ties needs
     env = X, V, _lines(X, V), [None] * len(X), [None] * len(X)
-    for cp in _copies(psi1, psi2, p, pt):
+    for cp in _copies(_prep(psi1, psi2, p, pt), pt):
         env = _ties(env, cp)
     X, _, _, K, C = env
     # from the last event point on everything optimal costs 0, and the

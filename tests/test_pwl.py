@@ -70,7 +70,6 @@ def test_canonical_merges_collinear_and_trims_tail():
 
 def test_zero_and_hockey_stick():
     assert PwlFn.zero().points == ((F(0), F(0)),)
-    assert PwlFn.zero().is_zero()
     h = PwlFn.hockey_stick(F(3))
     assert h.eval(1) == 2
     assert h.eval(3) == 0
@@ -388,11 +387,29 @@ def envelope_inputs(rng, kind):
     return tie_heavy(rng, kind)
 
 
+def slopes(psi):
+    """The slope of each piece of psi, then 0 past its last breakpoint."""
+    pts = psi.points
+    return [(v1 - v0) / (x1 - x0) for (x0, v0), (x1, v1) in zip(pts, pts[1:])] + [F(0)]
+
+
 def convex_kinks(psi):
     """0 and every breakpoint at which psi's slope rises, the last one too."""
-    pts = psi.points
-    slopes = [(v1 - v0) / (x1 - x0) for (x0, v0), (x1, v1) in zip(pts, pts[1:])] + [F(0)]
-    return [F(0)] + [pts[t][0] for t in range(1, len(pts)) if slopes[t] > slopes[t - 1]]
+    s = slopes(psi)
+    return [F(0)] + [x for t, (x, _) in enumerate(psi.points) if t and s[t] > s[t - 1]]
+
+
+def convex_runs(psi):
+    """How many maximal convex runs psi has: one more than the breakpoints
+    at which its slope falls."""
+    s = slopes(psi)
+    return 1 + sum(s[t] < s[t - 1] for t in range(1, len(s)))
+
+
+def folds_run_pairs(psi1, psi2):
+    """Whether the value fold takes the run pairs: when there are no more
+    of them than there are copies."""
+    return convex_runs(psi1) * convex_runs(psi2) <= len(convex_kinks(psi1)) + len(convex_kinks(psi2))
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(ENVELOPE_KINDS))
@@ -412,12 +429,15 @@ def test_value_envelope_matches_the_control_fold(seed, kind):
         mp.setattr(pwl, "_copies", lambda *args: copies.append(list(make(*args))) or iter(copies[-1]))
         mp.setattr(pwl, "_ties", label)
         fn, ctrl = portfolio_transform(psi1, psi2, p, a, b)
-        assert len(copies) == 1 and labelled == []  # the values alone
+        # the values alone; no copies are built when the run pairs are folded
+        folded = 0 if folds_run_pairs(psi1, psi2) else 1
+        assert len(copies) == folded and labelled == []
         ctrl.xs
-    # the read makes the same copies again and labels with each one once
-    assert len(copies) == 2 and copies[0] == copies[1]
-    assert len(labelled) == len(copies[1])
-    assert all(got is want for got, want in zip(labelled, copies[1]))
+    # the read makes the copies, the same ones again if the values folded
+    # them, and labels with each one once
+    assert len(copies) == folded + 1 and copies[0] == copies[-1]
+    assert len(labelled) == len(copies[-1])
+    assert all(got is want for got, want in zip(labelled, copies[-1]))
     X, V, _, _, _ = envs[-1]
     assert pwl.PwlFn._of(X, V) == fn
     # folded: P_0, Q_0, then the convex kinks of psi1 and of psi2; a P copy
@@ -426,7 +446,7 @@ def test_value_envelope_matches_the_control_fold(seed, kind):
     want = [("P", F(0)), ("Q", F(0))]
     want += [("P", pt * x) for x in convex_kinks(psi1)[1:]]
     want += [("Q", (1 - pt) * x) for x in convex_kinks(psi2)[1:]]
-    assert [("Q" if w1[0] else "P", F(*xs[0])) for xs, _, w1 in copies[0]] == want
+    assert [("Q" if w1[0] else "P", F(*xs[0])) for xs, _, w1 in copies[-1]] == want
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(ENVELOPE_KINDS))
@@ -443,6 +463,114 @@ def test_pruned_copies_give_what_every_copy_gives(seed, kind):
     assert fn == every_fn
     assert ctrl.xs == every_ctrl.xs
     assert ctrl._knots == every_ctrl._knots
+
+
+def convex_pwl(rng, max_pts=5, den=4):
+    """A convex member of the class: each piece falls less steeply than the
+    one before it."""
+    n = rng.randint(1, max_pts)
+    falls = sorted({F(rng.randint(1, 12), rng.randint(1, den)) for _ in range(n)}, reverse=True)
+    xs = [F(0)]
+    for _ in falls:
+        xs.append(xs[-1] + F(rng.randint(1, 6), rng.randint(1, den)))
+    vals = [F(0)]
+    for t in range(len(falls) - 1, -1, -1):
+        vals.append(vals[-1] + falls[t] * (xs[t + 1] - xs[t]))
+    return PwlFn(list(zip(xs, reversed(vals))))
+
+
+def zigzag_pwl(rng, pieces=None, den=4):
+    """A member of the class that is not convex: steep and shallow pieces
+    alternate, so the slope falls at every second knot from the second on."""
+    n = pieces or rng.randint(3, 8)
+    xs, vals = [F(0)], [F(0)]
+    for t in range(n):
+        xs.append(xs[-1] + F(rng.randint(1, 6), rng.randint(1, den)))
+    for t in range(n - 1, -1, -1):
+        fall = F(rng.randint(7, 12)) if t % 2 == 0 else F(rng.randint(1, 5), rng.randint(2, den + 1))
+        vals.append(vals[-1] + fall * (xs[t + 1] - xs[t]))
+    return PwlFn(list(zip(xs, reversed(vals))))
+
+
+def fold_both_ways(psi1, psi2, p, a, b):
+    """The value envelope folded from the run pairs and from the copies."""
+    pt = martingale_prob(a, b)
+    prep = pwl._prep(psi1, psi2, p, pt)
+    out = []
+    for pieces in (pwl._run_pairs(prep, pwl._runs(prep[4]), pwl._runs(prep[5])), pwl._copies(prep, pt)):
+        env = pwl._first_copy(pieces)
+        for piece in pieces:
+            env = pwl._lower(env, piece)
+        out.append(PwlFn._of(*env[:2]))
+    return out
+
+
+SHAPE_PAIRS = {
+    "both convex": (convex_pwl, convex_pwl),
+    "one convex": (convex_pwl, zigzag_pwl),
+    "neither convex": (zigzag_pwl, zigzag_pwl),
+    "one zero": (lambda rng: PwlFn.zero(), random_pwl),
+}
+
+
+@pytest.mark.parametrize("kind", ENVELOPE_KINDS + tuple(SHAPE_PAIRS))
+def test_run_pairs_fold_what_the_copies_fold(kind):
+    rng = random.Random(kind)
+    for n in range(30):
+        if kind in SHAPE_PAIRS:
+            psi1, psi2 = (make(rng) for make in SHAPE_PAIRS[kind])
+            if n % 2:
+                psi1, psi2 = psi2, psi1
+            p, a, b = random_market_bits(rng)
+        else:
+            psi1, psi2, p, a, b = envelope_inputs(rng, kind)
+        pairs, copies = fold_both_ways(psi1, psi2, p, a, b)
+        assert pairs._pairs == copies._pairs
+        for x, v in pairs.points:
+            assert portfolio_at(psi1, psi2, p, a, b, x)[0] == v
+
+
+def test_the_value_fold_takes_the_run_pairs_only_when_they_are_fewer(monkeypatch):
+    # two convex inputs are one piece, which is the envelope with no fold;
+    # long zigzags have more run pairs than copies, and fold the copies
+    calls = Counter()
+    for name in ("_copies", "_run_pairs", "_lower"):
+        monkeypatch.setattr(pwl, name, lambda *args, f=getattr(pwl, name), name=name: calls.update([name]) or f(*args))
+    rng = random.Random(3201)
+    p, a, b = F(3, 5), F(-1, 3), F(1, 2)
+    for _ in range(10):
+        psi1, psi2 = convex_pwl(rng), convex_pwl(rng)
+        fn, _ = portfolio_transform(psi1, psi2, p, a, b)
+        assert calls == Counter(_run_pairs=1)
+        calls.clear()
+        psi1, psi2 = zigzag_pwl(rng, 12), zigzag_pwl(rng, 12)
+        assert not folds_run_pairs(psi1, psi2)
+        fn, _ = portfolio_transform(psi1, psi2, p, a, b)
+        assert calls["_copies"] == 1 and calls["_run_pairs"] == 0
+        assert calls["_lower"] == len(convex_kinks(psi1)) + len(convex_kinks(psi2)) - 1
+        assert fn == fold_both_ways(psi1, psi2, p, a, b)[0]
+        calls.clear()
+
+
+# _lower calls while building the N=14, L=3 baseline stack when every fold
+# took the copies; with the run pairs taken where they are fewer it makes
+# 1,693, and with the run pairs taken everywhere 3,536
+COPY_FOLD_LOWER_CALLS = 2598
+
+
+def test_the_baseline_stack_folds_no_more_pieces_than_the_copies_did(monkeypatch):
+    calls = []
+    lower = pwl._lower
+    monkeypatch.setattr(pwl, "_lower", lambda env, piece: calls.append(1) or lower(env, piece))
+    build_risk_stack(build_contract({
+        "model": {"S0": "1", "a": "-1/3", "b": "1/2", "p": "3/5", "N": 14},
+        "claims": [
+            {"exercise": {"kind": kind, "strike": "1"},
+             "penalty": {"kind": "constant", "value": "1/10"}}
+            for kind in ("call", "put", "call")
+        ],
+    }))
+    assert 0 < len(calls) <= COPY_FOLD_LOWER_CALLS
 
 
 def test_portfolio_control_is_built_once_on_first_read(monkeypatch):

@@ -1,7 +1,8 @@
 """Dynkin stopping games on the scenario tree.
 
-Two players watch the same tree. The minimizer (seller) picks a stopping time
-sigma, the maximizer (buyer) picks tau, and the settlement is
+Two players watch the same tree from its root. The minimizer (seller) picks a
+stopping time sigma, the maximizer (buyer) picks tau, both with values in
+[0, N], and the settlement is
 
     R(sigma, tau) = X(sigma) if sigma < tau, else Y(tau),
 
@@ -51,7 +52,7 @@ from .market import (
 
 
 class StoppingTime:
-    """An adapted stopping time with values in [start, N].
+    """An adapted stopping time with values in [0, N].
 
     decisions maps (level, node index) to True (stop) for levels below N;
     nodes without an entry continue. Every level-N node stops. Only nodes
@@ -61,12 +62,8 @@ class StoppingTime:
     once per lattice state; stops_at still takes node indices.
     """
 
-    def __init__(self, tree: ScenarioTree, start: int = 0, decisions: dict = None,
-                 by_state: bool = False):
-        if not (0 <= start <= tree.N):
-            raise ContractError(f"start level {start} out of range 0..{tree.N}")
+    def __init__(self, tree: ScenarioTree, decisions: dict = None, by_state: bool = False):
         self.tree = tree
-        self.start = start
         self.decisions = dict(decisions or {})
         # on the full tree a state is its node
         self.by_state = by_state and tree.recombining
@@ -74,30 +71,16 @@ class StoppingTime:
     def stops_at(self, k: int, m: int) -> bool:
         if k >= self.tree.N:
             return True
-        if k < self.start:
-            return False
         if self.by_state:
             m = self.tree.state(k, m)
         return self.decisions.get((k, m), False)
 
     def stop_level(self, path: int) -> int:
         """The level where this stopping time fires along the given path."""
-        for k in range(self.start, self.tree.N + 1):
+        for k in range(self.tree.N + 1):
             if self.stops_at(k, self.tree.node_on_path(path, k)):
                 return k
         raise AssertionError("unreachable: level N always stops")
-
-    @classmethod
-    def at_level(cls, tree: ScenarioTree, level: int, start: int = 0) -> "StoppingTime":
-        """The constant stopping time: stop everywhere at `level`."""
-        level = max(level, start)
-        decisions = {(level, m): True for m in range(2 ** level)} if level < tree.N else {}
-        return cls(tree, start, decisions)
-
-    @classmethod
-    def never(cls, tree: ScenarioTree, start: int = 0) -> "StoppingTime":
-        """Wait until forced: stop only at level N."""
-        return cls(tree, start, {})
 
 
 @dataclass
@@ -105,7 +88,6 @@ class DynkinSolution:
     value: AdaptedProcess
     seller_stop: StoppingTime
     buyer_stop: StoppingTime
-    start: int = 0
 
 
 def solve_level(k: int, xs: list, ys: list, conts: list, seller: dict, buyer: dict) -> list:
@@ -149,7 +131,7 @@ def solve_stack(tree: ScenarioTree, q: Fraction, legs: list) -> list:
     legs lists each game's own (X, Y); game k+1 plays its legs plus game k's
     continuation, as the module docstring says. Every value process has the
     level denominators C_k of level_scales for all the legs, and the stop
-    tables, keyed by state, start at level 0.
+    tables are keyed by state.
     """
     N = tree.N
     scales = level_scales(tree, q.denominator, *(leg.dens for pair in legs for leg in pair))
@@ -175,28 +157,20 @@ def solve_stack(tree: ScenarioTree, q: Fraction, legs: list) -> list:
     return [
         DynkinSolution(
             value=AdaptedProcess._of(tree, rows, scales),
-            seller_stop=StoppingTime(tree, 0, seller, by_state=True),
-            buyer_stop=StoppingTime(tree, 0, buyer, by_state=True),
+            seller_stop=StoppingTime(tree, seller, by_state=True),
+            buyer_stop=StoppingTime(tree, buyer, by_state=True),
         )
         for rows, seller, buyer in zip(values, sellers, buyers)
     ]
 
 
-def solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = MARTINGALE,
-                 start_level: int = 0) -> DynkinSolution:
-    """The game value and both optimal stopping times from start_level on:
-    the one-game stack, with the stop entries below start_level dropped."""
+def solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = MARTINGALE) -> DynkinSolution:
+    """The game value and both optimal stopping times: the one-game stack."""
     tree = X.tree
     if Y.tree is not tree:
         raise ContractError("X and Y must live on the same tree")
     (sol,) = solve_stack(tree, measure_prob(tree, measure), [(X, Y)])
-    seller, buyer = (
-        StoppingTime(tree, start_level,
-                     {key: flag for key, flag in stop.decisions.items() if key[0] >= start_level},
-                     by_state=True)
-        for stop in (sol.seller_stop, sol.buyer_stop)
-    )
-    return DynkinSolution(sol.value, seller, buyer, start_level)
+    return sol
 
 
 def evaluate_game(X: AdaptedProcess, Y: AdaptedProcess, sigma: StoppingTime,
@@ -222,13 +196,12 @@ def evaluate_game(X: AdaptedProcess, Y: AdaptedProcess, sigma: StoppingTime,
 
 
 def certify_stopped_values(X: AdaptedProcess, Y: AdaptedProcess,
-                           measure: str = MARTINGALE, start_level: int = 0,
-                           cap=DEFAULT_ENUMERATION_CAP):
+                           measure: str = MARTINGALE, cap=DEFAULT_ENUMERATION_CAP):
     """Check the three stopped-value properties of the solved game.
 
     The value process stopped at the seller's optimal time must be a
     supermartingale, stopped at the buyer's a submartingale, and stopped at
-    the earlier of the two a martingale, from start_level on. Returns
+    the earlier of the two a martingale, from the root on. Returns
     (ok, failures) where failures lists (property, level, node). The check
     visits every full-tree node, so a tree of more than `cap` of them is
     refused before the game is solved; cap=None sets no limit.
@@ -236,18 +209,18 @@ def certify_stopped_values(X: AdaptedProcess, Y: AdaptedProcess,
     tree = X.tree
     check_cap(2 ** (tree.N + 1) - 1, cap)
     q = measure_prob(tree, measure)
-    sol = solve_dynkin(X, Y, measure, start_level)
+    sol = solve_dynkin(X, Y, measure)
     V, sig, tau = sol.value, sol.seller_stop, sol.buyer_stop
     failures = []
 
     for name, stops in (("supermartingale", (sig,)), ("submartingale", (tau,)),
                         ("martingale", (sig, tau))):
-        for k in range(start_level, tree.N):
+        for k in range(tree.N):
             for m in range(2 ** k):
                 # alive iff no relevant stopping time fired at a level <= k
                 # along the path to (k, m), including at (k, m) itself
                 alive = True
-                for kk in range(start_level, k + 1):
+                for kk in range(k + 1):
                     node = m >> (k - kk)
                     if any(st.stops_at(kk, node) for st in stops):
                         alive = False

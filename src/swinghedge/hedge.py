@@ -91,10 +91,6 @@ class PerfectHedge(PortfolioStrategy):
         # 1,373 hits to 217 misses per hedge-pathdep cycle
         self._rules = {}  # (level, state, claim) -> _rule's answer
 
-    @property
-    def initial_capital(self) -> Fraction:
-        return self.stack.price()
-
     def units(self, level, node, claim, wealth):
         w = to_rational(wealth)
         return Fraction(*self._units(level, node, claim, (w.numerator, w.denominator)))

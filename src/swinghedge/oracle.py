@@ -1,12 +1,12 @@
 """Independent cross-checks for prices, strategies, and risk values.
 
 Everything here recomputes quantities the fast code produces, by slower but
-structurally different means: explicit enumeration of stopping times and of
-full strategy profiles, best-response tables against a committed opponent,
-forward play evaluation, direct candidate minimization for the one-period
-transforms, and a bracketing grid scheme for the shortfall value. None of it
-shares algorithmic machinery with the production recursions, so agreement is
-evidence, not tautology.
+structurally different means: explicit enumeration of stopping times (values
+in [0, N], from the root) and of full strategy profiles, best-response
+tables against a committed opponent, forward play evaluation, direct
+candidate minimization for the one-period transforms, and a bracketing grid
+scheme for the shortfall value. None of it shares algorithmic machinery
+with the production recursions, so agreement is evidence, not tautology.
 
 The saddle certificate plays the pair forward in one walk over the states
 the play reaches, scenarios sharing their path prefixes, and then computes
@@ -52,8 +52,8 @@ from .swing import StoppingStrategy, TableStrategy, check_strategy
 # ---------------------------------------------------------------------------
 # stopping-time enumeration
 
-def count_stopping_times(tree, start_level=0, cap=None):
-    """Number of stopping times with values in [start_level, N].
+def count_stopping_times(tree, cap=None):
+    """Number of stopping times with values in [0, N].
 
     The count below a node depends only on its level: 1 at maturity, and
     1 + (count below up child) * (count below down child) above it. With a
@@ -63,26 +63,20 @@ def count_stopping_times(tree, start_level=0, cap=None):
     """
     below = 1
     check_cap(below, cap)
-    for _ in range(start_level, tree.params.N):
+    for _ in range(tree.params.N):
         below = 1 + below * below
         check_cap(below, cap)
-    if below == 1:
-        return 1
-    total = 1
-    for _ in range(2 ** start_level):
-        total *= below
-        check_cap(total, cap)
-    return total
+    return below
 
 
-def enumerate_stopping_times(tree, start_level=0, cap=DEFAULT_ENUMERATION_CAP):
-    """All stopping times taking values in [start_level, N], as objects.
+def enumerate_stopping_times(tree, cap=DEFAULT_ENUMERATION_CAP):
+    """All stopping times taking values in [0, N], as objects.
 
-    A stopping time is a per-node stop decision on the subtree below each
-    level-start node; decisions after a stop are unreachable and not stored,
-    so distinct returned objects are genuinely distinct stopping times.
+    A stopping time is a per-node stop decision on the tree below the root;
+    decisions after a stop are unreachable and not stored, so distinct
+    returned objects are genuinely distinct stopping times.
     """
-    count_stopping_times(tree, start_level, cap)
+    count_stopping_times(tree, cap)
     N = tree.params.N
 
     def subtree(k, m):
@@ -98,14 +92,7 @@ def enumerate_stopping_times(tree, start_level=0, cap=DEFAULT_ENUMERATION_CAP):
                 out.append(merged)
         return out
 
-    per_node = [subtree(start_level, m) for m in range(2 ** start_level)]
-    result = []
-    for combo in itertools.product(*per_node):
-        decisions = {}
-        for d in combo:
-            decisions.update(d)
-        result.append(StoppingTime(tree, start=start_level, decisions=decisions))
-    return result
+    return [StoppingTime(tree, d) for d in subtree(0, 0)]
 
 
 def dynkin_minimax(X, Y, measure=MARTINGALE, cap=DEFAULT_ENUMERATION_CAP):

@@ -61,11 +61,12 @@ a min over a subset of the splits, flat where it is only an upper bound,
 so it lies on or above fn; every minimizer lies in some pair, and the pair
 of the first runs starts at 0. So the lower envelope of the pieces is fn,
 and with two convex inputs there is one piece, which is fn with no fold.
-Both families are read off one prep of the inputs (_prep), and the value
-fold takes the run pairs when there are no more of them than copies; when
-both inputs have many concave kinks their pairs grow as the product, and
-folding the run pairs on every fold took the L=2 baseline stack at N=17
-from 1.02 s to 4.10 s.
+Both families are read off one prep of the inputs (_prep) and built by one
+slope merge (_merge): a copy is the merge of one knot of one input with the
+whole other input. The value fold takes the run pairs when there are no
+more of them than copies; when both inputs have many concave kinks their
+pairs grow as the product, and folding the run pairs on every fold took
+the L=2 baseline stack at N=17 from 1.02 s to 4.10 s.
 
 Either family is streamed: _run_pairs and _copies yield one piece at a
 time (P_0 and Q_0 first, or the first runs' pair, so the envelope covers
@@ -519,41 +520,64 @@ def _prep(psi1, psi2, p, pt):
     return uP, uQ, fP, fQ, _lines(uP, fP), _lines(uQ, fQ), end, P
 
 
+def _merge(prep, a0, a1, b0, b1):
+    """The slope merge of f1's knots a0..a1 with f2's knots b0..b1, from the
+    sum of their first knots, equal slopes taken together, flat from its
+    last knot to end: (knots, value line from each knot on), in
+    u-coordinates. Both ranges are convex runs, or one is a single knot and
+    the merge is the other range, whatever its slopes, shifted by it."""
+    uP, uQ, fP, fQ, lP, lQ, end, _ = prep
+    i, j, xs, ls = a0, b0, [], []
+    while True:
+        (n, d), (m, e) = uP[i], uQ[j]
+        n, d = n * e + m * d, d * e
+        g = gcd(n, d)
+        xs.append((n // g, d // g))
+        if i < a1 and (j == b1 or lP[i][0] * lQ[j][2] <= lQ[j][0] * lP[i][2]):
+            # f1's piece has the lower slope: f1's line, shifted by f2's
+            # knot; on a tie f2's piece is the same line
+            (sn, sd), (bn, bd), (A, B, D) = uQ[j], fQ[j], lP[i]
+            if j < b1 and lP[i][0] * lQ[j][2] == lQ[j][0] * lP[i][2]:
+                j += 1
+            i += 1
+        elif j < b1:
+            (sn, sd), (bn, bd), (A, B, D) = uP[i], fP[i], lQ[j]
+            j += 1
+        else:  # flat at the last knot's value
+            (n, d), (m, e) = fP[i], fQ[j]
+            ls.append(_line(0, n * e + m * d, d * e))
+            break
+        sdbd = sd * bd
+        A, B, D = A * sdbd, B * sdbd - A * sn * bd + D * bn * sd, D * sdbd
+        g = gcd(A, B, D)
+        ls.append((A // g, B // g, D // g))
+    if xs[-1] != end:
+        xs.append(end)
+        ls.append(ls[-1])
+    return xs, ls
+
+
 def _copies(prep, pt):
     """The copies the portfolio envelope folds, one at a time: P_0, Q_0,
-    then the convex kinks of psi1 and of psi2. Each is (knots, value line
-    from each knot on, w1 line), on [start, end] in u-coordinates."""
-    uP, uQ, fP, fQ, lP, lQ, end, P = prep
+    then the convex kinks of psi1 and of psi2. A copy is one knot of one
+    input merged with the whole other input (_merge), with its w1 line:
+    (knots, value line from each knot on, w1 line), on [start, end] in
+    u-coordinates."""
+    uP, uQ, _, _, lP, lQ, _, P = prep
     tn, td = pt.numerator, pt.denominator
-
-    def copy(shift, base, us, lines, w1):
-        (sn, sd), (bn, bd) = shift, base
-        sdbd, snbd, bnsd = sd * bd, sn * bd, bn * sd
-        xs, ls = [], []
-        for (n, d), (A, B, D) in zip(us, lines):
-            n, d = sn * d + n * sd, sd * d
-            g = gcd(n, d)
-            xs.append((n // g, d // g))
-            # f(y - shift) + base on each piece
-            A, B, D = A * sdbd, B * sdbd - A * snbd + D * bnsd, D * sdbd
-            g = gcd(A, B, D)
-            ls.append((A // g, B // g, D // g))
-        if xs[-1] != end:  # flat from the last knot on
-            xs.append(end)
-            ls.append(ls[-1])
-        return xs, ls, w1
+    lastP, lastQ = len(uP) - 1, len(uQ) - 1
 
     # copy i pins w1 = P_i; copy j pins w2 = Q_j, so w1 = (y - uQ_j) / pt
     def q_copy(j):
         n, d = uQ[j]
-        return copy(uQ[j], fQ[j], uP, lP, _line(td * d, -td * n, tn * d))
+        return (*_merge(prep, 0, lastP, j, j), _line(td * d, -td * n, tn * d))
 
     # folding every copy took an N=14, L=3 stack 0.97 -> 1.40 s to build
     kP, kQ = _kinks(lP), _kinks(lQ)
-    yield copy(uP[0], fP[0], uQ, lQ, (0, *P[0]))
+    yield (*_merge(prep, 0, 0, 0, lastQ), (0, *P[0]))
     yield q_copy(0)
     for i in kP[1:]:
-        yield copy(uP[i], fP[i], uQ, lQ, (0, *P[i]))
+        yield (*_merge(prep, i, i, 0, lastQ), (0, *P[i]))
     for j in kQ[1:]:
         yield q_copy(j)
 
@@ -561,40 +585,10 @@ def _copies(prep, pt):
 def _run_pairs(prep, runsP, runsQ):
     """The pieces the portfolio envelope folds instead of the copies, one
     per pair of a convex run of f1 and one of f2, the first runs' pair first
-    (it starts at 0). A piece is the two runs' slope merge from the sum of
-    their first knots, equal slopes taken together, flat from its last knot
-    to end: (knots, value line from each knot on, None)."""
-    uP, uQ, fP, fQ, lP, lQ, end, _ = prep
+    (it starts at 0): (*_merge of the two runs, None)."""
     for a0, a1 in runsP:
         for b0, b1 in runsQ:
-            i, j, xs, ls = a0, b0, [], []
-            while True:
-                (n, d), (m, e) = uP[i], uQ[j]
-                n, d = n * e + m * d, d * e
-                g = gcd(n, d)
-                xs.append((n // g, d // g))
-                if i < a1 and (j == b1 or lP[i][0] * lQ[j][2] <= lQ[j][0] * lP[i][2]):
-                    # f1's piece has the lower slope: f1's line, shifted by
-                    # f2's knot; on a tie f2's piece is the same line
-                    (sn, sd), (bn, bd), (A, B, D) = uQ[j], fQ[j], lP[i]
-                    if j < b1 and lP[i][0] * lQ[j][2] == lQ[j][0] * lP[i][2]:
-                        j += 1
-                    i += 1
-                elif j < b1:
-                    (sn, sd), (bn, bd), (A, B, D) = uP[i], fP[i], lQ[j]
-                    j += 1
-                else:  # flat at the last knot's value
-                    (n, d), (m, e) = fP[i], fQ[j]
-                    ls.append(_line(0, n * e + m * d, d * e))
-                    break
-                sdbd = sd * bd
-                A, B, D = A * sdbd, B * sdbd - A * sn * bd + D * bn * sd, D * sdbd
-                g = gcd(A, B, D)
-                ls.append((A // g, B // g, D // g))
-            if xs[-1] != end:
-                xs.append(end)
-                ls.append(ls[-1])
-            yield xs, ls, None
+            yield (*_merge(prep, a0, a1, b0, b1), None)
 
 
 def _lower(env, copy):

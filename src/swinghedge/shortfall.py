@@ -303,9 +303,10 @@ class ReplayStrategy(StoppingStrategy):
     claim or rights count outside 1..L and a node off the tree before any
     policy is asked and answer True at maturity; _stops_at checks nothing.
     Below maturity stops also refuses a history no play hands that question
-    (see _check_history) before the book or a policy is asked; _stops, the
-    route the resolvers take with histories they built themselves (see
-    swing.resolve), trusts its history.
+    (see _check_history) before the book or a policy is asked. _stops is
+    just the stop test, asked below maturity only: it is the route the
+    resolvers take with histories they built themselves (see swing.resolve),
+    and they settle maturity themselves, so it trusts its question.
     """
 
     def __init__(self, stack: RiskStack, x, gamma, infusion, side):
@@ -349,13 +350,12 @@ class ReplayStrategy(StoppingStrategy):
         return self._book.entry(k, m, _below(history, k))[0]
 
     def stops(self, i, k, m, history):
-        if not self._at_maturity("claim", i, k, m):
-            _check_history(i, k, m, history)
+        if self._at_maturity("claim", i, k, m):
+            return True
+        _check_history(i, k, m, history)
         return self._stops(i, k, m, history)
 
     def _stops(self, i, k, m, history):
-        if self._at_maturity("claim", i, k, m):
-            return True
         return self._stops_at(k, m, self.L - i + 1, self._wealth(k, m, history))
 
 

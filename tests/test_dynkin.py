@@ -32,23 +32,12 @@ def random_game(rng, max_n=3, n=None):
 def test_stopping_time_basics():
     tree = build_tree(MarketParams(S0=1, a=Fraction(-1, 2), b=1,
                                    p=Fraction(1, 2), N=2))
-    st = StoppingTime(tree, 0, {(0, 0): True})
+    st = StoppingTime(tree, {(0, 0): True})
     assert st.stops_at(0, 0)
     assert st.stop_level(0b11) == 0
     assert st.stops_at(2, 3)  # maturity always stops
-    never = StoppingTime.never(tree)
+    never = StoppingTime(tree)
     assert [never.stop_level(p) for p in tree.paths()] == [2, 2, 2, 2]
-    late = StoppingTime(tree, 1, {(0, 0): True})
-    assert not late.stops_at(0, 0)  # decisions before the start are ignored
-    with pytest.raises(ContractError):
-        StoppingTime(tree, 5)
-
-
-def test_at_level_respects_start():
-    tree = build_tree(MarketParams(S0=1, a=Fraction(-1, 2), b=1,
-                                   p=Fraction(1, 2), N=2))
-    st = StoppingTime.at_level(tree, 0, start=1)
-    assert st.stop_level(0) == 1
 
 
 def test_known_one_period_game():
@@ -93,15 +82,6 @@ def test_stopped_value_properties_hold():
         assert ok, failures
 
 
-def test_stopped_value_properties_with_start_level():
-    rng = random.Random(19)
-    for _ in range(30):
-        X, Y = random_game(rng, n=3)
-        start = rng.randint(0, 2)
-        ok, failures = certify_stopped_values(X, Y, start_level=start)
-        assert ok, failures
-
-
 def test_stopped_value_check_reports_a_value_off_by_one(monkeypatch):
     from swinghedge import dynkin
 
@@ -120,7 +100,7 @@ def test_stopped_value_check_reports_a_value_off_by_one(monkeypatch):
         nums = [list(row) for row in V.nums]
         nums[1][0] += 1  # V(1, 0) one numerator too high
         return dynkin.DynkinSolution(AdaptedProcess._of(tree, nums, list(V.dens)),
-                                     sol.seller_stop, sol.buyer_stop, sol.start)
+                                     sol.seller_stop, sol.buyer_stop)
 
     monkeypatch.setattr(dynkin, "solve_dynkin", off_by_one)
     ok, failures = certify_stopped_values(X, Y)
@@ -128,6 +108,26 @@ def test_stopped_value_check_reports_a_value_off_by_one(monkeypatch):
     # the root's continuation rises above its value; (1, 0)'s value above its continuation
     assert failures == [("supermartingale", 0, 0), ("submartingale", 1, 0),
                         ("martingale", 0, 0), ("martingale", 1, 0)]
+
+
+def test_solve_dynkin_is_the_one_game_stack(monkeypatch):
+    from swinghedge import dynkin
+
+    built = []
+    stack = dynkin.solve_stack
+
+    def kept(*args):
+        built.append(stack(*args))
+        return built[-1]
+
+    monkeypatch.setattr(dynkin, "solve_stack", kept)
+    rng = random.Random(19)
+    for _ in range(10):
+        X, Y = random_game(rng)
+        sol = solve_dynkin(X, Y)
+        # the one game's solution, not a copy of its stop tables
+        assert len(built[-1]) == 1 and sol is built[-1][0]
+    assert len(built) == 10
 
 
 def test_mismatched_trees_rejected():

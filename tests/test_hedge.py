@@ -97,14 +97,6 @@ def test_perfect_hedge_rules_answer_as_the_formula(recombining):
             assert hedge.units(level, node, claim, Fraction(*w)) == Fraction(*want)
 
 
-def test_initial_capital_is_the_price():
-    rng = random.Random(41)
-    for _ in range(10):
-        c = random_contract(rng)
-        stack, price = price_swing(c)
-        assert build_perfect_hedge(stack).initial_capital == price
-
-
 def test_hedge_wealth_tracks_stack_values_on_contract_a():
     c = build_contract({"model": {"S0": "1", "a": "-1/2", "b": "1",
                                   "p": "1/2", "N": 1},
@@ -349,7 +341,7 @@ def matching_failures(c, sellers, portfolios, capitals, optimal):
     the number of failing checks. portfolios[0] is the perfect hedge, which
     must cover every play against the optimal seller from the price on."""
     hedge = portfolios[0]
-    price = hedge.initial_capital
+    price = hedge.stack.price()
     failures = 0
     for seller in sellers:
         for portfolio in portfolios:

@@ -1,11 +1,15 @@
-"""Every module of the package reads each name it imports, and every
-private helper it defines is read somewhere in the package.
+"""Every module of the package reads each name it imports, every private
+helper it defines is read somewhere in the package, and every public name
+it defines has a caller outside the tests.
 
 Each src/swinghedge/*.py but __init__.py (which imports to re-export) is
 parsed with ast: a name an import binds and the module never loads is
 dead, and fails here with its line. So is a module-level _name (a def, a
 class or an assignment) that no statement of src/swinghedge reads, its
-own definition aside.
+own definition aside. So is a public module-level def or class, or a
+public method, that nothing in src/, scripts/ or the benchmark's worker
+and tracer imports or reads, unless PUBLIC_WITHOUT_CALLER names it with
+its reason; a name the package's __init__.py re-exports is its API, read.
 """
 
 import ast
@@ -13,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "swinghedge"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "swinghedge"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -93,3 +98,82 @@ def test_every_private_helper_is_read():
         if helper not in read
     }
     assert dead == set(), f"private helpers nothing in src/ reads: {sorted(dead)}"
+
+
+# Public names that nothing outside the tests calls, each with its reason.
+PUBLIC_WITHOUT_CALLER = {
+    "certify_stopped_values": "the acceptance gate imports it",
+    "infusion_minimizer": "the acceptance gate imports it",
+    "portfolio_at": "oracle reference for the portfolio transform",
+    "infusion_at": "oracle reference for the infusion transform",
+    "grid_portfolio_value": "oracle reference for the portfolio value",
+    "grid_infusion_value": "oracle reference for the infusion value",
+    "SaddleCertificate.to_json_dict": "oracle reference: the certificate as JSON",
+    "payoff_at": "leftover: a contract payoff read at one node",
+    "MarketParams.to_dict": "leftover: the model block of a contract spec",
+    "AdaptedProcess.constant": "leftover: the tests' constant games",
+}
+
+# The callers: the package, the scripts, and the benchmark's worker and
+# tracer (the tracer names the functions it wraps as strings).
+CALLERS = [*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+           ROOT / "perfbench" / "worker.py", ROOT / "perfbench" / "tracer.py"]
+
+
+def statements(tree):
+    """The statements whose reads count: each module-level statement, a
+    class split into its decorators and bases and each statement of its
+    body, so that a method reading only itself is unread."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            yield from stmt.decorator_list + stmt.bases + stmt.keywords
+            yield from stmt.body
+        else:
+            yield stmt
+
+
+def read_by_callers():
+    """Every name a caller imports or reads outside its own definition, and
+    each dotted part of every string the tracer holds."""
+    read = set()
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read.update(imported(tree))
+        read.update(name for stmt in statements(tree) for name in reads(stmt)
+                    if name not in bound_names(stmt))
+        if path.name == "tracer.py":
+            read.update(part for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        for part in node.value.split("."))
+    return read
+
+
+def defined_publics(tree):
+    """name -> line of every public module-level def or class, and of every
+    public method as Class.method."""
+    out = {}
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+            continue
+        out[stmt.name] = stmt.lineno
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    out[f"{stmt.name}.{item.name}"] = item.lineno
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    """Each public def, class and method of src/swinghedge is read by a
+    caller outside the tests, or PUBLIC_WITHOUT_CALLER says why not."""
+    read = read_by_callers()
+    unread = set()
+    for path in SRC.glob("*.py"):
+        for name, line in defined_publics(ast.parse(path.read_text(), filename=path.name)).items():
+            if name.split(".")[-1] not in read:
+                unread.add((name, f"{path.name}:{line}"))
+    unexplained = sorted(where + " " + name for name, where in unread
+                         if name not in PUBLIC_WITHOUT_CALLER)
+    assert unexplained == [], f"public names nothing outside the tests calls: {unexplained}"
+    # an entry whose name gained a caller, or is gone, goes from the list
+    assert {name for name, _ in unread} == set(PUBLIC_WITHOUT_CALLER)

@@ -67,7 +67,6 @@ def test_stopping_time_counts():
     assert count_stopping_times(small_tree(1)) == 2
     assert count_stopping_times(small_tree(2)) == 5
     assert count_stopping_times(small_tree(3)) == 26
-    assert count_stopping_times(small_tree(3), start_level=3) == 1
 
 
 def test_enumeration_matches_count_and_is_distinct():

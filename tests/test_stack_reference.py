@@ -48,8 +48,8 @@ def reference_one_step_expectation(proc: AdaptedProcess, level: int, measure: st
     return [q * u + (1 - q) * d for u, d in zip(ups, downs)]
 
 
-def reference_solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = MARTINGALE,
-                           start_level: int = 0) -> DynkinSolution:
+def reference_solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess,
+                           measure: str = MARTINGALE) -> DynkinSolution:
     """Backward induction for the game value and both optimal stopping times."""
     tree = X.tree
     if Y.tree is not tree:
@@ -72,7 +72,7 @@ def reference_solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = 
 
     seller = {}
     buyer = {}
-    for k in range(start_level, N):
+    for k in range(N):
         for s, (x, y, v) in enumerate(zip(X.values[k], Y.values[k], values[k])):
             if x <= v:
                 seller[(k, s)] = True
@@ -80,9 +80,8 @@ def reference_solve_dynkin(X: AdaptedProcess, Y: AdaptedProcess, measure: str = 
                 buyer[(k, s)] = True
     return DynkinSolution(
         value=V,
-        seller_stop=StoppingTime(tree, start_level, seller, by_state=True),
-        buyer_stop=StoppingTime(tree, start_level, buyer, by_state=True),
-        start=start_level,
+        seller_stop=StoppingTime(tree, seller, by_state=True),
+        buyer_stop=StoppingTime(tree, buyer, by_state=True),
     )
 
 
@@ -145,10 +144,9 @@ def reference_optimal_strategies(contract, games, values):
 
 def assert_same_solution(got, want):
     assert got.value.values == want.value.values
-    assert got.start == want.start
     for side in ("seller_stop", "buyer_stop"):
         a, b = getattr(got, side), getattr(want, side)
-        assert (a.start, a.by_state, a.decisions) == (b.start, b.by_state, b.decisions)
+        assert (a.by_state, a.decisions) == (b.by_state, b.decisions)
 
 
 def assert_same_stack(contract):
@@ -245,32 +243,28 @@ def test_stack_matches_the_fraction_recursion_on_tie_heavy_tables():
 
 
 @pytest.mark.parametrize("recombining", [False, True])
-def test_dynkin_matches_the_fraction_recursion_at_every_start(recombining):
+def test_dynkin_matches_the_fraction_recursion(recombining):
     rng = random.Random(31 + recombining)
     for _ in range(30):
         tree = ScenarioTree(random_params(rng, max_n=6), recombining)
         for measure in (MARKET, MARTINGALE):
             X, Y = tie_heavy_game(rng, tree, measure)
-            for start in range(tree.N + 1):
-                assert_same_solution(solve_dynkin(X, Y, measure, start),
-                                     reference_solve_dynkin(X, Y, measure, start))
+            assert_same_solution(solve_dynkin(X, Y, measure),
+                                 reference_solve_dynkin(X, Y, measure))
             for level in range(tree.N):
                 assert one_step_expectation(X, level, measure) == \
                     reference_one_step_expectation(X, level, measure)
 
 
-def test_contract_legs_at_every_start_and_measure():
+def test_contract_legs_at_every_measure():
     rng = random.Random(53)
     for recombining in (False, True):
         for _ in range(10):
             c = random_contract(rng, max_n=6, max_l=3, recombining=recombining)
             for i in range(1, c.L + 1):
                 for measure in (MARKET, MARTINGALE):
-                    for start in range(c.tree.N + 1):
-                        assert_same_solution(
-                            solve_dynkin(c.X(i), c.Y(i), measure, start),
-                            reference_solve_dynkin(c.X(i), c.Y(i), measure, start),
-                        )
+                    assert_same_solution(solve_dynkin(c.X(i), c.Y(i), measure),
+                                         reference_solve_dynkin(c.X(i), c.Y(i), measure))
 
 
 def test_deep_lattice_price_matches_the_fraction_recursion(no_full_tree):

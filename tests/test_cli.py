@@ -10,7 +10,7 @@ import pytest
 
 from swinghedge import cli, hedge, pwl
 from swinghedge.cli import main
-from swinghedge.errors import ECHO_MAX, InvariantError
+from swinghedge.errors import DEFAULT_ENUMERATION_CAP, ECHO_MAX, InvariantError
 from swinghedge.market import format_rational
 from swinghedge.pwl import PwlFn
 from swinghedge.shortfall import build_risk_stack
@@ -375,6 +375,16 @@ def test_a_long_input_value_is_echoed_by_its_head_and_length(where, value, messa
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"
     assert len(err.encode()) < 200
+
+
+def test_a_spec_horizon_past_the_cap_exits_2(tmp_path, capsys):
+    spec = json.loads(json.dumps(SPEC))
+    spec["model"]["N"] = DEFAULT_ENUMERATION_CAP + 1
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(spec))
+    cap = DEFAULT_ENUMERATION_CAP
+    assert _call(["price", str(path)], capsys) == (
+        2, "", f"error: enumeration needs more than {cap} items, cap is {cap}\n")
 
 
 def test_a_long_path_or_capital_is_echoed_by_its_head_and_length(spec_file, capsys):

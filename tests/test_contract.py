@@ -3,12 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import random_contract
 from swinghedge import contract
 from swinghedge.contract import _parse_table, build_contract, load_contract, payoff_at
-from swinghedge.errors import ContractError
+from swinghedge.errors import DEFAULT_ENUMERATION_CAP, ContractError, EnumerationCapError
 from swinghedge.market import AdaptedProcess, MarketParams, build_tree, to_rational
 
 MODEL = {"S0": "1", "a": "-1/2", "b": "1", "p": "1/2", "N": 1}
@@ -213,8 +213,9 @@ json_values = st.recursive(
 )
 
 # Every field a spec reads, as a path from the spec root. Each claim list
-# keeps a table leg, so any horizon but N = 1 fails the shape check and no
-# replacement can ask for a large state space.
+# keeps a table leg, so any horizon but N = 1 fails the shape check; a
+# horizon past the enumeration cap is refused before that check, as a cap
+# refusal rather than a contract error.
 SPEC_FIELDS = (
     [("model",), ("claims",)]
     + [("model", key) for key in ("S0", "a", "b", "p", "N")]
@@ -230,6 +231,7 @@ SPEC_FIELDS = (
 
 
 @given(st.sampled_from(SPEC_FIELDS), json_values)
+@example(("model", "N"), DEFAULT_ENUMERATION_CAP + 1)
 def test_any_field_value_loads_or_is_rejected(field, value):
     spec = json.loads(json.dumps({"model": MODEL, "claims": GOOD_CLAIMS}))
     node = spec
@@ -240,6 +242,8 @@ def test_any_field_value_loads_or_is_rejected(field, value):
         build_contract(spec)
     except ContractError:
         pass
+    except EnumerationCapError:
+        assert field == ("model", "N") and value > DEFAULT_ENUMERATION_CAP
 
 
 PARSE_CASES = [

@@ -143,15 +143,16 @@ def cmd_risk(args):
 def cmd_risk_curve(args):
     contract = load_contract(args.contract)
     curve = build_risk_stack(contract).curve()
+    points = curve.points  # each breakpoint's Fractions, built once
     doc = {
         "breakpoints": [
             {"capital": _fmt(x, args.decimal), "risk": _fmt(v, args.decimal)}
-            for x, v in curve.points
+            for x, v in points
         ],
-        "wire": curve.to_wire(),
+        "wire": [[format_rational(x), format_rational(v)] for x, v in points],  # as to_wire()
     }
     if args.csv:
-        xs = [x for x, _ in curve.points]
+        xs = [x for x, _ in points]
         grid = []
         for lo, hi in zip(xs, xs[1:]):
             grid.append(lo)

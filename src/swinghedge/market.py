@@ -82,7 +82,8 @@ def format_rational(q: Fraction) -> str:
     has one digit more than S0); such a value is refused as a ContractError
     rather than escaping as the interpreter's ValueError.
     """
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     try:
         if q.denominator == 1:
             return str(q.numerator)

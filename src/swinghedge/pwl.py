@@ -93,7 +93,13 @@ for every left end at once: infusion_transform reads the minimum off it,
 leftmost_minimizer the minimizer, which serves every obligation A (the left
 end is (y - A)^+).
 
-pointwise_min and pointwise_max use the same two-pointer merge.
+pointwise_min and pointwise_max first make one sign pass over the union of
+both knot lists (_order), reading each function as the merge reads it.
+Between two consecutive knots of the union both functions are affine, and
+past the last both are 0, so when one of them is on the kept side at every
+knot (ties count for either side) it is the answer everywhere, and since
+the canonical form is unique it is returned itself. Only otherwise do they
+merge, by the same two-pointer merge of knot lists.
 
 Representation: int pairs inside, Fractions at the boundary. Every rational
 the algebra keeps (a knot, a value, a w1) is a pair (numerator, denominator)
@@ -108,16 +114,18 @@ see the same ties as rational arithmetic would. A piece evaluated at a knot
 of the other list stays an unnormalized pair, since it is only compared.
 Normalization happens where a rational is emitted, by one math.gcd: the
 merges (_lower, _ties, _combine) are flat loops over integers that reduce
-each value and w1 they emit in place, _copies and _run_pairs reduce each
-piece's knots and lines in the loop that builds the piece, and _cross and
-_q reduce a crossing and its value. _combine keeps no lines of its inputs: it builds the
-chord of a piece, unnormalized, only when a knot of the other function or a
-sign flip falls inside that piece. The one division whose divisor can be
-negative is the crossing of two lines (_cross), which flips both signs
-first. The transforms hand pairs from one to the next, and one evaluator per
-class reads them too: _at takes a wealth pair, picks the piece by one binary
-search by cross-multiplication (_find) and answers a pair, which is what the
-shortfall layer's policies ask. The public evals wrap it and make one
+each value and w1 they emit in place, _scaled reduces the fold's inputs in
+u-coordinates in the loop that scales them, _merge reduces each piece's
+knots and lines in the loop that builds the piece, and _cross and _q reduce
+a crossing and its value. _order and _combine keep no lines of their
+inputs: they build the chord of a piece, unnormalized, only when a knot of
+the other function or a sign flip falls inside that piece. The one
+division whose divisor can be negative is the crossing of two lines
+(_cross), which flips both signs first. The transforms hand pairs from one
+to the next, and one evaluator per class reads them too: _at takes a
+wealth pair, picks the piece by one binary search by cross-multiplication
+(_find) and answers a pair, which is what the shortfall layer's policies
+ask. The public evals wrap it and make one
 Fraction, the answer. Only those, PwlFn.points and the control's xs
 (both built on each read) turn the pairs into Fractions. A function's
 suffix-minimum rows are kept (_minimum_rows), so the exercise and cancel
@@ -277,7 +285,8 @@ class PwlFn:
         c = to_rational(c)
         if c <= 0:
             return cls.zero()
-        return cls(((0, c), (c, 0)))
+        c = c.numerator, c.denominator
+        return cls._of(((0, 1), c), (c, (0, 1)))
 
     @property
     def points(self) -> tuple:
@@ -355,12 +364,69 @@ def _lines(xs, vs):
     return out
 
 
+def _order(F, G):
+    """(f <= g, f >= g) at every knot of either of the pair lists F and G,
+    read as _combine reads them; both False once f - g has taken both
+    signs. Between two consecutive knots both functions are affine, and past
+    the last both are 0, so an order that holds at every knot holds
+    everywhere."""
+    nf, ng = len(F), len(G)
+    i = j = 0  # the next knot of each list
+    fp = gp = -1  # the pieces whose chords fl and gl are
+    le = ge = True
+    while i < nf or j < ng:
+        if j < ng and (i == nf or G[j][0][0] * F[i][0][1] < F[i][0][0] * G[j][0][1]):
+            (xn, xd), (cn, cd) = G[j]  # a knot of g only
+            j += 1
+            if i == nf:
+                an, ad = 0, 1
+            else:
+                if fp != i - 1:
+                    fp, fl = i - 1, _chord(*F[i - 1], *F[i])
+                A, B, D = fl
+                an, ad = A * xn + B * xd, D * xd
+        else:
+            x, (an, ad) = F[i]
+            i += 1
+            if j < ng and G[j][0] == x:
+                cn, cd = G[j][1]
+                j += 1
+            elif j == ng:
+                cn, cd = 0, 1
+            else:
+                if gp != j - 1:
+                    gp, gl = j - 1, _chord(*G[j - 1], *G[j])
+                A, B, D = gl
+                xn, xd = x
+                cn, cd = A * xn + B * xd, D * xd
+        left, right = an * cd, cn * ad
+        if left > right:
+            if not ge:
+                return False, False
+            le = False
+        elif left < right:
+            if not le:
+                return False, False
+            ge = False
+    return le, ge
+
+
 def _combine(f: PwlFn, g: PwlFn, lower: bool) -> PwlFn:
-    """pointwise_min (lower) or pointwise_max of f and g: one two-pointer
+    """pointwise_min (lower) or pointwise_max of f and g.
+
+    One sign pass (_order) first: when one function holds the kept side at
+    every knot of either, that function is the answer, and it is returned
+    itself, since the canonical form is unique. Otherwise one two-pointer
     merge of their knots. A function is read off its own knot where it has
     one, else off the chord of its piece, built when another knot or a sign
     flip first falls inside that piece; past its last knot it is 0."""
     F, G = f._pairs, g._pairs
+    # 236 of the 334 min and max calls of a riskcurve-markov cycle keep an input
+    le, ge = _order(F, G)
+    if le if lower else ge:
+        return f
+    if ge if lower else le:
+        return g
     nf, ng = len(F), len(G)
     i = j = 0  # the next knot of each list
     fp = gp = -1  # the pieces whose chords fl and gl are
@@ -506,16 +572,28 @@ def _runs(lines):
     return list(zip(cuts, cuts[1:] + [len(lines) - 1]))
 
 
+def _scaled(pairs, an, ad, bn, bd):
+    """A function's knots times an/ad and its values times bn/bd, both
+    positive, as two lists of reduced pairs built in one loop."""
+    us, fs = [], []
+    for (xn, xd), (vn, vd) in pairs:
+        n, d = an * xn, ad * xd
+        g = gcd(n, d)
+        us.append((n // g, d // g))
+        n, d = bn * vn, bd * vd
+        g = gcd(n, d)
+        fs.append((n // g, d // g))
+    return us, fs
+
+
 def _prep(psi1, psi2, p, pt):
     """Both inputs in u-coordinates, f1 on knots uP with values fP and f2 on
     uQ with fQ, each with its lines (_lines), and end, where both
     families of the fold stop; then psi1's own knots P."""
     tn, td, pn, pd = pt.numerator, pt.denominator, p.numerator, p.denominator
+    uP, fP = _scaled(psi1._pairs, tn, td, pn, pd)
+    uQ, fQ = _scaled(psi2._pairs, td - tn, td, pd - pn, pd)
     P = [x for x, _ in psi1._pairs]
-    uP = [_q(tn * n, td * d) for n, d in P]
-    uQ = [_q((td - tn) * n, td * d) for (n, d), _ in psi2._pairs]
-    fP = [_q(pn * n, pd * d) for _, (n, d) in psi1._pairs]
-    fQ = [_q((pd - pn) * n, pd * d) for _, (n, d) in psi2._pairs]
     end = _q(uP[-1][0] * uQ[-1][1] + uQ[-1][0] * uP[-1][1], uP[-1][1] * uQ[-1][1])
     return uP, uQ, fP, fQ, _lines(uP, fP), _lines(uQ, fQ), end, P
 
@@ -528,6 +606,10 @@ def _merge(prep, a0, a1, b0, b1):
     the merge is the other range, whatever its slopes, shifted by it."""
     uP, uQ, fP, fQ, lP, lQ, end, _ = prep
     i, j, xs, ls = a0, b0, [], []
+    # the knot the line is shifted by, f1's i or f2's ~j, and its products,
+    # computed when it changes: a copy keeps one shift, and read per step,
+    # the N=14, L=3 baseline's copies took 1.12x as long as a shift loop
+    shift = None
     while True:
         (n, d), (m, e) = uP[i], uQ[j]
         n, d = n * e + m * d, d * e
@@ -536,19 +618,27 @@ def _merge(prep, a0, a1, b0, b1):
         if i < a1 and (j == b1 or lP[i][0] * lQ[j][2] <= lQ[j][0] * lP[i][2]):
             # f1's piece has the lower slope: f1's line, shifted by f2's
             # knot; on a tie f2's piece is the same line
-            (sn, sd), (bn, bd), (A, B, D) = uQ[j], fQ[j], lP[i]
+            A, B, D = lP[i]
+            if shift != ~j:
+                shift, (sn, sd), (bn, bd) = ~j, uQ[j], fQ[j]
+                sdbd, snbd, bnsd = sd * bd, sn * bd, bn * sd
             if j < b1 and lP[i][0] * lQ[j][2] == lQ[j][0] * lP[i][2]:
                 j += 1
             i += 1
         elif j < b1:
-            (sn, sd), (bn, bd), (A, B, D) = uP[i], fP[i], lQ[j]
+            A, B, D = lQ[j]
+            if shift != i:
+                shift, (sn, sd), (bn, bd) = i, uP[i], fP[i]
+                sdbd, snbd, bnsd = sd * bd, sn * bd, bn * sd
             j += 1
         else:  # flat at the last knot's value
             (n, d), (m, e) = fP[i], fQ[j]
-            ls.append(_line(0, n * e + m * d, d * e))
+            n, d = n * e + m * d, d * e
+            g = gcd(n, d)
+            ls.append((0, n // g, d // g))
             break
-        sdbd = sd * bd
-        A, B, D = A * sdbd, B * sdbd - A * sn * bd + D * bn * sd, D * sdbd
+        # f(y - shift) + base on the piece
+        A, B, D = A * sdbd, B * sdbd - A * snbd + D * bnsd, D * sdbd
         g = gcd(A, B, D)
         ls.append((A // g, B // g, D // g))
     if xs[-1] != end:
@@ -690,8 +780,10 @@ def _portfolio_fold(psi1, psi2, p, pt, b):
     prep = _prep(psi1, psi2, p, pt)
     lP, lQ = prep[4], prep[5]
     runsP, runsQ = _runs(lP), _runs(lQ)
-    # run pairs on every fold took the L=2 baseline stack at N=17 1.02 -> 4.10 s
-    if len(runsP) * len(runsQ) <= len(_kinks(lP)) + len(_kinks(lQ)):
+    pairs = len(runsP) * len(runsQ)
+    # run pairs on every fold took the L=2 baseline stack at N=17 1.02 -> 4.10 s;
+    # one pair is never more than the copies, which are at least P_0 and Q_0
+    if pairs == 1 or pairs <= len(_kinks(lP)) + len(_kinks(lQ)):
         pieces = _run_pairs(prep, runsP, runsQ)
     else:
         pieces = _copies(prep, pt)

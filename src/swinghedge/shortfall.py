@@ -136,13 +136,19 @@ def build_risk_stack(contract) -> RiskStack:
     p, pt, b = tree.params.p, tree.ptilde, tree.params.b
     J, phi, phi_ctrl = {}, {}, {}
     ex_fn, ca_fn = {}, {}
-    zero = PwlFn.zero()  # one per stack: its suffix rows are read 137 times, built 5
+    zero = PwlFn.zero()  # one per stack: its suffix rows are read 142 times, built 5
 
+    # at maturity j rights left owe the exercise legs L - j + 1..L, and J is
+    # (owed - y)^+: what is owed is a running reduced pair, one leg added
+    # per j, made a Fraction once; owing nothing is the stack's one zero
     for s in range(tree.width(N)):
         J[(N, s, 0)] = zero
+        dn, dd = 0, 1
         for j in range(1, L + 1):
-            due = sum((contract.Y(i).row(N)[s] for i in range(L - j + 1, L + 1)), Fraction(0))
-            J[(N, s, j)] = PwlFn.hockey_stick(due)
+            leg = contract.Y(L - j + 1)
+            den = leg.dens[N]
+            dn, dd = _q(dn * den + leg.nums[N][s] * dd, dd * den)
+            J[(N, s, j)] = PwlFn.hockey_stick(Fraction(dn, dd)) if dn else zero
 
     for k in range(N - 1, -1, -1):
         for s in range(tree.width(k)):

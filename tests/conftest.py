@@ -3,11 +3,14 @@
 Random instances are drawn from seeded random.Random objects so every run
 sees the same cases; hypothesis handles the shrinking-style properties and
 these helpers handle the structured ones (contracts, policies) that are
-awkward to express as composite strategies.
+awkward to express as composite strategies. load_perfbench reads the
+benchmark's own modules, for the tests that hold the package to them.
 """
 
 import random
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -19,6 +22,18 @@ from swinghedge.swing import StoppingStrategy, window_start
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py as a new module. It is compiled from its source,
+    so nothing (no bytecode) is written to perfbench/."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 @pytest.fixture

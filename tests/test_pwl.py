@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_contract
+from conftest import load_perfbench, random_contract
 from swinghedge import pwl
 from swinghedge.contract import build_contract
 from swinghedge.errors import ContractError, InvariantError
@@ -178,6 +178,96 @@ def test_min_max_agree_pointwise(seed, size):
     for y in probes(f, g, lo, hi):
         assert lo.eval(y) == min(f.eval(y), g.eval(y))
         assert hi.eval(y) == max(f.eval(y), g.eval(y))
+
+
+def combine_reference(f, g, lower):
+    """min (lower) or max of f and g from Fractions: both read at every knot
+    of either and at each crossing strictly between two such knots."""
+    pick = min if lower else max
+    xs = sorted({x for x, _ in f.points} | {x for x, _ in g.points})
+    diff = [reference_eval_fn(f, x) - reference_eval_fn(g, x) for x in xs]
+    pts = []
+    for t, x in enumerate(xs):
+        pts.append((x, pick(reference_eval_fn(f, x), reference_eval_fn(g, x))))
+        if t + 1 < len(xs) and diff[t] * diff[t + 1] < 0:
+            xc = x + (xs[t + 1] - x) * diff[t] / (diff[t] - diff[t + 1])
+            pts.append((xc, reference_eval_fn(f, xc)))
+    return PwlFn(pts)
+
+
+def holds(f, g, lower):
+    """Whether f is on the kept side of g (at or below for min, at or above
+    for max) at every knot of either."""
+    xs = {x for x, _ in f.points} | {x for x, _ in g.points}
+    sign = 1 if lower else -1
+    return all(sign * (reference_eval_fn(f, x) - reference_eval_fn(g, x)) <= 0 for x in xs)
+
+
+def bumped(f, rng):
+    """A function that touches f at one point, the middle of one of f's
+    falling pieces, and lies strictly above it everywhere else before its
+    own last knot: f plus k * min(|y - m|, r), which falls to 0 after f ends."""
+    pts = f.points
+    t = rng.choice([t for t in range(len(pts) - 1) if pts[t][1] > pts[t + 1][1]])
+    (x0, v0), (x1, v1) = pts[t], pts[t + 1]
+    m, r, k = (x0 + x1) / 2, (x1 - x0) / 4, (v0 - v1) / (x1 - x0) / 2
+    end = pts[-1][0]
+    xs = sorted({x for x, _ in pts} | {m - r, m, m + r})
+    bump = [(x, reference_eval_fn(f, x) + k * min(abs(x - m), r)) for x in xs]
+    return PwlFn(bump + [(end + rng.randint(1, 3), F(0))])
+
+
+def combine_pair(rng, kind):
+    f = random_pwl(rng, *rng.choice(SIZES))
+    if kind == "equal":
+        g = PwlFn(f.points)
+    elif kind == "tie along a piece":
+        # g runs on f's pieces wherever f is between two other functions
+        h1, h2 = random_pwl(rng), random_pwl(rng)
+        g = combine_reference(combine_reference(f, h1, False), h2, True)
+    elif kind == "touch at one knot":
+        g = bumped(f, rng)
+    elif kind == "crossing inside a piece":
+        # above f at 0, at 0 where f is still positive
+        g = PwlFn([(0, f.points[0][1] + 1), (f.points[-1][0] / 2, 0)])
+    elif kind == "zero":
+        g = PwlFn.zero()
+    else:
+        g = random_pwl(rng, *rng.choice(SIZES))
+    return (f, g) if rng.random() < 0.5 else (g, f)
+
+
+# kind -> (whether some answers keep an input, whether some are merged)
+COMBINE_KINDS = {
+    "random": (True, True),
+    "equal": (True, False),
+    "tie along a piece": (True, True),
+    "touch at one knot": (True, False),
+    "crossing inside a piece": (False, True),
+    "zero": (True, False),
+}
+
+
+@pytest.mark.parametrize("kind", COMBINE_KINDS)
+def test_min_and_max_keep_an_input_exactly_when_it_holds_the_kept_side(kind):
+    # _combine's sign pass: an input on the kept side at every knot of
+    # either is the answer itself; any other pair is merged, and either way
+    # the answer is the knot-union reference
+    rng = random.Random(kind)
+    kept_input = merged = 0
+    for _ in range(40):
+        f, g = combine_pair(rng, kind)
+        for lower, op in ((True, pointwise_min), (False, pointwise_max)):
+            out = op(f, g)
+            assert out == combine_reference(f, g, lower)
+            kept = [h for h, other in ((f, g), (g, f)) if holds(h, other, lower)]
+            if kept:
+                assert out is kept[0]
+                kept_input += 1
+            else:
+                assert out is not f and out is not g
+                merged += 1
+    assert (kept_input > 0, merged > 0) == COMBINE_KINDS[kind]
 
 
 # ---- portfolio transform --------------------------------------------------
@@ -571,6 +661,28 @@ def test_the_baseline_stack_folds_no_more_pieces_than_the_copies_did(monkeypatch
         ],
     }))
     assert 0 < len(calls) <= COPY_FOLD_LOWER_CALLS
+
+
+# _of and _kinks calls while building the stacks of the seed-1
+# riskcurve-markov inputs: 646 (the 42 nonzero maturity debts included)
+# and 104. They were 867 and 334 when every min and max merged, every fold
+# counted kinks, and the debts were canonicalized by the sorting
+# constructor instead, 42 more.
+STACK_OF_CALLS = 646
+STACK_KINKS_CALLS = 104
+
+
+def test_the_riskcurve_stacks_canonicalize_and_count_kinks_no_more_than_pinned(monkeypatch):
+    gen = load_perfbench("gen")
+    contracts = [build_contract(spec) for spec in gen.generate("riskcurve-markov", 1)]
+    calls = Counter()
+    of, kinks = PwlFn._of.__func__, pwl._kinks
+    monkeypatch.setattr(PwlFn, "_of", classmethod(lambda cls, *a: calls.update(["_of"]) or of(cls, *a)))
+    monkeypatch.setattr(pwl, "_kinks", lambda lines: calls.update(["_kinks"]) or kinks(lines))
+    for contract in contracts:
+        build_risk_stack(contract)
+    assert 0 < calls["_of"] <= STACK_OF_CALLS
+    assert 0 < calls["_kinks"] <= STACK_KINKS_CALLS
 
 
 def test_portfolio_control_is_built_once_on_first_read(monkeypatch):
